@@ -253,6 +253,10 @@ def run_smoke(bench, children, facts):
                            f"{missing[0]}")
         print(f"smoke {name}: {'ok' if not why else 'FAILED'}, digests "
               f"{json.dumps(reps[0].get('digests'))}")
+        for metrics, specs in ((e2e, bench["end_to_end"]),
+                               (layers, bench["per_layer"])):
+            if metrics is not None:
+                print_metrics(metrics, specs)
         problems += [f"{name}: {w}" for w in why]
     for line in problems:
         print("# " + line)
