@@ -1,4 +1,4 @@
-"""Adversarial label construction against a black-box predictor.
+"""Adversarial label construction against a predictor.
 
 The chain anchored at state 0 reaches any target level through a sequence of
 failed climbs followed by one successful climb; each such path has an exact
@@ -9,13 +9,20 @@ fixed gap on the heavier side.  Because the two sides partition the anchor
 event, the heavier side always carries at least half the anchor mass -- the
 adversary only has to identify it.
 
-Two estimation routes are provided.  The exact route enumerates paths in
-nonincreasing probability order with exact partial sums; it stops once the
-residual is below the tolerance or once the decision is *certified* (the
-partial-sum margin exceeds the unenumerated mass, which proves the argmax).
-Deep targets spread their mass over exponentially many paths, so the exact
-route may exhaust its atom budget undecided; the Monte Carlo route then
-estimates the split from anchored sampling with a 3-sigma half width.
+Three routes estimate a split, tried in this order by the ``exact`` method:
+
+* the excursion walk (:func:`walk_split`), for predictors that declare the
+  context-1 pair statistic they read: the side is a function of per-climb
+  increments, so the split is a one-dimensional random walk solved in exact
+  integers with a geometric tail bound;
+* path enumeration (:func:`exact_split`), for black-box predictors: paths in
+  nonincreasing probability order with exact partial sums;
+* Monte Carlo (:func:`mc_split`), when enumeration exhausts its atom budget:
+  anchored sampling with a 3-sigma half width.
+
+The exact routes stop once the residual is below the tolerance or once the
+decision is *certified* (the margin between the sides exceeds the unseen
+mass, which proves the argmax).
 """
 
 from __future__ import annotations
@@ -23,12 +30,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from .errors import CapExceeded
 from .markov import OddLabelTable, ShiftLabelTable, sample_until
 
 ANCHOR_MASS = Fraction(1, 4)  # stationary probability of state 0
 THRESHOLD = 0.25
+MAX_WALK_STEPS = 1_024  # counted climbs before the walk gives up undecided
 
 
 @dataclass(frozen=True)
@@ -138,6 +147,14 @@ def _evaluate(predictor, observations):
     return evaluate_many(predictor, observations)
 
 
+def _atom_chunks(level: int, chunk: int):
+    """The atoms of :func:`_atom_layers` in slices of at most `chunk`, never
+    spanning two layers."""
+    for layer in _atom_layers(level):
+        for start in range(0, len(layer), chunk):
+            yield layer[start:start + chunk]
+
+
 def exact_split(predictor, table, level: int, mass_tol,
                 max_atoms: int = 200_000, chunk: int = 100_000) -> EventSplit:
     """Exact-partial-sum split with early argmax certification.
@@ -151,44 +168,19 @@ def exact_split(predictor, table, level: int, mass_tol,
     residual = Fraction(1)
     n_atoms = 0
     exhausted = False
-    pending = []
-
-    def flush():
-        nonlocal s_plus, s_minus, residual, n_atoms
-        if not pending:
-            return
-        observations = _observe_atoms(table, pending)
-        values = _evaluate(predictor, observations)
-        for atom, value in zip(pending, values):
+    for batch in _atom_chunks(level, chunk):
+        values = _evaluate(predictor, _observe_atoms(table, batch))
+        for atom, value in zip(batch, values):
             if value >= THRESHOLD:
                 s_plus += atom.prob
             else:
                 s_minus += atom.prob
             residual -= atom.prob
-        n_atoms += len(pending)
-        pending.clear()
-
-    done = False
-    for layer in _atom_layers(level):
-        for atom in layer:
-            pending.append(atom)
-            if len(pending) >= chunk:
-                flush()
-                if residual <= mass_tol or abs(s_plus - s_minus) > residual:
-                    done = True
-                    break
-                if n_atoms >= max_atoms:
-                    exhausted = True
-                    done = True
-                    break
-        if not done:
-            flush()
-            if residual <= mass_tol or abs(s_plus - s_minus) > residual:
-                done = True
-            elif n_atoms >= max_atoms:
-                exhausted = True
-                done = True
-        if done:
+        n_atoms += len(batch)
+        if residual <= mass_tol or abs(s_plus - s_minus) > residual:
+            break
+        if n_atoms >= max_atoms:
+            exhausted = True
             break
 
     certified = abs(s_plus - s_minus) > residual
@@ -203,6 +195,92 @@ def exact_split(predictor, table, level: int, mass_tol,
             "atoms": n_atoms,
             "budget_exhausted": exhausted,
             "margin_certified": certified,
+        },
+    )
+
+
+def walk_split(predictor, table, level: int, mass_tol,
+               max_steps: int = MAX_WALK_STEPS) -> EventSplit | None:
+    """Exact split from the excursion walk; None unless the predictor
+    declares its context-1 pair statistic (``predictor.pair_statistic``).
+
+    The observation of an anchored path is the concatenation of its climbs,
+    so its pair counts at the final label add up over them: each failed
+    climb of height h (probability ``2**-(h-1)``, iid) contributes its own
+    pairs plus the pair into the following reset, and the successful climb
+    contributes its pairs last.  The path is on the high side exactly when
+    some pair was counted and the summed margin ``num - THRESHOLD*den`` is
+    nonnegative (0/0 reads as 0, the low side).  Climbs that count no pair
+    change neither sum, so they are summed out exactly; every remaining
+    climb counts a pair.  The walk on the margin is then run in exact
+    integers, absorbing the successful climb at each step, until the
+    unabsorbed geometric tail certifies the argmax or falls to `mass_tol`,
+    or until `max_steps` climbs (undecided: ``certified`` is False).
+    """
+    statistic = getattr(predictor, "pair_statistic", None)
+    if statistic is None:
+        return None
+    if level < 2:
+        raise ValueError("target level must be >= 2")
+    mass_tol = Fraction(mass_tol)
+    threshold = Fraction(THRESHOLD)
+    context = table.observe((level,))[0]
+
+    def increment(states):
+        num, den = statistic(table.observe(states), context)
+        return Fraction(num) - threshold * den, den
+
+    # climb weights in units of the successful climb's 2**-(level-2)
+    moves = []
+    for h in range(2, level):
+        margin, den = increment(tuple(range(h + 1)) + (0,))
+        if den:
+            moves.append((margin, 1 << (level - 1 - h)))
+    final_margin, final_den = increment(tuple(range(level + 1)))
+    scale = lcm(final_margin.denominator,
+                *(margin.denominator for margin, _ in moves))
+    steps = {}
+    for margin, weight in moves:
+        dm = int(margin * scale)
+        steps[dm] = steps.get(dm, 0) + weight
+    cut = -int(final_margin * scale)  # high side: walk margin >= cut
+    base = 1 + sum(steps.values())    # odds of a climb per step: base-1 : 1
+
+    # `dist` maps the margin after g counted climbs to its weight, which
+    # sums to `alive`; the absorbed masses and `alive` are in units 1/unit
+    dist = {0: 1}
+    plus = minus = 0
+    alive = unit = 1
+    g = 0
+    while True:
+        unit *= base  # absorb the successful climb after g counted climbs
+        here_plus = sum(w for m, w in dist.items() if m >= cut) \
+            if g or final_den else 0
+        plus = plus * base + here_plus
+        minus = minus * base + alive - here_plus
+        alive *= base - 1
+        margin_certified = abs(plus - minus) > alive
+        if margin_certified or alive * mass_tol.denominator \
+                <= mass_tol.numerator * unit or g == max_steps:
+            break
+        grown = {}
+        for m, w in dist.items():
+            for dm, dw in steps.items():
+                grown[m + dm] = grown.get(m + dm, 0) + w * dw
+        dist = grown
+        g += 1
+
+    residual = Fraction(alive, unit)
+    return EventSplit(
+        p_plus=Fraction(plus, unit) * ANCHOR_MASS,
+        p_minus=Fraction(minus, unit) * ANCHOR_MASS,
+        uncertainty=residual * ANCHOR_MASS,
+        certified=margin_certified or residual <= mass_tol,
+        method=f"walk:{float(mass_tol):g}",
+        detail={
+            "residual": residual,
+            "steps": g,
+            "margin_certified": margin_certified,
         },
     )
 
@@ -256,8 +334,14 @@ class AttackMethod:
 
 def _split_for(predictor, table, level, method: AttackMethod, rng) -> EventSplit:
     if method.kind == "exact":
+        walk = walk_split(predictor, table, level, method.mass_tol,
+                          max_steps=MAX_WALK_STEPS)
+        if walk is not None and walk.certified:
+            return walk
         split = exact_split(predictor, table, level, method.mass_tol,
                             method.max_atoms)
+        if walk is not None:
+            split.detail["walk_attempt"] = walk
         if split.certified or not split.detail["budget_exhausted"] \
                 or not method.mc_fallback:
             return split

@@ -17,7 +17,6 @@ many trailing ones (i.e. the terminating expansion of a dyadic rational).
 from __future__ import annotations
 
 import random
-import threading
 from fractions import Fraction
 
 from .errors import CapExceeded, ExceptionalPoint
@@ -197,22 +196,19 @@ ONE = DyadicRational(1)
 class _SeededSource:
     """Append-only stream of fair coin bits driven by a fixed seed.
 
-    Bit ``i`` depends only on the seed and ``i``.  Extension is guarded by a
-    lock so concurrent readers always observe identical bits.
+    Bit ``i`` depends only on the seed and ``i``: bits are drawn in order
+    and kept, so every read of position ``i`` sees the same bit.
     """
 
-    __slots__ = ("_rng", "_bits", "_lock")
+    __slots__ = ("_rng", "_bits")
 
     def __init__(self, seed):
         self._rng = random.Random(seed)
         self._bits = []
-        self._lock = threading.Lock()
 
     def bit(self, i: int) -> int:
-        if i > len(self._bits):
-            with self._lock:
-                while len(self._bits) < i:
-                    self._bits.append(self._rng.getrandbits(1))
+        while len(self._bits) < i:
+            self._bits.append(self._rng.getrandbits(1))
         return self._bits[i - 1]
 
     def provably_constant_from(self, i: int, value: int) -> bool:

@@ -61,5 +61,9 @@ class SingularFit(ErgolabError):
     """The least-squares design matrix is rank deficient."""
 
 
+class InvariantViolation(ErgolabError):
+    """A property an experiment proves for every trial failed at run time."""
+
+
 class ConfigError(ErgolabError):
     """An experiment configuration is malformed or incomplete."""

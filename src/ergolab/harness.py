@@ -27,7 +27,8 @@ import numpy as np
 
 from . import adversary, markov, odometer, predictors, rotation as rot
 from .dyadic import BinaryPoint
-from .errors import CapExceeded, ConfigError, ErgolabError, ExceptionalPoint
+from .errors import (CapExceeded, ConfigError, ErgolabError, ExceptionalPoint,
+                     InvariantViolation)
 from .intervals import IntervalSet
 from .partitions import PartitionSchedule, regularity_report, split_grid_partition
 from .surd import QuadraticReal
@@ -250,20 +251,23 @@ def _half_width(p_hat: float, trials: int) -> float:
 def _proven_lower_bound(split) -> Fraction:
     """Exact lower bound on the chosen event's probability.
 
-    A margin-certified split proves the chosen side is the heavier one, so
-    by the half-split identity its probability is at least 1/8.  A split
-    that merely reached its mass tolerance proves 1/8 - residual/8 (picking
-    the lighter side costs at most half the unseen mass).  Otherwise only
-    the enumerated partial mass of the chosen side is proven; for a Monte
-    Carlo split that is whatever the preceding exact attempt established.
+    A margin-certified split (walk or enumeration) proves the chosen side
+    is the heavier one, so by the half-split identity its probability is at
+    least 1/8.  A split that merely reached its mass tolerance proves
+    1/8 - residual/8 (picking the lighter side costs at most half the
+    unseen mass).  Otherwise only the exact partial mass of the chosen side
+    is proven, taken over the split and the exact attempts behind it; a
+    Monte Carlo estimate itself proves nothing.
     """
-    attempt = split.detail.get("exact_attempt")
-    if attempt is not None:
-        side = attempt.p_minus if split.minus_wins else attempt.p_plus
-        return Fraction(side)
+    chain = [split]  # Monte Carlo -> enumeration -> walk, as far as tried
+    for key in ("exact_attempt", "walk_attempt"):
+        if key in chain[-1].detail:
+            chain.append(chain[-1].detail[key])
+    side = max((Fraction(s.p_minus if split.minus_wins else s.p_plus)
+                for s in chain if not s.method.startswith("mc")),
+               default=Fraction(0))
     if split.method.startswith("mc"):
-        return Fraction(0)
-    side = Fraction(split.p_minus if split.minus_wins else split.p_plus)
+        return side
     if split.detail.get("margin_certified"):
         return max(Fraction(1, 8), side)
     residual = Fraction(split.detail.get("residual", 1))
@@ -399,8 +403,10 @@ def run_starvation(config: ExperimentConfig) -> Report:
                 in_b = odometer.in_starving_set(omega, n)
                 if in_b:
                     in_b_somewhere = True
-                    assert est_zero and truth_high, \
-                        "starvation must force an exactly-empty cell"
+                    if not (est_zero and truth_high):
+                        raise InvariantViolation(
+                            f"trial {trial}, n={n}: starvation must force "
+                            f"an exactly-empty cell under a truth >= 1/2")
                 event = est_zero and truth_high
                 if event:
                     per_n_exceed[n] += 1
@@ -475,11 +481,14 @@ def run_rotation_l1(config: ExperimentConfig) -> Report:
         in_b = b_set.contains(omega)
         if in_b:
             in_b_hits += 1
-            assert all(c_set.contains(z) for z, _ in pairs), \
-                "recent data must sit inside the cover set"
-            assert all(counts.counts.get((j, False), 0) == 0
-                       for j in range(1, schedule.q(n) + 1)), \
-                "outside-cells must be exactly empty on the starving event"
+            if not all(c_set.contains(z) for z, _ in pairs):
+                raise InvariantViolation(
+                    f"trial {trial}: recent data must sit inside the cover set")
+            if any(counts.counts.get((j, False), 0)
+                   for j in range(1, schedule.q(n) + 1)):
+                raise InvariantViolation(
+                    f"trial {trial}: outside-cells must be exactly empty on "
+                    f"the starving event")
         l1 = rotation.scalar(0)
         for label, _ in partition:
             if counts.counts.get(label, 0) == 0:

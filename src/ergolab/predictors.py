@@ -37,15 +37,10 @@ def static_count(data, context_len: int, context=None):
         context = tuple(data[n - context_len:])
     else:
         context = tuple(context)
+    if context_len == 1:
+        return _ratio(*pair_counts(data, context[0]))
     num = 0
     den = 0
-    if context_len == 1:
-        c0 = context[0]
-        for j in range(1, n):
-            if data[n - j - 1] == c0:
-                num += data[n - j]
-                den += 1
-        return _ratio(num, den)
     for j in range(1, n - context_len + 1):
         if tuple(data[n - j - context_len:n - j]) == context:
             num += data[n - j]
@@ -63,20 +58,33 @@ def dynamic_count(data, context_len: int, context=None):
         context = tuple(data[n - context_len:])
     else:
         context = tuple(context)
+    if context_len == 1:
+        return _ratio(*pair_counts(data, context[0]))
     num = 0
     den = 0
-    if context_len == 1:
-        c0 = context[0]
-        for j in range(1, n):
-            if data[j - 1] == c0:
-                num += data[j]
-                den += 1
-        return _ratio(num, den)
     for j in range(context_len, n):
         if tuple(data[j - context_len:j]) == context:
             num += data[j]
             den += 1
     return _ratio(num, den)
+
+
+def pair_counts(data, context):
+    """Context-1 pair counts: ``(num, den)`` over the consecutive pairs
+    ``(a, b)`` of `data` with ``a == context``, where `num` sums the `b` and
+    `den` counts the pairs.
+
+    A context-1 count forecast is exactly ``num / den`` (0 when ``den`` is
+    0) with the trailing value as context, and the counts add up over
+    pieces of `data` that overlap in exactly one value.
+    """
+    num = 0
+    den = 0
+    for a, b in zip(data, data[1:]):
+        if a == context:
+            num += b
+            den += 1
+    return num, den
 
 
 def _ratio(num, den):
@@ -93,6 +101,10 @@ class CountPredictor:
     Deterministic by construction; results are cached by observation string.
     `predict_batch` evaluates many observations at once (vectorized for
     context length 1), which the exact attack machinery exploits.
+
+    With context length 1 both modes read an observation only through
+    :func:`pair_counts` at its trailing value; `pair_statistic` declares that
+    function to the adversary's excursion walk (None for longer contexts).
     """
 
     def __init__(self, context_len: int = 1, mode: str = "dynamic"):
@@ -101,6 +113,7 @@ class CountPredictor:
         self.context_len = context_len
         self.mode = mode
         self.name = f"{mode}-count:{context_len}"
+        self.pair_statistic = pair_counts if context_len == 1 else None
         self._cache = {}
 
     def __call__(self, obs) -> float:

@@ -147,6 +147,16 @@ def _assert_binary_oracle_matches_predictor(table, k, predictor):
             assert (value < 0.25) == (4 * num < den), atom.states
 
 
+def _assert_level_two_is_unseen(table, predictor):
+    """0/0 at k=1: the only anchored path to level 2 is 0, 1, 2, observed
+    as 0, 0, 1, so the context 1 has no earlier occurrence, the estimate is
+    exactly 0 and the low side carries the whole anchor event."""
+    atoms, residual = adversary.hitting_paths(2, Fraction(0))
+    assert [atom.states for atom in atoms] == [(0, 1, 2)] and residual == 0
+    assert _pair_statistic(table, (0, 1, 2)) == (0, 0)
+    assert predictor(table.observe((0, 1, 2))) == 0.0
+
+
 def test_criterion_3_dynamic_attack_binary():
     with criterion(3, "binary adversary vs dynamic-count, exact bounds "
                       "+ exceedance", 120.0):
@@ -162,11 +172,23 @@ def test_criterion_3_dynamic_attack_binary():
         predictor = predictors.make_predictor("dynamic-count:1")
         for entry in report.summary["labels"]:
             k = entry["checkpoint"]
-            if Fraction(entry["proven_lower_bound"]) >= floor:
-                continue  # the adversary's own certificate already suffices
-            # deep checkpoints: certify via the exact pair-statistic walk
+            assert entry["method"].startswith("walk:"), entry["method"]
+            assert Fraction(entry["proven_lower_bound"]) >= floor, \
+                f"k={k}: the library left the checkpoint uncertified"
+            if k == 1:
+                _assert_level_two_is_unseen(table, predictor)
+                assert entry["bit"] == 1, "the low side holds all the mass"
+                continue
+            # every deeper checkpoint: the independent pair-statistic walk
             _assert_binary_oracle_matches_predictor(table, k, predictor)
             lo, hi = _minus_mass_bounds_binary(table, k)
+            walk = adversary.walk_split(predictor, table, 2 * k, DELTA)
+            assert float(walk.p_minus) == entry["p_minus"]
+            walk_lo = 4 * walk.p_minus
+            walk_hi = walk_lo + 4 * walk.uncertainty
+            assert walk_lo <= hi and lo <= walk_hi, (
+                f"k={k}: library walk [{float(walk_lo)}, {float(walk_hi)}] "
+                f"misses the oracle [{float(lo)}, {float(hi)}]")
             if entry["bit"] == 1:  # chose the low side
                 chosen_bound = lo / 4
             else:                  # chose the high side
@@ -192,8 +214,10 @@ def test_criterion_4_dynamic_attack_injective():
         rng = random.Random(31)
         for entry in report.summary["labels"]:
             s = entry["checkpoint"]
-            if Fraction(entry["proven_lower_bound"]) >= floor:
-                continue
+            assert entry["method"].startswith("walk:"), entry["method"]
+            assert Fraction(entry["proven_lower_bound"]) >= floor, \
+                f"s={s}: the library left the checkpoint uncertified"
+            assert entry["p_minus"] == 0.25 and entry["uncertainty"] == 0.0
             # the labeling is injective and the path visits state s for the
             # first time at its end, so the trailing context is first-seen
             # and the estimate is exactly zero on every anchored path: the

@@ -4,11 +4,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ergolab import adversary, markov
 from ergolab.adversary import (AttackMethod, EventSplit, confound_binary,
                                confound_injective, exact_split, hitting_paths,
-                               load_labels, mc_split, save_labels)
+                               load_labels, mc_split, save_labels, walk_split)
 from ergolab.errors import CapExceeded
 from ergolab.predictors import ConstantPredictor, CountPredictor
 
@@ -101,6 +103,86 @@ class TestEventSplits:
                             max_atoms=100_000)
         mc = mc_split(pred, table, 4, 4000, random.Random(0))
         assert exact.minus_wins == mc.minus_wins
+
+
+def _low_side_bounds(split):
+    """[lo, hi] for P(low side | anchor) from an exact split."""
+    lo = split.p_minus / adversary.ANCHOR_MASS
+    return lo, lo + split.uncertainty / adversary.ANCHOR_MASS
+
+
+odd_tables = st.dictionaries(st.integers(1, 4), st.integers(0, 1),
+                             min_size=4).map(markov.OddLabelTable)
+
+
+class TestExcursionWalk:
+    @settings(max_examples=60, deadline=None)
+    @given(table=odd_tables, level=st.integers(2, 8))
+    def test_agrees_with_enumeration(self, table, level):
+        pred = CountPredictor(1, "dynamic")
+        walk = walk_split(pred, table, level, Fraction(1, 10_000),
+                          max_steps=200)
+        enum = exact_split(pred, table, level, Fraction(1, 10_000),
+                           max_atoms=300)
+        assert walk.p_plus + walk.p_minus + walk.uncertainty \
+            == adversary.ANCHOR_MASS
+        walk_lo, walk_hi = _low_side_bounds(walk)
+        enum_lo, enum_hi = _low_side_bounds(enum)
+        assert walk_lo <= enum_hi and enum_lo <= walk_hi
+        if walk.detail["margin_certified"] and enum.detail["margin_certified"]:
+            assert walk.minus_wins == enum.minus_wins
+
+    @settings(max_examples=30, deadline=None)
+    @given(table=odd_tables, level=st.integers(2, 8))
+    def test_static_and_dynamic_give_one_split(self, table, level):
+        splits = [walk_split(CountPredictor(1, mode), table, level,
+                             Fraction(1, 10_000), max_steps=200)
+                  for mode in ("dynamic", "static")]
+        assert splits[0] == splits[1]
+
+    @settings(max_examples=30, deadline=None)
+    @given(bits=st.lists(st.integers(0, 1), min_size=40, max_size=40),
+           level=st.integers(2, 40))
+    def test_injective_labels_put_everything_low(self, bits, level):
+        table = markov.ShiftLabelTable(
+            {s: bit for s, bit in enumerate(bits, start=3)})
+        split = walk_split(CountPredictor(1, "dynamic"), table, level, 0)
+        assert split.p_minus == adversary.ANCHOR_MASS
+        assert split.p_plus == 0 and split.uncertainty == 0
+        assert split.certified and split.minus_wins
+
+    def test_level_two_reads_zero_over_zero(self):
+        # the only anchored path observes 0, 0, 1: the context is unseen
+        split = walk_split(CountPredictor(1, "dynamic"),
+                           markov.OddLabelTable(), 2, Fraction(1, 10_000))
+        assert split.p_minus == adversary.ANCHOR_MASS
+        assert split.detail["margin_certified"]
+
+    def test_black_boxes_have_no_walk(self):
+        for pred in (ConstantPredictor(0.0), CountPredictor(2, "dynamic"),
+                     lambda obs: 0.0):
+            assert walk_split(pred, markov.OddLabelTable(), 4, 0) is None
+
+    def test_route_order(self, monkeypatch):
+        table = markov.OddLabelTable({1: 1, 2: 0, 3: 0})
+        rng = random.Random(0)
+        walked = adversary._split_for(CountPredictor(1, "dynamic"), table, 8,
+                                      AttackMethod(), rng)
+        assert walked.method.startswith("walk:") and walked.certified
+        assert adversary._split_for(
+            ConstantPredictor(0.0), table, 4, AttackMethod(), rng
+        ).method.startswith("exact:")
+        monkeypatch.setattr(adversary, "MAX_WALK_STEPS", 1)
+        undecided = adversary._split_for(
+            CountPredictor(1, "dynamic"), table, 8,
+            AttackMethod(max_atoms=50, trials=100), rng)
+        assert undecided.method == "mc:100"
+        assert undecided.detail["exact_attempt"].detail["walk_attempt"] \
+            .detail["steps"] == 1
+        assert adversary._split_for(
+            CountPredictor(1, "dynamic"), table, 8, AttackMethod(kind="mc",
+                                                                 trials=100),
+            rng).method.startswith("mc:")
 
 
 class TestConfoundBinary:

@@ -1,9 +1,11 @@
 """Harness: config round trips, runners, persistence, CLI, determinism."""
 
+import random
+
 import pytest
 
-from ergolab import cli
-from ergolab.errors import ConfigError
+from ergolab import adversary, cli, harness, markov, predictors
+from ergolab.errors import ConfigError, ErgolabError, InvariantViolation
 from ergolab.harness import (ExperimentConfig, Report, format_nlist,
                              parse_nlist, persist, run)
 
@@ -77,6 +79,17 @@ class TestRunners:
                 assert truth >= 0.5
         assert len(byrow) == 40 * 14
 
+    def test_thm3_starving_invariant_is_checked(self, monkeypatch):
+        # a starving trial must see an exactly-empty cell; an estimator that
+        # reads anything there breaks the run, also under python -O
+        monkeypatch.setattr(predictors, "partitioning_autoregression",
+                            lambda series, partition, x: 1)
+        cfg = ExperimentConfig(experiment="thm3", trials=10, seed=2,
+                               nlist=tuple(range(3, 9)))
+        with pytest.raises(InvariantViolation, match="exactly-empty cell"):
+            run(cfg)
+        assert issubclass(InvariantViolation, ErgolabError)
+
     def test_thm4_small_run(self):
         cfg = ExperimentConfig(experiment="thm4", trials=30, seed=2)
         report = run(cfg)
@@ -119,6 +132,36 @@ class TestRunners:
                                method="mc:1000", predictor="constant:0")
         report = run(cfg)
         assert report.summary["min_conditional_exceedance"] == 1.0
+
+    def test_attack_labels_name_their_route(self):
+        walked = run(ExperimentConfig(experiment="thm1", trials=50, seed=1,
+                                      kmax=3))
+        enumerated = run(ExperimentConfig(experiment="thm1", trials=50,
+                                          seed=1, kmax=3,
+                                          predictor="constant:0"))
+        for report, route in ((walked, "walk:"), (enumerated, "exact:")):
+            for entry in report.summary["labels"]:
+                assert entry["method"].startswith(route)
+                assert entry["proven_lower_bound"] >= 1 / 8
+
+
+class TestProvenLowerBound:
+    def test_fallback_keeps_the_best_exact_partial_mass(self, monkeypatch):
+        # walk and enumeration both stop undecided, Monte Carlo decides; the
+        # proven bound is the larger exact partial mass of the chosen side
+        table = markov.OddLabelTable({1: 1, 2: 0, 3: 0})
+        monkeypatch.setattr(adversary, "MAX_WALK_STEPS", 2)
+        method = adversary.AttackMethod(max_atoms=20, trials=200)
+        split = adversary._split_for(
+            predictors.make_predictor("dynamic-count:1"), table, 8, method,
+            random.Random(0))
+        assert split.method.startswith("mc:")
+        exact = split.detail["exact_attempt"]
+        walk = exact.detail["walk_attempt"]
+        assert not exact.certified and not walk.certified
+        side = "p_minus" if split.minus_wins else "p_plus"
+        assert harness._proven_lower_bound(split) \
+            == max(getattr(exact, side), getattr(walk, side))
 
 
 class TestPersistence:
