@@ -34,10 +34,12 @@ from math import lcm
 
 from .errors import CapExceeded
 from .markov import OddLabelTable, ShiftLabelTable, sample_until
+from .predictors import evaluate_many
 
 ANCHOR_MASS = Fraction(1, 4)  # stationary probability of state 0
 THRESHOLD = 0.25
 MAX_WALK_STEPS = 1_024  # counted climbs before the walk gives up undecided
+CHUNK_ATOMS = 100_000  # atoms evaluated per batch by exact_split
 
 
 @dataclass(frozen=True)
@@ -142,21 +144,16 @@ def _observe_atoms(table, atoms):
     return [table.observe(atom.states) for atom in atoms]
 
 
-def _evaluate(predictor, observations):
-    from .predictors import evaluate_many
-    return evaluate_many(predictor, observations)
-
-
-def _atom_chunks(level: int, chunk: int):
-    """The atoms of :func:`_atom_layers` in slices of at most `chunk`, never
-    spanning two layers."""
+def _atom_chunks(level: int):
+    """The atoms of :func:`_atom_layers` in slices of at most CHUNK_ATOMS,
+    never spanning two layers."""
     for layer in _atom_layers(level):
-        for start in range(0, len(layer), chunk):
-            yield layer[start:start + chunk]
+        for start in range(0, len(layer), CHUNK_ATOMS):
+            yield layer[start:start + CHUNK_ATOMS]
 
 
 def exact_split(predictor, table, level: int, mass_tol,
-                max_atoms: int = 200_000, chunk: int = 100_000) -> EventSplit:
+                max_atoms: int = 200_000) -> EventSplit:
     """Exact-partial-sum split with early argmax certification.
 
     Enumerates atoms heaviest first; after each chunk checks whether the
@@ -168,8 +165,8 @@ def exact_split(predictor, table, level: int, mass_tol,
     residual = Fraction(1)
     n_atoms = 0
     exhausted = False
-    for batch in _atom_chunks(level, chunk):
-        values = _evaluate(predictor, _observe_atoms(table, batch))
+    for batch in _atom_chunks(level):
+        values = evaluate_many(predictor, _observe_atoms(table, batch))
         for atom, value in zip(batch, values):
             if value >= THRESHOLD:
                 s_plus += atom.prob
@@ -314,7 +311,6 @@ class AttackMethod:
     mass_tol: Fraction = Fraction(1, 10_000)
     max_atoms: int = 200_000
     trials: int = 20_000
-    mc_fallback: bool = True       # exact budget exhausted -> Monte Carlo
 
     @classmethod
     def parse(cls, text: str) -> "AttackMethod":
@@ -325,11 +321,6 @@ class AttackMethod:
         if kind == "mc":
             return cls(kind="mc", trials=int(arg) if arg else 20_000)
         raise ValueError(f"unknown attack method {text!r}")
-
-    def describe(self) -> str:
-        if self.kind == "exact":
-            return f"exact:{float(self.mass_tol):g}"
-        return f"mc:{self.trials}"
 
 
 def _split_for(predictor, table, level, method: AttackMethod, rng) -> EventSplit:
@@ -342,8 +333,7 @@ def _split_for(predictor, table, level, method: AttackMethod, rng) -> EventSplit
                             method.max_atoms)
         if walk is not None:
             split.detail["walk_attempt"] = walk
-        if split.certified or not split.detail["budget_exhausted"] \
-                or not method.mc_fallback:
+        if split.certified or not split.detail["budget_exhausted"]:
             return split
         # undecidable within the atom budget: estimate the split instead
         mc = mc_split(predictor, table, level, method.trials, rng)

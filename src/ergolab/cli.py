@@ -1,9 +1,10 @@
 """Command-line front end: one subcommand per experiment.
 
 Flags override values from an optional ``--config`` file (flat
-``key = value`` lines, same keys as the flags).  When ``--threshold`` is
-configured the exit status reports whether the experiment's headline
-statistic met it.
+``key = value`` lines, same keys as the flags); both come from the field
+table in :mod:`ergolab.harness`.  Exit status: 0 pass, 1 the headline
+statistic missed the configured threshold, 2 config error (any malformed
+flag or file value), 3 experiment failed.
 """
 
 from __future__ import annotations
@@ -13,35 +14,21 @@ import json
 import sys
 
 from .errors import ConfigError, ErgolabError
-from .harness import EXPERIMENTS, ExperimentConfig, parse_nlist, persist, run
+from .harness import (EXPERIMENT, EXPERIMENTS, FIELDS, FLAGS, ExperimentConfig,
+                      persist, run)
 
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ergolab",
         description="forecasting-limits experiments on exact dynamical systems")
-    sub = parser.add_subparsers(dest="experiment", required=True)
+    sub = parser.add_subparsers(dest=EXPERIMENT.attr, required=True)
     for name in EXPERIMENTS:
         p = sub.add_parser(name, help=f"run the {name} experiment")
         p.add_argument("--config", default=None,
                        help="flat key = value config file; flags override")
-        p.add_argument("--trials", type=int, default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--kmax", type=int, default=None)
-        p.add_argument("--smax", type=int, default=None)
-        p.add_argument("--nlist", type=str, default=None,
-                       help="comma list and/or lo:hi ranges, e.g. 3:64")
-        p.add_argument("--q-schedule", dest="q_schedule", type=str,
-                       default=None, help="sqrt[:scale] | const:q | table:n=q,..")
-        p.add_argument("--method", type=str, default=None,
-                       help="exact:<mass tolerance> | mc:<trials>")
-        p.add_argument("--predictor", type=str, default=None,
-                       help="dynamic-count[:N] | static-count[:N] | constant:v")
-        p.add_argument("--alpha", type=str, default=None,
-                       help="rotation angle as d,a,b meaning a + b*sqrt(d)")
-        p.add_argument("--out", type=str, default=None,
-                       help="directory for config echo, CSV and plot data")
-        p.add_argument("--threshold", type=float, default=None)
+        for field in FLAGS:
+            p.add_argument(f"--{field.key}", dest=field.attr, help=field.help)
     return parser
 
 
@@ -50,24 +37,10 @@ def _config_from_args(args) -> ExperimentConfig:
         config = ExperimentConfig.from_file(args.config)
     else:
         config = ExperimentConfig()
-    config.experiment = args.experiment
-    overrides = {
-        "trials": args.trials,
-        "seed": args.seed,
-        "kmax": args.kmax,
-        "smax": args.smax,
-        "method": args.method,
-        "predictor": args.predictor,
-        "alpha": args.alpha,
-        "out": args.out,
-        "threshold": args.threshold,
-        "q-schedule": args.q_schedule,
-    }
-    for key, value in overrides.items():
+    for field in FIELDS:
+        value = getattr(args, field.attr)
         if value is not None:
-            config.set_key(key, str(value))
-    if args.nlist is not None:
-        config.nlist = parse_nlist(args.nlist)
+            config.set_key(field.key, value)
     return config
 
 

@@ -22,6 +22,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -33,9 +34,6 @@ from .intervals import IntervalSet
 from .partitions import PartitionSchedule, regularity_report, split_grid_partition
 from .surd import QuadraticReal
 
-EXPERIMENTS = ("thm1", "thm2", "thm3", "thm4",
-               "consistency", "linear", "check-partitions")
-
 
 def derived_seed(master, index: int) -> int:
     """Stable per-trial seed from the master seed."""
@@ -43,148 +41,8 @@ def derived_seed(master, index: int) -> int:
                .generate_state(1)[0])
 
 
-@dataclass
-class ExperimentConfig:
-    experiment: str = ""
-    trials: int = 1000
-    seed: int = 0
-    kmax: int = 4
-    smax: int = 8
-    nlist: tuple = ()
-    q_schedule: str = ""
-    method: str = "exact:1e-4"
-    predictor: str = "dynamic-count:1"
-    alpha: str = "2,-1,1"
-    out: str = ""
-    threshold: float | None = None
-
-    _DEFAULT_NLIST = {"thm3": tuple(range(3, 65)), "thm4": (8,),
-                      "consistency": (1000, 10_000, 100_000),
-                      "linear": (10_000,),
-                      "check-partitions": (4, 16, 64, 256)}
-    _DEFAULT_SCHEDULE = {"thm3": "sqrt:1", "thm4": "sqrt:72",
-                         "check-partitions": "sqrt:1"}
-
-    def validate(self) -> "ExperimentConfig":
-        if self.experiment not in EXPERIMENTS:
-            raise ConfigError(f"unknown experiment {self.experiment!r}")
-        if self.trials <= 0:
-            raise ConfigError("trials must be positive")
-        if self.kmax <= 0 or self.smax < 2:
-            raise ConfigError("kmax must be >= 1 and smax >= 2")
-        if not self.nlist:
-            self.nlist = self._DEFAULT_NLIST.get(self.experiment, (8,))
-        if any(n <= 0 for n in self.nlist):
-            raise ConfigError("every n must be positive")
-        if not self.q_schedule:
-            self.q_schedule = self._DEFAULT_SCHEDULE.get(self.experiment,
-                                                         "sqrt:1")
-        try:
-            adversary.AttackMethod.parse(self.method)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-        return self
-
-    # -- pieces assembled from the flat string fields
-
-    def schedule(self, require_regular=True) -> PartitionSchedule:
-        kind, _, arg = self.q_schedule.partition(":")
-        if kind == "sqrt":
-            return PartitionSchedule.sqrt(int(arg) if arg else 1,
-                                          ns=self.nlist,
-                                          require_regular=require_regular)
-        if kind == "const":
-            return PartitionSchedule.constant(int(arg))
-        if kind == "table":
-            table = {}
-            for item in arg.split(","):
-                n, _, q = item.partition("=")
-                table[int(n)] = int(q)
-            return PartitionSchedule(table, ns=self.nlist,
-                                     require_regular=require_regular)
-        raise ConfigError(f"unknown q-schedule {self.q_schedule!r}")
-
-    def rotation(self) -> rot.Rotation:
-        try:
-            d, a, b = (part.strip() for part in self.alpha.split(","))
-            return rot.Rotation(QuadraticReal(Fraction(a), Fraction(b), int(d)))
-        except (ValueError, ErgolabError) as exc:
-            raise ConfigError(f"bad alpha spec {self.alpha!r}: {exc}") from None
-
-    def attack_method(self) -> adversary.AttackMethod:
-        return adversary.AttackMethod.parse(self.method)
-
-    def target_predictor(self):
-        try:
-            return predictors.make_predictor(self.predictor)
-        except KeyError as exc:
-            raise ConfigError(str(exc)) from None
-
-    # -- flat text round trip (``key = value`` lines)
-
-    _KEYS = ("experiment", "trials", "seed", "kmax", "smax", "nlist",
-             "q-schedule", "method", "predictor", "alpha", "out", "threshold")
-
-    def to_lines(self):
-        values = {
-            "experiment": self.experiment,
-            "trials": self.trials,
-            "seed": self.seed,
-            "kmax": self.kmax,
-            "smax": self.smax,
-            "nlist": format_nlist(self.nlist),
-            "q-schedule": self.q_schedule,
-            "method": self.method,
-            "predictor": self.predictor,
-            "alpha": self.alpha,
-            "out": self.out,
-            "threshold": "" if self.threshold is None else repr(self.threshold),
-        }
-        return [f"{key} = {values[key]}" for key in self._KEYS]
-
-    @classmethod
-    def from_file(cls, path) -> "ExperimentConfig":
-        cfg = cls()
-        with open(path, encoding="utf-8") as fh:
-            for raw in fh:
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                key, eq, value = line.partition("=")
-                if not eq:
-                    raise ConfigError(f"not a key = value line: {line!r}")
-                cfg.set_key(key.strip(), value.strip())
-        return cfg
-
-    def set_key(self, key: str, value: str):
-        if value == "":
-            return
-        if key == "experiment":
-            self.experiment = value
-        elif key == "trials":
-            self.trials = int(value)
-        elif key == "seed":
-            self.seed = int(value)
-        elif key == "kmax":
-            self.kmax = int(value)
-        elif key == "smax":
-            self.smax = int(value)
-        elif key == "nlist":
-            self.nlist = parse_nlist(value)
-        elif key == "q-schedule":
-            self.q_schedule = value
-        elif key == "method":
-            self.method = value
-        elif key == "predictor":
-            self.predictor = value
-        elif key == "alpha":
-            self.alpha = value
-        elif key == "out":
-            self.out = value
-        elif key == "threshold":
-            self.threshold = float(value)
-        else:
-            raise ConfigError(f"unknown config key {key!r}")
+# -- the configuration: the FIELDS table below defines the config class,
+# the config-file format and the CLI flags
 
 
 def parse_nlist(text: str) -> tuple:
@@ -206,6 +64,185 @@ def format_nlist(ns) -> str:
     if len(ns) > 2 and ns == list(range(ns[0], ns[-1] + 1)):
         return f"{ns[0]}:{ns[-1]}"
     return ",".join(str(n) for n in ns)
+
+
+def _parse_schedule(text: str, ns=None,
+                    require_regular=False) -> PartitionSchedule:
+    kind, _, arg = text.partition(":")
+    if kind == "sqrt":
+        return PartitionSchedule.sqrt(int(arg) if arg else 1, ns=ns,
+                                      require_regular=require_regular)
+    if kind == "const":
+        return PartitionSchedule.constant(int(arg))
+    if kind == "table":
+        table = {}
+        for item in arg.split(","):
+            n, _, q = item.partition("=")
+            table[int(n)] = int(q)
+        return PartitionSchedule(table, ns=ns, require_regular=require_regular)
+    raise ValueError("expected sqrt[:scale], const:q or table:n=q,..")
+
+
+def _parse_alpha(text: str) -> rot.Rotation:
+    d, a, b = (part.strip() for part in text.split(","))
+    return rot.Rotation(QuadraticReal(Fraction(a), Fraction(b), int(d)))
+
+
+def _checked(build):
+    """Parser for a field kept as text, which `build` has to accept."""
+    def parse(text: str) -> str:
+        build(text)
+        return text
+    return parse
+
+
+def _parsed(what: str, parse, text: str):
+    """``parse(text)``, with any failure reported as a ConfigError."""
+    try:
+        return parse(text)
+    except (ValueError, KeyError, ArithmeticError, ErgolabError) as exc:
+        reason = exc.args[0] if exc.args else type(exc).__name__
+        raise ConfigError(f"bad {what} {text!r}: {reason}") from None
+
+
+@dataclass(frozen=True)
+class ConfigField:
+    """One configuration key.
+
+    `key` is the spelling in config files and, as ``--<key>``, on the
+    command line; the attribute is the key with ``-`` read as ``_``.
+    `parse` reads the text form, `format` writes it, `help` documents the
+    flag.
+    """
+
+    key: str
+    default: object
+    parse: Callable[[str], object] = str
+    format: Callable[[object], str] = str
+    help: str | None = None
+
+    @property
+    def attr(self) -> str:
+        return self.key.replace("-", "_")
+
+
+FIELDS = (
+    ConfigField("experiment", ""),
+    ConfigField("trials", 1000, int),
+    ConfigField("seed", 0, int),
+    ConfigField("kmax", 4, int),
+    ConfigField("smax", 8, int),
+    ConfigField("nlist", (), parse_nlist, format_nlist,
+                "comma list and/or lo:hi ranges, e.g. 3:64"),
+    ConfigField("q-schedule", "", _checked(_parse_schedule),
+                help="sqrt[:scale] | const:q | table:n=q,.."),
+    ConfigField("method", "exact:1e-4", _checked(adversary.AttackMethod.parse),
+                help="exact:<mass tolerance> | mc:<trials>"),
+    ConfigField("predictor", "dynamic-count:1",
+                _checked(predictors.make_predictor),
+                help="dynamic-count[:N] | static-count[:N] | constant:v"),
+    ConfigField("alpha", "2,-1,1", _checked(_parse_alpha),
+                help="rotation angle as d,a,b meaning a + b*sqrt(d)"),
+    ConfigField("out", "", help="directory for config echo, CSV and plot data"),
+    ConfigField("threshold", None, float,
+                lambda value: "" if value is None else repr(value)),
+)
+# the experiment is the CLI subcommand; every other field is a --flag
+EXPERIMENT, FLAGS = FIELDS[0], FIELDS[1:]
+_BY_KEY = {f.key: f for f in FIELDS}
+
+# what an empty nlist / q-schedule means, per experiment
+_DEFAULT_NLIST = {"thm3": tuple(range(3, 65)), "thm4": (8,),
+                  "consistency": (1000, 10_000, 100_000),
+                  "linear": (10_000,),
+                  "check-partitions": (4, 16, 64, 256)}
+_DEFAULT_SCHEDULE = {"thm3": "sqrt:1", "thm4": "sqrt:72",
+                     "check-partitions": "sqrt:1"}
+
+
+def _with_fields(cls):
+    """Make `cls` a dataclass whose fields are FIELDS, in order."""
+    cls.__annotations__ = {f.attr: object for f in FIELDS}
+    for f in FIELDS:
+        setattr(cls, f.attr, f.default)
+    return dataclass(cls)
+
+
+@_with_fields
+class ExperimentConfig:
+    """One experiment's settings, one attribute per entry of FIELDS."""
+
+    def validate(self) -> "ExperimentConfig":
+        """Fill the per-experiment defaults, parse every field from its text
+        form and check ranges; any malformed value is a ConfigError.
+
+        Partition regularity is left to :meth:`schedule` at run time.
+        """
+        if self.experiment not in RUNNERS:
+            raise ConfigError(f"unknown experiment {self.experiment!r}")
+        if not self.nlist:
+            self.nlist = _DEFAULT_NLIST.get(self.experiment, (8,))
+        if not self.q_schedule:
+            self.q_schedule = _DEFAULT_SCHEDULE.get(self.experiment, "sqrt:1")
+        for f in FIELDS:
+            self.set_key(f.key, f.format(getattr(self, f.attr)))
+        if self.trials <= 0:
+            raise ConfigError("trials must be positive")
+        if self.kmax <= 0 or self.smax < 2:
+            raise ConfigError("kmax must be >= 1 and smax >= 2")
+        if any(n <= 0 for n in self.nlist):
+            raise ConfigError("every n must be positive")
+        return self
+
+    # -- pieces assembled from the flat string fields
+
+    def schedule(self, require_regular=True) -> PartitionSchedule:
+        return _parsed("partition schedule",
+                       lambda text: _parse_schedule(text, self.nlist,
+                                                    require_regular),
+                       self.q_schedule)
+
+    def rotation(self) -> rot.Rotation:
+        return _parsed("rotation angle", _parse_alpha, self.alpha)
+
+    def attack_method(self) -> adversary.AttackMethod:
+        return adversary.AttackMethod.parse(self.method)
+
+    def target_predictor(self):
+        return _parsed("target predictor", predictors.make_predictor,
+                       self.predictor)
+
+    # -- flat text round trip (``key = value`` lines)
+
+    def to_lines(self):
+        return [f"{f.key} = {f.format(getattr(self, f.attr))}" for f in FIELDS]
+
+    @classmethod
+    def from_file(cls, path) -> "ExperimentConfig":
+        cfg = cls()
+        try:
+            with open(path, encoding="utf-8") as fh:
+                lines = fh.read().splitlines()
+        except OSError as exc:
+            raise ConfigError(f"cannot read {path}: {exc.strerror}") from None
+        for raw in lines:
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            key, eq, value = line.partition("=")
+            if not eq:
+                raise ConfigError(f"not a key = value line: {line!r}")
+            cfg.set_key(key.strip(), value.strip())
+        return cfg
+
+    def set_key(self, key: str, value: str):
+        """Set one field from its text form; an empty value changes nothing."""
+        if value == "":
+            return
+        if key not in _BY_KEY:
+            raise ConfigError(f"unknown config key {key!r}")
+        f = _BY_KEY[key]
+        setattr(self, f.attr, _parsed(key, f.parse, value))
 
 
 @dataclass
@@ -633,6 +670,7 @@ RUNNERS = {
     "linear": run_linear,
     "check-partitions": run_check_partitions,
 }
+EXPERIMENTS = tuple(RUNNERS)
 
 
 def run(config: ExperimentConfig) -> Report:

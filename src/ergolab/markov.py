@@ -87,21 +87,6 @@ def sample_until(level: int, rng) -> list:
     return path
 
 
-def first_passage(path) -> dict:
-    """Map ``k -> first index where the path sits at state 2k`` (k >= 1)."""
-    out = {}
-    for idx, state in enumerate(path):
-        if state >= 2 and state % 2 == 0:
-            k = state // 2
-            if k not in out:
-                out[k] = idx
-    if path and path[0] == 0:
-        for k, idx in out.items():
-            assert all(s <= 2 * k for s in path[:idx + 1]), \
-                "cannot sit above 2k before first reaching it"
-    return out
-
-
 class OddLabelTable:
     """Binary labeling with adversary-chosen values on odd states >= 3.
 

@@ -83,10 +83,16 @@ def bit_prefix_interval(level: int, index: int) -> Interval:
         raise IndexError("level must be >= 1")
     if not 0 <= index < (1 << level):
         raise IndexError(f"index {index} out of range for level {level}")
-    rev = 0
-    for l in range(level):
-        rev = (rev << 1) | ((index >> l) & 1)
+    rev = _reversed_bits(index, level)
     return Interval(DyadicRational(rev, level), DyadicRational(rev + 1, level))
+
+
+def _reversed_bits(value: int, width: int) -> int:
+    """The low `width` bits of `value`, in reverse order."""
+    rev = 0
+    for l in range(width):
+        rev = (rev << 1) | ((value >> l) & 1)
+    return rev
 
 
 def _interval_set(*intervals) -> IntervalSet:
@@ -116,10 +122,7 @@ def starving_set(n: int) -> IntervalSet:
 def in_starving_set(point: BinaryPoint, n: int) -> bool:
     """Exact membership via the defining bit prefix."""
     level, index = starving_level(n)
-    rev = 0
-    for l in range(level):
-        rev = (rev << 1) | ((index >> l) & 1)
-    return point.prefix_int(level) == rev
+    return point.prefix_int(level) == _reversed_bits(index, level)
 
 
 def starving_union(k: int) -> IntervalSet:
@@ -144,13 +147,9 @@ def aligned_indices(s: IntervalSet, level: int):
     for iv in s:
         lo = _dyadic_scaled(iv.lo, level)
         hi = _dyadic_scaled(iv.hi, level)
-        for pos in range(lo, hi):
-            # interval at scaled position pos is the prefix interval whose
-            # index is the bit reversal of pos
-            rev = 0
-            for l in range(level):
-                rev = (rev << 1) | ((pos >> l) & 1)
-            indices.add(rev)
+        # interval at scaled position pos is the prefix interval whose
+        # index is the bit reversal of pos
+        indices.update(_reversed_bits(pos, level) for pos in range(lo, hi))
     return indices
 
 

@@ -93,23 +93,6 @@ class Partition:
     def __iter__(self):
         return iter(self.cells)
 
-    def max_diameter(self):
-        """Largest cell diameter (sup - inf of nonempty cells)."""
-        best = 0
-        for _, cell in self.cells:
-            d = cell.diameter()
-            if _cmp_scalar(d, best) > 0:
-                best = d
-        return best
-
-
-def _cmp_scalar(a, b):
-    if isinstance(a, QuadraticReal) or isinstance(b, QuadraticReal):
-        if not isinstance(a, QuadraticReal):
-            a = QuadraticReal.rational(Fraction(a), b.d)
-        return a.compare(b)
-    return (a > b) - (a < b)
-
 
 def split_grid_partition(n: int, schedule: PartitionSchedule,
                          split_set: IntervalSet) -> Partition:
@@ -172,7 +155,7 @@ def regularity_report(schedule: PartitionSchedule, partitions, windows=None):
                 if not cell.intersection(window).is_empty():
                     count += 1
                     d = cell.diameter()
-                    if _cmp_scalar(d, diam) > 0:
+                    if _cmp(d, diam) > 0:
                         diam = d
             rows.append({
                 "n": n,
@@ -185,8 +168,8 @@ def regularity_report(schedule: PartitionSchedule, partitions, windows=None):
         series = [r for r in rows if r["window"] == w_idx]
         diams = [r["max_diameter"] for r in series]
         ratios = [r["cells_over_n"] for r in series]
-        shrink = all(_cmp_scalar(b, a) <= 0 for a, b in zip(diams, diams[1:])) \
-            and len(diams) > 1 and _cmp_scalar(diams[-1], diams[0]) < 0
+        shrink = all(_cmp(b, a) <= 0 for a, b in zip(diams, diams[1:])) \
+            and len(diams) > 1 and _cmp(diams[-1], diams[0]) < 0
         decay = len(ratios) > 1 and ratios[-1] < ratios[0]
         verdicts[w_idx] = {
             "diameters_shrink": bool(shrink),

@@ -29,27 +29,17 @@ def static_count(data, context_len: int, context=None):
     the trailing `context_len` values.  Scans every earlier placement of the
     context and averages the values that followed it.
     """
-    data = list(data)
-    n = len(data)
-    if not 1 <= context_len < n:
-        raise ValueError("need 1 <= context_len < len(data)")
-    if context is None:
-        context = tuple(data[n - context_len:])
-    else:
-        context = tuple(context)
-    if context_len == 1:
-        return _ratio(*pair_counts(data, context[0]))
-    num = 0
-    den = 0
-    for j in range(1, n - context_len + 1):
-        if tuple(data[n - j - context_len:n - j]) == context:
-            num += data[n - j]
-            den += 1
-    return _ratio(num, den)
+    return _context_count(data, context_len, context)
 
 
 def dynamic_count(data, context_len: int, context=None):
     """Forward-scanning count estimate from ``X_0 .. X_{n-1}``."""
+    return _context_count(data, context_len, context)
+
+
+def _context_count(data, context_len: int, context):
+    """The count forecast both scans compute: the average of the values
+    following each placement of `context` in `data` (0 when none)."""
     data = list(data)
     n = len(data)
     if not 1 <= context_len < n:

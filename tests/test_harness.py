@@ -1,5 +1,6 @@
 """Harness: config round trips, runners, persistence, CLI, determinism."""
 
+import argparse
 import random
 
 import pytest
@@ -46,6 +47,48 @@ class TestConfig:
         assert loaded.seed == 5
         assert loaded.nlist == (3, 4, 5)
         assert loaded.threshold == 0.4
+
+    def test_file_round_trip_of_every_field(self, tmp_path):
+        for threshold, out, nlist in ((None, "", (3, 5, 8)),
+                                      (0.125, "runs/a b", (2, 3, 4, 9))):
+            cfg = ExperimentConfig(experiment="thm4", trials=250, seed=-3,
+                                   kmax=2, smax=5, nlist=nlist,
+                                   q_schedule="table:3=2,5=3,8=4",
+                                   method="mc:500", predictor="constant:0.5",
+                                   alpha="5,-1/2,1/2", out=out,
+                                   threshold=threshold)
+            path = tmp_path / "config.txt"
+            path.write_text("\n".join(cfg.to_lines()) + "\n")
+            assert ExperimentConfig.from_file(path) == cfg
+
+    def test_config_txt_matches_golden_bytes(self, tmp_path):
+        cfg = ExperimentConfig(experiment="thm3", trials=250, seed=7,
+                               nlist=tuple(range(3, 11)), threshold=0.4,
+                               out="out/thm3").validate()
+        report = Report(schema="static", columns=("n",), rows=[])
+        written = persist(cfg, report, tmp_path)["config"].read_bytes()
+        assert written == (
+            b"experiment = thm3\ntrials = 250\nseed = 7\nkmax = 4\n"
+            b"smax = 8\nnlist = 3:10\nq-schedule = sqrt:1\n"
+            b"method = exact:1e-4\npredictor = dynamic-count:1\n"
+            b"alpha = 2,-1,1\nout = out/thm3\nthreshold = 0.4\n")
+
+    def test_validation_parses_every_value(self):
+        for bad in ({"trials": "abc"}, {"nlist": (3, "x")},
+                    {"q_schedule": "sqrt:x"}, {"q_schedule": "cubic"},
+                    {"predictor": "dynamic-count:x"}, {"predictor": "oracle"},
+                    {"method": "exact:1/0"}, {"alpha": "2,1"},
+                    {"threshold": "high"}):
+            with pytest.raises(ConfigError):
+                ExperimentConfig(experiment="thm3", **bad).validate()
+        # irregular schedules validate; regularity is checked at run time
+        flat = ExperimentConfig(experiment="thm3", q_schedule="const:4",
+                                nlist=(3, 4)).validate()
+        assert flat.schedule().q(3) == 4
+        shrinking = ExperimentConfig(experiment="thm3", nlist=(3, 4),
+                                     q_schedule="table:3=4,4=2").validate()
+        with pytest.raises(ConfigError):
+            shrinking.schedule()
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "config.txt"
@@ -205,6 +248,31 @@ class TestCli:
 
     def test_bad_config_exit_code(self):
         assert cli.main(["thm1", "--trials", "0"]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["thm3", "--nlist", "abc"],
+        ["thm3", "--q-schedule", "sqrt:x"],
+        ["thm1", "--predictor", "dynamic-count:x"],
+        ["thm1", "--trials", "abc"],
+        ["thm1", "--config", "{tmp}/bad.txt"],
+        ["thm1", "--config", "{tmp}/missing.txt"],
+    ])
+    def test_malformed_value_is_a_config_error(self, argv, tmp_path, capsys):
+        (tmp_path / "bad.txt").write_text("trials = abc\n")
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
+        assert cli.main(argv) == 2
+        assert "config error:" in capsys.readouterr().err
+
+    def test_flags_are_the_config_keys(self):
+        keys = {line.split(" = ")[0] for line in ExperimentConfig().to_lines()}
+        sub = next(action for action in cli._build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction))
+        assert set(sub.choices) == set(harness.EXPERIMENTS)
+        for parser in sub.choices.values():
+            flags = {opt for action in parser._actions
+                     for opt in action.option_strings}
+            flags -= {"-h", "--help", "--config"}
+            assert {flag[2:] for flag in flags} | {sub.dest} == keys
 
     def test_config_file_with_flag_override(self, tmp_path):
         config = tmp_path / "cfg.txt"

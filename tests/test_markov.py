@@ -59,11 +59,6 @@ class TestSampling:
                  for j in range(25)) / 2
         assert tv <= 0.02
 
-    def test_first_passage(self):
-        assert markov.first_passage([0, 1, 2]) == {1: 2}
-        assert markov.first_passage([0, 1, 2, 0, 1, 2, 3, 4]) == {1: 2, 2: 7}
-        assert 3 not in markov.first_passage([0, 1, 2, 3])
-
 
 class TestLabelings:
     def test_binary_observation(self):
