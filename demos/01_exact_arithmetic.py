@@ -1,27 +1,22 @@
 #!/usr/bin/env python3
-"""Tour of the exact substrate: dyadic rationals, lazy binary points,
+"""Tour of the exact substrate: lazy binary points with exact truncations,
 quadratic irrationals, and interval sets with exact Lebesgue measure.
 
 Everything printed here is computed with integer arithmetic only.
 """
 from fractions import Fraction
 
-from ergolab.dyadic import BinaryPoint, DyadicRational
+from ergolab.dyadic import BinaryPoint
 from ergolab.intervals import dyadic_set
 from ergolab.surd import QuadraticReal, cf_convergents, sqrt2_minus_1
 
-print("== dyadic rationals ==")
-a = DyadicRational(3, 2)          # 3/4
-b = DyadicRational(5, 4)          # 5/16
-print(f"a = {a}, b = {b}, a*b = {a * b}, a-b = {a - b}")
-print(f"ordering vs fractions: a > 1/2 is {a > Fraction(1, 2)}")
-
-print()
 print("== lazy binary points ==")
 p = BinaryPoint.seeded(2024)
 print("first 12 bits of a seeded point:",
       [p.bit(i) for i in range(1, 13)])
-print("the same12th bit, queried again:", p.bit(12), "(idempotent)")
+print("the same 12th bit, queried again:", p.bit(12), "(idempotent)")
+print("exact truncations:",
+      ", ".join(str(p.truncated(w)) for w in (3, 6, 12)))
 print(f"compare against 2/3 without floats: {p.compare(Fraction(2, 3)):+d}")
 
 q = BinaryPoint.from_dyadic(Fraction(5, 8))

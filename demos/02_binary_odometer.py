@@ -16,7 +16,7 @@ x = BinaryPoint.from_dyadic(Fraction(11, 16))
 orbit = [x]
 for _ in range(6):
     orbit.append(odometer.step(orbit[-1]))
-print(" -> ".join(str(pt.truncated(4).as_fraction()) for pt in orbit))
+print(" -> ".join(str(pt.truncated(4)) for pt in orbit))
 
 print()
 print("== prefix intervals shift down ==")

@@ -2,7 +2,7 @@
 
 A small laboratory with four moving parts:
 
-* an exact substrate (dyadic rationals, lazy binary points, quadratic
+* an exact substrate (lazy binary points over exact fractions, quadratic
   irrationals, interval sets with exact Lebesgue measure);
 * two exactly-computable ergodic systems (the reverse binary odometer and an
   irrational rotation with constructive Rohlin towers);
@@ -12,7 +12,7 @@ A small laboratory with four moving parts:
   black-box predictor, plus a reproducible experiment harness and CLI.
 """
 
-from .dyadic import BinaryPoint, DyadicRational
+from .dyadic import BinaryPoint
 from .errors import ErgolabError
 from .intervals import Interval, IntervalSet, algebraic_set, dyadic_set
 from .partitions import Partition, PartitionSchedule, split_grid_partition
@@ -20,7 +20,6 @@ from .surd import QuadraticReal, cf_convergents, qr_compare
 
 __all__ = [
     "BinaryPoint",
-    "DyadicRational",
     "ErgolabError",
     "Interval",
     "IntervalSet",

@@ -47,7 +47,7 @@ def _config_from_args(args) -> ExperimentConfig:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        config = _config_from_args(args).validate()
+        config = _config_from_args(args)
         report = run(config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -1,17 +1,15 @@
-"""Exact dyadic rationals and lazily materialized binary-expansion points.
+"""Lazily materialized binary-expansion points of the unit interval.
 
-Two value types form the exact substrate of the unit interval:
+A :class:`BinaryPoint` is a point of ``[0, 1)`` described by its binary
+expansion: a finite, possibly modified prefix backed by an infinite bit
+source (a seeded generator or a repeating pattern).  Bits are materialized
+on demand and never change once returned, so every query is idempotent and
+deterministic given the seed.  Exact values (truncations, dyadic endpoints)
+are plain :class:`~fractions.Fraction` objects; :func:`dyadic_exponent`
+decides whether such a value is dyadic, and at what exponent.
 
-* :class:`DyadicRational` -- numbers ``k / 2**e`` kept in canonical form
-  (odd-or-zero numerator), with all arithmetic exact.
-* :class:`BinaryPoint` -- a point of ``[0, 1)`` described by its binary
-  expansion: a finite, possibly modified prefix backed by an infinite bit
-  source (a seeded generator or a repeating pattern).  Bits are materialized
-  on demand and never change once returned, so every query is idempotent and
-  deterministic given the seed.
-
-Points with two expansions are always represented by the one with finitely
-many trailing ones (i.e. the terminating expansion of a dyadic rational).
+Points with two expansions are always represented by the terminating one
+(trailing zeros, never trailing ones).
 """
 
 from __future__ import annotations
@@ -22,175 +20,16 @@ from fractions import Fraction
 from .errors import CapExceeded, ExceptionalPoint
 
 
-class DyadicRational:
-    """Exact value ``numerator / 2**exponent`` in canonical form.
+def dyadic_exponent(value) -> int:
+    """The ``e`` with ``value == k / 2**e`` in lowest terms.
 
-    Canonical means the numerator is odd or zero and the exponent is the
-    smallest possible.  The exponent is bounded by the class-level
-    :attr:`exponent_cap` so runaway precision shows up as a loud
-    :class:`CapExceeded` instead of silent memory growth.
+    Raises :class:`ValueError` when `value` is not a dyadic rational.
     """
-
-    __slots__ = ("_num", "_exp")
-
-    exponent_cap = 128
-
-    def __init__(self, numerator: int, exponent: int = 0):
-        numerator = int(numerator)
-        exponent = int(exponent)
-        if exponent < 0:
-            numerator <<= -exponent
-            exponent = 0
-        if numerator == 0:
-            exponent = 0
-        else:
-            while numerator % 2 == 0 and exponent > 0:
-                numerator //= 2
-                exponent -= 1
-        if exponent > self.exponent_cap:
-            raise CapExceeded(
-                f"dyadic exponent {exponent} exceeds cap {self.exponent_cap}"
-            )
-        self._num = numerator
-        self._exp = exponent
-
-    @property
-    def numerator(self) -> int:
-        return self._num
-
-    @property
-    def exponent(self) -> int:
-        return self._exp
-
-    @classmethod
-    def from_fraction(cls, value) -> "DyadicRational":
-        frac = Fraction(value)
-        den = frac.denominator
-        exp = den.bit_length() - 1
-        if den != 1 << exp:
-            raise ValueError(f"{value} is not a dyadic rational")
-        return cls(frac.numerator, exp)
-
-    def as_fraction(self) -> Fraction:
-        return Fraction(self._num, 1 << self._exp)
-
-    def bits(self, width: int) -> tuple:
-        """First `width` expansion bits; only valid for values in [0, 1)."""
-        if not (0 <= self._num and self.as_fraction() < 1):
-            raise ValueError("bits() requires a value in [0, 1)")
-        if width < self._exp:
-            raise ValueError("width shorter than the exact expansion")
-        scaled = self._num << (width - self._exp)
-        return tuple((scaled >> (width - i)) & 1 for i in range(1, width + 1))
-
-    # -- arithmetic (exact; Fraction operands degrade gracefully to Fraction)
-
-    def _coerce(self, other):
-        if isinstance(other, DyadicRational):
-            return other
-        if isinstance(other, int):
-            return DyadicRational(other, 0)
-        return None
-
-    def __add__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
-            if isinstance(other, Fraction):
-                return self.as_fraction() + other
-            return NotImplemented
-        e = max(self._exp, rhs._exp)
-        num = (self._num << (e - self._exp)) + (rhs._num << (e - rhs._exp))
-        return DyadicRational(num, e)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
-            if isinstance(other, Fraction):
-                return self.as_fraction() - other
-            return NotImplemented
-        e = max(self._exp, rhs._exp)
-        num = (self._num << (e - self._exp)) - (rhs._num << (e - rhs._exp))
-        return DyadicRational(num, e)
-
-    def __rsub__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
-            if isinstance(other, Fraction):
-                return other - self.as_fraction()
-            return NotImplemented
-        return rhs - self
-
-    def __mul__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
-            if isinstance(other, Fraction):
-                return self.as_fraction() * other
-            return NotImplemented
-        return DyadicRational(self._num * rhs._num, self._exp + rhs._exp)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return DyadicRational(-self._num, self._exp)
-
-    def shift(self, k: int) -> "DyadicRational":
-        """Exact value times ``2**-k``."""
-        return DyadicRational(self._num, self._exp + k)
-
-    # -- total order, exact across DyadicRational / int / Fraction
-
-    def _cmp(self, other) -> int:
-        if isinstance(other, DyadicRational):
-            lhs = self._num << max(0, other._exp - self._exp)
-            rhs = other._num << max(0, self._exp - other._exp)
-        elif isinstance(other, int):
-            lhs, rhs = self._num, other << self._exp
-        elif isinstance(other, Fraction):
-            lhs = self._num * other.denominator
-            rhs = other.numerator << self._exp
-        else:
-            return NotImplemented
-        return (lhs > rhs) - (lhs < rhs)
-
-    def __eq__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is NotImplemented else c == 0
-
-    def __lt__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is NotImplemented else c < 0
-
-    def __le__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is NotImplemented else c <= 0
-
-    def __gt__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is NotImplemented else c > 0
-
-    def __ge__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is NotImplemented else c >= 0
-
-    def __hash__(self):
-        return hash(self.as_fraction())
-
-    def __float__(self):
-        return self._num / (1 << self._exp)
-
-    def __repr__(self):
-        if self._exp == 0:
-            return f"DyadicRational({self._num})"
-        return f"DyadicRational({self._num}, {self._exp})"
-
-    def __str__(self):
-        return f"{self._num}/2^{self._exp}" if self._exp else str(self._num)
-
-
-ZERO = DyadicRational(0)
-ONE = DyadicRational(1)
+    den = Fraction(value).denominator
+    exp = den.bit_length() - 1
+    if den != 1 << exp:
+        raise ValueError(f"{value} is not a dyadic rational")
+    return exp
 
 
 class _SeededSource:
@@ -276,13 +115,19 @@ class BinaryPoint:
 
     @classmethod
     def from_dyadic(cls, value, cap: int | None = None) -> "BinaryPoint":
-        """Terminating expansion of a dyadic rational in [0, 1)."""
-        if not isinstance(value, DyadicRational):
-            value = DyadicRational.from_fraction(value)
+        """Terminating expansion of a dyadic rational in [0, 1).
+
+        Raises :class:`ValueError` for a non-dyadic value and
+        :class:`CapExceeded` when its exponent is beyond the point's cap.
+        """
+        value = Fraction(value)
+        exp = dyadic_exponent(value)
         if value < 0 or value >= 1:
             raise ValueError("binary points live in [0, 1)")
-        return cls(value.numerator, value.exponent,
-                   _PeriodicSource((0,), value.exponent + 1), cap)
+        point = cls(value.numerator, exp, _PeriodicSource((0,), exp + 1), cap)
+        if exp > point.cap:
+            raise CapExceeded(f"dyadic exponent {exp} beyond cap {point.cap}")
+        return point
 
     # -- bit access
 
@@ -307,9 +152,9 @@ class BinaryPoint:
             v = (v << 1) | self._src.bit(i)
         return v
 
-    def truncated(self, width: int) -> DyadicRational:
+    def truncated(self, width: int) -> Fraction:
         """Exact value of the first `width` bits."""
-        return DyadicRational(self.prefix_int(width), width)
+        return Fraction(self.prefix_int(width), 1 << width)
 
     @property
     def materialized_len(self) -> int:
@@ -355,10 +200,6 @@ class BinaryPoint:
         diverge.  Raises :class:`CapExceeded` if the point tracks the
         rational past the cap without a decision.
         """
-        if isinstance(other, DyadicRational):
-            other = other.as_fraction()
-        elif isinstance(other, int):
-            other = Fraction(other)
         num, den = other.numerator, other.denominator
         if num <= 0:
             # the point is >= 0; it equals 0 only with a provably zero tail

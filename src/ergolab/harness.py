@@ -315,7 +315,6 @@ def _proven_lower_bound(split) -> Fraction:
 
 
 def run_attack(config: ExperimentConfig) -> Report:
-    config.validate()
     if config.experiment not in ("thm1", "thm2"):
         raise ConfigError("run_attack handles thm1 and thm2")
     predictor = config.target_predictor()
@@ -411,7 +410,6 @@ def run_attack(config: ExperimentConfig) -> Report:
 
 
 def run_starvation(config: ExperimentConfig) -> Report:
-    config.validate()
     schedule = config.schedule()
     ns = list(config.nlist)
     parts = {n: odometer.starving_partition(n, schedule) for n in ns}
@@ -462,8 +460,6 @@ def run_starvation(config: ExperimentConfig) -> Report:
     for n in ns:
         union = union.union(odometer.starving_set(n))
     union_measure = union.measure()
-    if hasattr(union_measure, "as_fraction"):
-        union_measure = union_measure.as_fraction()
     sweep_freq = sweep_hits / config.trials
     return Report(
         schema="static",
@@ -485,7 +481,6 @@ def run_starvation(config: ExperimentConfig) -> Report:
 
 
 def run_rotation_l1(config: ExperimentConfig) -> Report:
-    config.validate()
     if len(config.nlist) != 1:
         raise ConfigError("the rotation experiment runs one n at a time")
     n = config.nlist[0]
@@ -574,7 +569,6 @@ _TWO_STATE = np.array([[0.75, 0.25], [0.40, 0.60]])
 
 
 def run_consistency(config: ExperimentConfig) -> Report:
-    config.validate()
     ns = sorted(config.nlist)
     seeds = [derived_seed(config.seed, i) for i in range(5)]
     rows = []
@@ -612,7 +606,6 @@ def run_consistency(config: ExperimentConfig) -> Report:
 
 
 def run_linear(config: ExperimentConfig) -> Report:
-    config.validate()
     n = max(config.nlist)
     series = markov.sample_sqrt_ar(1.0, n + 1,
                                    seed=derived_seed(config.seed, 0))
@@ -640,7 +633,6 @@ def run_linear(config: ExperimentConfig) -> Report:
 
 
 def run_check_partitions(config: ExperimentConfig) -> Report:
-    config.validate()
     schedule = config.schedule(require_regular=False)
     parts = [(n, odometer.starving_partition(n, schedule))
              for n in config.nlist]
@@ -674,6 +666,8 @@ EXPERIMENTS = tuple(RUNNERS)
 
 
 def run(config: ExperimentConfig) -> Report:
+    """Validate `config` in place, then run its experiment; runners in
+    RUNNERS assume a validated config."""
     config.validate()
     return RUNNERS[config.experiment](config)
 

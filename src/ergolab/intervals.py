@@ -4,7 +4,7 @@ An :class:`IntervalSet` is a canonical (sorted, disjoint, merged) union of
 ``[lo, hi)`` intervals inside ``[0, 1)``.  Endpoints are exact scalars from
 one of two domains:
 
-* the rational domain -- ``int``, ``Fraction`` or :class:`DyadicRational`;
+* the rational domain -- ``int`` or ``Fraction``;
 * a quadratic domain -- :class:`QuadraticReal` over a fixed surd base.
 
 Set algebra (union, intersection, complement in ``[0, 1)``) stays inside the
@@ -17,11 +17,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .dyadic import BinaryPoint, DyadicRational
+from .dyadic import BinaryPoint, dyadic_exponent
 from .errors import DomainMismatch
 from .surd import QuadraticReal
 
-RATIONAL_KINDS = (int, Fraction, DyadicRational)
+RATIONAL_KINDS = (int, Fraction)
 
 
 def _domain_of(x):
@@ -269,17 +269,17 @@ class _SortKey:
 
 
 def dyadic_set(*pairs) -> IntervalSet:
-    """Interval set with dyadic-rational endpoints, e.g. dyadic_set((0, '1/2'))."""
+    """Interval set with dyadic-rational endpoints, e.g. dyadic_set((0, '1/2')).
+
+    Raises :class:`ValueError` when an endpoint is not dyadic.
+    """
     out = []
     for lo, hi in pairs:
-        out.append((_as_dyadic(lo), _as_dyadic(hi)))
+        lo, hi = Fraction(lo), Fraction(hi)
+        dyadic_exponent(lo)
+        dyadic_exponent(hi)
+        out.append((lo, hi))
     return IntervalSet(out, domain=("rational",))
-
-
-def _as_dyadic(x):
-    if isinstance(x, DyadicRational):
-        return x
-    return DyadicRational.from_fraction(Fraction(x))
 
 
 def rational_set(*pairs) -> IntervalSet:

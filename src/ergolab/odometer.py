@@ -17,8 +17,10 @@ estimator's cell.
 
 from __future__ import annotations
 
-from .dyadic import BinaryPoint, DyadicRational
-from .errors import AlignmentError
+from fractions import Fraction
+
+from .dyadic import BinaryPoint, dyadic_exponent
+from .errors import AlignmentError, CapExceeded
 from .intervals import Interval, IntervalSet
 
 
@@ -77,14 +79,18 @@ def bit_prefix_interval(level: int, index: int) -> Interval:
 
     Bit ``l`` of the expansion equals bit ``l-1`` of `index`, so the interval
     is ``[rev/2**level, (rev+1)/2**level)`` where ``rev`` reverses the
-    `level`-bit representation of `index`.
+    `level`-bit representation of `index`.  Levels beyond
+    ``BinaryPoint.default_cap`` raise :class:`CapExceeded`.
     """
     if level < 1:
         raise IndexError("level must be >= 1")
+    if level > BinaryPoint.default_cap:
+        raise CapExceeded(
+            f"level {level} beyond cap {BinaryPoint.default_cap}")
     if not 0 <= index < (1 << level):
         raise IndexError(f"index {index} out of range for level {level}")
     rev = _reversed_bits(index, level)
-    return Interval(DyadicRational(rev, level), DyadicRational(rev + 1, level))
+    return Interval(Fraction(rev, 1 << level), Fraction(rev + 1, 1 << level))
 
 
 def _reversed_bits(value: int, width: int) -> int:
@@ -154,12 +160,6 @@ def aligned_indices(s: IntervalSet, level: int):
 
 
 def _dyadic_scaled(x, level: int) -> int:
-    if isinstance(x, DyadicRational):
-        if x.exponent > level:
-            raise AlignmentError(
-                f"endpoint {x} is finer than level {level}")
-        return x.numerator << (level - x.exponent)
-    from fractions import Fraction
     f = Fraction(x) * (1 << level)
     if f.denominator != 1:
         raise AlignmentError(f"endpoint {x} not aligned at level {level}")
@@ -170,15 +170,10 @@ def alignment_level(s: IntervalSet) -> int:
     level = 1
     for iv in s:
         for endpoint in (iv.lo, iv.hi):
-            if isinstance(endpoint, DyadicRational):
-                level = max(level, endpoint.exponent)
-            else:
-                from fractions import Fraction
-                den = Fraction(endpoint).denominator
-                e = den.bit_length() - 1
-                if den != 1 << e:
-                    raise AlignmentError(f"endpoint {endpoint} is not dyadic")
-                level = max(level, e)
+            try:
+                level = max(level, dyadic_exponent(endpoint))
+            except ValueError as exc:
+                raise AlignmentError(str(exc)) from exc
     return level
 
 

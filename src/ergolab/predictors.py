@@ -216,7 +216,7 @@ class CellCounts:
     def add(self, z, y):
         label = self.partition.locate(z)
         if isinstance(y, BinaryPoint):
-            y = y.truncated(self.response_bits).as_fraction()
+            y = y.truncated(self.response_bits)
         self.counts[label] = self.counts.get(label, 0) + 1
         prev = self.totals.get(label)
         self.totals[label] = y if prev is None else prev + y
@@ -264,7 +264,7 @@ def partitioning_autoregression(series, partition: Partition, x,
     for z, y in autoregression_pairs(series):
         if partition.locate(z) == label:
             if isinstance(y, BinaryPoint):
-                y = y.truncated(response_bits).as_fraction()
+                y = y.truncated(response_bits)
             num = y + num
             den += 1
     return _ratio(num, den)

@@ -37,6 +37,15 @@ def criterion(number: int, description: str, budget_seconds: float):
         f"criterion {number} exceeded its {budget_seconds}s runtime budget"
 
 
+def _level_bits(value, level):
+    """The first `level` bits of the terminating expansion of a dyadic
+    `value` in [0, 1)."""
+    scaled = Fraction(value) * (1 << level)
+    assert scaled.denominator == 1, f"{value} is finer than level {level}"
+    return tuple((scaled.numerator >> (level - i)) & 1
+                 for i in range(1, level + 1))
+
+
 def test_criterion_1_odometer_structure():
     with criterion(1, "odometer structure, exact", 5.0):
         rng = random.Random(101)
@@ -44,11 +53,10 @@ def test_criterion_1_odometer_structure():
             for index in range(1, 1 << level):
                 src = odometer.bit_prefix_interval(level, index)
                 dst = odometer.bit_prefix_interval(level, index - 1)
-                lo_image = odometer.step(
-                    BinaryPoint.from_dyadic(src.lo.as_fraction()))
+                lo_image = odometer.step(BinaryPoint.from_dyadic(src.lo))
                 assert lo_image.truncated(level) == dst.lo
                 inner = BinaryPoint.seeded(rng.randrange(1 << 30),
-                                           prefix=src.lo.bits(level))
+                                           prefix=_level_bits(src.lo, level))
                 image = odometer.step(inner)
                 assert dyadic_set((dst.lo, dst.hi)).contains(image)
 

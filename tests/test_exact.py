@@ -1,48 +1,51 @@
-"""Exact substrate: dyadic rationals, binary points, surds, interval sets."""
+"""Exact substrate: dyadic values, binary points, surds, interval sets."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from ergolab.dyadic import BinaryPoint, DyadicRational
+from ergolab import odometer
+from ergolab.dyadic import BinaryPoint, dyadic_exponent
 from ergolab.errors import CapExceeded, DomainMismatch, NotIrrational
 from ergolab.intervals import IntervalSet, algebraic_set, dyadic_set, rational_set
 from ergolab.surd import (QuadraticReal, cf_convergents, golden_conjugate,
                           qr_compare, sqrt2_minus_1)
 
 
-class TestDyadicRational:
-    def test_canonical_form(self):
-        d = DyadicRational(4, 3)  # 4/8 = 1/2
-        assert d.numerator == 1 and d.exponent == 1
-        assert DyadicRational(0, 7).exponent == 0
+class TestDyadicBoundary:
+    """Dyadic values are plain Fractions; the checks live at the odometer
+    boundary (dyadic points and prefix intervals) and in dyadic_set."""
 
-    def test_value_and_order(self):
-        assert DyadicRational(3, 2) == Fraction(3, 4)
-        assert DyadicRational(3, 2) > Fraction(1, 2)
-        assert DyadicRational(1, 1) < 1
-        assert DyadicRational(5, 3) == DyadicRational(5, 3)
-
-    def test_arithmetic_stays_exact(self):
-        a = DyadicRational(3, 2)
-        b = DyadicRational(1, 3)
-        assert (a + b).as_fraction() == Fraction(7, 8)
-        assert (a - b).as_fraction() == Fraction(5, 8)
-        assert (a * b).as_fraction() == Fraction(3, 32)
-        assert (1 - a).as_fraction() == Fraction(1, 4)
-
-    def test_exponent_cap(self):
-        with pytest.raises(CapExceeded):
-            DyadicRational(3, DyadicRational.exponent_cap + 1)
-
-    def test_from_fraction_rejects_non_dyadic(self):
+    def test_dyadic_exponent(self):
+        assert dyadic_exponent(Fraction(3, 8)) == 3
+        assert dyadic_exponent(Fraction(4, 8)) == 1
+        assert dyadic_exponent(0) == 0
+        assert dyadic_exponent(2) == 0
         with pytest.raises(ValueError):
-            DyadicRational.from_fraction(Fraction(1, 3))
+            dyadic_exponent(Fraction(1, 3))
 
-    def test_bits_round_trip(self):
-        d = DyadicRational(5, 3)  # 0.101
-        assert d.bits(5) == (1, 0, 1, 0, 0)
+    def test_cap_exceeded_at_the_boundary(self):
+        with pytest.raises(CapExceeded):
+            odometer.bit_prefix_interval(129, 0)
+        with pytest.raises(CapExceeded):
+            BinaryPoint.from_dyadic(Fraction(1, 2 ** 129))
+
+    def test_one_precision_cap(self):
+        # the point's own cap is the only limit on exponents and truncation
+        deep = BinaryPoint.from_dyadic(Fraction(1, 2 ** 129), cap=200)
+        assert deep.truncated(150) == Fraction(1, 2 ** 129)
+        value = BinaryPoint.seeded(4, cap=200).truncated(150)
+        assert (value * 2 ** 150).denominator == 1
+
+    def test_non_dyadic_rejected(self):
+        with pytest.raises(ValueError):
+            BinaryPoint.from_dyadic(Fraction(1, 3))
+        with pytest.raises(ValueError):
+            dyadic_set((0, Fraction(1, 3)))
+
+    def test_dyadic_point_prefix(self):
+        assert BinaryPoint.from_dyadic(Fraction(5, 8)).prefix_int(5) == 0b10100
 
 
 class TestBinaryPoint:
@@ -96,7 +99,8 @@ class TestBinaryPoint:
 
     def test_truncated_value(self):
         p = BinaryPoint.periodic((1, 1), (0,))
-        assert p.truncated(4).as_fraction() == Fraction(3, 4)
+        assert p.truncated(4) == Fraction(3, 4)
+        assert type(p.truncated(4)) is Fraction
 
 
 class TestQuadraticReal:

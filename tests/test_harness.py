@@ -1,6 +1,7 @@
 """Harness: config round trips, runners, persistence, CLI, determinism."""
 
 import argparse
+import hashlib
 import random
 
 import pytest
@@ -207,10 +208,26 @@ class TestProvenLowerBound:
             == max(getattr(exact, side), getattr(walk, side))
 
 
+# SHA-256 of the CSV and plot.dat each configuration writes; both runs go
+# through the odometer, interval and dyadic code, so a change there that
+# moves a single byte of output fails here.
+PINNED_OUTPUTS = {
+    "thm3": (
+        dict(experiment="thm3", trials=10, seed=3, nlist=(3, 4, 5, 6, 7, 8, 9)),
+        "c2a7b108954d9170c631b8f90b9741eeb1bedb4c6106ffaa470d140d49d016aa",
+        "c4ae2fbd2f6dd354163e4855be4e7e40117877b74fe49ee746153b1e318bd385"),
+    "check-partitions": (
+        dict(experiment="check-partitions"),
+        "801ecce071ef26e6191c7134b571fba5c8e004bcc566aa8a4a1faa87d3bd8aa0",
+        "f548ee5a23a4d119a35c7713077e8bf8caabf239506de68014d4f73682c77ab3"),
+}
+
+
 class TestPersistence:
-    def test_persist_and_determinism(self, tmp_path):
-        cfg = ExperimentConfig(experiment="thm3", trials=10, seed=3,
-                               nlist=(3, 4, 5, 6, 7, 8, 9))
+    @pytest.mark.parametrize("name", list(PINNED_OUTPUTS))
+    def test_persist_and_determinism(self, tmp_path, name):
+        fields, csv_sha, plot_sha = PINNED_OUTPUTS[name]
+        cfg = ExperimentConfig(**fields)
         report = run(cfg)
         first = persist(cfg, report, tmp_path / "a")
         report2 = run(cfg)
@@ -218,6 +235,8 @@ class TestPersistence:
         assert first["csv"].read_bytes() == second["csv"].read_bytes()
         assert first["plot"].read_bytes() == second["plot"].read_bytes()
         assert first["config"].read_bytes() == second["config"].read_bytes()
+        assert hashlib.sha256(first["csv"].read_bytes()).hexdigest() == csv_sha
+        assert hashlib.sha256(first["plot"].read_bytes()).hexdigest() == plot_sha
 
     def test_csv_schema_headers(self, tmp_path):
         cfg = ExperimentConfig(experiment="linear", trials=1, seed=0)

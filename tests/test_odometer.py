@@ -1,5 +1,6 @@
 """The reverse binary odometer: map semantics, prefix intervals, starving sets."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -14,6 +15,15 @@ from ergolab.partitions import PartitionSchedule
 
 def point_of(value, cap=None):
     return BinaryPoint.from_dyadic(Fraction(value), cap)
+
+
+def level_bits(value, level):
+    """The first `level` bits of the terminating expansion of a dyadic
+    `value` in [0, 1)."""
+    scaled = Fraction(value) * (1 << level)
+    assert scaled.denominator == 1, f"{value} is finer than level {level}"
+    return tuple((scaled.numerator >> (level - i)) & 1
+                 for i in range(1, level + 1))
 
 
 class TestFirstOneIndex:
@@ -46,12 +56,12 @@ class TestStep:
         rng = random.Random(0)
         for _ in range(200):
             r = Fraction(rng.randrange(1, 256), 256)
-            image = odometer.step(point_of(r)).truncated(12).as_fraction()
+            image = odometer.step(point_of(r)).truncated(12)
             if r >= Fraction(1, 2):
                 assert image == r - Fraction(1, 2)
             else:
                 double_image = odometer.step(point_of(2 * r)) \
-                    .truncated(11).as_fraction()
+                    .truncated(11)
                 assert image == (1 + double_image) / 2
 
     def test_round_trip_on_seeded_points(self):
@@ -91,10 +101,10 @@ class TestPrefixIntervals:
             for index in range(1, 1 << level):
                 src = odometer.bit_prefix_interval(level, index)
                 dst = odometer.bit_prefix_interval(level, index - 1)
-                lo_image = odometer.step(point_of(src.lo.as_fraction()))
+                lo_image = odometer.step(point_of(src.lo))
                 assert lo_image.truncated(level) == dst.lo
                 inner = BinaryPoint.seeded(rng.randrange(1 << 30),
-                                           prefix=src.lo.bits(level))
+                                           prefix=level_bits(src.lo, level))
                 image = odometer.step(inner)
                 assert dyadic_set((dst.lo, dst.hi)).contains(image)
                 for i in range(level + 1, level + 8):
@@ -116,7 +126,8 @@ class TestPrefixIntervals:
             for index in range(1 << level):
                 start = BinaryPoint.seeded(
                     level * 100_000 + index,
-                    prefix=odometer.bit_prefix_interval(level, index).lo.bits(level))
+                    prefix=level_bits(
+                        odometer.bit_prefix_interval(level, index).lo, level))
                 point = start
                 for k in range(index + 1):  # forward: index - k >= 0
                     expected = odometer.bit_prefix_interval(level, index - k).lo
@@ -155,11 +166,27 @@ class TestStarvingSets:
                 assert union.contains(p) == expected
 
     def test_membership_fast_path_matches_sets(self):
-        for n in range(1, 33):
+        # the prefix test is the oracle for IntervalSet.contains over the
+        # sets' Fraction endpoints, on seeded points and on the boundaries
+        schedule = PartitionSchedule.sqrt()
+        for n in range(1, 65):
             s = odometer.starving_set(n)
-            for seed in range(40):
-                p = BinaryPoint.seeded(seed * 7 + n)
+            level, _ = odometer.starving_level(n)
+            (iv,) = s
+            points = [BinaryPoint.seeded(seed * 7 + n) for seed in range(40)]
+            points.append(BinaryPoint.seeded(
+                n, prefix=level_bits(iv.lo, level)))
+            for p in points:
                 assert odometer.in_starving_set(p, n) == s.contains(p)
+            part = odometer.starving_partition(n, schedule)
+            q = schedule.q(n)
+            for x in (iv.lo, iv.hi):
+                if x == 1:
+                    continue
+                p = BinaryPoint.from_dyadic(x)
+                inside = odometer.in_starving_set(p, n)
+                assert inside == s.contains(p) == (x == iv.lo)
+                assert part.locate(p) == (math.floor(q * x) + 1, inside)
 
     def test_backward_disjointness_examples(self):
         assert odometer.backward_images_disjoint(odometer.starving_set(2), 2)
