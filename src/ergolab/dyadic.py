@@ -10,6 +10,13 @@ decides whether such a value is dyadic, and at what exponent.
 
 Points with two expansions are always represented by the terminating one
 (trailing zeros, never trailing ones).
+
+A seeded source keeps the bits it has drawn packed in one int (bit 1 is the
+most significant) plus a length.  It still draws them one
+``getrandbits(1)`` at a time, in order, so bit ``i`` depends only on the
+seed and ``i``; a range of positions is read with one shift and mask, which
+lets :meth:`BinaryPoint.prefix_int` pack a long prefix without a Python
+loop over bits.
 """
 
 from __future__ import annotations
@@ -36,19 +43,35 @@ class _SeededSource:
     """Append-only stream of fair coin bits driven by a fixed seed.
 
     Bit ``i`` depends only on the seed and ``i``: bits are drawn in order
-    and kept, so every read of position ``i`` sees the same bit.
+    and kept, packed in ``_bits`` with bit 1 most significant, so every read
+    of position ``i`` sees the same bit.
     """
 
-    __slots__ = ("_rng", "_bits")
+    __slots__ = ("_rng", "_bits", "_len")
 
     def __init__(self, seed):
         self._rng = random.Random(seed)
-        self._bits = []
+        self._bits = 0
+        self._len = 0
+
+    def _draw_to(self, i: int):
+        draw = self._rng.getrandbits
+        chunk = 0
+        for _ in range(i - self._len):
+            chunk = (chunk << 1) | draw(1)
+        self._bits = (self._bits << (i - self._len)) | chunk
+        self._len = i
 
     def bit(self, i: int) -> int:
-        while len(self._bits) < i:
-            self._bits.append(self._rng.getrandbits(1))
-        return self._bits[i - 1]
+        if i > self._len:
+            self._draw_to(i)
+        return (self._bits >> (self._len - i)) & 1
+
+    def bits(self, a: int, b: int) -> int:
+        """Positions ``a .. b`` (inclusive) packed into an int, `a` the MSB."""
+        if b > self._len:
+            self._draw_to(b)
+        return (self._bits >> (self._len - b)) & ((1 << (b - a + 1)) - 1)
 
     def provably_constant_from(self, i: int, value: int) -> bool:
         return False
@@ -57,7 +80,7 @@ class _SeededSource:
 class _PeriodicSource:
     """Bit source repeating `pattern` from absolute position `start`."""
 
-    __slots__ = ("pattern", "start")
+    __slots__ = ("pattern", "start", "_word")
 
     def __init__(self, pattern, start: int):
         pattern = tuple(int(b) & 1 for b in pattern)
@@ -65,11 +88,24 @@ class _PeriodicSource:
             raise ValueError("pattern must be nonempty")
         self.pattern = pattern
         self.start = start
+        self._word = int("".join(map(str, pattern)), 2)
 
     def bit(self, i: int) -> int:
         if i < self.start:
             raise IndexError("position below the periodic region")
         return self.pattern[(i - self.start) % len(self.pattern)]
+
+    def bits(self, a: int, b: int) -> int:
+        """Positions ``a .. b`` (inclusive) packed into an int, `a` the MSB."""
+        if a < self.start:
+            raise IndexError("position below the periodic region")
+        period = len(self.pattern)
+        offset = (a - self.start) % period
+        width = b - a + 1
+        reps = (offset + width + period - 1) // period
+        # `reps` copies of the pattern side by side: word * 0b0..01 0..01 ..
+        tiled = self._word * (((1 << (period * reps)) - 1) // ((1 << period) - 1))
+        return (tiled >> (period * reps - offset - width)) & ((1 << width) - 1)
 
     def provably_constant_from(self, i: int, value: int) -> bool:
         # A full period of constant bits proves the tail is constant.
@@ -145,12 +181,11 @@ class BinaryPoint:
         """First `width` bits packed into an int (bit 1 is the MSB)."""
         if width <= self._ovlen:
             return self._ov >> (self._ovlen - width)
-        v = self._ov
-        for i in range(self._ovlen + 1, width + 1):
-            if i > self.cap:
-                raise CapExceeded(f"bit {i} beyond cap {self.cap}")
-            v = (v << 1) | self._src.bit(i)
-        return v
+        if width > self.cap:
+            raise CapExceeded(
+                f"bit {max(self._ovlen, self.cap) + 1} beyond cap {self.cap}")
+        return ((self._ov << (width - self._ovlen))
+                | self._src.bits(self._ovlen + 1, width))
 
     def truncated(self, width: int) -> Fraction:
         """Exact value of the first `width` bits."""

@@ -12,7 +12,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import CoverageError
+from .dyadic import BinaryPoint, dyadic_exponent
+from .errors import CapExceeded, CoverageError
 from .intervals import IntervalSet, _cmp
 from .surd import QuadraticReal
 
@@ -99,8 +100,10 @@ def split_grid_partition(n: int, schedule: PartitionSchedule,
     """Equal grid of q(n) intervals, each cell cut by `split_set`.
 
     Cell labels are ``(j, True)`` for grid cell ``j`` inside the set and
-    ``(j, False)`` outside; ``j`` runs from 1 to q(n).  The locator decides
-    membership with two exact comparisons per grid probe.
+    ``(j, False)`` outside; ``j`` runs from 1 to q(n).  The locator finds
+    the grid cell by binary search and membership by exact comparisons; on
+    the rational domain a :class:`BinaryPoint` is located from its prefix
+    bits instead (see :func:`_bracket_locator`).
     """
     q = schedule.q(n)
     quadratic = split_set.domain and split_set.domain[0] == "quadratic"
@@ -130,7 +133,71 @@ def split_grid_partition(n: int, schedule: PartitionSchedule,
             raise CoverageError(f"{x!r} outside [0, 1)")
         return (lo, split_set.contains(x))
 
-    return Partition(cells, n=n, locator=locator)
+    if quadratic:
+        return Partition(cells, n=n, locator=locator)
+    return Partition(cells, n=n,
+                     locator=_bracket_locator(q, bounds, split_set, locator))
+
+
+def _bracket_locator(q: int, bounds, split_set: IntervalSet, fallback):
+    """Rational-domain locator reading a BinaryPoint's prefix bits.
+
+    With ``p = x.prefix_int(w)`` the point lies in the bracket
+    ``[p, p + 1) / 2**w`` of the lexicographic order that
+    :meth:`BinaryPoint.compare` uses (an all-ones tail stays below the next
+    dyadic).  The grid cell is decided once no bound ``j/q`` falls strictly
+    inside the bracket, membership once no endpoint of `split_set` does; both
+    are integer cross-multiplications.  Otherwise ``w`` doubles from 16 up
+    to the point's cap, where an undecided bracket raises
+    :class:`CapExceeded`, as the comparison does.  When the bracket's lower
+    end is itself a bound or an endpoint, the point is at or above it; the
+    one comparison against it then raises :class:`CapExceeded` exactly when
+    the comparison-based route would.  Other inputs go to `fallback`.
+    """
+    ends = [(iv.lo.numerator, iv.lo.denominator, iv.hi.numerator, iv.hi.denominator)
+            for iv in split_set]
+    # dyadic bounds and endpoints as (numerator, exponent) in lowest terms;
+    # a non-dyadic one is never the lower end of a bracket
+    edges = set()
+    for e in bounds + [end for iv in split_set for end in (iv.lo, iv.hi)]:
+        try:
+            edges.add((e.numerator, dyadic_exponent(e)))
+        except ValueError:
+            pass
+
+    def inside(p, w):
+        # True / False when the bracket lies wholly inside / outside the set,
+        # None when an endpoint falls strictly inside the bracket
+        for a, b, c, d in ends:
+            if (p + 1) * b <= a << w:
+                return False
+            if p * d >= c << w:
+                continue
+            if a << w <= p * b and (p + 1) * d <= c << w:
+                return True
+            return None
+        return False
+
+    def locate_point(x):
+        if not isinstance(x, BinaryPoint):
+            return fallback(x)
+        cap = x.cap
+        w = min(16, cap)
+        while True:
+            p = x.prefix_int(w)
+            j = (q * p) >> w
+            if j == (q * (p + 1) - 1) >> w:
+                verdict = inside(p, w)
+                if verdict is not None:
+                    zeros = (p & -p).bit_length() - 1 if p else w
+                    if (p >> zeros, w - zeros) in edges:
+                        x.compare(Fraction(p, 1 << w))
+                    return (j + 1, verdict)
+            if w == cap:
+                raise CapExceeded(f"location undecided within cap {cap}")
+            w = min(2 * w, cap)
+
+    return locate_point
 
 
 def regularity_report(schedule: PartitionSchedule, partitions, windows=None):

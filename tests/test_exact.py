@@ -4,10 +4,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ergolab import odometer
-from ergolab.dyadic import BinaryPoint, dyadic_exponent
-from ergolab.errors import CapExceeded, DomainMismatch, NotIrrational
+from ergolab.dyadic import BinaryPoint, _SeededSource, dyadic_exponent
+from ergolab.errors import (CapExceeded, DomainMismatch, ExceptionalPoint,
+                            NotIrrational)
 from ergolab.intervals import IntervalSet, algebraic_set, dyadic_set, rational_set
 from ergolab.surd import (QuadraticReal, cf_convergents, golden_conjugate,
                           qr_compare, sqrt2_minus_1)
@@ -101,6 +104,72 @@ class TestBinaryPoint:
         p = BinaryPoint.periodic((1, 1), (0,))
         assert p.truncated(4) == Fraction(3, 4)
         assert type(p.truncated(4)) is Fraction
+
+
+def packed_bit_by_bit(point, width):
+    v = 0
+    for i in range(1, width + 1):
+        v = (v << 1) | point.bit(i)
+    return v
+
+
+@st.composite
+def points_with_overlay(draw, cap=None):
+    width = 30 if cap is None else min(30, cap)
+    prefix = draw(st.lists(st.integers(0, 1), max_size=width))
+    if draw(st.booleans()):
+        return BinaryPoint.seeded(draw(st.integers(0, 10 ** 6)), prefix, cap)
+    pattern = draw(st.lists(st.integers(0, 1), min_size=1, max_size=7))
+    return BinaryPoint.periodic(prefix, pattern, cap)
+
+
+class TestPackedSource:
+    """Seeded bits live packed in one int; prefix_int reads them in one
+    shift and mask across the overlay/source boundary."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10 ** 6),
+           reads=st.lists(st.integers(1, 200), min_size=1, max_size=8))
+    def test_seeded_bit_is_the_ith_draw(self, seed, reads):
+        # deep reads first, then shallow: bit i is still the i-th draw
+        rng = random.Random(seed)
+        draws = [rng.getrandbits(1) for _ in range(200)]
+        source = _SeededSource(seed)
+        for i in sorted(reads, reverse=True) + reads:
+            assert source.bit(i) == draws[i - 1]
+        assert source.bits(1, 200) == int("".join(map(str, draws)), 2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(point=points_with_overlay(), width=st.integers(0, 128),
+           moves=st.lists(st.booleans(), max_size=6))
+    def test_prefix_int_matches_bit_by_bit(self, point, width, moves):
+        # widths on both sides of the overlay boundary, fresh and after steps
+        for forward in [None] + moves:
+            if forward is not None:
+                try:
+                    point = (odometer.step if forward else odometer.step_back)(point)
+                except ExceptionalPoint:
+                    continue
+            for w in (width, point.materialized_len, point.materialized_len + 1):
+                assert point.prefix_int(w) == packed_bit_by_bit(point, w)
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data(), cap=st.integers(1, 64))
+    def test_prefix_past_cap_raises(self, data, cap):
+        point = data.draw(points_with_overlay(cap))
+        assert point.prefix_int(cap) == packed_bit_by_bit(point, cap)
+        with pytest.raises(CapExceeded):
+            point.prefix_int(cap + 1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(point=points_with_overlay())
+    def test_step_undoes_step_back(self, point):
+        try:
+            back = odometer.step_back(point)
+        except ExceptionalPoint:
+            return
+        assert odometer.step(back).prefix_int(point.cap) \
+            == point.prefix_int(point.cap)
 
 
 class TestQuadraticReal:

@@ -1,0 +1,125 @@
+"""Grid partitions: the prefix-bracket locator against the comparison route."""
+
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ergolab import odometer
+from ergolab.dyadic import BinaryPoint
+from ergolab.errors import CapExceeded, CoverageError
+from ergolab.intervals import rational_set
+from ergolab.partitions import PartitionSchedule, split_grid_partition
+
+NON_DYADIC = rational_set((Fraction(1, 3), Fraction(2, 5)),
+                          (Fraction(1, 2), Fraction(5, 7)),
+                          (Fraction(7, 9), 1))
+
+
+def compare_locate(x, q, split_set):
+    """The comparison-based locator: binary search on the grid bounds with
+    BinaryPoint.compare, then IntervalSet.contains."""
+    bounds = [Fraction(j, q) for j in range(q + 1)]
+    lo, hi = 1, q
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if x.compare(bounds[mid]) < 0:
+            hi = mid
+        else:
+            lo = mid + 1
+    if x.compare(bounds[lo - 1]) < 0 or x.compare(bounds[lo]) >= 0:
+        raise CoverageError(f"{x!r} outside [0, 1)")
+    return (lo, split_set.contains(x))
+
+
+def outcome(locate, *args):
+    try:
+        return locate(*args)
+    except (CapExceeded, CoverageError) as exc:
+        return type(exc)
+
+
+def expansion(value, width):
+    """First `width` bits of the expansion of a rational in [0, 1)."""
+    return tuple((value.numerator * 2 ** i // value.denominator) & 1
+                 for i in range(1, width + 1))
+
+
+def assert_same(x, q, split_set, part=None):
+    part = part or split_grid_partition(1, PartitionSchedule.constant(q),
+                                        split_set)
+    fresh = outcome(compare_locate, x, q, split_set)
+    assert outcome(part.locate, x) == fresh, (x, q, split_set)
+
+
+split_sets = st.one_of(
+    st.integers(1, 64).map(odometer.starving_set),
+    st.just(NON_DYADIC),
+    st.lists(st.fractions(0, 1, max_denominator=24), min_size=2, max_size=6,
+             unique=True).map(lambda ends: rational_set(
+                 *zip(sorted(ends)[::2], sorted(ends)[1::2]))),
+)
+caps = st.one_of(st.none(), st.integers(1, 15), st.integers(16, 140))
+bit_lists = st.lists(st.integers(0, 1), max_size=40)
+
+
+@st.composite
+def points(draw):
+    cap = draw(caps)
+    kind = draw(st.sampled_from(["seeded", "periodic", "zeros", "edge"]))
+    if kind == "seeded":
+        return BinaryPoint.seeded(draw(st.integers(0, 10 ** 6)),
+                                  prefix=draw(bit_lists), cap=cap)
+    if kind == "periodic":
+        pattern = draw(st.lists(st.integers(0, 1), min_size=1, max_size=6))
+        return BinaryPoint.periodic(draw(bit_lists), pattern, cap=cap)
+    if kind == "zeros":
+        # all zeros up to the cap: only a provably zero tail is decidable
+        width = BinaryPoint.default_cap if cap is None else cap
+        if draw(st.booleans()):
+            return BinaryPoint.periodic((0,) * width, (0,), cap=cap)
+        return BinaryPoint.seeded(draw(st.integers(0, 99)),
+                                  prefix=(0,) * width, cap=cap)
+    # a rational's expansion, then a run of zeros, then seeded bits
+    value = draw(st.fractions(0, 1, max_denominator=80).filter(lambda v: v < 1))
+    prefix = expansion(value, draw(st.integers(0, 150)))
+    prefix += (0,) * draw(st.integers(0, 40))
+    return BinaryPoint.seeded(draw(st.integers(0, 99)), prefix=prefix, cap=cap)
+
+
+class TestBracketLocator:
+    @settings(max_examples=400, deadline=None)
+    @given(x=points(), q=st.integers(1, 40), split_set=split_sets)
+    def test_matches_compare_route(self, x, q, split_set):
+        assert_same(x, q, split_set)
+
+    def test_dyadic_points_at_every_edge(self):
+        # grid bounds j/q and starving-set endpoints, as terminating points,
+        # as points with a short or cap-long zero run after them, and points
+        # tracking a non-dyadic bound to the cap
+        for n in range(1, 65):
+            split_set = odometer.starving_set(n)
+            (iv,) = split_set
+            for q in sorted({PartitionSchedule.sqrt().q(n), 1, 3, 6, 8, 40}):
+                part = split_grid_partition(
+                    n, PartitionSchedule.constant(q), split_set)
+                edges = {Fraction(j, q) for j in range(q)} | {iv.lo, iv.hi}
+                for edge in sorted(edges - {1}):
+                    if edge.denominator & (edge.denominator - 1):
+                        tracking = BinaryPoint.seeded(
+                            n, prefix=expansion(edge, 128))
+                        assert_same(tracking, q, split_set, part)
+                        continue
+                    bits = expansion(edge, 8)
+                    for x in (BinaryPoint.from_dyadic(edge),
+                              BinaryPoint.seeded(n, prefix=bits),
+                              BinaryPoint.seeded(n, prefix=bits + (0,) * 20),
+                              BinaryPoint.seeded(n, prefix=bits + (0,) * 12,
+                                                 cap=20),
+                              BinaryPoint.from_dyadic(edge, cap=12)):
+                        assert_same(x, q, split_set, part)
+
+    def test_fraction_queries_keep_the_comparison_route(self):
+        part = split_grid_partition(1, PartitionSchedule.constant(5), NON_DYADIC)
+        assert part.locate(Fraction(1, 3)) == (2, True)
+        assert part.locate(Fraction(2, 5)) == (3, False)
