@@ -37,7 +37,7 @@ from .markov import OddLabelTable, ShiftLabelTable, sample_until
 from .predictors import evaluate_many
 
 ANCHOR_MASS = Fraction(1, 4)  # stationary probability of state 0
-THRESHOLD = 0.25
+THRESHOLD = Fraction(1, 4)  # the predictor's high side: value >= THRESHOLD
 MAX_WALK_STEPS = 1_024  # counted climbs before the walk gives up undecided
 CHUNK_ATOMS = 100_000  # atoms evaluated per batch by exact_split
 
@@ -220,12 +220,11 @@ def walk_split(predictor, table, level: int, mass_tol,
     if level < 2:
         raise ValueError("target level must be >= 2")
     mass_tol = Fraction(mass_tol)
-    threshold = Fraction(THRESHOLD)
     context = table.observe((level,))[0]
 
     def increment(states):
         num, den = statistic(table.observe(states), context)
-        return Fraction(num) - threshold * den, den
+        return Fraction(num) - THRESHOLD * den, den
 
     # climb weights in units of the successful climb's 2**-(level-2)
     moves = []

@@ -323,43 +323,27 @@ def run_attack(config: ExperimentConfig) -> Report:
         table, build_report = adversary.confound_binary(
             predictor, config.kmax, method, seed=derived_seed(config.seed, 0))
         checkpoints = [(k, 2 * k) for k in range(1, config.kmax + 1)]
-        gap_threshold = 0.25
+        gap = Fraction(1, 4)
     else:
         table, build_report = adversary.confound_injective(
             predictor, config.smax, method, seed=derived_seed(config.seed, 0))
         checkpoints = [(s, s) for s in range(2, config.smax + 1)]
-        gap_threshold = 0.125
+        gap = Fraction(1, 8)
     top_level = checkpoints[-1][1]
+    truths = [markov.HALF * table.label(level + 1) for _, level in checkpoints]
 
-    truths = {}
-    for checkpoint, level in checkpoints:
-        truths[checkpoint] = float(markov.HALF * table.label(level + 1))
-
+    # exceedance |forecast - E[next | past]| >= gap, decided in exact
+    # arithmetic even for a predictor that returns floats
     exceed = {checkpoint: 0 for checkpoint, _ in checkpoints}
     rng = random.Random(derived_seed(config.seed, 1))
-    pending_obs, pending_cp = [], []
-
-    def flush():
-        for cp, value in zip(pending_cp,
-                             predictors.evaluate_many(predictor, pending_obs)):
-            if abs(float(value) - truths[cp]) >= gap_threshold:
-                exceed[cp] += 1
-        pending_obs.clear()
-        pending_cp.clear()
-
     for _ in range(config.trials):
         path = markov.sample_until(top_level, rng)
         obs = table.observe(path)
-        hit_at = {}
-        for idx, state in enumerate(path):
-            if state not in hit_at:
-                hit_at[state] = idx
-        for checkpoint, level in checkpoints:
-            pending_obs.append(obs[:hit_at[level] + 1])
-            pending_cp.append(checkpoint)
-        if len(pending_obs) >= 20_000:
-            flush()
-    flush()
+        prefixes = [obs[:path.index(level) + 1] for _, level in checkpoints]
+        values = predictors.evaluate_many(predictor, prefixes)
+        for (checkpoint, _), truth, value in zip(checkpoints, truths, values):
+            if abs(Fraction(value) - truth) >= gap:
+                exceed[checkpoint] += 1
 
     rows = []
     plot = []
@@ -399,7 +383,7 @@ def run_attack(config: ExperimentConfig) -> Report:
         summary={"labels": label_summary,
                  "table": chosen,
                  "min_conditional_exceedance": min_p,
-                 "gap_threshold": gap_threshold},
+                 "gap_threshold": float(gap)},
         plot=plot,
         stat=min_p,
         stat_direction="ge",

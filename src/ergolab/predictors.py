@@ -80,17 +80,23 @@ def pair_counts(data, context):
 def _ratio(num, den):
     if den == 0:
         return 0
-    if isinstance(num, float):
-        return num / den
     return Fraction(num, den) if isinstance(num, int) else num / den
+
+
+def _count_forecast(obs, context_len: int):
+    """The exact count forecast of an observation string: 0 while it is no
+    longer than the context, else :func:`dynamic_count` of it (an int or a
+    `Fraction` on an int or `Fraction` alphabet, never a float)."""
+    if len(obs) <= context_len:
+        return 0
+    return _context_count(obs, context_len, None)
 
 
 class CountPredictor:
     """Callable wrapper around a count forecaster, for use as an attack target.
 
-    Deterministic by construction; results are cached by observation string.
-    `predict_batch` evaluates many observations at once (vectorized for
-    context length 1), which the exact attack machinery exploits.
+    Both modes compute the same exact forecast (the two scans agree on a
+    full history); `predict_batch` maps it over many observations.
 
     With context length 1 both modes read an observation only through
     :func:`pair_counts` at its trailing value; `pair_statistic` declares that
@@ -104,73 +110,32 @@ class CountPredictor:
         self.mode = mode
         self.name = f"{mode}-count:{context_len}"
         self.pair_statistic = pair_counts if context_len == 1 else None
-        self._cache = {}
 
-    def __call__(self, obs) -> float:
-        key = tuple(obs)
-        hit = self._cache.get(key)
-        if hit is None:
-            if len(key) <= self.context_len:
-                hit = 0.0
-            else:
-                fn = dynamic_count if self.mode == "dynamic" else static_count
-                hit = float(fn(key, self.context_len))
-            self._cache[key] = hit
-        return hit
+    def __call__(self, obs):
+        return _count_forecast(obs, self.context_len)
 
-    def predict_batch(self, observations) -> np.ndarray:
-        observations = list(observations)
-        if self.mode != "dynamic" or self.context_len != 1:
-            return np.array([self(obs) for obs in observations], dtype=float)
-        if not observations:
-            return np.zeros(0)
-        codes = {}
-        rows = len(observations)
-        width = max(len(o) for o in observations)
-        mat = np.full((rows, width), -1, dtype=np.int32)
-        lengths = np.empty(rows, dtype=np.int64)
-        for r, obs in enumerate(observations):
-            lengths[r] = len(obs)
-            for c, v in enumerate(obs):
-                code = codes.get(v)
-                if code is None:
-                    code = len(codes)
-                    codes[v] = code
-                mat[r, c] = code
-        values = np.zeros(len(codes))
-        for v, code in codes.items():
-            values[code] = float(v)
-        prev = mat[:, :-1]
-        nxt = mat[:, 1:]
-        valid = nxt >= 0
-        ctx = mat[np.arange(rows), lengths - 1]
-        match = (prev == ctx[:, None]) & valid
-        den = match.sum(axis=1)
-        num = np.where(match, values[np.clip(nxt, 0, None)], 0.0).sum(axis=1)
-        out = np.where(den > 0, num / np.maximum(den, 1), 0.0)
-        short = lengths <= self.context_len
-        if short.any():
-            out = np.where(short, 0.0, out)
-        return out
+    def predict_batch(self, observations) -> list:
+        return [_count_forecast(obs, self.context_len)
+                for obs in observations]
 
 
 class ConstantPredictor:
     """Predicts the same value regardless of the observation."""
 
-    def __init__(self, value: float):
-        self.value = float(value)
-        self.name = f"constant:{value}"
+    def __init__(self, value, name: str | None = None):
+        self.value = value
+        self.name = name or f"constant:{value}"
 
-    def __call__(self, obs) -> float:
+    def __call__(self, obs):
         return self.value
 
-    def predict_batch(self, observations) -> np.ndarray:
-        return np.full(len(list(observations)), self.value)
+    def predict_batch(self, observations) -> list:
+        return [self.value for _ in observations]
 
 
 def evaluate_many(predictor, observations):
-    """Evaluate a predictor on many observation strings, batched when the
-    predictor supports it."""
+    """A predictor's values on many observation strings, through its
+    `predict_batch` when it has one."""
     batch = getattr(predictor, "predict_batch", None)
     if batch is not None:
         return batch(observations)
@@ -179,14 +144,14 @@ def evaluate_many(predictor, observations):
 
 def make_predictor(name: str):
     """Predictor registry: 'dynamic-count[:N]', 'static-count[:N]',
-    'constant:<value>'."""
+    'constant:<value>' (an exact rational: decimal or ``p/q`` text)."""
     head, _, arg = name.partition(":")
     if head == "dynamic-count":
         return CountPredictor(int(arg) if arg else 1, "dynamic")
     if head == "static-count":
         return CountPredictor(int(arg) if arg else 1, "static")
     if head == "constant":
-        return ConstantPredictor(float(arg) if arg else 0.0)
+        return ConstantPredictor(Fraction(arg or 0), name)
     raise KeyError(f"unknown predictor {name!r}")
 
 

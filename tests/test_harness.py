@@ -188,6 +188,19 @@ class TestRunners:
                 assert entry["method"].startswith(route)
                 assert entry["proven_lower_bound"] >= 1 / 8
 
+    @pytest.mark.parametrize("value, bit", [
+        ("0.2499999999999999999", 1),  # below 1/4, though its float is 1/4
+        ("0.25", 0),                   # exactly 1/4: the high side
+    ])
+    def test_constant_sides_and_exceedances_are_exact(self, value, bit):
+        report = run(ExperimentConfig(experiment="thm1", trials=20, seed=1,
+                                      kmax=3, predictor=f"constant:{value}"))
+        assert report.summary["table"]["odd"] == {1: bit, 2: bit, 3: bit}
+        # the truth is bit/2, so the miss is |value - bit/2| >= 1/4, with
+        # equality for 1/4 against a truth of 0
+        assert report.summary["min_conditional_exceedance"] == 1.0
+        assert report.summary["gap_threshold"] == 0.25
+
 
 class TestProvenLowerBound:
     def test_fallback_keeps_the_best_exact_partial_mass(self, monkeypatch):
@@ -208,9 +221,10 @@ class TestProvenLowerBound:
             == max(getattr(exact, side), getattr(walk, side))
 
 
-# SHA-256 of the CSV and plot.dat each configuration writes; both runs go
-# through the odometer, interval and dyadic code, so a change there that
-# moves a single byte of output fails here.
+# SHA-256 of the CSV and plot.dat each configuration writes.  The thm3 and
+# check-partitions runs go through the odometer, interval and dyadic code,
+# the thm1 and thm2 runs through the adversary and the count forecasts, so a
+# change there that moves a single byte of output fails here.
 PINNED_OUTPUTS = {
     "thm3": (
         dict(experiment="thm3", trials=10, seed=3, nlist=(3, 4, 5, 6, 7, 8, 9)),
@@ -220,6 +234,14 @@ PINNED_OUTPUTS = {
         dict(experiment="check-partitions"),
         "801ecce071ef26e6191c7134b571fba5c8e004bcc566aa8a4a1faa87d3bd8aa0",
         "f548ee5a23a4d119a35c7713077e8bf8caabf239506de68014d4f73682c77ab3"),
+    "thm1": (
+        dict(experiment="thm1", trials=500, seed=30, kmax=4),
+        "914c360b2a24ef271c249fe848e9f0a71bddcccf0db7a7c1d80c73e799c35caf",
+        "c27e6de44e49abb62c6dfa8316bcbe24461065130ab3db40f809c39017415ef0"),
+    "thm2": (
+        dict(experiment="thm2", trials=500, seed=30, smax=8),
+        "46621d655a0f75da231064391b0fca1b987ce5f1db8c8fb3ebcdc0095544d473",
+        "17794e1fb0ab4018d0b4a0408824ce72e3d05f16fc6e918436f680cc4b8721b1"),
 }
 
 
@@ -275,6 +297,8 @@ class TestCli:
         ["thm1", "--trials", "abc"],
         ["thm1", "--config", "{tmp}/bad.txt"],
         ["thm1", "--config", "{tmp}/missing.txt"],
+        ["thm1", "--predictor", "constant:nan"],
+        ["thm1", "--predictor", "constant:inf"],
     ])
     def test_malformed_value_is_a_config_error(self, argv, tmp_path, capsys):
         (tmp_path / "bad.txt").write_text("trials = abc\n")

@@ -6,14 +6,25 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ergolab import predictors
+from ergolab import markov, predictors
 from ergolab.errors import CoverageError, SingularFit
 from ergolab.intervals import rational_set
 from ergolab.partitions import Partition, PartitionSchedule, regularity_report
 from ergolab.predictors import (CountPredictor, dynamic_count, fit_linear_ar,
                                 make_predictor, partitioning_autoregression,
                                 partitioning_estimate, static_count)
+
+
+# observation strings over the binary alphabet or over the dyadic labels
+# of an injective labeling
+OBSERVATION_BATCHES = st.sampled_from((
+    (0, 1),
+    markov.ShiftLabelTable({3: 1, 4: 0, 5: 1}).observe(range(6)),
+)).flatmap(lambda alphabet: st.lists(
+    st.lists(st.sampled_from(alphabet), max_size=12).map(tuple), max_size=6))
 
 
 def two_cell_partition():
@@ -71,8 +82,24 @@ class TestCountForecasters:
         batched = pred.predict_batch(obs)
         assert list(batched) == [pred(o) for o in obs]
 
+    @settings(max_examples=200, deadline=None)
+    @given(batch=OBSERVATION_BATCHES, context_len=st.integers(1, 3),
+           mode=st.sampled_from(("dynamic", "static")))
+    def test_one_exact_route(self, batch, context_len, mode):
+        """Both modes, called or batched, give the exact dynamic count."""
+        pred = CountPredictor(context_len, mode)
+        values = [pred(obs) for obs in batch]
+        for obs, value in zip(batch, values):
+            expected = dynamic_count(obs, context_len) \
+                if len(obs) > context_len else 0
+            assert value == expected and not isinstance(value, float)
+        assert pred.predict_batch(batch) == values
+
     def test_registry(self):
         assert make_predictor("constant:0.5")((1, 2, 3)) == 0.5
+        third = make_predictor("constant:0.3")  # exact, spelled as given
+        assert third.name == "constant:0.3"
+        assert third.predict_batch([(0,), (0, 1)]) == [Fraction(3, 10)] * 2
         assert make_predictor("dynamic-count:2").context_len == 2
         with pytest.raises(KeyError):
             make_predictor("oracle")
