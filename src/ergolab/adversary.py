@@ -339,8 +339,10 @@ def _split_for(predictor, table, level, method: AttackMethod, rng) -> EventSplit
         mc.detail["exact_attempt"] = split
         return mc
     split = mc_split(predictor, table, level, method.trials, rng)
-    gap = abs(float(split.p_plus) - float(split.p_minus))
-    if gap < 2 * split.uncertainty:
+    plus, trials = split.detail["plus"], split.detail["trials"]
+    # gap < 2 * uncertainty, squared in integers: with p = plus/trials,
+    # |2p - 1| < 6 * sqrt(p * (1 - p) / trials)
+    if (2 * plus - trials) ** 2 * trials < 36 * plus * (trials - plus):
         # statistical tie: escalate once, then apply the >= rule as is
         split = mc_split(predictor, table, level, method.trials * 10, rng)
         split.detail["escalated"] = True

@@ -475,14 +475,13 @@ def run_rotation_l1(config: ExperimentConfig) -> Report:
     partition = split_grid_partition(n, schedule, c_set)
     h = schedule.h(n)
 
-    # cells with no data predict zero; their |0 - m| integral never changes
-    zero_integral = {}
-    for label, cell in partition:
-        total = rotation.scalar(0)
-        for iv in cell:
-            total = total + rot.integral_abs_error_on_interval(
-                iv.lo, iv.hi, rotation.scalar(0), "rotation", rotation)
-        zero_integral[label] = total
+    # F(c) = integral of |c - m| over a cell, in closed form; empty cells
+    # predict zero, so l1 = sum of all F(0) + sum over non-empty cells of
+    # F(c) - F(0)
+    cell_errors = {label: rot.CellError(cell, rotation)
+                   for label, cell in partition}
+    all_zero = sum((error.at_zero for error in cell_errors.values()),
+                   rotation.scalar(0))
 
     sixteenth = Fraction(1, 16)
     rows = []
@@ -505,16 +504,10 @@ def run_rotation_l1(config: ExperimentConfig) -> Report:
                 raise InvariantViolation(
                     f"trial {trial}: outside-cells must be exactly empty on "
                     f"the starving event")
-        l1 = rotation.scalar(0)
-        for label, _ in partition:
-            if counts.counts.get(label, 0) == 0:
-                l1 = l1 + zero_integral[label]
-            else:
-                cell = partition.cell(label)
-                constant = rotation.scalar(counts.estimate(label))
-                for iv in cell:
-                    l1 = l1 + rot.integral_abs_error_on_interval(
-                        iv.lo, iv.hi, constant, "rotation", rotation)
+        l1 = all_zero
+        for label in counts.counts:
+            constant = rotation.scalar(counts.estimate(label))
+            l1 = l1 + cell_errors[label].excess(constant)
         l1_exceeds = l1.compare(sixteenth) >= 0
         if l1_exceeds:
             l1_hits += 1

@@ -15,7 +15,7 @@ from fractions import Fraction
 from .dyadic import BinaryPoint, dyadic_exponent
 from .errors import CapExceeded, CoverageError
 from .intervals import IntervalSet, _cmp
-from .surd import QuadraticReal
+from .surd import QuadraticReal, floor_raw
 
 
 class PartitionSchedule:
@@ -82,12 +82,6 @@ class Partition:
                 return label
         raise CoverageError(f"{x!r} is not covered by the partition")
 
-    def cell(self, label) -> IntervalSet:
-        for lab, cell in self.cells:
-            if lab == label:
-                return cell
-        raise KeyError(label)
-
     def __len__(self):
         return len(self.cells)
 
@@ -100,10 +94,10 @@ def split_grid_partition(n: int, schedule: PartitionSchedule,
     """Equal grid of q(n) intervals, each cell cut by `split_set`.
 
     Cell labels are ``(j, True)`` for grid cell ``j`` inside the set and
-    ``(j, False)`` outside; ``j`` runs from 1 to q(n).  The locator finds
-    the grid cell by binary search and membership by exact comparisons; on
-    the rational domain a :class:`BinaryPoint` is located from its prefix
-    bits instead (see :func:`_bracket_locator`).
+    ``(j, False)`` outside; ``j`` runs from 1 to q(n).  A field element or
+    rational is located by ``j = floor(q*x) + 1`` (:func:`_floor_locator`);
+    on the rational domain a :class:`BinaryPoint` is located from its prefix
+    bits instead (:func:`_bracket_locator`).
     """
     q = schedule.q(n)
     quadratic = split_set.domain and split_set.domain[0] == "quadratic"
@@ -121,22 +115,31 @@ def split_grid_partition(n: int, schedule: PartitionSchedule,
         cells.append(((j, True), inside))
         cells.append(((j, False), outside))
 
-    def locator(x):
-        lo, hi = 1, q
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if _cmp(x, bounds[mid]) < 0:
-                hi = mid
-            else:
-                lo = mid + 1
-        if _cmp(x, bounds[lo - 1]) < 0 or _cmp(x, bounds[lo]) >= 0:
-            raise CoverageError(f"{x!r} outside [0, 1)")
-        return (lo, split_set.contains(x))
-
+    locator = _floor_locator(q, split_set)
     if quadratic:
         return Partition(cells, n=n, locator=locator)
     return Partition(cells, n=n,
                      locator=_bracket_locator(q, bounds, split_set, locator))
+
+
+def _floor_locator(q: int, split_set: IntervalSet):
+    """Locator reading the grid cell as ``floor(q*x) + 1`` from the exact
+    triple ``(q*A, q*B, Q)`` of ``x = (A + B*sqrt(d)) / Q`` (``B = 0`` for a
+    rational) with one integer square root; membership is
+    ``split_set.contains(x)``.  Other query types raise TypeError."""
+
+    def locate_scalar(x):
+        if isinstance(x, QuadraticReal):
+            j = floor_raw(q * x.A, q * x.B, x.Q, x.d)
+        elif isinstance(x, (int, Fraction)):
+            j = q * x.numerator // x.denominator
+        else:
+            raise TypeError(f"cannot locate a {type(x).__name__} by its floor")
+        if not 0 <= j < q:
+            raise CoverageError(f"{x!r} outside [0, 1)")
+        return (j + 1, split_set.contains(x))
+
+    return locate_scalar
 
 
 def _bracket_locator(q: int, bounds, split_set: IntervalSet, fallback):

@@ -219,19 +219,25 @@ def partitioning_autoregression(series, partition: Partition, x,
     `series` is ``X_{-n} .. X_{-1}``; querying at ``x = X_{-1}`` gives the
     static forecast of the next value.  Only responses landing in the query
     cell are accumulated, so an empty cell yields an exact integer zero.
+    Binary responses are summed as their first `response_bits` bits in one
+    integer and divided once.
     """
     series = list(series)
     if len(series) < 2:
         raise ValueError("need at least two observations")
     label = partition.locate(x)
-    num = 0
+    total = 0   # binary responses, as integers over 2**response_bits
+    num = 0     # any other responses
     den = 0
     for z, y in autoregression_pairs(series):
         if partition.locate(z) == label:
             if isinstance(y, BinaryPoint):
-                y = y.truncated(response_bits)
-            num = y + num
+                total += y.prefix_int(response_bits)
+            else:
+                num = y + num
             den += 1
+    if total:
+        num = Fraction(total, 1 << response_bits) + num
     return _ratio(num, den)
 
 

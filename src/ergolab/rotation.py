@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import HeightError, NotIrrational, PrecisionError
+from .errors import (HeightError, InvariantViolation, NotIrrational,
+                     PrecisionError)
 from .intervals import IntervalSet, algebraic_set
 from .surd import QuadraticReal, cf_convergents, sqrt2_minus_1
 
@@ -219,6 +220,74 @@ def integral_abs_error_on_interval(u, v, constant, target, rotation=None):
     return total
 
 
+class CellError:
+    """``F(c) = integral over cell of |c - m(x)| dx`` for the rotation
+    regression, in closed form.
+
+    ``m`` translates the cell's part below the wrap point ``1 - alpha`` by
+    ``alpha`` into ``[alpha, 1)`` and the part above it by ``alpha - 1`` into
+    ``[0, alpha)``, so ``F(c)`` is the integral of ``|c - y|`` over those
+    image pieces, already sorted: the shifted pieces above the wrap, then
+    those below it, each in x order.  Their ends are the breakpoints; on the
+    segment before breakpoint ``s`` (after the last one for ``s = len``)
+    ``F(c) = k2*c**2 + k1*c + k0``, with ``k2 = 1`` inside a piece and 0
+    between pieces.  ``at_zero`` is ``F(0)`` and ``excess(c)`` is
+    ``F(c) - F(0)``, whose coefficients are stored, so that one cell costs a
+    binary search and a few field operations.
+    """
+
+    __slots__ = ("breaks", "coeffs", "at_zero")
+
+    def __init__(self, cell: IntervalSet, rotation: Rotation):
+        alpha = rotation.alpha
+        zero = rotation.scalar(0)
+        one = rotation.scalar(1)
+        wrap = one - alpha
+        above, below = [], []
+        for iv in cell:
+            u, v = rotation.scalar(iv.lo), rotation.scalar(iv.hi)
+            if u < wrap:
+                below.append((u + alpha, (v if v <= wrap else wrap) + alpha))
+            if v > wrap:
+                above.append(((u if u >= wrap else wrap) + alpha - one,
+                              v + alpha - one))
+        pieces = above + below
+        breaks = [end for piece in pieces for end in piece]
+        if any(a.compare(b) > 0 for a, b in zip(breaks, breaks[1:])):
+            raise InvariantViolation("image pieces of a cell are out of order")
+        # with c past the first p pieces: those give c*len - sq, the rest
+        # sq - c*len, where len = b - a and sq = (b*b - a*a)/2
+        lens = [b - a for a, b in pieces]
+        sqs = [(b * b - a * a) / 2 for a, b in pieces]
+        coeffs = []
+        for p in range(len(pieces) + 1):
+            k1 = sum(lens[:p], zero) - sum(lens[p:], zero)
+            k0 = sum(sqs[p:], zero) - sum(sqs[:p], zero)
+            coeffs.append((0, k1, k0))
+            if p < len(pieces):
+                # inside piece p: ((c - a)**2 + (b - c)**2)/2 replaces its term
+                a, b = pieces[p]
+                coeffs.append((1, k1 + lens[p] - a - b,
+                               k0 - sqs[p] + (a * a + b * b) / 2))
+        self.breaks = breaks
+        self.at_zero = coeffs[0][2]
+        self.coeffs = [(k2, k1, k0 - self.at_zero) for k2, k1, k0 in coeffs]
+
+    def excess(self, c) -> QuadraticReal:
+        """``F(c) - F(0)``, exactly."""
+        lo, hi = 0, len(self.breaks)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if self.breaks[mid].compare(c) <= 0:
+                lo = mid + 1
+            else:
+                hi = mid
+        k2, k1, k0 = self.coeffs[lo]
+        if k2:
+            return (c + k1) * c + k0
+        return k1 * c + k0
+
+
 def l1_error_exact(pieces, target: str, rotation: Rotation | None = None):
     """Exact L1 distance of a piecewise-constant estimate from the regression.
 
@@ -235,20 +304,3 @@ def l1_error_exact(pieces, target: str, rotation: Rotation | None = None):
     if total is None:
         raise ValueError("estimate covers nothing")
     return total
-
-
-def remark_pair_series(rotation: Rotation, omega, count: int):
-    """Predictor/response pairs whose regression is the identity.
-
-    Shifting each response back by the rotation angle turns the rotation
-    process into pairs ``(Z_i, Y_i)`` with ``Y_i == Z_i`` exactly, so the
-    true regression is ``m(z) = z``.
-    """
-    zs = rotation.series(omega, 0, count - 1)
-    pairs = []
-    one_minus_alpha = QuadraticReal.rational(1, rotation.d) - rotation.alpha
-    for i, z in enumerate(zs):
-        x_next = rotation.step(omega, i + 2)
-        y = (x_next + one_minus_alpha).mod1()
-        pairs.append((z, y))
-    return pairs

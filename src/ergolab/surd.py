@@ -97,29 +97,26 @@ class QuadraticReal:
 
     def sign(self) -> int:
         """Sign of the value: -1, 0 or +1, by pure integer reasoning."""
-        A, B = self.A, self.B
-        if B == 0:
-            return (A > 0) - (A < 0)
-        if A == 0:
-            return (B > 0) - (B < 0)
-        if A > 0 and B > 0:
-            return 1
-        if A < 0 and B < 0:
-            return -1
-        # opposite signs: compare A^2 with B^2 d on the correct side
-        lhs, rhs = A * A, B * B * self.d
-        if A > 0:  # B < 0: positive iff A^2 > B^2 d
-            return 1 if lhs > rhs else (-1 if lhs < rhs else 0)
-        return -1 if lhs > rhs else (1 if lhs < rhs else 0)
+        return _sign(self.A, self.B, self.d)
 
     def compare(self, other) -> int:
-        if (isinstance(other, QuadraticReal) and other.d != self.d
-                and self.B == 0 and other.B != 0):
-            return -other.compare(self)
-        rhs = self._coerce(other)
-        if rhs is None:
+        """Sign of ``self - other``, read off the cross-multiplied integers
+        ``(A1*Q2 - A2*Q1) + (B1*Q2 - B2*Q1)*sqrt(d)`` (both ``Q > 0``)."""
+        if isinstance(other, QuadraticReal):
+            if other.d != self.d and self.B != 0 and other.B != 0:
+                raise DomainMismatch(
+                    f"cannot mix sqrt({self.d}) with sqrt({other.d})")
+            a2, b2, q2 = other.A, other.B, other.Q
+            d = self.d if self.B != 0 else other.d
+        elif isinstance(other, (int, Fraction)):
+            a2, b2, q2 = other.numerator, 0, other.denominator
+            d = self.d
+        elif isinstance(other, float):
+            raise TypeError("refusing to mix floats into exact arithmetic")
+        else:
             raise DomainMismatch("incomparable operands")
-        return (self - rhs).sign()
+        q1 = self.Q
+        return _sign(self.A * q2 - a2 * q1, self.B * q2 - b2 * q1, d)
 
     def __eq__(self, other):
         try:
@@ -201,17 +198,12 @@ class QuadraticReal:
     # -- floor / mod, exact
 
     def floor(self) -> int:
-        """Exact floor via an isqrt bound plus verified adjustment."""
-        if self.B >= 0:
-            surd_floor = math.isqrt(self.B * self.B * self.d)
-        else:
-            t = self.B * self.B * self.d
-            r = math.isqrt(t)
-            surd_floor = -r if r * r == t else -(r + 1)
-        n = (self.A + surd_floor) // self.Q
-        while (self - n).sign() < 0:
+        """Exact floor: the isqrt guess of :func:`floor_raw`, checked by
+        :meth:`compare` against both neighbouring integers."""
+        n = floor_raw(self.A, self.B, self.Q, self.d)
+        while self.compare(n) < 0:
             n -= 1
-        while (self - (n + 1)).sign() >= 0:
+        while self.compare(n + 1) >= 0:
             n += 1
         return n
 
@@ -228,6 +220,35 @@ class QuadraticReal:
         if self.B == 0:
             return str(self.a)
         return f"({self.A} + {self.B}*sqrt({self.d}))/{self.Q}"
+
+
+def _sign(a: int, b: int, d: int) -> int:
+    """Sign of ``a + b*sqrt(d)`` for integers a, b and a square-free d."""
+    if b == 0:
+        return (a > 0) - (a < 0)
+    if a >= 0 and b > 0:
+        return 1
+    if a <= 0 and b < 0:
+        return -1
+    # opposite signs: the side with the larger square wins
+    lhs, rhs = a * a, b * b * d
+    if a > 0:
+        return (lhs > rhs) - (lhs < rhs)
+    return (rhs > lhs) - (rhs < lhs)
+
+
+def floor_raw(A: int, B: int, Q: int, d: int) -> int:
+    """``floor((A + B*sqrt(d)) / Q)`` for ``Q > 0`` and square-free ``d >= 2``.
+
+    For ``B != 0`` the surd ``B*sqrt(d)`` is irrational, so its floor is
+    ``isqrt(B*B*d)`` (``B > 0``) or ``-isqrt(B*B*d) - 1`` (``B < 0``), and
+    ``floor(y / Q) == floor(y) // Q`` for any real y and integer ``Q > 0``:
+    one integer square root decides the floor.
+    """
+    if B == 0:
+        return A // Q
+    r = math.isqrt(B * B * d)
+    return (A + (r if B > 0 else -r - 1)) // Q
 
 
 def qr_compare(x, y) -> int:

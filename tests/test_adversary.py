@@ -185,6 +185,30 @@ class TestExcursionWalk:
             rng).method.startswith("mc:")
 
 
+    @pytest.mark.parametrize("plus, escalates", [
+        (24, False), (23, False), (25, True), (36, True)])
+    def test_mc_escalation_is_decided_in_integers(self, plus, escalates):
+        # the first `plus` of 72 anchored paths land on the high side; at
+        # 24/72 the gap equals twice the 3-sigma width exactly, which the
+        # strict rule does not escalate, though the floats say it is smaller
+        calls = []
+
+        def first_high(obs):
+            calls.append(obs)
+            return 1 if len(calls) <= plus else 0
+
+        split = adversary._split_for(first_high, markov.OddLabelTable(), 2,
+                                     AttackMethod(kind="mc", trials=72),
+                                     random.Random(0))
+        assert split.detail.get("escalated", False) == escalates
+        assert split.detail["trials"] == (720 if escalates else 72)
+        if plus == 24:
+            p = 24 / 72
+            assert split.uncertainty == 3 * (p * (1 - p) / 72) ** 0.5 * 0.25
+            assert abs(float(split.p_plus) - float(split.p_minus)) \
+                < 2 * split.uncertainty
+
+
 class TestConfoundBinary:
     def test_constant_zero_gets_all_ones(self):
         table, report = confound_binary(ConstantPredictor(0.0), 3,

@@ -1,5 +1,6 @@
 """Exact substrate: dyadic values, binary points, surds, interval sets."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -12,8 +13,8 @@ from ergolab.dyadic import BinaryPoint, _SeededSource, dyadic_exponent
 from ergolab.errors import (CapExceeded, DomainMismatch, ExceptionalPoint,
                             NotIrrational)
 from ergolab.intervals import IntervalSet, algebraic_set, dyadic_set, rational_set
-from ergolab.surd import (QuadraticReal, cf_convergents, golden_conjugate,
-                          qr_compare, sqrt2_minus_1)
+from ergolab.surd import (QuadraticReal, cf_convergents, floor_raw,
+                          golden_conjugate, qr_compare, sqrt2_minus_1)
 
 
 class TestDyadicBoundary:
@@ -209,6 +210,99 @@ class TestQuadraticReal:
 
     def test_qr_compare_wrapper(self):
         assert qr_compare(Fraction(1, 2), sqrt2_minus_1()) == 1
+
+
+def subtraction_sign(x):
+    """Sign of a field element by case analysis on its canonical triple."""
+    A, B = x.A, x.B
+    if B == 0:
+        return (A > 0) - (A < 0)
+    if A == 0:
+        return (B > 0) - (B < 0)
+    if A > 0 and B > 0:
+        return 1
+    if A < 0 and B < 0:
+        return -1
+    lhs, rhs = A * A, B * B * x.d
+    if A > 0:
+        return 1 if lhs > rhs else (-1 if lhs < rhs else 0)
+    return -1 if lhs > rhs else (1 if lhs < rhs else 0)
+
+
+def subtraction_compare(x, y):
+    """The comparison route through a normalised difference object."""
+    if (isinstance(y, QuadraticReal) and y.d != x.d and x.B == 0
+            and y.B != 0):
+        return -subtraction_compare(y, x)
+    rhs = x._coerce(y)
+    if rhs is None:
+        raise DomainMismatch("incomparable operands")
+    return subtraction_sign(x - rhs)
+
+
+BASES = st.sampled_from((2, 3, 5, 7, 10))
+small_fractions = st.fractions(-3, 3, max_denominator=40)
+
+
+@st.composite
+def field_elements(draw, d=None):
+    """Field elements, with B = 0 one time in four and sometimes stored
+    over a scaled, non-canonical triple (equal value, different Q)."""
+    d = draw(BASES) if d is None else d
+    b = Fraction(0) if draw(st.integers(0, 3)) == 0 else draw(small_fractions)
+    x = QuadraticReal(draw(small_fractions), b, d)
+    k = draw(st.integers(1, 5))
+    return QuadraticReal(0, 0, d, _raw=(k * x.A, k * x.B, k * x.Q))
+
+
+class TestIntegerCompare:
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data(), d=BASES)
+    def test_matches_subtraction_route(self, data, d):
+        x = data.draw(field_elements(d))
+        y = data.draw(st.one_of(
+            field_elements(d),
+            small_fractions,
+            st.integers(-3, 3),
+            # a rational of another base compares on both sides
+            small_fractions.map(lambda v: QuadraticReal.rational(v, 11))))
+        assert x.compare(y) == subtraction_compare(x, y)
+        if isinstance(y, QuadraticReal):
+            assert y.compare(x) == subtraction_compare(y, x) == -x.compare(y)
+
+    @settings(max_examples=200, deadline=None)
+    @given(x=field_elements(), k=st.integers(2, 6))
+    def test_equal_values_over_different_denominators(self, x, k):
+        scaled = QuadraticReal(0, 0, x.d, _raw=(k * x.A, k * x.B, k * x.Q))
+        assert x.compare(scaled) == scaled.compare(x) == 0
+        assert scaled.compare(Fraction(x.A, x.Q)) == subtraction_compare(
+            x, Fraction(x.A, x.Q))
+
+    def test_two_surd_bases_do_not_mix(self):
+        for x, y in ((QuadraticReal(1, 1, 2), QuadraticReal(0, 1, 3)),
+                     (QuadraticReal(0, -1, 5), QuadraticReal(2, 1, 7))):
+            with pytest.raises(DomainMismatch):
+                x.compare(y)
+            with pytest.raises(DomainMismatch):
+                subtraction_compare(x, y)
+        with pytest.raises(TypeError):
+            QuadraticReal(0, 1, 2).compare(0.5)
+        with pytest.raises(DomainMismatch):
+            QuadraticReal(0, 1, 2).compare("1/2")
+
+    @settings(max_examples=400, deadline=None)
+    @given(x=field_elements(), scale=st.integers(1, 10 ** 6))
+    def test_floor_within_isqrt_bounds(self, x, scale):
+        x = x * scale
+        n = x.floor()
+        assert n == floor_raw(x.A, x.B, x.Q, x.d)
+        # B*sqrt(d) lies in [r, r + 1) for B > 0 and (-r - 1, -r] for B < 0
+        r = math.isqrt(x.B * x.B * x.d)
+        if x.B >= 0:
+            assert (x.A + r) // x.Q <= n <= (x.A + r + 1) // x.Q
+        else:
+            assert (x.A - r - 1) // x.Q <= n <= (x.A - r) // x.Q
+        assert x.compare(n) >= 0 and x.compare(n + 1) < 0
 
 
 class TestContinuedFractions:

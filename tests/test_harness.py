@@ -223,8 +223,9 @@ class TestProvenLowerBound:
 
 # SHA-256 of the CSV and plot.dat each configuration writes.  The thm3 and
 # check-partitions runs go through the odometer, interval and dyadic code,
-# the thm1 and thm2 runs through the adversary and the count forecasts, so a
-# change there that moves a single byte of output fails here.
+# the thm1 and thm2 runs through the adversary and the count forecasts, the
+# thm4 run through the surd, the floor locator and the per-cell L1 closed
+# form, so a change there that moves a single byte of output fails here.
 PINNED_OUTPUTS = {
     "thm3": (
         dict(experiment="thm3", trials=10, seed=3, nlist=(3, 4, 5, 6, 7, 8, 9)),
@@ -242,6 +243,10 @@ PINNED_OUTPUTS = {
         dict(experiment="thm2", trials=500, seed=30, smax=8),
         "46621d655a0f75da231064391b0fca1b987ce5f1db8c8fb3ebcdc0095544d473",
         "17794e1fb0ab4018d0b4a0408824ce72e3d05f16fc6e918436f680cc4b8721b1"),
+    "thm4": (
+        dict(experiment="thm4", trials=200, seed=40),
+        "64180ddbb0dc6ab6945b7fac6283765cd13e7579e54cc4329c4a8c58ad5e3bab",
+        "43017f84ba359ff10d560e9b6b3a646b140fd83f943a37b983a12ffa6af410e3"),
 }
 
 

@@ -1,15 +1,20 @@
-"""Grid partitions: the prefix-bracket locator against the comparison route."""
+"""Grid partitions: the prefix-bracket and floor locators against the
+binary-search route."""
 
+import functools
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ergolab import odometer
 from ergolab.dyadic import BinaryPoint
 from ergolab.errors import CapExceeded, CoverageError
-from ergolab.intervals import rational_set
+from ergolab.intervals import _cmp, rational_set
 from ergolab.partitions import PartitionSchedule, split_grid_partition
+from ergolab.rotation import Rotation, build_tower, default_rotation
+from ergolab.surd import QuadraticReal, golden_conjugate
 
 NON_DYADIC = rational_set((Fraction(1, 3), Fraction(2, 5)),
                           (Fraction(1, 2), Fraction(5, 7)),
@@ -18,16 +23,16 @@ NON_DYADIC = rational_set((Fraction(1, 3), Fraction(2, 5)),
 
 def compare_locate(x, q, split_set):
     """The comparison-based locator: binary search on the grid bounds with
-    BinaryPoint.compare, then IntervalSet.contains."""
+    exact comparisons, then IntervalSet.contains."""
     bounds = [Fraction(j, q) for j in range(q + 1)]
     lo, hi = 1, q
     while lo < hi:
         mid = (lo + hi) // 2
-        if x.compare(bounds[mid]) < 0:
+        if _cmp(x, bounds[mid]) < 0:
             hi = mid
         else:
             lo = mid + 1
-    if x.compare(bounds[lo - 1]) < 0 or x.compare(bounds[lo]) >= 0:
+    if _cmp(x, bounds[lo - 1]) < 0 or _cmp(x, bounds[lo]) >= 0:
         raise CoverageError(f"{x!r} outside [0, 1)")
     return (lo, split_set.contains(x))
 
@@ -123,3 +128,58 @@ class TestBracketLocator:
         part = split_grid_partition(1, PartitionSchedule.constant(5), NON_DYADIC)
         assert part.locate(Fraction(1, 3)) == (2, True)
         assert part.locate(Fraction(2, 5)) == (3, False)
+
+
+def cover_set(rotation, n):
+    return build_tower(rotation, 4 * n, Fraction(1, 2)).starving_pair(n)[1]
+
+
+# tower cover sets over Q(sqrt(2)), Q(sqrt(5)) and Q(sqrt(3))
+COVER_SETS = (cover_set(default_rotation(), 8), cover_set(default_rotation(), 3),
+              cover_set(Rotation(golden_conjugate()), 6),
+              cover_set(Rotation(QuadraticReal(-1, 1, 3)), 4))
+
+
+@st.composite
+def field_points(draw, d):
+    """Field elements in [0, 1), and one in five anywhere near it."""
+    a = draw(st.fractions(-1, 2, max_denominator=200))
+    b = draw(st.fractions(-1, 1, max_denominator=200))
+    x = QuadraticReal(a, b, d)
+    return x if draw(st.integers(0, 4)) == 0 else x.mod1()
+
+
+@functools.lru_cache(maxsize=None)
+def cover_partition(index, q):
+    return split_grid_partition(1, PartitionSchedule.constant(q),
+                                COVER_SETS[index])
+
+
+class TestFloorLocator:
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data(), index=st.integers(0, len(COVER_SETS) - 1),
+           q=st.integers(2, 40))
+    def test_matches_binary_search_on_field_points(self, data, index, q):
+        split_set = COVER_SETS[index]
+        x = data.draw(field_points(split_set.domain[1]))
+        assert_same(x, q, split_set, cover_partition(index, q))
+
+    def test_every_bound_and_endpoint(self):
+        # grid bounds j/q as field elements and as Fractions, and every
+        # endpoint of the cover set, for q = 2..40
+        for index, split_set in enumerate(COVER_SETS):
+            d = split_set.domain[1]
+            ends = [end for iv in split_set for end in (iv.lo, iv.hi)]
+            for q in range(2, 41):
+                part = cover_partition(index, q)
+                grid = [Fraction(j, q) for j in range(q + 1)]
+                for x in grid + [QuadraticReal.rational(g, d) for g in grid] \
+                        + ends:
+                    assert_same(x, q, split_set, part)
+
+    def test_other_query_types_are_refused(self):
+        part = cover_partition(0, 4)
+        with pytest.raises(TypeError):
+            part.locate(BinaryPoint.from_dyadic(Fraction(1, 2)))
+        with pytest.raises(TypeError):
+            part.locate(0.5)

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ergolab import markov, predictors
+from ergolab import markov, odometer, predictors
+from ergolab.dyadic import BinaryPoint
 from ergolab.errors import CoverageError, SingularFit
 from ergolab.intervals import rational_set
 from ergolab.partitions import Partition, PartitionSchedule, regularity_report
@@ -144,6 +145,28 @@ class TestPartitioningEstimate:
         est = partitioning_autoregression(series, two_cell_partition(),
                                           Fraction(1, 4))
         assert est == 0 and isinstance(est, int)
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 10 ** 6), length=st.integers(2, 40),
+           n=st.integers(1, 64), response_bits=st.integers(1, 64))
+    def test_integer_response_sum_matches_fraction_sum(self, seed, length, n,
+                                                       response_bits):
+        # an odometer orbit of binary points on a starving partition; the
+        # responses summed as integers give the per-Fraction sum exactly
+        series = [BinaryPoint.seeded(seed)]
+        for _ in range(length - 1):
+            series.append(odometer.step(series[-1]))
+        part = odometer.starving_partition(n, PartitionSchedule.sqrt())
+        x = series[-1]
+        label = part.locate(x)
+        num, den = 0, 0
+        for z, y in predictors.autoregression_pairs(series):
+            if part.locate(z) == label:
+                num = y.truncated(response_bits) + num
+                den += 1
+        want = num / den if den else 0
+        got = partitioning_autoregression(series, part, x, response_bits)
+        assert got == want and type(got) is type(want)
 
 
 class TestConsistencyOnTwoStateChain:

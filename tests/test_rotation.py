@@ -4,18 +4,61 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from ergolab.errors import HeightError, NotIrrational
 from ergolab.intervals import algebraic_set
-from ergolab.rotation import (Rotation, build_tower, default_rotation,
-                              l1_error_exact, remark_pair_series,
-                              tower_from_base)
-from ergolab.surd import QuadraticReal
+from ergolab.partitions import PartitionSchedule, split_grid_partition
+from ergolab.rotation import (CellError, Rotation, build_tower,
+                              default_rotation, integral_abs_error_on_interval,
+                              l1_error_exact, tower_from_base)
+from ergolab.surd import QuadraticReal, golden_conjugate
 
 
 def unit_set():
     return algebraic_set(2, (0, 1))
+
+
+def remark_pair_series(rotation: Rotation, omega, count: int):
+    """Predictor/response pairs whose regression is the identity.
+
+    Shifting each response back by the rotation angle turns the rotation
+    process into pairs ``(Z_i, Y_i)`` with ``Y_i == Z_i`` exactly, so the
+    true regression is ``m(z) = z``.
+    """
+    zs = rotation.series(omega, 0, count - 1)
+    pairs = []
+    one_minus_alpha = QuadraticReal.rational(1, rotation.d) - rotation.alpha
+    for i, z in enumerate(zs):
+        x_next = rotation.step(omega, i + 2)
+        y = (x_next + one_minus_alpha).mod1()
+        pairs.append((z, y))
+    return pairs
+
+
+def thm4_cells(rotation, n, schedule):
+    """The cells thm4 fits on: the grid over the tower's cover set."""
+    _, c_set = build_tower(rotation, 4 * n, Fraction(1, 2)).starving_pair(n)
+    return [(rotation, cell)
+            for _, cell in split_grid_partition(n, schedule, c_set)]
+
+
+# the default thm4 configuration, a golden-mean and a sqrt(3) rotation
+THM4_CELLS = (thm4_cells(default_rotation(), 8, PartitionSchedule.sqrt(72))
+              + thm4_cells(Rotation(golden_conjugate()), 6,
+                           PartitionSchedule.sqrt(72))
+              + thm4_cells(Rotation(QuadraticReal(-1, 1, 3)), 4,
+                           PartitionSchedule.constant(7)))
+
+
+def summed_integrals(cell, constant, rotation):
+    total = rotation.scalar(0)
+    for iv in cell:
+        total = total + integral_abs_error_on_interval(
+            iv.lo, iv.hi, constant, "rotation", rotation)
+    return total
 
 
 class TestRotation:
@@ -90,7 +133,6 @@ class TestBuildTower:
             tower.starving_pair(3)
 
     def test_golden_angle_also_works(self):
-        from ergolab.surd import golden_conjugate
         tower = build_tower(Rotation(golden_conjugate()), 12, Fraction(1, 3))
         assert tower.coverage.compare(Fraction(2, 3)) >= 0
 
@@ -100,7 +142,6 @@ class TestBuildTower:
             build_tower(default_rotation(), 1, Fraction(1, 10 ** 14))
 
     def test_grid_over_cover_set_has_double_the_cells(self):
-        from ergolab.partitions import PartitionSchedule, split_grid_partition
         tower = build_tower(default_rotation(), 32, Fraction(1, 2))
         _, c_set = tower.starving_pair(8)
         part = split_grid_partition(8, PartitionSchedule.sqrt(72), c_set)
@@ -150,6 +191,41 @@ class TestExactL1:
             assert abs(exact - numeric) <= 1e-9, f"case {case}"
 
 
+class TestCellError:
+    def test_matches_summed_integrals_on_every_thm4_cell(self):
+        # at 0, at every breakpoint, between breakpoints and outside [0, 1)
+        checked = 0
+        for rotation, cell in THM4_CELLS:
+            error = CellError(cell, rotation)
+            breaks = error.breaks
+            assert len(breaks) == 2 * sum(
+                1 + (iv.lo < 1 - rotation.alpha < iv.hi) for iv in cell)
+            assert all(a <= b for a, b in zip(breaks, breaks[1:]))
+            mids = [(a + b) / 2 for a, b in zip(breaks, breaks[1:])]
+            for c in [0, Fraction(-1, 3), Fraction(5, 4), 1, *breaks, *mids]:
+                assert error.excess(c) + error.at_zero \
+                    == summed_integrals(cell, c, rotation)
+                checked += 1
+        assert checked > 500
+
+    @settings(max_examples=300, deadline=None)
+    @given(index=st.integers(0, len(THM4_CELLS) - 1),
+           a=st.fractions(-1, 2, max_denominator=64),
+           b=st.fractions(-1, 1, max_denominator=64))
+    def test_matches_summed_integrals_at_field_constants(self, index, a, b):
+        rotation, cell = THM4_CELLS[index]
+        c = QuadraticReal(a, b, rotation.d)
+        error = CellError(cell, rotation)
+        assert error.excess(c) + error.at_zero \
+            == summed_integrals(cell, c, rotation)
+
+    def test_empty_cell_is_zero(self):
+        rotation = default_rotation()
+        error = CellError(algebraic_set(2), rotation)
+        assert error.breaks == [] and error.at_zero == 0
+        assert error.excess(Fraction(1, 3)) == 0
+
+
 class TestRemarkPairs:
     def test_responses_equal_predictors(self):
         rotn = default_rotation()
@@ -160,7 +236,6 @@ class TestRemarkPairs:
     def test_fitted_pieces_integrate_against_identity(self):
         # the shifted pairs have the identity regression; fitting the
         # grid partition and integrating exactly reproduces a hand value
-        from ergolab.partitions import PartitionSchedule, split_grid_partition
         from ergolab.predictors import CellCounts
         rotn = default_rotation()
         tower = build_tower(rotn, 8, Fraction(1, 2))
