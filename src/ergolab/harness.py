@@ -490,7 +490,7 @@ def run_rotation_l1(config: ExperimentConfig) -> Report:
     rng = random.Random(derived_seed(config.seed, 0))
     for trial in range(config.trials):
         omega = rotation.scalar(Fraction(rng.getrandbits(64), 1 << 64))
-        past = [rotation.step(omega, -i + 1) for i in range(n, 0, -1)]
+        past = rotation.series(omega, -n, -1)
         pairs = predictors.autoregression_pairs(past)
         counts = predictors.CellCounts.from_pairs(pairs, partition)
         in_b = b_set.contains(omega)

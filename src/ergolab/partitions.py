@@ -115,18 +115,21 @@ def split_grid_partition(n: int, schedule: PartitionSchedule,
         cells.append(((j, True), inside))
         cells.append(((j, False), outside))
 
-    locator = _floor_locator(q, split_set)
+    locator = _floor_locator(q, [inside for _, inside in cells[::2]])
     if quadratic:
         return Partition(cells, n=n, locator=locator)
     return Partition(cells, n=n,
                      locator=_bracket_locator(q, bounds, split_set, locator))
 
 
-def _floor_locator(q: int, split_set: IntervalSet):
+def _floor_locator(q: int, inside_cells):
     """Locator reading the grid cell as ``floor(q*x) + 1`` from the exact
     triple ``(q*A, q*B, Q)`` of ``x = (A + B*sqrt(d)) / Q`` (``B = 0`` for a
-    rational) with one integer square root; membership is
-    ``split_set.contains(x)``.  Other query types raise TypeError."""
+    rational) with one integer square root.  Inside grid cell ``j`` a point
+    is in the split set exactly when it is in the cell's inside piece
+    ``inside_cells[j - 1]``, usually one or two intervals, so membership is
+    read from that piece rather than from the whole split set.  Other query
+    types raise TypeError."""
 
     def locate_scalar(x):
         if isinstance(x, QuadraticReal):
@@ -137,7 +140,7 @@ def _floor_locator(q: int, split_set: IntervalSet):
             raise TypeError(f"cannot locate a {type(x).__name__} by its floor")
         if not 0 <= j < q:
             raise CoverageError(f"{x!r} outside [0, 1)")
-        return (j + 1, split_set.contains(x))
+        return (j + 1, inside_cells[j].contains(x))
 
     return locate_scalar
 

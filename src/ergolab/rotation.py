@@ -46,8 +46,22 @@ class Rotation:
         return self.step(x)
 
     def series(self, omega, i_from: int, i_to: int):
-        """Process values ``X_i = T^(i+1) omega`` for i in [i_from, i_to]."""
-        return [self.step(omega, i + 1) for i in range(i_from, i_to + 1)]
+        """Process values ``X_i = T^(i+1) omega`` for i in [i_from, i_to].
+
+        Only the first value is a full :meth:`step`; the walk then adds
+        ``alpha`` and subtracts 1 when the sum reaches 1, one field addition
+        and one comparison per value, exactly.
+        """
+        if i_to < i_from:
+            return []
+        x = self.step(omega, i_from + 1)
+        out = [x]
+        for _ in range(i_to - i_from):
+            x = x + self.alpha
+            if x.compare(1) >= 0:
+                x = x - 1
+            out.append(x)
+        return out
 
     def translate_set(self, s: IntervalSet, times: int) -> IntervalSet:
         return s.translate_mod1(self.alpha * times)
@@ -83,10 +97,7 @@ class RohlinTower:
         if not 1 <= count <= self.height:
             raise HeightError(
                 f"cannot union {count} levels of a height-{self.height} tower")
-        out = self.base
-        for i in range(1, count):
-            out = out.union(self.level(i))
-        return out
+        return _union_of_levels(self.rotation, self.base, count)
 
     def starving_pair(self, n: int):
         """The sets (union of first n levels, union of first 2n levels).
@@ -99,6 +110,16 @@ class RohlinTower:
         return self.backward_union(n), self.backward_union(2 * n)
 
 
+def _union_of_levels(rotation: Rotation, base: IntervalSet,
+                     count: int) -> IntervalSet:
+    """The base and its first ``count - 1`` backward images as one set: all
+    pieces go to one constructor call, which sorts and merges them once."""
+    return IntervalSet(
+        list(base) + [iv for i in range(1, count)
+                      for iv in rotation.translate_set(base, -i)],
+        domain=base.domain)
+
+
 def _verify_tower(rotation: Rotation, base: IntervalSet, height: int) -> QuadraticReal:
     """Exact disjointness proof; returns the coverage.
 
@@ -106,11 +127,8 @@ def _verify_tower(rotation: Rotation, base: IntervalSet, height: int) -> Quadrat
     sum of their measures (half-open exact intervals cannot overlap on a
     null set).
     """
-    union = base
     total = base.measure() * height  # rotation preserves measure exactly
-    for i in range(1, height):
-        union = union.union(rotation.translate_set(base, -i))
-    coverage = union.measure()
+    coverage = _union_of_levels(rotation, base, height).measure()
     if rotation.scalar(coverage) != rotation.scalar(total):
         raise ValueError("tower levels overlap: construction is invalid")
     return rotation.scalar(coverage)
@@ -160,11 +178,12 @@ def build_tower(rotation: Rotation, height: int, epsilon) -> RohlinTower:
     fast = base_y.intersection(rotation.translate_set(base_y, -q_m1))
     slow = base_y.difference(fast)
     columns = [(fast, q_m1), (slow, q_m1 + q_m)]
-    tiling = IntervalSet.empty()
+    domain = base_y.domain
+    tiling = IntervalSet([iv for col_base, h in columns for j in range(h)
+                          for iv in rotation.translate_set(col_base, j)],
+                         domain=domain)
     tiled_measure = 0
     for col_base, h in columns:
-        for j in range(h):
-            tiling = tiling.union(rotation.translate_set(col_base, j))
         tiled_measure = col_base.measure() * h + tiled_measure
     one = QuadraticReal.rational(1, rotation.d)
     if tiling.measure() != one or rotation.scalar(tiled_measure) != one:
@@ -172,11 +191,10 @@ def build_tower(rotation: Rotation, height: int, epsilon) -> RohlinTower:
 
     # One tower level per block of `height` consecutive column levels; the
     # chosen level is the block's top so the backward images sweep the block.
-    pieces = IntervalSet.empty()
-    for col_base, h in columns:
-        for block in range(h // height):
-            top = (block + 1) * height - 1
-            pieces = pieces.union(rotation.translate_set(col_base, top))
+    pieces = IntervalSet(
+        [iv for col_base, h in columns for block in range(h // height)
+         for iv in rotation.translate_set(col_base, (block + 1) * height - 1)],
+        domain=domain)
     tower = tower_from_base(rotation, pieces, height)
     if tower.coverage < one - epsilon:
         raise PrecisionError("tower coverage fell short of 1 - epsilon")

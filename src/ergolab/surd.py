@@ -187,6 +187,13 @@ class QuadraticReal:
         return QuadraticReal._make(self.A * self.Q, -self.B * self.Q, norm, self.d)
 
     def __truediv__(self, other):
+        if isinstance(other, (int, Fraction)):
+            # (A + B*sqrt(d))/Q divided by num/den, normalised once
+            num, den = other.numerator, other.denominator
+            if num == 0:
+                raise ZeroDivisionError("division by zero")
+            return QuadraticReal._make(self.A * den, self.B * den,
+                                       self.Q * num, self.d)
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented

@@ -106,6 +106,31 @@ class TestBinaryPoint:
         assert p.truncated(4) == Fraction(3, 4)
         assert type(p.truncated(4)) is Fraction
 
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), cap=st.integers(1, 48),
+           kind=st.sampled_from(("overlay", "dyadic")))
+    def test_compare_brackets_every_truncation(self, data, cap, kind):
+        # trunc(w) <= x < trunc(w) + 2**-w for every w up to the cap; the
+        # lower comparison is undecidable within the cap exactly when bits
+        # w+1 .. cap are all zero and the tail is not provably zero
+        if kind == "dyadic":
+            e = data.draw(st.integers(0, cap))
+            x = BinaryPoint.from_dyadic(
+                Fraction(data.draw(st.integers(0, 2 ** e - 1)), 2 ** e), cap)
+        else:
+            x = data.draw(points_with_overlay(cap))
+        for w in range(cap + 1):
+            low = x.truncated(w)
+            assert x.compare(low + Fraction(1, 2 ** w)) < 0
+            tail = x.prefix_int(cap) & ((1 << (cap - w)) - 1)
+            try:
+                below = x.compare(low)
+            except CapExceeded:
+                assert kind != "dyadic" and tail == 0
+                continue
+            assert below >= 0
+            assert (below == 0) == (tail == 0)
+
 
 def packed_bit_by_bit(point, width):
     v = 0
@@ -303,6 +328,29 @@ class TestIntegerCompare:
         else:
             assert (x.A - r - 1) // x.Q <= n <= (x.A - r) // x.Q
         assert x.compare(n) >= 0 and x.compare(n + 1) < 0
+
+
+class TestRationalDivisor:
+    """Division by an int or Fraction scales the triple and normalises once;
+    multiplying by the divisor's inverse is the oracle."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(x=field_elements(), r=st.one_of(
+        st.integers(-60, 60), st.fractions(-20, 20, max_denominator=60),
+    ).filter(lambda r: r != 0))
+    def test_matches_multiplication_by_inverse(self, x, r):
+        got = x / r
+        want = x * QuadraticReal.rational(r, x.d).inverse()
+        assert (got.A, got.B, got.Q, got.d) == (want.A, want.B, want.Q, want.d)
+        assert hash(got) == hash(want)
+        assert got.Q > 0 and math.gcd(got.A, got.B, got.Q) == 1
+
+    def test_zero_divisor_raises(self):
+        for x in (QuadraticReal(1, 1, 2), QuadraticReal(Fraction(3, 4), 0, 5),
+                  QuadraticReal(0, 0, 3)):
+            for zero in (0, Fraction(0)):
+                with pytest.raises(ZeroDivisionError):
+                    x / zero
 
 
 class TestContinuedFractions:

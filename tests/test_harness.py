@@ -224,7 +224,8 @@ class TestProvenLowerBound:
 # SHA-256 of the CSV and plot.dat each configuration writes.  The thm3 and
 # check-partitions runs go through the odometer, interval and dyadic code,
 # the thm1 and thm2 runs through the adversary and the count forecasts, the
-# thm4 run through the surd, the floor locator and the per-cell L1 closed
+# thm4 runs (sqrt 2, golden-mean and sqrt 3 angles) through the surd, the
+# orbit walk, the tower build, the floor locator and the per-cell L1 closed
 # form, so a change there that moves a single byte of output fails here.
 PINNED_OUTPUTS = {
     "thm3": (
@@ -247,6 +248,16 @@ PINNED_OUTPUTS = {
         dict(experiment="thm4", trials=200, seed=40),
         "64180ddbb0dc6ab6945b7fac6283765cd13e7579e54cc4329c4a8c58ad5e3bab",
         "43017f84ba359ff10d560e9b6b3a646b140fd83f943a37b983a12ffa6af410e3"),
+    "thm4-golden": (
+        dict(experiment="thm4", trials=200, seed=40, nlist=(6,),
+             alpha="5,-1/2,1/2"),
+        "a960c1358a34a987b159286ddb16c0fde9719e7501cceb45d719edff3ec5f22e",
+        "16f4a51150f63c8d8c4c94e949e4c49050dc437cb0741e074b065ecc09dc3f77"),
+    "thm4-sqrt3": (
+        dict(experiment="thm4", trials=200, seed=40, nlist=(10,),
+             alpha="3,0,1", q_schedule="sqrt:200"),
+        "b899bbeaf51989bc4490e85217c7e73b4438f1bb429c304b1820fef38251bd30",
+        "35a9c1581e6a07b4f660253c4e497d953dce32d00a8c02eaed8533734a8cdd1a"),
 }
 
 

@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from ergolab.errors import HeightError, NotIrrational
-from ergolab.intervals import algebraic_set
+from ergolab.intervals import IntervalSet, algebraic_set
 from ergolab.partitions import PartitionSchedule, split_grid_partition
-from ergolab.rotation import (CellError, Rotation, build_tower,
+from ergolab.rotation import (CellError, RohlinTower, Rotation, build_tower,
                               default_rotation, integral_abs_error_on_interval,
                               l1_error_exact, tower_from_base)
-from ergolab.surd import QuadraticReal, golden_conjugate
+from ergolab.surd import QuadraticReal, golden_conjugate, sqrt2_minus_1
 
 
 def unit_set():
@@ -78,6 +78,149 @@ class TestRotation:
         x = rotn.scalar(Fraction(1, 3))
         forward = rotn.step(x, 7)
         assert rotn.step(forward, -7) == x
+
+
+# the sqrt 2, golden-mean and sqrt 3 angles
+ANGLES = (sqrt2_minus_1(), golden_conjugate(), QuadraticReal(-1, 1, 3))
+
+
+def triple(x):
+    """The stored representation of an exact scalar."""
+    if isinstance(x, QuadraticReal):
+        return (x.A, x.B, x.Q, x.d)
+    return (x.numerator, x.denominator)
+
+
+def set_key(s):
+    """An interval set's endpoints by stored representation."""
+    return tuple((triple(iv.lo), triple(iv.hi)) for iv in s)
+
+
+@st.composite
+def orbit_starts(draw):
+    angle = draw(st.sampled_from(ANGLES))
+    a = draw(st.fractions(0, 1, max_denominator=64).filter(lambda v: v < 1))
+    if draw(st.booleans()):
+        omega = a
+    else:
+        b = draw(st.fractions(-2, 2, max_denominator=16))
+        omega = QuadraticReal(a, b, angle.d)
+    return Rotation(angle), omega
+
+
+class TestSeries:
+    """series walks one step at a time; the per-index step is the oracle."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(start=orbit_starts(), i_from=st.integers(-80, 80),
+           length=st.integers(-3, 60))
+    def test_walk_matches_per_index_step(self, start, i_from, length):
+        rotation, omega = start
+        i_to = i_from + length - 1
+        expected = [rotation.step(omega, i + 1) for i in range(i_from, i_to + 1)]
+        got = rotation.series(omega, i_from, i_to)
+        assert [triple(x) for x in got] == [triple(x) for x in expected]
+
+    def test_ranges_around_zero(self):
+        for angle in ANGLES:
+            rotation = Rotation(angle)
+            omega = rotation.scalar(Fraction(5, 7))
+            for i_from, i_to in ((-9, -1), (-4, 3), (0, 0), (2, 11)):
+                assert rotation.series(omega, i_from, i_to) == [
+                    rotation.step(omega, i + 1) for i in range(i_from, i_to + 1)]
+            assert rotation.series(omega, 0, -1) == []
+            assert rotation.series(omega, 5, -20) == []
+
+
+# the tower construction with one union per translate, as the oracle for the
+# one-sort build
+
+
+def incremental_union(rotation, base, count):
+    out = base
+    for i in range(1, count):
+        out = out.union(rotation.translate_set(base, -i))
+    return out
+
+
+def incremental_build_tower(rotation, height, epsilon):
+    epsilon = Fraction(epsilon)
+    need = Fraction(2 * height) / epsilon
+    convergents = rotation.convergents(12)
+    m = next(idx for idx in range(1, len(convergents) - 1)
+             if convergents[idx + 1][1] >= need)
+    (p_m, q_m), (_, q_m1) = convergents[m], convergents[m + 1]
+    eta = abs(rotation.alpha * q_m - p_m)
+    base_y = algebraic_set(rotation.d, (0, eta))
+    fast = base_y.intersection(rotation.translate_set(base_y, -q_m1))
+    slow = base_y.difference(fast)
+    columns = [(fast, q_m1), (slow, q_m1 + q_m)]
+    tiling = IntervalSet.empty()
+    for col_base, h in columns:
+        for j in range(h):
+            tiling = tiling.union(rotation.translate_set(col_base, j))
+    assert tiling.measure() == 1
+    pieces = IntervalSet.empty()
+    for col_base, h in columns:
+        for block in range(h // height):
+            top = (block + 1) * height - 1
+            pieces = pieces.union(rotation.translate_set(col_base, top))
+    union = incremental_union(rotation, pieces, height)
+    assert union.measure() == pieces.measure() * height
+    return RohlinTower(rotation, pieces, height, rotation.scalar(union.measure()))
+
+
+@st.composite
+def interval_lists(draw, pool):
+    """Pairs lo <= hi from a small pool of endpoints, so pieces often touch,
+    overlap or have zero length."""
+    out = []
+    for _ in range(draw(st.integers(0, 6))):
+        lo, hi = sorted(draw(st.lists(st.sampled_from(pool), min_size=2,
+                                      max_size=2)))
+        out.append((lo, hi))
+    return out
+
+
+RATIONAL_POOL = [Fraction(k, 12) for k in range(13)]
+QUADRATIC_POOL = sorted(
+    [QuadraticReal.rational(Fraction(k, 6), 2) for k in range(7)]
+    + [(sqrt2_minus_1() * k).mod1() for k in range(1, 9)])
+
+
+class TestOneSortBuild:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), quadratic=st.booleans())
+    def test_one_constructor_call_equals_union(self, data, quadratic):
+        pool = QUADRATIC_POOL if quadratic else RATIONAL_POOL
+        domain = ("quadratic", 2) if quadratic else ("rational",)
+        a = data.draw(interval_lists(pool))
+        b = data.draw(interval_lists(pool))
+        joined = IntervalSet(a + b, domain=domain)
+        unioned = IntervalSet(a, domain=domain).union(IntervalSet(b, domain=domain))
+        assert set_key(joined) == set_key(unioned)
+        assert joined == unioned and joined.domain == unioned.domain
+        # canonical: sorted, disjoint and not touching; and it covers exactly
+        # the points some drawn piece covers
+        ivs = joined.intervals
+        assert all(x.hi < y.lo for x, y in zip(ivs, ivs[1:]))
+        probes = pool + [(x + y) / 2 for x, y in zip(pool, pool[1:])]
+        for p in probes:
+            assert joined.contains(p) == any(lo <= p < hi for lo, hi in a + b)
+
+    @pytest.mark.parametrize("angle,height", [
+        (sqrt2_minus_1(), 32), (golden_conjugate(), 24),
+        (QuadraticReal(-1, 1, 3), 40)])
+    def test_tower_matches_incremental_build(self, angle, height):
+        rotation = Rotation(angle)
+        tower = build_tower(rotation, height, Fraction(1, 2))
+        oracle = incremental_build_tower(rotation, height, Fraction(1, 2))
+        assert set_key(tower.base) == set_key(oracle.base)
+        assert triple(tower.coverage) == triple(oracle.coverage)
+        n = height // 4
+        for count, got in zip((n, 2 * n), tower.starving_pair(n)):
+            assert set_key(got) == set_key(
+                incremental_union(rotation, oracle.base, count))
 
 
 class TestTowerFromBase:
