@@ -39,7 +39,7 @@ from .predictors import evaluate_many
 ANCHOR_MASS = Fraction(1, 4)  # stationary probability of state 0
 THRESHOLD = Fraction(1, 4)  # the predictor's high side: value >= THRESHOLD
 MAX_WALK_STEPS = 1_024  # counted climbs before the walk gives up undecided
-CHUNK_ATOMS = 100_000  # atoms evaluated per batch by exact_split
+CHUNK_ATOMS = 100_000  # most atoms per chunk of the anchored-path stream
 
 
 @dataclass(frozen=True)
@@ -78,13 +78,14 @@ def hitting_paths(level: int, mass_tol, max_atoms: int = 200_000,
     """Anchored paths to the first visit of `level`, heaviest first.
 
     Returns ``(atoms, residual)`` where `residual` is the exact unenumerated
-    conditional mass.  Stops once the residual drops to `mass_tol`; raises
+    conditional mass.  Stops after the first chunk of :func:`_atom_chunks`
+    that brings the residual down to `mass_tol`; raises
     :class:`CapExceeded` if the atom budget runs out first, unless
     `partial_ok` is set.
     """
     atoms, residual = [], Fraction(1)
-    for batch in _atom_layers(level):
-        for atom in batch:
+    for chunk in _atom_chunks(level):
+        for atom in chunk:
             atoms.append(atom)
             residual -= atom.prob
             if len(atoms) >= max_atoms and residual > mass_tol:
@@ -95,22 +96,30 @@ def hitting_paths(level: int, mass_tol, max_atoms: int = 200_000,
                     f"{len(atoms)} atoms")
         if residual <= mass_tol:
             return atoms, residual
-    return atoms, residual  # reached only by the single-layer level 2
+    return atoms, residual  # reached only by the single-atom level 2
 
 
-def _atom_layers(level: int):
-    """Atoms grouped by coin-flip count, i.e. nonincreasing probability."""
+def _atom_chunks(level: int):
+    """The atoms to `level` in layers of equal coin-flip count, i.e. in
+    nonincreasing probability, each layer sliced into chunks of at most
+    CHUNK_ATOMS atoms; no chunk spans two layers."""
     if level < 2:
         raise ValueError("target level must be >= 2")
+    if level == 2:
+        # level 2 is reached deterministically: the single direct path
+        yield [_atom_from_heights((), level)]
+        return
     max_part = level - 2  # failed climbs stop at heights 2 .. level-1
     extra = 0
     while True:
-        if max_part == 0:
-            # level 2 is reached deterministically: the single direct path
-            yield [_atom_from_heights((), level)]
-            return
-        yield [_atom_from_heights(tuple(p + 1 for p in comp), level)
-               for comp in _compositions(extra, max_part)]
+        chunk = []
+        for comp in _compositions(extra, max_part):
+            chunk.append(_atom_from_heights(tuple(p + 1 for p in comp), level))
+            if len(chunk) == CHUNK_ATOMS:
+                yield chunk
+                chunk = []
+        if chunk:
+            yield chunk
         extra += 1
 
 
@@ -139,17 +148,31 @@ class EventSplit:
         """Certified lower bound on the chosen event's probability."""
         return max(self.p_plus, self.p_minus)
 
+    @property
+    def proven_lower_bound(self) -> Fraction:
+        """Exact lower bound on the chosen event's probability.
 
-def _observe_atoms(table, atoms):
-    return [table.observe(atom.states) for atom in atoms]
-
-
-def _atom_chunks(level: int):
-    """The atoms of :func:`_atom_layers` in slices of at most CHUNK_ATOMS,
-    never spanning two layers."""
-    for layer in _atom_layers(level):
-        for start in range(0, len(layer), CHUNK_ATOMS):
-            yield layer[start:start + CHUNK_ATOMS]
+        A margin-certified split (walk or enumeration) proves the chosen side
+        is the heavier one, so by the half-split identity its probability is
+        at least 1/8.  A split that merely reached its mass tolerance proves
+        1/8 - residual/8 (picking the lighter side costs at most half the
+        unseen mass).  Otherwise only the exact partial mass of the chosen
+        side is proven, taken over the split and the exact attempts behind
+        it; a Monte Carlo estimate itself proves nothing.
+        """
+        chain = [self]  # Monte Carlo -> enumeration -> walk, as far as tried
+        for key in ("exact_attempt", "walk_attempt"):
+            if key in chain[-1].detail:
+                chain.append(chain[-1].detail[key])
+        side = max((Fraction(s.p_minus if self.minus_wins else s.p_plus)
+                    for s in chain if not s.method.startswith("mc")),
+                   default=Fraction(0))
+        if self.method.startswith("mc"):
+            return side
+        if self.detail.get("margin_certified"):
+            return max(Fraction(1, 8), side)
+        residual = Fraction(self.detail.get("residual", 1))
+        return max(side, Fraction(1, 8) - residual / 8)
 
 
 def exact_split(predictor, table, level: int, mass_tol,
@@ -166,7 +189,8 @@ def exact_split(predictor, table, level: int, mass_tol,
     n_atoms = 0
     exhausted = False
     for batch in _atom_chunks(level):
-        values = evaluate_many(predictor, _observe_atoms(table, batch))
+        values = evaluate_many(predictor,
+                               [table.observe(atom.states) for atom in batch])
         for atom, value in zip(batch, values):
             if value >= THRESHOLD:
                 s_plus += atom.prob
@@ -315,10 +339,9 @@ class AttackMethod:
     def parse(cls, text: str) -> "AttackMethod":
         kind, _, arg = text.partition(":")
         if kind == "exact":
-            return cls(kind="exact",
-                       mass_tol=Fraction(arg) if arg else Fraction(1, 10_000))
+            return cls(kind, mass_tol=Fraction(arg)) if arg else cls(kind)
         if kind == "mc":
-            return cls(kind="mc", trials=int(arg) if arg else 20_000)
+            return cls(kind, trials=int(arg)) if arg else cls(kind)
         raise ValueError(f"unknown attack method {text!r}")
 
 
@@ -349,47 +372,52 @@ def _split_for(predictor, table, level, method: AttackMethod, rng) -> EventSplit
     return split
 
 
+def _confound(predictor, table, checkpoints, with_bit, method, seed):
+    """Choose one label bit per ``(checkpoint, level)`` pair, in order.
+
+    At each checkpoint: split the anchor event at the first visit of
+    `level` by the predictor's side under the labels chosen so far, then set
+    the bit with ``with_bit(table, checkpoint, bit)``, where the bit is 1
+    exactly when the predictor's low side is at least as likely (the >=
+    rule).  Returns the finished table and one report entry per checkpoint.
+    """
+    method = method or AttackMethod()
+    rng = random.Random(seed)
+    report = []
+    for checkpoint, level in checkpoints:
+        split = _split_for(predictor, table, level, method, rng)
+        bit = 1 if split.minus_wins else 0
+        table = with_bit(table, checkpoint, bit)
+        report.append({"checkpoint": checkpoint, "level": level, "bit": bit,
+                       "split": split})
+    return table, report
+
+
 def confound_binary(predictor, k_max: int, method: AttackMethod | None = None,
                     seed=0):
     """Choose the odd labels so the predictor misses by 1/4 at every level.
 
-    For k = 1..k_max in order: split the anchor event at the first visit of
-    level 2k by the predictor's side, then set the odd label above the level
-    to 1 exactly when the light side is the predictor's high side (ties favor
-    the low side).  Returns the finished table and per-level diagnostics.
+    Checkpoint k = 1..k_max is the first visit of level 2k; the odd label
+    above it is 1 exactly when the light side is the predictor's high side
+    (ties favor the low side).  Returns the finished table and per-level
+    diagnostics.
     """
-    method = method or AttackMethod()
-    rng = random.Random(seed)
-    table = OddLabelTable()
-    report = []
-    for k in range(1, k_max + 1):
-        split = _split_for(predictor, table, 2 * k, method, rng)
-        bit = 1 if split.minus_wins else 0
-        table = table.with_odd(k, bit)
-        report.append({"checkpoint": k, "level": 2 * k, "bit": bit,
-                       "split": split})
-    return table, report
+    return _confound(predictor, OddLabelTable(),
+                     [(k, 2 * k) for k in range(1, k_max + 1)],
+                     OddLabelTable.with_odd, method, seed)
 
 
 def confound_injective(predictor, s_max: int,
                        method: AttackMethod | None = None, seed=0):
     """Choose the shift bits of the injective labeling, one state at a time.
 
-    For s = 2..s_max: split the anchor event at the first visit of state s;
-    the bit above s is 1 exactly when the predictor's low side is at least
-    as likely (the >= rule), creating a gap of at least 1/8 there.
+    Checkpoint s = 2..s_max is the first visit of state s; the bit above s
+    follows the >= rule, creating a gap of at least 1/8 there.
     """
-    method = method or AttackMethod()
-    rng = random.Random(seed)
-    table = ShiftLabelTable()
-    report = []
-    for s in range(2, s_max + 1):
-        split = _split_for(predictor, table, s, method, rng)
-        bit = 1 if split.minus_wins else 0
-        table = table.with_bit(s + 1, bit)
-        report.append({"checkpoint": s, "level": s, "bit": bit,
-                       "split": split})
-    return table, report
+    return _confound(predictor, ShiftLabelTable(),
+                     [(s, s) for s in range(2, s_max + 1)],
+                     lambda table, s, bit: table.with_bit(s + 1, bit),
+                     method, seed)
 
 
 # -- freezing an attack to disk

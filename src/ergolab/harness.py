@@ -285,32 +285,6 @@ def _half_width(p_hat: float, trials: int) -> float:
     return 3 * math.sqrt(p_hat * (1 - p_hat) / trials)
 
 
-def _proven_lower_bound(split) -> Fraction:
-    """Exact lower bound on the chosen event's probability.
-
-    A margin-certified split (walk or enumeration) proves the chosen side
-    is the heavier one, so by the half-split identity its probability is at
-    least 1/8.  A split that merely reached its mass tolerance proves
-    1/8 - residual/8 (picking the lighter side costs at most half the
-    unseen mass).  Otherwise only the exact partial mass of the chosen side
-    is proven, taken over the split and the exact attempts behind it; a
-    Monte Carlo estimate itself proves nothing.
-    """
-    chain = [split]  # Monte Carlo -> enumeration -> walk, as far as tried
-    for key in ("exact_attempt", "walk_attempt"):
-        if key in chain[-1].detail:
-            chain.append(chain[-1].detail[key])
-    side = max((Fraction(s.p_minus if split.minus_wins else s.p_plus)
-                for s in chain if not s.method.startswith("mc")),
-               default=Fraction(0))
-    if split.method.startswith("mc"):
-        return side
-    if split.detail.get("margin_certified"):
-        return max(Fraction(1, 8), side)
-    residual = Fraction(split.detail.get("residual", 1))
-    return max(side, Fraction(1, 8) - residual / 8)
-
-
 # -- thm1 / thm2: the confounding attacks
 
 
@@ -322,13 +296,13 @@ def run_attack(config: ExperimentConfig) -> Report:
     if config.experiment == "thm1":
         table, build_report = adversary.confound_binary(
             predictor, config.kmax, method, seed=derived_seed(config.seed, 0))
-        checkpoints = [(k, 2 * k) for k in range(1, config.kmax + 1)]
         gap = Fraction(1, 4)
     else:
         table, build_report = adversary.confound_injective(
             predictor, config.smax, method, seed=derived_seed(config.seed, 0))
-        checkpoints = [(s, s) for s in range(2, config.smax + 1)]
         gap = Fraction(1, 8)
+    checkpoints = [(entry["checkpoint"], entry["level"])
+                   for entry in build_report]
     top_level = checkpoints[-1][1]
     truths = [markov.HALF * table.label(level + 1) for _, level in checkpoints]
 
@@ -369,7 +343,7 @@ def run_attack(config: ExperimentConfig) -> Report:
             "p_minus": float(split.p_minus),
             "uncertainty": float(split.uncertainty),
             "chosen_lower_bound": float(split.chosen_lower_bound),
-            "proven_lower_bound": float(_proven_lower_bound(split)),
+            "proven_lower_bound": float(split.proven_lower_bound),
         })
     if config.experiment == "thm1":
         chosen = {"odd": table.odd_bits}
@@ -490,7 +464,7 @@ def run_rotation_l1(config: ExperimentConfig) -> Report:
     rng = random.Random(derived_seed(config.seed, 0))
     for trial in range(config.trials):
         omega = rotation.scalar(Fraction(rng.getrandbits(64), 1 << 64))
-        past = rotation.series(omega, -n, -1)
+        *past, x_next = rotation.series(omega, -n, 0)
         pairs = predictors.autoregression_pairs(past)
         counts = predictors.CellCounts.from_pairs(pairs, partition)
         in_b = b_set.contains(omega)
@@ -499,20 +473,20 @@ def run_rotation_l1(config: ExperimentConfig) -> Report:
             if not all(c_set.contains(z) for z, _ in pairs):
                 raise InvariantViolation(
                     f"trial {trial}: recent data must sit inside the cover set")
-            if any(counts.counts.get((j, False), 0)
+            if any((j, False) in counts.cells
                    for j in range(1, schedule.q(n) + 1)):
                 raise InvariantViolation(
                     f"trial {trial}: outside-cells must be exactly empty on "
                     f"the starving event")
         l1 = all_zero
-        for label in counts.counts:
+        for label in counts.cells:
             constant = rotation.scalar(counts.estimate(label))
             l1 = l1 + cell_errors[label].excess(constant)
         l1_exceeds = l1.compare(sixteenth) >= 0
         if l1_exceeds:
             l1_hits += 1
         est_f = float(counts.estimate_at(omega))
-        truth = float(rotation.regression(omega))
+        truth = float(x_next)
         rows.append((n, trial, in_b, est_f, truth,
                      abs(est_f - truth), float(l1)))
 
@@ -613,11 +587,10 @@ def run_check_partitions(config: ExperimentConfig) -> Report:
     schedule = config.schedule(require_regular=False)
     parts = [(n, odometer.starving_partition(n, schedule))
              for n in config.nlist]
-    windows = [IntervalSet.unit()]
-    report = regularity_report(schedule, parts, windows)
-    rows = [(r["n"], r["window"], float(r["max_diameter"]),
-             float(r["cells_over_n"])) for r in report["rows"]]
-    verdict = report["verdicts"][0]
+    report = regularity_report(parts)
+    rows = [(r["n"], 0, float(r["max_diameter"]), float(r["cells_over_n"]))
+            for r in report["rows"]]
+    verdict = report["verdicts"]
     both = verdict["diameters_shrink"] and verdict["cell_ratio_decays"]
     return Report(
         schema="partitions",

@@ -206,46 +206,33 @@ def _bracket_locator(q: int, bounds, split_set: IntervalSet, fallback):
     return locate_point
 
 
-def regularity_report(schedule: PartitionSchedule, partitions, windows=None):
+def regularity_report(partitions):
     """Trend check for a partition family over its index list.
 
-    For each ``n`` and window ``S`` reports the largest diameter among cells
-    meeting ``S`` and the cell count meeting ``S`` divided by ``n``.  Verdicts
+    For each ``(n, partition)`` reports the largest diameter among the
+    non-empty cells and the non-empty cell count divided by ``n``.  Verdicts
     state whether, on the tested range, diameters shrink and the relative
     cell count decays; a finite list can only ever be consistent with the
     limit conditions, never prove them.
     """
-    if windows is None:
-        windows = [IntervalSet.unit()]
     rows = []
     for n, part in partitions:
-        for w_idx, window in enumerate(windows):
-            diam = 0
-            count = 0
-            for _, cell in part:
-                if cell.is_empty():
-                    continue
-                if not cell.intersection(window).is_empty():
-                    count += 1
-                    d = cell.diameter()
-                    if _cmp(d, diam) > 0:
-                        diam = d
-            rows.append({
-                "n": n,
-                "window": w_idx,
-                "max_diameter": diam,
-                "cells_over_n": Fraction(count, n),
-            })
-    verdicts = {}
-    for w_idx in range(len(windows)):
-        series = [r for r in rows if r["window"] == w_idx]
-        diams = [r["max_diameter"] for r in series]
-        ratios = [r["cells_over_n"] for r in series]
-        shrink = all(_cmp(b, a) <= 0 for a, b in zip(diams, diams[1:])) \
-            and len(diams) > 1 and _cmp(diams[-1], diams[0]) < 0
-        decay = len(ratios) > 1 and ratios[-1] < ratios[0]
-        verdicts[w_idx] = {
-            "diameters_shrink": bool(shrink),
-            "cell_ratio_decays": bool(decay),
-        }
-    return {"rows": rows, "verdicts": verdicts}
+        diam = 0
+        count = 0
+        for _, cell in part:
+            if cell.is_empty():
+                continue
+            count += 1
+            d = cell.diameter()
+            if _cmp(d, diam) > 0:
+                diam = d
+        rows.append({"n": n, "max_diameter": diam,
+                     "cells_over_n": Fraction(count, n)})
+    diams = [r["max_diameter"] for r in rows]
+    ratios = [r["cells_over_n"] for r in rows]
+    shrink = all(_cmp(b, a) <= 0 for a, b in zip(diams, diams[1:])) \
+        and len(diams) > 1 and _cmp(diams[-1], diams[0]) < 0
+    decay = len(ratios) > 1 and ratios[-1] < ratios[0]
+    return {"rows": rows,
+            "verdicts": {"diameters_shrink": bool(shrink),
+                         "cell_ratio_decays": bool(decay)}}

@@ -158,40 +158,40 @@ def make_predictor(name: str):
 # -- the partitioning estimate
 
 
-class CellCounts:
-    """Per-cell response totals and hit counts over a partition.
+def _cell_mean(responses, response_bits: int):
+    """Exact mean of one cell's responses; an exact 0 for an empty cell.
 
-    Sums stay exact for exact responses (int / Fraction / field elements);
-    lazy binary points are reduced to exact dyadic values first.
+    Binary points are summed as their first `response_bits` bits in one
+    integer and divided once.  Any other responses are summed from the first
+    one, so a field element is never added to a plain 0.
     """
+    if not responses:
+        return 0
+    if isinstance(responses[0], BinaryPoint):
+        total = sum(y.prefix_int(response_bits) for y in responses)
+        return Fraction(total, len(responses) << response_bits)
+    return _ratio(sum(responses[1:], responses[0]), len(responses))
+
+
+class CellCounts:
+    """The responses per partition cell, ``cells: label -> responses``,
+    and their exact cell means (:func:`_cell_mean`)."""
 
     def __init__(self, partition: Partition, response_bits: int = 64):
         self.partition = partition
         self.response_bits = response_bits
-        self.totals = {}
-        self.counts = {}
+        self.cells = {}
 
     @classmethod
     def from_pairs(cls, pairs, partition: Partition, response_bits: int = 64):
         cc = cls(partition, response_bits)
         for z, y in pairs:
-            cc.add(z, y)
+            cc.cells.setdefault(partition.locate(z), []).append(y)
         return cc
-
-    def add(self, z, y):
-        label = self.partition.locate(z)
-        if isinstance(y, BinaryPoint):
-            y = y.truncated(self.response_bits)
-        self.counts[label] = self.counts.get(label, 0) + 1
-        prev = self.totals.get(label)
-        self.totals[label] = y if prev is None else prev + y
 
     def estimate(self, label):
         """Cell average; exactly 0 on empty cells."""
-        count = self.counts.get(label, 0)
-        if count == 0:
-            return 0
-        return self.totals[label] / count
+        return _cell_mean(self.cells.get(label), self.response_bits)
 
     def estimate_at(self, z):
         return self.estimate(self.partition.locate(z))
@@ -217,28 +217,16 @@ def partitioning_autoregression(series, partition: Partition, x,
     """One-step forecaster: the partitioning estimate on lagged pairs.
 
     `series` is ``X_{-n} .. X_{-1}``; querying at ``x = X_{-1}`` gives the
-    static forecast of the next value.  Only responses landing in the query
-    cell are accumulated, so an empty cell yields an exact integer zero.
-    Binary responses are summed as their first `response_bits` bits in one
-    integer and divided once.
+    static forecast of the next value: the exact mean (:func:`_cell_mean`)
+    of the responses whose predictor shares the query cell, so an empty cell
+    yields an exact integer zero.
     """
     series = list(series)
     if len(series) < 2:
         raise ValueError("need at least two observations")
     label = partition.locate(x)
-    total = 0   # binary responses, as integers over 2**response_bits
-    num = 0     # any other responses
-    den = 0
-    for z, y in autoregression_pairs(series):
-        if partition.locate(z) == label:
-            if isinstance(y, BinaryPoint):
-                total += y.prefix_int(response_bits)
-            else:
-                num = y + num
-            den += 1
-    if total:
-        num = Fraction(total, 1 << response_bits) + num
-    return _ratio(num, den)
+    return _cell_mean([y for z, y in autoregression_pairs(series)
+                       if partition.locate(z) == label], response_bits)
 
 
 # -- linear autoregression (least squares through the origin)

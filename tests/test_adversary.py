@@ -1,5 +1,6 @@
 """Adversarial label construction: enumeration, splits, decision rules."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -60,6 +61,25 @@ class TestHittingPaths:
         for atom in atoms:
             flips = sum(1 for s in atom.states if s >= 2) - 1
             assert atom.prob == Fraction(1, 2 ** flips)
+
+    def test_chunks_slice_layers_without_spanning_them(self, monkeypatch):
+        # level 6 layers hold 1, 1, 2, 4, 8 atoms of probability 2**-(4+e)
+        tol = 1 - sum(Fraction(c, 2 ** (4 + e))
+                      for e, c in enumerate((1, 1, 2, 4, 3)))
+        layers = list(itertools.islice(adversary._atom_chunks(6), 5))
+        whole, r_whole = hitting_paths(6, tol)
+        monkeypatch.setattr(adversary, "CHUNK_ATOMS", 3)
+        chunks = list(itertools.islice(adversary._atom_chunks(6), 8))
+        assert [len(c) for c in chunks] == [1, 1, 2, 3, 1, 3, 3, 2]
+        assert all(len({a.prob for a in c}) == 1 for c in chunks)
+        assert [a for c in chunks for a in c] \
+            == [a for layer in layers for a in layer]
+        # the tolerance is met after the first chunk of the fifth layer,
+        # which a whole-layer check sees only at the layer's end
+        chunked, r_chunked = hitting_paths(6, tol)
+        assert (len(chunked), r_chunked) == (11, tol)
+        assert (len(whole), r_whole) == (16, tol - Fraction(5, 256))
+        assert chunked == whole[:11]
 
 
 class TestEventSplits:
@@ -207,6 +227,35 @@ class TestExcursionWalk:
             assert split.uncertainty == 3 * (p * (1 - p) / 72) ** 0.5 * 0.25
             assert abs(float(split.p_plus) - float(split.p_minus)) \
                 < 2 * split.uncertainty
+
+
+def _split(p_plus, p_minus, method, **detail):
+    return EventSplit(Fraction(p_plus), Fraction(p_minus), Fraction(0),
+                      False, method, detail)
+
+
+@pytest.mark.parametrize("split, bound", [
+    # margin-certified: the chosen side is the heavier half, so at least 1/8
+    (_split("1/64", "3/32", "walk:0.0001", residual=Fraction(1, 4),
+            margin_certified=True), Fraction(1, 8)),
+    # tolerance only: picking the lighter side costs at most residual/8
+    (_split("1/16", "1/20", "exact:0.0001", residual=Fraction(1, 10_000),
+            margin_certified=False), Fraction(1, 8) - Fraction(1, 80_000)),
+    # Monte Carlo over exact attempts: the best exact partial mass of the
+    # chosen (here high) side, over the enumeration and the walk behind it
+    (_split("1/5", "1/20", "mc:100", trials=100, plus=80,
+            exact_attempt=_split(
+                "3/32", "1/32", "exact:0.0001", residual=Fraction(1, 2),
+                margin_certified=False,
+                walk_attempt=_split("1/10", "1/5", "walk:0.0001",
+                                    residual=Fraction(3, 5),
+                                    margin_certified=False))),
+     Fraction(1, 10)),
+    # Monte Carlo alone proves nothing
+    (_split("1/5", "1/20", "mc:100", trials=100, plus=80), Fraction(0)),
+])
+def test_proven_lower_bound_branches(split, bound):
+    assert split.proven_lower_bound == bound
 
 
 class TestConfoundBinary:

@@ -217,7 +217,7 @@ class TestProvenLowerBound:
         walk = exact.detail["walk_attempt"]
         assert not exact.certified and not walk.certified
         side = "p_minus" if split.minus_wins else "p_plus"
-        assert harness._proven_lower_bound(split) \
+        assert split.proven_lower_bound \
             == max(getattr(exact, side), getattr(walk, side))
 
 

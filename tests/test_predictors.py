@@ -14,8 +14,9 @@ from ergolab.dyadic import BinaryPoint
 from ergolab.errors import CoverageError, SingularFit
 from ergolab.intervals import rational_set
 from ergolab.partitions import Partition, PartitionSchedule, regularity_report
-from ergolab.predictors import (CountPredictor, dynamic_count, fit_linear_ar,
-                                make_predictor, partitioning_autoregression,
+from ergolab.predictors import (CellCounts, CountPredictor, dynamic_count,
+                                fit_linear_ar, make_predictor,
+                                partitioning_autoregression,
                                 partitioning_estimate, static_count)
 
 
@@ -111,6 +112,8 @@ class TestPartitioningEstimate:
         pairs = [(0.1, 1), (0.15, 2), (0.7, 5)]
         part = two_cell_partition()
         assert partitioning_estimate(pairs, part, 0.2) == 1.5
+        # integer responses give an exact mean, not a float
+        assert type(partitioning_estimate(pairs, part, 0.2)) is Fraction
         assert partitioning_estimate(pairs, part, 0.6) == 5
         empty = [(0.7, 5)]
         assert partitioning_estimate(empty, part, 0.2) == 0
@@ -167,6 +170,9 @@ class TestPartitioningEstimate:
         want = num / den if den else 0
         got = partitioning_autoregression(series, part, x, response_bits)
         assert got == want and type(got) is type(want)
+        pairs = predictors.autoregression_pairs(series)
+        cell = CellCounts.from_pairs(pairs, part, response_bits).estimate(label)
+        assert cell == want and type(cell) is type(want)
 
 
 class TestConsistencyOnTwoStateChain:
@@ -253,11 +259,11 @@ class TestScheduleAndRegularity:
         ns = [4, 16, 64, 256]
         good = PartitionSchedule.sqrt(ns=ns)
         parts = [(n, starving_partition(n, good)) for n in ns]
-        report = regularity_report(good, parts)
-        assert report["verdicts"][0]["diameters_shrink"]
-        assert report["verdicts"][0]["cell_ratio_decays"]
+        report = regularity_report(parts)
+        assert report["verdicts"]["diameters_shrink"]
+        assert report["verdicts"]["cell_ratio_decays"]
 
         flat = PartitionSchedule.constant(4)
         parts = [(n, starving_partition(n, flat)) for n in ns]
-        report = regularity_report(flat, parts)
-        assert not report["verdicts"][0]["diameters_shrink"]
+        report = regularity_report(parts)
+        assert not report["verdicts"]["diameters_shrink"]
