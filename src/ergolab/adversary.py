@@ -425,17 +425,13 @@ def confound_injective(predictor, s_max: int,
 
 def save_labels(table, path, predictor_name: str, method: str):
     """Text format: a header naming the target, one line per chosen label."""
-    lines = [f"# predictor: {predictor_name}", f"# method: {method}"]
-    if isinstance(table, OddLabelTable):
-        for k in sorted(table.odd_bits):
-            lines.append(f"odd {2 * k + 1} {table.odd_bits[k]}")
-    elif isinstance(table, ShiftLabelTable):
-        for s in sorted(table.shift_bits):
-            if s <= 2:
-                continue  # the first two bits are fixed, not chosen
-            lines.append(f"L {s} {table.shift_bits[s]}")
-    else:
+    if not isinstance(table, (OddLabelTable, ShiftLabelTable)):
         raise TypeError(f"cannot serialize {type(table).__name__}")
+    lines = [f"# predictor: {predictor_name}", f"# method: {method}"]
+    for kind, bits in table.chosen_bits.items():
+        for key in sorted(bits):
+            state = 2 * key + 1 if kind == "odd" else key
+            lines.append(f"{kind} {state} {bits[key]}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -296,11 +296,10 @@ def run_attack(config: ExperimentConfig) -> Report:
     if config.experiment == "thm1":
         table, build_report = adversary.confound_binary(
             predictor, config.kmax, method, seed=derived_seed(config.seed, 0))
-        gap = Fraction(1, 4)
     else:
         table, build_report = adversary.confound_injective(
             predictor, config.smax, method, seed=derived_seed(config.seed, 0))
-        gap = Fraction(1, 8)
+    gap = table.gap
     checkpoints = [(entry["checkpoint"], entry["level"])
                    for entry in build_report]
     top_level = checkpoints[-1][1]
@@ -345,17 +344,13 @@ def run_attack(config: ExperimentConfig) -> Report:
             "chosen_lower_bound": float(split.chosen_lower_bound),
             "proven_lower_bound": float(split.proven_lower_bound),
         })
-    if config.experiment == "thm1":
-        chosen = {"odd": table.odd_bits}
-    else:
-        chosen = {"L": {s: b for s, b in table.shift_bits.items() if s > 2}}
     return Report(
         schema="attack",
         columns=("checkpoint", "trials", "exceed_count", "p_hat",
                  "half_width", "conditional"),
         rows=rows,
         summary={"labels": label_summary,
-                 "table": chosen,
+                 "table": table.chosen_bits,
                  "min_conditional_exceedance": min_p,
                  "gap_threshold": float(gap)},
         plot=plot,
@@ -380,18 +375,19 @@ def run_starvation(config: ExperimentConfig) -> Report:
     for trial in range(config.trials):
         try:
             omega = BinaryPoint.seeded(derived_seed(config.seed, trial))
-            past = [omega]
+            # X_{-max_n} .. X_{-1}, oldest first; X_{-1} is omega
+            series = [omega]
             for _ in range(max_n - 1):
-                past.append(odometer.step_back(past[-1]))
+                series.append(odometer.step_back(series[-1]))
+            series.reverse()
             x_next = odometer.step(omega)
             truth_high = x_next.bit(1) == 1
             truth = float(x_next)
             event_somewhere = False
             in_b_somewhere = False
             for n in ns:
-                series = list(reversed(past[:n]))
                 est = predictors.partitioning_autoregression(
-                    series, parts[n], omega)
+                    series[-n:], parts[n], omega)
                 est_zero = est == 0
                 in_b = odometer.in_starving_set(omega, n)
                 if in_b:
@@ -414,10 +410,8 @@ def run_starvation(config: ExperimentConfig) -> Report:
         except (CapExceeded, ExceptionalPoint) as exc:
             raise type(exc)(f"trial {trial}: {exc}") from exc
 
-    union = IntervalSet.empty()
-    for n in ns:
-        union = union.union(odometer.starving_set(n))
-    union_measure = union.measure()
+    union_measure = IntervalSet(
+        iv for n in ns for iv in odometer.starving_set(n)).measure()
     sweep_freq = sweep_hits / config.trials
     return Report(
         schema="static",

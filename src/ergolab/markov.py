@@ -106,9 +106,16 @@ class OddLabelTable:
         new[k] = int(bit) & 1
         return OddLabelTable(new)
 
+    gap = Fraction(1, 4)  # the forecast miss each chosen label forces
+
     @property
     def odd_bits(self) -> dict:
         return dict(self._odd)
+
+    @property
+    def chosen_bits(self) -> dict:
+        """The adversary's choices, ``{"odd": {k: label of state 2k+1}}``."""
+        return {"odd": self.odd_bits}
 
     def defined_for(self, state: int) -> bool:
         if state % 2 == 0 or state == 1:
@@ -163,9 +170,17 @@ class ShiftLabelTable:
         new[s] = int(bit) & 1
         return ShiftLabelTable(new)
 
+    gap = Fraction(1, 8)  # the forecast miss each chosen bit forces
+
     @property
     def shift_bits(self) -> dict:
         return dict(self._bits)
+
+    @property
+    def chosen_bits(self) -> dict:
+        """The adversary's choices, ``{"L": {s: L_s}}`` for ``s > 2``; the
+        first two bits are fixed, not chosen."""
+        return {"L": {s: b for s, b in self._bits.items() if s > 2}}
 
     def defined_for(self, state: int) -> bool:
         return state == 0 or state in self._bits

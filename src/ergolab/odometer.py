@@ -135,12 +135,8 @@ def starving_union(k: int) -> IntervalSet:
     """Union of the starving sets of one generation: bit 1 and bit k zero."""
     if k < 2:
         raise IndexError("generations are indexed from 2")
-    members = [starving_set(n)
-               for n in range((1 << (k - 2)) + 1, (1 << (k - 1)) + 1)]
-    out = members[0]
-    for m in members[1:]:
-        out = out.union(m)
-    return out
+    ns = range((1 << (k - 2)) + 1, (1 << (k - 1)) + 1)
+    return _interval_set(*(iv for n in ns for iv in starving_set(n)))
 
 
 def aligned_indices(s: IntervalSet, level: int):

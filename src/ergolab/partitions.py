@@ -10,12 +10,17 @@ regression-consistency conditions ask of a partition sequence.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from fractions import Fraction
 
 from .dyadic import BinaryPoint, dyadic_exponent
 from .errors import CapExceeded, CoverageError
 from .intervals import IntervalSet, _cmp
 from .surd import QuadraticReal, floor_raw
+
+# the prefix locator's first bracket width: its breakpoint table's, and
+# where its widening loop starts
+WIDTH = 16
 
 
 class PartitionSchedule:
@@ -151,21 +156,37 @@ def _bracket_locator(q: int, bounds, split_set: IntervalSet, fallback):
     With ``p = x.prefix_int(w)`` the point lies in the bracket
     ``[p, p + 1) / 2**w`` of the lexicographic order that
     :meth:`BinaryPoint.compare` uses (an all-ones tail stays below the next
-    dyadic).  The grid cell is decided once no bound ``j/q`` falls strictly
-    inside the bracket, membership once no endpoint of `split_set` does; both
-    are integer cross-multiplications.  Otherwise ``w`` doubles from 16 up
-    to the point's cap, where an undecided bracket raises
+    dyadic).  A breakpoint table at the first width ``w = WIDTH`` decides
+    most points: it keys ``floor(e * 2**WIDTH)`` for every grid bound and
+    split-set endpoint ``e`` below 1 (bound 0 among them), and next to each
+    key stores the label of the brackets strictly between it and the next
+    key, read through `fallback` at a bracket midpoint.  A point whose
+    prefix ``p`` is no key has no bound or endpoint in its bracket, so the
+    stored label is its label: one prefix read and one bisection.
+
+    A point in a key's bracket, or with a cap below ``WIDTH``, takes the
+    widening loop.  The grid cell is decided once no bound ``j/q`` falls
+    strictly inside the bracket, membership once no endpoint of
+    `split_set` does; both are integer cross-multiplications.  Otherwise
+    ``w`` doubles up to the point's cap, where an undecided bracket raises
     :class:`CapExceeded`, as the comparison does.  When the bracket's lower
     end is itself a bound or an endpoint, the point is at or above it; the
     one comparison against it then raises :class:`CapExceeded` exactly when
     the comparison-based route would.  Other inputs go to `fallback`.
     """
+    breaks = bounds + [end for iv in split_set for end in (iv.lo, iv.hi)]
+    top = 1 << WIDTH
+    keys = sorted({e.numerator * top // e.denominator
+                   for e in breaks if e < 1})
+    labels = [fallback(Fraction(2 * k + 3, 2 * top)) if k + 1 < after else None
+              for k, after in zip(keys, keys[1:] + [top])]
+
     ends = [(iv.lo.numerator, iv.lo.denominator, iv.hi.numerator, iv.hi.denominator)
             for iv in split_set]
     # dyadic bounds and endpoints as (numerator, exponent) in lowest terms;
     # a non-dyadic one is never the lower end of a bracket
     edges = set()
-    for e in bounds + [end for iv in split_set for end in (iv.lo, iv.hi)]:
+    for e in breaks:
         try:
             edges.add((e.numerator, dyadic_exponent(e)))
         except ValueError:
@@ -188,7 +209,12 @@ def _bracket_locator(q: int, bounds, split_set: IntervalSet, fallback):
         if not isinstance(x, BinaryPoint):
             return fallback(x)
         cap = x.cap
-        w = min(16, cap)
+        if cap >= WIDTH:
+            p = x.prefix_int(WIDTH)
+            i = bisect_right(keys, p) - 1
+            if keys[i] != p:
+                return labels[i]
+        w = min(WIDTH, cap)
         while True:
             p = x.prefix_int(w)
             j = (q * p) >> w

@@ -224,9 +224,10 @@ def partitioning_autoregression(series, partition: Partition, x,
     series = list(series)
     if len(series) < 2:
         raise ValueError("need at least two observations")
-    label = partition.locate(x)
-    return _cell_mean([y for z, y in autoregression_pairs(series)
-                       if partition.locate(z) == label], response_bits)
+    locate = partition.locate
+    label = locate(x)
+    return _cell_mean([y for z, y in zip(series, series[1:])
+                       if locate(z) == label], response_bits)
 
 
 # -- linear autoregression (least squares through the origin)

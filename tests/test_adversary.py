@@ -376,3 +376,13 @@ class TestSerialization:
         assert lines[1] == "# method: m"
         assert lines[2] == "odd 3 1"
         assert lines[3] == "odd 5 0"
+
+    def test_format_lines_injective(self, tmp_path):
+        table = markov.ShiftLabelTable({4: 0, 3: 1})
+        path = tmp_path / "labels.txt"
+        save_labels(table, path, "p", "m")
+        assert path.read_text().splitlines()[2:] == ["L 3 1", "L 4 0"]
+
+    def test_unknown_table_is_refused(self, tmp_path):
+        with pytest.raises(TypeError):
+            save_labels(object(), tmp_path / "labels.txt", "p", "m")

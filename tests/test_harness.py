@@ -232,6 +232,11 @@ PINNED_OUTPUTS = {
         dict(experiment="thm3", trials=10, seed=3, nlist=(3, 4, 5, 6, 7, 8, 9)),
         "c2a7b108954d9170c631b8f90b9741eeb1bedb4c6106ffaa470d140d49d016aa",
         "c4ae2fbd2f6dd354163e4855be4e7e40117877b74fe49ee746153b1e318bd385"),
+    "thm3-sqrt4": (
+        dict(experiment="thm3", trials=100, seed=7, nlist=tuple(range(3, 65)),
+             q_schedule="sqrt:4"),
+        "21192bf4318b65eeb98b24b469ebfd46debe427240685b1b5c9c49c05a20167c",
+        "9a007911077f36a644907cffe356b43b0e334ab4a301b3ddc4caef12fcb45854"),
     "check-partitions": (
         dict(experiment="check-partitions"),
         "801ecce071ef26e6191c7134b571fba5c8e004bcc566aa8a4a1faa87d3bd8aa0",

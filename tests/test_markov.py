@@ -87,6 +87,16 @@ class TestLabelings:
         with pytest.raises(InvalidLabel):
             table.decode(Fraction(1, 64))  # state 6 not chosen yet
 
+    def test_tables_declare_gap_and_chosen_bits(self):
+        odd = markov.OddLabelTable({2: 0, 1: 1})
+        assert odd.gap == Fraction(1, 4)
+        assert odd.chosen_bits == {"odd": {2: 0, 1: 1}}
+        shift = markov.ShiftLabelTable({4: 0, 3: 1})
+        assert shift.gap == Fraction(1, 8)
+        # L_1 = L_2 = 0 are fixed, not chosen
+        assert shift.chosen_bits == {"L": {4: 0, 3: 1}}
+        assert markov.ShiftLabelTable().chosen_bits == {"L": {}}
+
     def test_shift_labels_injective_on_paths(self):
         table = markov.ShiftLabelTable({s: (s * 7) % 2 for s in range(3, 30)})
         rng = random.Random(4)

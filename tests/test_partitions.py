@@ -12,7 +12,7 @@ from ergolab import odometer
 from ergolab.dyadic import BinaryPoint
 from ergolab.errors import CapExceeded, CoverageError
 from ergolab.intervals import _cmp, rational_set
-from ergolab.partitions import PartitionSchedule, split_grid_partition
+from ergolab.partitions import WIDTH, PartitionSchedule, split_grid_partition
 from ergolab.rotation import Rotation, build_tower, default_rotation
 from ergolab.surd import QuadraticReal, golden_conjugate
 
@@ -92,6 +92,25 @@ def points(draw):
     return BinaryPoint.seeded(draw(st.integers(0, 99)), prefix=prefix, cap=cap)
 
 
+def table_partitions():
+    """(partition, q, split set): every thm3 partition at sqrt:1, and grids
+    of 3, 6 and 40 cells over NON_DYADIC."""
+    schedule = PartitionSchedule.sqrt()
+    for n in range(3, 65):
+        yield (odometer.starving_partition(n, schedule), schedule.q(n),
+               odometer.starving_set(n))
+    for q in (3, 6, 40):
+        yield (split_grid_partition(1, PartitionSchedule.constant(q),
+                                    NON_DYADIC), q, NON_DYADIC)
+
+
+def breakpoint_keys(q, split_set):
+    """``floor(e * 2**WIDTH)`` for every grid bound and set endpoint e < 1."""
+    breaks = [Fraction(j, q) for j in range(q)] \
+        + [end for iv in split_set for end in (iv.lo, iv.hi) if end < 1]
+    return sorted({e.numerator * (1 << WIDTH) // e.denominator for e in breaks})
+
+
 class TestBracketLocator:
     @settings(max_examples=400, deadline=None)
     @given(x=points(), q=st.integers(1, 40), split_set=split_sets)
@@ -123,6 +142,27 @@ class TestBracketLocator:
                                                  cap=20),
                               BinaryPoint.from_dyadic(edge, cap=12)):
                         assert_same(x, q, split_set, part)
+
+    def test_breakpoint_table_boundaries(self):
+        # the brackets of every breakpoint-table key and their neighbours,
+        # with a seeded tail or a zero run to the cap, at caps around WIDTH,
+        # on the thm3 partitions and on grids over a non-dyadic set
+        for part, q, split_set in table_partitions():
+            for p in {p for key in breakpoint_keys(q, split_set)
+                      for p in (key - 1, key, key + 1) if 0 <= p < 1 << WIDTH}:
+                bits = expansion(Fraction(p, 1 << WIDTH), WIDTH)
+                for cap in (15, 16, 17, None):
+                    width = BinaryPoint.default_cap if cap is None else cap
+                    zeros = (0,) * max(0, width - WIDTH)
+                    for x in (BinaryPoint.seeded(p, prefix=bits, cap=cap),
+                              BinaryPoint.seeded(p, prefix=bits + zeros,
+                                                 cap=cap)):
+                        assert_same(x, q, split_set, part)
+            # all zeros at bound 0: CapExceeded when seeded, cell 1 when
+            # provably zero
+            for x in (BinaryPoint.seeded(q, prefix=(0,) * BinaryPoint.default_cap),
+                      BinaryPoint.periodic((), (0,))):
+                assert_same(x, q, split_set, part)
 
     def test_fraction_queries_keep_the_comparison_route(self):
         part = split_grid_partition(1, PartitionSchedule.constant(5), NON_DYADIC)
