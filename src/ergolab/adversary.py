@@ -145,7 +145,10 @@ class EventSplit:
 
     @property
     def chosen_lower_bound(self):
-        """Certified lower bound on the chosen event's probability."""
+        """The chosen side's estimated probability, ``max(p_plus, p_minus)``.
+
+        An estimate, not a bound, for a Monte Carlo split; the proven value
+        is :attr:`proven_lower_bound`."""
         return max(self.p_plus, self.p_minus)
 
     @property

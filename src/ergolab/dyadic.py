@@ -261,14 +261,8 @@ class BinaryPoint:
                 # rational expansion terminated; point >= other from here on
                 if self._provably_constant_from(i + 1, 0):
                     return 0
-                j = i + 1
-                while True:
-                    if j > self.cap:
-                        raise CapExceeded(
-                            f"comparison undecided within cap {self.cap}")
-                    if self.bit(j) == 1:
-                        return 1
-                    j += 1
+                self.first_index_of(1, i + 1)  # CapExceeded if undecidable
+                return 1
             i += 1
 
     def __float__(self):

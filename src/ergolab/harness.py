@@ -375,11 +375,7 @@ def run_starvation(config: ExperimentConfig) -> Report:
     for trial in range(config.trials):
         try:
             omega = BinaryPoint.seeded(derived_seed(config.seed, trial))
-            # X_{-max_n} .. X_{-1}, oldest first; X_{-1} is omega
-            series = [omega]
-            for _ in range(max_n - 1):
-                series.append(odometer.step_back(series[-1]))
-            series.reverse()
+            series = odometer.sample_past(omega, max_n)
             x_next = odometer.step(omega)
             truth_high = x_next.bit(1) == 1
             truth = float(x_next)

@@ -16,6 +16,7 @@ Rational constants may be embedded into a quadratic domain explicitly via
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cmp_to_key
 
 from .dyadic import BinaryPoint, dyadic_exponent
 from .errors import DomainMismatch
@@ -51,6 +52,10 @@ def _cmp(x, y) -> int:
     if isinstance(y, QuadraticReal):
         return -y.compare(x)
     return (x > y) - (x < y)
+
+
+# (lo, hi) pairs in lexicographic order under _cmp
+_PAIR_ORDER = cmp_to_key(lambda a, b: _cmp(a[0], b[0]) or _cmp(a[1], b[1]))
 
 
 class Interval:
@@ -95,7 +100,7 @@ class IntervalSet:
             domain = _join_domains(domain, _domain_of(lo))
             domain = _join_domains(domain, _domain_of(hi))
             pairs.append((lo, hi))
-        pairs.sort(key=_SortKey)
+        pairs.sort(key=_PAIR_ORDER)
         merged = []
         for lo, hi in pairs:
             if merged and _cmp(lo, merged[-1][1]) <= 0:
@@ -107,13 +112,6 @@ class IntervalSet:
         self.domain = domain
 
     # -- constructors
-
-    @classmethod
-    def unit(cls, domain=None) -> "IntervalSet":
-        if domain and domain[0] == "quadratic":
-            d = domain[1]
-            return cls([(QuadraticReal.rational(0, d), QuadraticReal.rational(1, d))])
-        return cls([(Fraction(0), Fraction(1))])
 
     @classmethod
     def empty(cls, domain=None) -> "IntervalSet":
@@ -251,21 +249,6 @@ class IntervalSet:
     def __repr__(self):
         inner = " u ".join(repr(iv) for iv in self.intervals) or "{}"
         return f"IntervalSet({inner})"
-
-
-class _SortKey:
-    """Key object so heterogeneous exact endpoints sort via _cmp."""
-
-    __slots__ = ("pair",)
-
-    def __init__(self, pair):
-        self.pair = pair
-
-    def __lt__(self, other):
-        c = _cmp(self.pair[0], other.pair[0])
-        if c != 0:
-            return c < 0
-        return _cmp(self.pair[1], other.pair[1]) < 0
 
 
 def dyadic_set(*pairs) -> IntervalSet:

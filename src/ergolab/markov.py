@@ -37,13 +37,7 @@ def stationary_pmf(j: int) -> Fraction:
 
 
 def transition_prob(i: int, j: int) -> Fraction:
-    if i == 0:
-        return Fraction(j == 1)
-    if i == 1:
-        return Fraction(j == 2)
-    if j == 0 or j == i + 1:
-        return HALF
-    return Fraction(0)
+    return sum((tp for succ, tp in _successors(i) if succ == j), Fraction(0))
 
 
 def _draw_stationary(rng) -> int:

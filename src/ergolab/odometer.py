@@ -70,8 +70,15 @@ def sample_series(omega: BinaryPoint, i_from: int, i_to: int):
 
 
 def sample_past(omega: BinaryPoint, n: int):
-    """The data segment ``X_{-n} .. X_{-1}``; ``X_{-1}`` equals omega."""
-    return sample_series(omega, -n, -1)
+    """The data segment ``X_{-n} .. X_{-1}``, oldest first; ``X_{-1}``
+    equals omega.  Walks back from omega: ``n - 1`` inverse steps."""
+    if n < 1:
+        raise ValueError("empty index range")
+    out = [omega]
+    for _ in range(n - 1):
+        out.append(step_back(out[-1]))
+    out.reverse()
+    return out
 
 
 def bit_prefix_interval(level: int, index: int) -> Interval:

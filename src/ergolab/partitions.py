@@ -13,13 +13,12 @@ import math
 from bisect import bisect_right
 from fractions import Fraction
 
-from .dyadic import BinaryPoint, dyadic_exponent
-from .errors import CapExceeded, CoverageError
+from .dyadic import BinaryPoint
+from .errors import CoverageError
 from .intervals import IntervalSet, _cmp
 from .surd import QuadraticReal, floor_raw
 
-# the prefix locator's first bracket width: its breakpoint table's, and
-# where its widening loop starts
+# the width in bits of the prefix locator's breakpoint table
 WIDTH = 16
 
 
@@ -101,8 +100,9 @@ def split_grid_partition(n: int, schedule: PartitionSchedule,
     Cell labels are ``(j, True)`` for grid cell ``j`` inside the set and
     ``(j, False)`` outside; ``j`` runs from 1 to q(n).  A field element or
     rational is located by ``j = floor(q*x) + 1`` (:func:`_floor_locator`);
-    on the rational domain a :class:`BinaryPoint` is located from its prefix
-    bits instead (:func:`_bracket_locator`).
+    on the rational domain a :class:`BinaryPoint` is located by a breakpoint
+    table over its prefix bits, or else by exact comparison
+    (:func:`_bracket_locator`).
     """
     q = schedule.q(n)
     quadratic = split_set.domain and split_set.domain[0] == "quadratic"
@@ -120,11 +120,12 @@ def split_grid_partition(n: int, schedule: PartitionSchedule,
         cells.append(((j, True), inside))
         cells.append(((j, False), outside))
 
-    locator = _floor_locator(q, [inside for _, inside in cells[::2]])
+    inside_cells = [inside for _, inside in cells[::2]]
+    locator = _floor_locator(q, inside_cells)
     if quadratic:
         return Partition(cells, n=n, locator=locator)
-    return Partition(cells, n=n,
-                     locator=_bracket_locator(q, bounds, split_set, locator))
+    return Partition(cells, n=n, locator=_bracket_locator(
+        q, bounds, split_set, inside_cells, locator))
 
 
 def _floor_locator(q: int, inside_cells):
@@ -150,29 +151,27 @@ def _floor_locator(q: int, inside_cells):
     return locate_scalar
 
 
-def _bracket_locator(q: int, bounds, split_set: IntervalSet, fallback):
+def _bracket_locator(q: int, bounds, split_set: IntervalSet, inside_cells,
+                     fallback):
     """Rational-domain locator reading a BinaryPoint's prefix bits.
 
-    With ``p = x.prefix_int(w)`` the point lies in the bracket
-    ``[p, p + 1) / 2**w`` of the lexicographic order that
+    With ``p = x.prefix_int(WIDTH)`` the point lies in the bracket
+    ``[p, p + 1) / 2**WIDTH`` of the lexicographic order that
     :meth:`BinaryPoint.compare` uses (an all-ones tail stays below the next
-    dyadic).  A breakpoint table at the first width ``w = WIDTH`` decides
-    most points: it keys ``floor(e * 2**WIDTH)`` for every grid bound and
-    split-set endpoint ``e`` below 1 (bound 0 among them), and next to each
-    key stores the label of the brackets strictly between it and the next
-    key, read through `fallback` at a bracket midpoint.  A point whose
-    prefix ``p`` is no key has no bound or endpoint in its bracket, so the
-    stored label is its label: one prefix read and one bisection.
+    dyadic).  A breakpoint table keys ``floor(e * 2**WIDTH)`` for every grid
+    bound and split-set endpoint ``e`` below 1 (bound 0 among them), and
+    next to each key stores the label of the brackets strictly between it
+    and the next key, read through `fallback` at a bracket midpoint.  A
+    point whose prefix ``p`` is no key has no bound or endpoint in its
+    bracket, so the stored label is its label: one prefix read and one
+    bisection.
 
-    A point in a key's bracket, or with a cap below ``WIDTH``, takes the
-    widening loop.  The grid cell is decided once no bound ``j/q`` falls
-    strictly inside the bracket, membership once no endpoint of
-    `split_set` does; both are integer cross-multiplications.  Otherwise
-    ``w`` doubles up to the point's cap, where an undecided bracket raises
-    :class:`CapExceeded`, as the comparison does.  When the bracket's lower
-    end is itself a bound or an endpoint, the point is at or above it; the
-    one comparison against it then raises :class:`CapExceeded` exactly when
-    the comparison-based route would.  Other inputs go to `fallback`.
+    A point in a key's bracket, or with a cap below ``WIDTH``, is located by
+    exact comparison: a bisection of the grid bounds with
+    :meth:`BinaryPoint.compare`, a check of both ends of the located cell,
+    and membership read from that cell's inside piece ``inside_cells[j -
+    1]``.  :class:`CapExceeded` comes from those comparisons.  Other inputs
+    go to `fallback`.
     """
     breaks = bounds + [end for iv in split_set for end in (iv.lo, iv.hi)]
     top = 1 << WIDTH
@@ -181,53 +180,24 @@ def _bracket_locator(q: int, bounds, split_set: IntervalSet, fallback):
     labels = [fallback(Fraction(2 * k + 3, 2 * top)) if k + 1 < after else None
               for k, after in zip(keys, keys[1:] + [top])]
 
-    ends = [(iv.lo.numerator, iv.lo.denominator, iv.hi.numerator, iv.hi.denominator)
-            for iv in split_set]
-    # dyadic bounds and endpoints as (numerator, exponent) in lowest terms;
-    # a non-dyadic one is never the lower end of a bracket
-    edges = set()
-    for e in breaks:
-        try:
-            edges.add((e.numerator, dyadic_exponent(e)))
-        except ValueError:
-            pass
-
-    def inside(p, w):
-        # True / False when the bracket lies wholly inside / outside the set,
-        # None when an endpoint falls strictly inside the bracket
-        for a, b, c, d in ends:
-            if (p + 1) * b <= a << w:
-                return False
-            if p * d >= c << w:
-                continue
-            if a << w <= p * b and (p + 1) * d <= c << w:
-                return True
-            return None
-        return False
-
     def locate_point(x):
         if not isinstance(x, BinaryPoint):
             return fallback(x)
-        cap = x.cap
-        if cap >= WIDTH:
+        if x.cap >= WIDTH:
             p = x.prefix_int(WIDTH)
             i = bisect_right(keys, p) - 1
             if keys[i] != p:
                 return labels[i]
-        w = min(WIDTH, cap)
-        while True:
-            p = x.prefix_int(w)
-            j = (q * p) >> w
-            if j == (q * (p + 1) - 1) >> w:
-                verdict = inside(p, w)
-                if verdict is not None:
-                    zeros = (p & -p).bit_length() - 1 if p else w
-                    if (p >> zeros, w - zeros) in edges:
-                        x.compare(Fraction(p, 1 << w))
-                    return (j + 1, verdict)
-            if w == cap:
-                raise CapExceeded(f"location undecided within cap {cap}")
-            w = min(2 * w, cap)
+        lo, hi = 1, q
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if x.compare(bounds[mid]) < 0:
+                hi = mid
+            else:
+                lo = mid + 1
+        if x.compare(bounds[lo - 1]) < 0 or x.compare(bounds[lo]) >= 0:
+            raise CoverageError(f"{x!r} outside [0, 1)")
+        return (lo, inside_cells[lo - 1].contains(x))
 
     return locate_point
 

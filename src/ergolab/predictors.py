@@ -23,11 +23,12 @@ from .partitions import Partition
 
 
 def static_count(data, context_len: int, context=None):
-    """Backward-scanning count estimate of the next value after `context`.
+    """Count estimate of the next value after `context` from the past.
 
     `data` is the past segment ``X_{-n} .. X_{-1}``; the context defaults to
-    the trailing `context_len` values.  Scans every earlier placement of the
-    context and averages the values that followed it.
+    the trailing `context_len` values.  Averages the values that followed
+    each earlier placement of the context, found by the same forward scan
+    as :func:`dynamic_count` (:func:`_context_count`).
     """
     return _context_count(data, context_len, context)
 

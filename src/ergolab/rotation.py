@@ -88,11 +88,6 @@ class RohlinTower:
         self.height = height
         self.coverage = verified_coverage
 
-    def level(self, i: int) -> IntervalSet:
-        if not 0 <= i < self.height:
-            raise HeightError(f"level {i} outside tower of height {self.height}")
-        return self.rotation.translate_set(self.base, -i)
-
     def backward_union(self, count: int) -> IntervalSet:
         if not 1 <= count <= self.height:
             raise HeightError(

@@ -228,6 +228,19 @@ class TestProcessSampling:
         assert float(series[0]) == 0.75  # X_{-1} is omega itself
         assert float(series[1]) == 0.25  # X_0 = step(omega)
 
+    def test_past_walks_back_to_the_forward_series(self):
+        # n - 1 inverse steps from omega give the values n forward steps
+        # from T^(-n+1) omega give
+        omegas = [BinaryPoint.seeded(seed) for seed in range(4)]
+        omegas += [BinaryPoint.periodic((1, 0, 1), (0, 1)),
+                   BinaryPoint.periodic((), (1, 1, 0))]
+        for omega in omegas:
+            for n in range(1, 65):
+                past = odometer.sample_past(omega, n)
+                forward = odometer.sample_series(omega, -n, -1)
+                assert [x.truncated(64) for x in past] \
+                    == [x.truncated(64) for x in forward]
+
     def test_past_avoids_starving_set(self):
         # on the starving event the recent past stays outside the set
         hits = 0
