@@ -32,7 +32,7 @@ from .errors import (CapExceeded, ConfigError, ErgolabError, ExceptionalPoint,
                      InvariantViolation)
 from .intervals import IntervalSet
 from .partitions import PartitionSchedule, regularity_report, split_grid_partition
-from .surd import QuadraticReal
+from .surd import QuadraticReal, triple, triple_sum
 
 
 def derived_seed(master, index: int) -> int:
@@ -366,6 +366,7 @@ def run_starvation(config: ExperimentConfig) -> Report:
     schedule = config.schedule()
     ns = list(config.nlist)
     parts = {n: odometer.starving_partition(n, schedule) for n in ns}
+    starving = {n: odometer.starving_prefix(n) for n in ns}
     max_n = max(ns)
 
     rows = []
@@ -381,11 +382,18 @@ def run_starvation(config: ExperimentConfig) -> Report:
             truth = float(x_next)
             event_somewhere = False
             in_b_somewhere = False
+            # every past point is read once; omega is the last of them
+            read = predictors.ReadSeries(series)
+            omega_key = read.keyed.keys[-1]
             for n in ns:
-                est = predictors.partitioning_autoregression(
-                    series[-n:], parts[n], omega)
+                part = parts[n]
+                est = predictors.autoregression_from_reads(
+                    read, part, part.locate_prefixed(omega, omega_key),
+                    max_n - n)
                 est_zero = est == 0
-                in_b = odometer.in_starving_set(omega, n)
+                # odometer.in_starving_set, its prefix found once per n
+                level, bits = starving[n]
+                in_b = omega.prefix_int(level) == bits
                 if in_b:
                     in_b_somewhere = True
                     if not (est_zero and truth_high):
@@ -468,10 +476,11 @@ def run_rotation_l1(config: ExperimentConfig) -> Report:
                 raise InvariantViolation(
                     f"trial {trial}: outside-cells must be exactly empty on "
                     f"the starving event")
-        l1 = all_zero
-        for label in counts.cells:
-            constant = rotation.scalar(counts.estimate(label))
-            l1 = l1 + cell_errors[label].excess(constant)
+        # one common denominator over the cells, reduced once per trial
+        l1 = triple_sum([triple(all_zero, rotation.d)] + [
+            cell_errors[label].excess_raw(
+                rotation.scalar(counts.estimate(label)))
+            for label in counts.cells], rotation.d)
         l1_exceeds = l1.compare(sixteenth) >= 0
         if l1_exceeds:
             l1_hits += 1

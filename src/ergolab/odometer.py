@@ -132,10 +132,19 @@ def starving_set(n: int) -> IntervalSet:
     return _interval_set(bit_prefix_interval(level, index))
 
 
+def starving_prefix(n: int) -> tuple:
+    """(level, bits): the n-th starving set is the points whose first
+    `level` bits, packed into an int with bit 1 most significant, equal
+    `bits`.  A point read to ``w >= level`` bits as ``p`` is in the set
+    exactly when ``p >> (w - level) == bits``."""
+    level, index = starving_level(n)
+    return level, _reversed_bits(index, level)
+
+
 def in_starving_set(point: BinaryPoint, n: int) -> bool:
     """Exact membership via the defining bit prefix."""
-    level, index = starving_level(n)
-    return point.prefix_int(level) == _reversed_bits(index, level)
+    level, bits = starving_prefix(n)
+    return point.prefix_int(level) == bits
 
 
 def starving_union(k: int) -> IntervalSet:

@@ -10,7 +10,7 @@ regression-consistency conditions ask of a partition sequence.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
 from .dyadic import BinaryPoint
@@ -72,13 +72,16 @@ class PartitionSchedule:
 class Partition:
     """Labelled cells partitioning [0, 1); cells may be empty."""
 
-    def __init__(self, cells, n=None, locator=None):
+    def __init__(self, cells, n=None, locator=None, table=None):
         self.cells = list(cells)
         self.n = n
         self._locator = locator
+        self._table = table
 
     def locate(self, x):
         """Label of the cell containing `x`; CoverageError if none."""
+        if self._table is not None and isinstance(x, BinaryPoint):
+            return self._table.locate(x, prefix_key(x))
         if self._locator is not None:
             return self._locator(x)
         for label, cell in self.cells:
@@ -86,11 +89,61 @@ class Partition:
                 return label
         raise CoverageError(f"{x!r} is not covered by the partition")
 
+    def locate_prefixed(self, x, key):
+        """:meth:`locate` for a :class:`BinaryPoint` whose
+        :func:`prefix_key` the caller has already read as `key`; a partition
+        without a breakpoint table, or any other `x`, ignores the key."""
+        if self._table is None or not isinstance(x, BinaryPoint):
+            return self.locate(x)
+        return self._table.locate(x, key)
+
+    def select(self, label, keyed: "KeyedPoints", start: int, stop: int):
+        """The indices ``start <= i < stop`` of the points of `keyed` in
+        the cell `label`, in increasing order.
+
+        Every point is located as :meth:`locate_prefixed` would locate it
+        with its key, and points on the exact routes are located in index
+        order, so the first :class:`CapExceeded` is the one a point-by-point
+        scan raises.
+        """
+        if self._table is not None and keyed.binary:
+            return self._table.select(label, keyed, start, stop)
+        points, keys = keyed.points, keyed.keys
+        return [i for i in range(start, stop)
+                if self.locate_prefixed(points[i], keys[i]) == label]
+
     def __len__(self):
         return len(self.cells)
 
     def __iter__(self):
         return iter(self.cells)
+
+
+def prefix_key(x: BinaryPoint):
+    """The breakpoint-table key of `x`: its first ``WIDTH`` bits as one int,
+    or None when its cap is below ``WIDTH``."""
+    return x.prefix_int(WIDTH) if x.cap >= WIDTH else None
+
+
+class KeyedPoints:
+    """Points with their breakpoint-table keys (:func:`prefix_key`, or
+    None for a point without one), the keyed points sorted by key once so
+    that :meth:`Partition.select` finds a cell's points by bisection.
+    ``binary`` says whether every point is a :class:`BinaryPoint`, which a
+    table needs."""
+
+    __slots__ = ("points", "keys", "binary", "order", "sorted_keys",
+                 "key_set", "unkeyed")
+
+    def __init__(self, points, keys):
+        self.points = points
+        self.keys = keys
+        self.binary = all(isinstance(x, BinaryPoint) for x in points)
+        self.order = sorted((i for i, k in enumerate(keys) if k is not None),
+                            key=keys.__getitem__)
+        self.sorted_keys = [keys[i] for i in self.order]
+        self.key_set = set(self.sorted_keys)
+        self.unkeyed = [i for i, k in enumerate(keys) if k is None]
 
 
 def split_grid_partition(n: int, schedule: PartitionSchedule,
@@ -102,7 +155,8 @@ def split_grid_partition(n: int, schedule: PartitionSchedule,
     rational is located by ``j = floor(q*x) + 1`` (:func:`_floor_locator`);
     on the rational domain a :class:`BinaryPoint` is located by a breakpoint
     table over its prefix bits, or else by exact comparison
-    (:func:`_bracket_locator`).
+    (:class:`_BreakpointTable`), also from a key read beforehand
+    (:meth:`Partition.locate_prefixed`, :meth:`Partition.select`).
     """
     q = schedule.q(n)
     quadratic = split_set.domain and split_set.domain[0] == "quadratic"
@@ -124,7 +178,7 @@ def split_grid_partition(n: int, schedule: PartitionSchedule,
     locator = _floor_locator(q, inside_cells)
     if quadratic:
         return Partition(cells, n=n, locator=locator)
-    return Partition(cells, n=n, locator=_bracket_locator(
+    return Partition(cells, n=n, locator=locator, table=_BreakpointTable(
         q, bounds, split_set, inside_cells, locator))
 
 
@@ -151,44 +205,59 @@ def _floor_locator(q: int, inside_cells):
     return locate_scalar
 
 
-def _bracket_locator(q: int, bounds, split_set: IntervalSet, inside_cells,
-                     fallback):
-    """Rational-domain locator reading a BinaryPoint's prefix bits.
+class _BreakpointTable:
+    """Rational-domain locator of a BinaryPoint from its table key.
 
-    With ``p = x.prefix_int(WIDTH)`` the point lies in the bracket
+    With ``p`` the point's :func:`prefix_key` it lies in the bracket
     ``[p, p + 1) / 2**WIDTH`` of the lexicographic order that
     :meth:`BinaryPoint.compare` uses (an all-ones tail stays below the next
-    dyadic).  A breakpoint table keys ``floor(e * 2**WIDTH)`` for every grid
-    bound and split-set endpoint ``e`` below 1 (bound 0 among them), and
-    next to each key stores the label of the brackets strictly between it
-    and the next key, read through `fallback` at a bracket midpoint.  A
-    point whose prefix ``p`` is no key has no bound or endpoint in its
-    bracket, so the stored label is its label: one prefix read and one
-    bisection.
+    dyadic).  The table keys ``floor(e * 2**WIDTH)`` for every grid bound
+    and split-set endpoint ``e`` below 1 (bound 0 among them), and next to
+    each key stores the label of the brackets strictly between it and the
+    next key, read through `fallback` at a bracket midpoint.  A point whose
+    prefix ``p`` is no key has no bound or endpoint in its bracket, so the
+    stored label is its label: one bisection of the keys (:meth:`locate`).
+    Read the other way, the keys strictly between a key and the next are
+    a run of the stored label's cell, so the keyed points of one cell are
+    found by bisecting their sorted keys at that cell's runs
+    (:meth:`select`).
 
-    A point in a key's bracket, or with a cap below ``WIDTH``, is located by
-    exact comparison: a bisection of the grid bounds with
-    :meth:`BinaryPoint.compare`, a check of both ends of the located cell,
-    and membership read from that cell's inside piece ``inside_cells[j -
-    1]``.  :class:`CapExceeded` comes from those comparisons.  Other inputs
-    go to `fallback`.
+    A point in a key's bracket, or with a key of None (a cap below
+    ``WIDTH``), is located by exact comparison: a bisection of the grid
+    bounds with :meth:`BinaryPoint.compare`, a check of both ends of the
+    located cell, and membership read from that cell's inside piece
+    ``inside_cells[j - 1]``.  :class:`CapExceeded` comes from those
+    comparisons.
     """
-    breaks = bounds + [end for iv in split_set for end in (iv.lo, iv.hi)]
-    top = 1 << WIDTH
-    keys = sorted({e.numerator * top // e.denominator
-                   for e in breaks if e < 1})
-    labels = [fallback(Fraction(2 * k + 3, 2 * top)) if k + 1 < after else None
-              for k, after in zip(keys, keys[1:] + [top])]
 
-    def locate_point(x):
-        if not isinstance(x, BinaryPoint):
-            return fallback(x)
-        if x.cap >= WIDTH:
-            p = x.prefix_int(WIDTH)
-            i = bisect_right(keys, p) - 1
-            if keys[i] != p:
-                return labels[i]
-        lo, hi = 1, q
+    __slots__ = ("q", "bounds", "inside_cells", "keys", "labels", "key_set",
+                 "runs")
+
+    def __init__(self, q: int, bounds, split_set: IntervalSet, inside_cells,
+                 fallback):
+        breaks = bounds + [end for iv in split_set for end in (iv.lo, iv.hi)]
+        top = 1 << WIDTH
+        keys = sorted({e.numerator * top // e.denominator
+                       for e in breaks if e < 1})
+        self.q, self.bounds, self.inside_cells = q, bounds, inside_cells
+        self.keys = keys
+        self.key_set = frozenset(keys)
+        self.labels = []
+        self.runs = {}
+        for k, after in zip(keys, keys[1:] + [top]):
+            label = None
+            if k + 1 < after:
+                label = fallback(Fraction(2 * k + 3, 2 * top))
+                self.runs.setdefault(label, []).append((k, after))
+            self.labels.append(label)
+
+    def locate(self, x, p):
+        if p is not None:
+            i = bisect_right(self.keys, p) - 1
+            if self.keys[i] != p:
+                return self.labels[i]
+        bounds = self.bounds
+        lo, hi = 1, self.q
         while lo < hi:
             mid = (lo + hi) // 2
             if x.compare(bounds[mid]) < 0:
@@ -197,9 +266,25 @@ def _bracket_locator(q: int, bounds, split_set: IntervalSet, inside_cells,
                 lo = mid + 1
         if x.compare(bounds[lo - 1]) < 0 or x.compare(bounds[lo]) >= 0:
             raise CoverageError(f"{x!r} outside [0, 1)")
-        return (lo, inside_cells[lo - 1].contains(x))
+        return (lo, self.inside_cells[lo - 1].contains(x))
 
-    return locate_point
+    def select(self, label, keyed: KeyedPoints, start: int, stop: int):
+        order, sorted_keys = keyed.order, keyed.sorted_keys
+        found = []
+        for lo, hi in self.runs.get(label, ()):
+            found += [i for i in order[bisect_right(sorted_keys, lo):
+                                       bisect_left(sorted_keys, hi)]
+                      if start <= i < stop]
+        # points on a key, and points without one, by the exact routes
+        points, keys = keyed.points, keyed.keys
+        hits = self.key_set.intersection(keyed.key_set)
+        exact = [i for i in keyed.unkeyed if start <= i < stop]
+        if hits:
+            exact = sorted(exact + [i for i in range(start, stop)
+                                    if keys[i] in hits])
+        found += [i for i in exact if self.locate(points[i], keys[i]) == label]
+        found.sort()
+        return found
 
 
 def regularity_report(partitions):

@@ -18,7 +18,8 @@ from fractions import Fraction
 from .errors import (HeightError, InvariantViolation, NotIrrational,
                      PrecisionError)
 from .intervals import IntervalSet, algebraic_set
-from .surd import QuadraticReal, cf_convergents, sqrt2_minus_1
+from .surd import (QuadraticReal, cf_convergents, sqrt2_minus_1, triple,
+                   triple_add, triple_mul, triple_sum)
 
 
 class Rotation:
@@ -249,7 +250,7 @@ class CellError:
     binary search and a few field operations.
     """
 
-    __slots__ = ("breaks", "coeffs", "at_zero")
+    __slots__ = ("breaks", "coeffs", "at_zero", "d")
 
     def __init__(self, cell: IntervalSet, rotation: Rotation):
         alpha = rotation.alpha
@@ -284,10 +285,20 @@ class CellError:
                                k0 - sqs[p] + (a * a + b * b) / 2))
         self.breaks = breaks
         self.at_zero = coeffs[0][2]
-        self.coeffs = [(k2, k1, k0 - self.at_zero) for k2, k1, k0 in coeffs]
+        self.d = rotation.d
+        self.coeffs = [(k2, triple(k1, self.d),
+                        triple(k0 - self.at_zero, self.d))
+                       for k2, k1, k0 in coeffs]
 
     def excess(self, c) -> QuadraticReal:
         """``F(c) - F(0)``, exactly."""
+        return triple_sum((self.excess_raw(c),), self.d)
+
+    def excess_raw(self, c) -> tuple:
+        """``F(c) - F(0)`` for a rational or field element `c`, as an
+        unreduced triple (:func:`~ergolab.surd.triple`), so that a caller
+        summing many cells reduces once (:func:`~ergolab.surd.triple_sum`).
+        """
         lo, hi = 0, len(self.breaks)
         while lo < hi:
             mid = (lo + hi) // 2
@@ -296,9 +307,10 @@ class CellError:
             else:
                 hi = mid
         k2, k1, k0 = self.coeffs[lo]
+        x = triple(c, self.d)
         if k2:
-            return (c + k1) * c + k0
-        return k1 * c + k0
+            return triple_add(triple_mul(triple_add(x, k1), x, self.d), k0)
+        return triple_add(triple_mul(k1, x, self.d), k0)
 
 
 def l1_error_exact(pieces, target: str, rotation: Rotation | None = None):

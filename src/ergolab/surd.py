@@ -258,6 +258,43 @@ def floor_raw(A: int, B: int, Q: int, d: int) -> int:
     return (A + (r if B > 0 else -r - 1)) // Q
 
 
+# -- unreduced triples: many sums and products, one gcd at the end
+
+
+def triple(x, d: int) -> tuple:
+    """An int, a Fraction or an element of Q(sqrt(d)) as its triple
+    ``(A, B, Q)``, for :func:`triple_add` and :func:`triple_mul`."""
+    if isinstance(x, QuadraticReal):
+        if x.B and x.d != d:
+            raise DomainMismatch(f"cannot mix sqrt({x.d}) with sqrt({d})")
+        return x.A, x.B, x.Q
+    if isinstance(x, float):
+        raise TypeError("refusing to mix floats into exact arithmetic")
+    x = Fraction(x)
+    return x.numerator, 0, x.denominator
+
+
+def triple_add(x: tuple, y: tuple) -> tuple:
+    """``x + y`` over the product of the denominators, not reduced."""
+    return (x[0] * y[2] + y[0] * x[2], x[1] * y[2] + y[1] * x[2],
+            x[2] * y[2])
+
+
+def triple_mul(x: tuple, y: tuple, d: int) -> tuple:
+    """``x * y`` in Q(sqrt(d)), not reduced."""
+    return (x[0] * y[0] + x[1] * y[1] * d, x[0] * y[1] + x[1] * y[0],
+            x[2] * y[2])
+
+
+def triple_sum(terms, d: int) -> QuadraticReal:
+    """The sum of unreduced triples, over one common denominator and reduced
+    once."""
+    total = (0, 0, 1)
+    for t in terms:
+        total = triple_add(total, t)
+    return QuadraticReal._make(*total, d)
+
+
 def qr_compare(x, y) -> int:
     """Exact ordering of two field elements: LT (-1), EQ (0) or GT (+1)."""
     if not isinstance(x, QuadraticReal):

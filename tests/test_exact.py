@@ -14,7 +14,8 @@ from ergolab.errors import (CapExceeded, DomainMismatch, ExceptionalPoint,
                             NotIrrational)
 from ergolab.intervals import IntervalSet, algebraic_set, dyadic_set, rational_set
 from ergolab.surd import (QuadraticReal, cf_convergents, floor_raw,
-                          golden_conjugate, qr_compare, sqrt2_minus_1)
+                          golden_conjugate, qr_compare, sqrt2_minus_1, triple,
+                          triple_add, triple_mul, triple_sum)
 
 
 class TestDyadicBoundary:
@@ -351,6 +352,31 @@ class TestRationalDivisor:
             for zero in (0, Fraction(0)):
                 with pytest.raises(ZeroDivisionError):
                     x / zero
+
+
+class TestUnreducedTriples:
+    """Sums and products carried as bare triples and reduced once equal the
+    field operations, which reduce at every step."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data(), d=BASES)
+    def test_match_field_arithmetic(self, data, d):
+        operand = st.one_of(field_elements(d), small_fractions,
+                            st.integers(-3, 3))
+        x, y, z = (data.draw(operand) for _ in range(3))
+        tx, ty, tz = (triple(v, d) for v in (x, y, z))
+        got = triple_sum((triple_mul(triple_add(tx, ty), tx, d), tz), d)
+        want = QuadraticReal.rational(0, d) + (x + y) * x + z
+        assert (got.A, got.B, got.Q, got.d) == (want.A, want.B, want.Q, d)
+
+    def test_triple_keeps_bases_apart(self):
+        third = QuadraticReal.rational(Fraction(2, 6), 3)
+        assert triple(third, 2) == (1, 0, 3)
+        with pytest.raises(DomainMismatch):
+            triple(QuadraticReal(0, 1, 3), 2)
+        with pytest.raises(TypeError):
+            triple(0.5, 2)
+        assert triple_sum((), 5) == 0
 
 
 class TestContinuedFractions:

@@ -125,9 +125,10 @@ class TestRunners:
 
     def test_thm3_starving_invariant_is_checked(self, monkeypatch):
         # a starving trial must see an exactly-empty cell; an estimator that
-        # reads anything there breaks the run, also under python -O
-        monkeypatch.setattr(predictors, "partitioning_autoregression",
-                            lambda series, partition, x: 1)
+        # reads anything there breaks the run, also under python -O.  The
+        # runner estimates from one read per trial point.
+        monkeypatch.setattr(predictors, "autoregression_from_reads",
+                            lambda read, partition, label, start: 1)
         cfg = ExperimentConfig(experiment="thm3", trials=10, seed=2,
                                nlist=tuple(range(3, 9)))
         with pytest.raises(InvariantViolation, match="exactly-empty cell"):

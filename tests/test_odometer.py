@@ -188,6 +188,27 @@ class TestStarvingSets:
                 assert inside == s.contains(p) == (x == iv.lo)
                 assert part.locate(p) == (math.floor(q * x) + 1, inside)
 
+    def test_prefix_shift_matches_membership(self):
+        # the read-once test: one 64-bit read shifted down to the set's
+        # level, against the prefix test and the set's interval, inside and
+        # outside every set
+        for n in range(1, 65):
+            level, bits = odometer.starving_prefix(n)
+            s = odometer.starving_set(n)
+            (iv,) = s
+            inside = level_bits(iv.lo, level)
+            points = [BinaryPoint.seeded(seed * 11 + n) for seed in range(30)]
+            points += [BinaryPoint.seeded(n, prefix=inside),
+                       BinaryPoint.seeded(n, prefix=inside[:-1]
+                                          + (1 - inside[-1],))]
+            hits = set()
+            for p in points:
+                member = odometer.in_starving_set(p, n)
+                assert member == (p.prefix_int(64) >> (64 - level) == bits) \
+                    == s.contains(p)
+                hits.add(member)
+            assert hits == {True, False}
+
     def test_backward_disjointness_examples(self):
         assert odometer.backward_images_disjoint(odometer.starving_set(2), 2)
         assert odometer.backward_images_disjoint(odometer.starving_set(1), 1)

@@ -12,7 +12,8 @@ from ergolab import odometer
 from ergolab.dyadic import BinaryPoint
 from ergolab.errors import CapExceeded, CoverageError
 from ergolab.intervals import _cmp, rational_set
-from ergolab.partitions import WIDTH, PartitionSchedule, split_grid_partition
+from ergolab.partitions import (WIDTH, KeyedPoints, PartitionSchedule,
+                                prefix_key, split_grid_partition)
 from ergolab.rotation import Rotation, build_tower, default_rotation
 from ergolab.surd import QuadraticReal, golden_conjugate
 
@@ -44,6 +45,19 @@ def outcome(locate, *args):
         return type(exc)
 
 
+def raised(fn, *args):
+    """`fn`'s result, or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except (CapExceeded, CoverageError) as exc:
+        return type(exc), str(exc)
+
+
+def select_point_by_point(part, label, xs, keys, start, stop):
+    return [i for i in range(start, stop)
+            if part.locate_prefixed(xs[i], keys[i]) == label]
+
+
 def expansion(value, width):
     """First `width` bits of the expansion of a rational in [0, 1)."""
     return tuple((value.numerator * 2 ** i // value.denominator) & 1
@@ -55,6 +69,8 @@ def assert_same(x, q, split_set, part=None):
                                         split_set)
     fresh = outcome(compare_locate, x, q, split_set)
     assert outcome(part.locate, x) == fresh, (x, q, split_set)
+    if isinstance(x, BinaryPoint):
+        assert outcome(part.locate_prefixed, x, prefix_key(x)) == fresh
 
 
 split_sets = st.one_of(
@@ -104,11 +120,30 @@ def table_partitions():
                                     NON_DYADIC), q, NON_DYADIC)
 
 
+@functools.lru_cache(maxsize=None)
+def table_partition_list():
+    return list(table_partitions())
+
+
 def breakpoint_keys(q, split_set):
     """``floor(e * 2**WIDTH)`` for every grid bound and set endpoint e < 1."""
     breaks = [Fraction(j, q) for j in range(q)] \
         + [end for iv in split_set for end in (iv.lo, iv.hi) if end < 1]
     return sorted({e.numerator * (1 << WIDTH) // e.denominator for e in breaks})
+
+
+@st.composite
+def near_keys(draw, q, split_set, cap):
+    """A point whose prefix is a table key or one next to it, with a
+    seeded tail or a zero run to the cap."""
+    key = draw(st.sampled_from(breakpoint_keys(q, split_set)))
+    p = key + draw(st.sampled_from([-1, 0, 1]))
+    if not 0 <= p < 1 << WIDTH:
+        p = key
+    bits = expansion(Fraction(p, 1 << WIDTH), WIDTH)
+    if draw(st.booleans()):
+        bits += (0,) * max(0, cap - WIDTH)
+    return BinaryPoint.seeded(p, prefix=bits, cap=cap)
 
 
 class TestBracketLocator:
@@ -148,6 +183,7 @@ class TestBracketLocator:
         # with a seeded tail or a zero run to the cap, at caps around WIDTH,
         # on the thm3 partitions and on grids over a non-dyadic set
         for part, q, split_set in table_partitions():
+            decided = []
             for p in {p for key in breakpoint_keys(q, split_set)
                       for p in (key - 1, key, key + 1) if 0 <= p < 1 << WIDTH}:
                 bits = expansion(Fraction(p, 1 << WIDTH), WIDTH)
@@ -158,16 +194,81 @@ class TestBracketLocator:
                               BinaryPoint.seeded(p, prefix=bits + zeros,
                                                  cap=cap)):
                         assert_same(x, q, split_set, part)
+                        if isinstance(outcome(part.locate, x), tuple):
+                            decided.append(x)
+            # every cell's points picked from all of these at once
+            keys = [prefix_key(x) for x in decided]
+            keyed = KeyedPoints(decided, keys)
+            for label, _ in part:
+                assert part.select(label, keyed, 0, len(decided)) \
+                    == select_point_by_point(part, label, decided, keys, 0,
+                                             len(decided))
             # all zeros at bound 0: CapExceeded when seeded, cell 1 when
             # provably zero
             for x in (BinaryPoint.seeded(q, prefix=(0,) * BinaryPoint.default_cap),
                       BinaryPoint.periodic((), (0,))):
                 assert_same(x, q, split_set, part)
 
+    @settings(max_examples=600, deadline=None)
+    @given(data=st.data(), cap=st.sampled_from([15, 16, 17, 128]),
+           kind=st.sampled_from(["seeded", "periodic", "key"]))
+    def test_prefixed_locate_matches_compare_route(self, data, cap, kind):
+        # the locate from an already-read key, on every thm3 partition at
+        # sqrt:1 and the grids over NON_DYADIC: seeded and periodic points,
+        # and prefixes k - 1, k and k + 1 of every table key with a seeded
+        # tail or a zero run to the cap
+        part, q, split_set = data.draw(st.sampled_from(table_partition_list()))
+        prefix = data.draw(bit_lists)
+        if kind == "seeded":
+            x = BinaryPoint.seeded(data.draw(st.integers(0, 10 ** 6)),
+                                   prefix=prefix, cap=cap)
+        elif kind == "periodic":
+            pattern = data.draw(st.lists(st.integers(0, 1), min_size=1,
+                                         max_size=6))
+            x = BinaryPoint.periodic(prefix, pattern, cap=cap)
+        else:
+            x = data.draw(near_keys(q, split_set, cap))
+        key = prefix_key(x)
+        assert (key is None) == (cap < WIDTH)
+        assert outcome(part.locate_prefixed, x, key) \
+            == outcome(compare_locate, x, q, split_set)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_select_matches_point_by_point(self, data):
+        # the points of one cell picked by bisecting sorted keys, against
+        # locating every point of the window in turn, CapExceeded included
+        part, q, split_set = data.draw(st.sampled_from(table_partition_list()))
+        xs = data.draw(st.lists(
+            st.one_of(points(), st.sampled_from([15, 16, 17, 128]).flatmap(
+                lambda cap: near_keys(q, split_set, cap))),
+            min_size=1, max_size=12))
+        keys = [prefix_key(x) for x in xs]
+        start = data.draw(st.integers(0, len(xs)))
+        stop = data.draw(st.integers(start, len(xs)))
+        located = [outcome(part.locate, x) for x in xs]
+        label = data.draw(st.sampled_from(
+            [label for label, _ in part]
+            + [lab for lab in located if isinstance(lab, tuple)]))
+
+        assert raised(part.select, label, KeyedPoints(xs, keys), start,
+                      stop) \
+            == raised(select_point_by_point, part, label, xs, keys, start,
+                      stop)
+
     def test_fraction_queries_keep_the_comparison_route(self):
         part = split_grid_partition(1, PartitionSchedule.constant(5), NON_DYADIC)
         assert part.locate(Fraction(1, 3)) == (2, True)
         assert part.locate(Fraction(2, 5)) == (3, False)
+        # Fractions among the points: no table key, located one by one
+        xs = [Fraction(1, 3), BinaryPoint.seeded(1), Fraction(2, 5),
+              Fraction(9, 10)]
+        keys = [None, prefix_key(xs[1]), None, None]
+        for x, key in zip(xs, keys):
+            assert part.locate_prefixed(x, key) == part.locate(x)
+        for label, _ in part:
+            assert part.select(label, KeyedPoints(xs, keys), 0, len(xs)) \
+                == [i for i, x in enumerate(xs) if part.locate(x) == label]
 
 
 def cover_set(rotation, n):

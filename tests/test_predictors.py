@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from ergolab import markov, odometer, predictors
 from ergolab.dyadic import BinaryPoint
-from ergolab.errors import CoverageError, SingularFit
+from ergolab.errors import CapExceeded, CoverageError, SingularFit
 from ergolab.intervals import rational_set
 from ergolab.partitions import Partition, PartitionSchedule, regularity_report
 from ergolab.predictors import (CellCounts, CountPredictor, dynamic_count,
@@ -173,6 +173,85 @@ class TestPartitioningEstimate:
         pairs = predictors.autoregression_pairs(series)
         cell = CellCounts.from_pairs(pairs, part, response_bits).estimate(label)
         assert cell == want and type(cell) is type(want)
+
+
+def lazy_autoregression(series, partition, x, response_bits=64):
+    """The partitioning autoregression with every value located by
+    `Partition.locate` and every response read by `prefix_int` on its own:
+    the reference for the read-once route."""
+    label = partition.locate(x)
+    num, den = 0, 0
+    for z, y in predictors.autoregression_pairs(series):
+        if partition.locate(z) == label:
+            num += y.prefix_int(response_bits)
+            den += 1
+    return Fraction(num, den << response_bits) if den else 0
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except CapExceeded:
+        return CapExceeded
+
+
+class TestReadOnceRoute:
+    def test_trial_reads_match_one_shot_estimates(self):
+        # a thm3 trial read once, then estimated for every n, against the
+        # one-shot estimator and the per-point lazy route, type included
+        schedule = PartitionSchedule.sqrt()
+        parts = {n: odometer.starving_partition(n, schedule)
+                 for n in range(3, 65)}
+        for trial in range(200):
+            omega = BinaryPoint.seeded(1000 + trial)
+            series = odometer.sample_past(omega, 64)
+            read = predictors.ReadSeries(series)
+            assert read.reads == [z.prefix_int(64) for z in series]
+            assert read.keyed.keys == [z.prefix_int(16) for z in series]
+            for n, part in parts.items():
+                label = part.locate_prefixed(omega, read.keyed.keys[-1])
+                got = predictors.autoregression_from_reads(read, part, label,
+                                                           64 - n)
+                want = partitioning_autoregression(series[-n:], part, omega)
+                lazy = lazy_autoregression(series[-n:], part, omega)
+                assert got == want == lazy
+                assert type(got) is type(want) is type(lazy)
+
+    def test_low_cap_trials_keep_the_lazy_outcome(self):
+        # thm3 trials at caps around the table key and the response width:
+        # an empty query cell still estimates 0 without reading a response
+        schedule = PartitionSchedule.sqrt()
+        seen = set()
+        for cap in (15, 16, 20, 63, 64):
+            for trial in range(10):
+                series = odometer.sample_past(
+                    BinaryPoint.seeded(trial, cap=cap), 32)
+                for n in (3, 8, 17, 32):
+                    part = odometer.starving_partition(n, schedule)
+                    got = outcome(partitioning_autoregression, series[-n:],
+                                  part, series[-1])
+                    assert got == outcome(lazy_autoregression, series[-n:],
+                                          part, series[-1])
+                    seen.add(got is CapExceeded)
+        assert seen == {True, False}
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 10 ** 6),
+           cap=st.sampled_from([8, 15, 16, 20, 63, 64, 128]),
+           n=st.integers(1, 64), length=st.integers(2, 30),
+           response_bits=st.sampled_from([1, 16, 17, 64]),
+           zeros=st.integers(0, 130))
+    def test_low_caps_keep_the_lazy_outcome(self, seed, cap, n, length,
+                                            response_bits, zeros):
+        # points whose cap is below a read stay unread, so CapExceeded comes
+        # from the same place as on the lazy route
+        series = [BinaryPoint.seeded(seed + i, prefix=(0,) * zeros, cap=cap)
+                  for i in range(length)]
+        part = odometer.starving_partition(n, PartitionSchedule.sqrt())
+        x = series[-1]
+        assert outcome(partitioning_autoregression, series, part, x,
+                       response_bits) \
+            == outcome(lazy_autoregression, series, part, x, response_bits)
 
 
 class TestConsistencyOnTwoStateChain:
