@@ -23,7 +23,7 @@ print("data (oldest first):",
       [round(float(p), 4) for p in past])
 print("query x = most recent value =", round(float(omega), 4),
       "(inside the starving set)")
-est = predictors.partitioning_autoregression(past, part, omega)
+est = predictors.partitioning_autoregression(past, part)
 truth = odometer.step(omega)
 print(f"estimate = {est}  (exact integer zero: empty cell)")
 print(f"truth    = {float(truth):.4f}  (>= 1/2 by construction)")

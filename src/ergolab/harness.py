@@ -31,7 +31,8 @@ from .dyadic import BinaryPoint
 from .errors import (CapExceeded, ConfigError, ErgolabError, ExceptionalPoint,
                      InvariantViolation)
 from .intervals import IntervalSet
-from .partitions import PartitionSchedule, regularity_report, split_grid_partition
+from .partitions import (KeyedPoints, PartitionSchedule, regularity_report,
+                         split_grid_partition)
 from .surd import QuadraticReal, triple, triple_sum
 
 
@@ -46,14 +47,21 @@ def derived_seed(master, index: int) -> int:
 
 
 def parse_nlist(text: str) -> tuple:
+    """The n of a comma list of values and ``lo:hi`` ranges; a reversed
+    range, or a list that yields no n, is a ValueError."""
     out = []
     for item in text.split(","):
         item = item.strip()
         if ":" in item:
             lo, _, hi = item.partition(":")
-            out.extend(range(int(lo), int(hi) + 1))
+            lo, hi = int(lo), int(hi)
+            if lo > hi:
+                raise ValueError(f"reversed range {item}")
+            out.extend(range(lo, hi + 1))
         elif item:
             out.append(int(item))
+    if not out:
+        raise ValueError("no n in the list")
     return tuple(out)
 
 
@@ -382,14 +390,11 @@ def run_starvation(config: ExperimentConfig) -> Report:
             truth = float(x_next)
             event_somewhere = False
             in_b_somewhere = False
-            # every past point is read once; omega is the last of them
-            read = predictors.ReadSeries(series)
-            omega_key = read.keyed.keys[-1]
+            # every past point is read once; omega, the query, is the last
+            read = KeyedPoints(series)
             for n in ns:
-                part = parts[n]
-                est = predictors.autoregression_from_reads(
-                    read, part, part.locate_prefixed(omega, omega_key),
-                    max_n - n)
+                est = predictors.autoregression_from_reads(read, parts[n],
+                                                           max_n - n)
                 est_zero = est == 0
                 # odometer.in_starving_set, its prefix found once per n
                 level, bits = starving[n]

@@ -20,6 +20,9 @@ from .surd import QuadraticReal, floor_raw
 
 # the width in bits of the prefix locator's breakpoint table
 WIDTH = 16
+# the bits of a BinaryPoint read once (KeyedPoints): its table key, and the
+# response bits a cell mean sums
+READ_BITS = 64
 
 
 class PartitionSchedule:
@@ -72,9 +75,8 @@ class PartitionSchedule:
 class Partition:
     """Labelled cells partitioning [0, 1); cells may be empty."""
 
-    def __init__(self, cells, n=None, locator=None, table=None):
+    def __init__(self, cells, locator=None, table=None):
         self.cells = list(cells)
-        self.n = n
         self._locator = locator
         self._table = table
 
@@ -89,28 +91,22 @@ class Partition:
                 return label
         raise CoverageError(f"{x!r} is not covered by the partition")
 
-    def locate_prefixed(self, x, key):
-        """:meth:`locate` for a :class:`BinaryPoint` whose
-        :func:`prefix_key` the caller has already read as `key`; a partition
-        without a breakpoint table, or any other `x`, ignores the key."""
-        if self._table is None or not isinstance(x, BinaryPoint):
-            return self.locate(x)
-        return self._table.locate(x, key)
+    def select(self, keyed: "KeyedPoints", start: int):
+        """The indices ``start <= i < last`` of the points of `keyed` in the
+        cell of its last point (the query), in increasing order.
 
-    def select(self, label, keyed: "KeyedPoints", start: int, stop: int):
-        """The indices ``start <= i < stop`` of the points of `keyed` in
-        the cell `label`, in increasing order.
-
-        Every point is located as :meth:`locate_prefixed` would locate it
-        with its key, and points on the exact routes are located in index
-        order, so the first :class:`CapExceeded` is the one a point-by-point
-        scan raises.
+        The query is located first, from its key, then the other points as
+        :meth:`locate` would locate them, those on the exact routes in
+        index order, so the first :class:`CapExceeded` is the one a
+        point-by-point scan raises.
         """
         if self._table is not None and keyed.binary:
-            return self._table.select(label, keyed, start, stop)
-        points, keys = keyed.points, keyed.keys
-        return [i for i in range(start, stop)
-                if self.locate_prefixed(points[i], keys[i]) == label]
+            return self._table.select(keyed, start)
+        points = keyed.points
+        last = len(points) - 1
+        label = self.locate(points[last])
+        return [i for i in range(start, last)
+                if self.locate(points[i]) == label]
 
     def __len__(self):
         return len(self.cells)
@@ -126,18 +122,31 @@ def prefix_key(x: BinaryPoint):
 
 
 class KeyedPoints:
-    """Points with their breakpoint-table keys (:func:`prefix_key`, or
-    None for a point without one), the keyed points sorted by key once so
-    that :meth:`Partition.select` finds a cell's points by bisection.
-    ``binary`` says whether every point is a :class:`BinaryPoint`, which a
-    table needs."""
+    """Points read once, with their breakpoint-table keys.
 
-    __slots__ = ("points", "keys", "binary", "order", "sorted_keys",
+    A :class:`BinaryPoint` whose cap allows it is read to its first
+    ``READ_BITS`` bits, packed in one int (``reads``, None for any other
+    point), so reading never raises :class:`CapExceeded`.  Its key is the
+    top ``WIDTH`` bits of that read; a point without a read has the key
+    :meth:`Partition.locate` would read (:func:`prefix_key`, None for a
+    point that is no :class:`BinaryPoint`).  The keyed points are sorted by
+    key once so that :meth:`Partition.select` finds a cell's points by
+    bisection.  ``binary`` says whether every point is a
+    :class:`BinaryPoint`, which a table needs.
+    """
+
+    __slots__ = ("points", "reads", "keys", "binary", "order", "sorted_keys",
                  "key_set", "unkeyed")
 
-    def __init__(self, points, keys):
-        self.points = points
-        self.keys = keys
+    def __init__(self, points):
+        self.points = points = list(points)
+        self.reads = [x.prefix_int(READ_BITS)
+                      if isinstance(x, BinaryPoint) and x.cap >= READ_BITS
+                      else None for x in points]
+        shift = READ_BITS - WIDTH
+        self.keys = keys = [None if not isinstance(x, BinaryPoint)
+                            else prefix_key(x) if p is None else p >> shift
+                            for x, p in zip(points, self.reads)]
         self.binary = all(isinstance(x, BinaryPoint) for x in points)
         self.order = sorted((i for i, k in enumerate(keys) if k is not None),
                             key=keys.__getitem__)
@@ -155,8 +164,9 @@ def split_grid_partition(n: int, schedule: PartitionSchedule,
     rational is located by ``j = floor(q*x) + 1`` (:func:`_floor_locator`);
     on the rational domain a :class:`BinaryPoint` is located by a breakpoint
     table over its prefix bits, or else by exact comparison
-    (:class:`_BreakpointTable`), also from a key read beforehand
-    (:meth:`Partition.locate_prefixed`, :meth:`Partition.select`).
+    (:class:`_BreakpointTable`), and the points of a read series that share
+    its last point's cell are found from their keys
+    (:meth:`Partition.select`).
     """
     q = schedule.q(n)
     quadratic = split_set.domain and split_set.domain[0] == "quadratic"
@@ -177,8 +187,8 @@ def split_grid_partition(n: int, schedule: PartitionSchedule,
     inside_cells = [inside for _, inside in cells[::2]]
     locator = _floor_locator(q, inside_cells)
     if quadratic:
-        return Partition(cells, n=n, locator=locator)
-    return Partition(cells, n=n, locator=locator, table=_BreakpointTable(
+        return Partition(cells, locator=locator)
+    return Partition(cells, locator=locator, table=_BreakpointTable(
         q, bounds, split_set, inside_cells, locator))
 
 
@@ -218,8 +228,8 @@ class _BreakpointTable:
     prefix ``p`` is no key has no bound or endpoint in its bracket, so the
     stored label is its label: one bisection of the keys (:meth:`locate`).
     Read the other way, the keys strictly between a key and the next are
-    a run of the stored label's cell, so the keyed points of one cell are
-    found by bisecting their sorted keys at that cell's runs
+    a run of the stored label's cell, so the keyed points in the query's
+    cell are found by bisecting their sorted keys at that cell's runs
     (:meth:`select`).
 
     A point in a key's bracket, or with a key of None (a cap below
@@ -268,7 +278,10 @@ class _BreakpointTable:
             raise CoverageError(f"{x!r} outside [0, 1)")
         return (lo, self.inside_cells[lo - 1].contains(x))
 
-    def select(self, label, keyed: KeyedPoints, start: int, stop: int):
+    def select(self, keyed: KeyedPoints, start: int):
+        points, keys = keyed.points, keyed.keys
+        stop = len(points) - 1
+        label = self.locate(points[stop], keys[stop])
         order, sorted_keys = keyed.order, keyed.sorted_keys
         found = []
         for lo, hi in self.runs.get(label, ()):
@@ -276,7 +289,6 @@ class _BreakpointTable:
                                        bisect_left(sorted_keys, hi)]
                       if start <= i < stop]
         # points on a key, and points without one, by the exact routes
-        points, keys = keyed.points, keyed.keys
         hits = self.key_set.intersection(keyed.key_set)
         exact = [i for i in keyed.unkeyed if start <= i < stop]
         if hits:

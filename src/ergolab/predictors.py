@@ -16,7 +16,7 @@ import numpy as np
 
 from .dyadic import BinaryPoint
 from .errors import SingularFit
-from .partitions import WIDTH, KeyedPoints, Partition, prefix_key
+from .partitions import READ_BITS, KeyedPoints, Partition
 
 
 # -- count forecasters over a finite alphabet
@@ -159,27 +159,23 @@ def make_predictor(name: str):
 # -- the partitioning estimate
 
 
-RESPONSE_BITS = 64  # bits of a BinaryPoint response that a cell mean sums
-
-
-def _cell_mean(responses, response_bits: int, reads=None):
+def _cell_mean(responses, reads=None):
     """Exact mean of one cell's responses; an exact 0 for an empty cell.
 
-    Binary points are summed as their first `response_bits` bits in one
+    Binary points are summed as their first ``READ_BITS`` bits in one
     integer and divided once; `reads` may give a response's read
-    (:class:`ReadSeries`, None where it has none), which stands in for
-    those bits.  Any other responses are summed from the first one, so a
-    field element is never added to a plain 0.
+    (:class:`KeyedPoints`, None where it has none), which is those bits.
+    Any other responses are summed from the first one, so a field element
+    is never added to a plain 0.
     """
     if not responses:
         return 0
     if isinstance(responses[0], BinaryPoint):
         if reads is None:
             reads = [None] * len(responses)
-        shift = _read_width(response_bits) - response_bits
-        total = sum(y.prefix_int(response_bits) if p is None else p >> shift
+        total = sum(y.prefix_int(READ_BITS) if p is None else p
                     for y, p in zip(responses, reads))
-        return Fraction(total, len(responses) << response_bits)
+        return Fraction(total, len(responses) << READ_BITS)
     return _ratio(sum(responses[1:], responses[0]), len(responses))
 
 
@@ -187,21 +183,20 @@ class CellCounts:
     """The responses per partition cell, ``cells: label -> responses``,
     and their exact cell means (:func:`_cell_mean`)."""
 
-    def __init__(self, partition: Partition, response_bits: int = RESPONSE_BITS):
+    def __init__(self, partition: Partition):
         self.partition = partition
-        self.response_bits = response_bits
         self.cells = {}
 
     @classmethod
-    def from_pairs(cls, pairs, partition: Partition, response_bits: int = RESPONSE_BITS):
-        cc = cls(partition, response_bits)
+    def from_pairs(cls, pairs, partition: Partition):
+        cc = cls(partition)
         for z, y in pairs:
             cc.cells.setdefault(partition.locate(z), []).append(y)
         return cc
 
     def estimate(self, label):
         """Cell average; exactly 0 on empty cells."""
-        return _cell_mean(self.cells.get(label), self.response_bits)
+        return _cell_mean(self.cells.get(label))
 
     def estimate_at(self, z):
         return self.estimate(self.partition.locate(z))
@@ -222,68 +217,34 @@ def autoregression_pairs(series):
     return [(series[i - 1], series[i]) for i in range(1, len(series))]
 
 
-def partitioning_autoregression(series, partition: Partition, x,
-                                response_bits: int = RESPONSE_BITS):
+def partitioning_autoregression(series, partition: Partition):
     """One-step forecaster: the partitioning estimate on lagged pairs.
 
-    `series` is ``X_{-n} .. X_{-1}``; querying at ``x = X_{-1}`` gives the
-    static forecast of the next value: the exact mean (:func:`_cell_mean`)
-    of the responses whose predictor shares the query cell, so an empty cell
-    yields an exact integer zero.  Computed by
-    :func:`autoregression_from_reads` on one read of every value.
+    `series` is ``X_{-n} .. X_{-1}`` and the query is its last value
+    ``X_{-1}``, which gives the static forecast of the next value: the
+    exact mean (:func:`_cell_mean`) of the responses whose predictor shares
+    the query cell, so an empty cell yields an exact integer zero.
+    Computed by :func:`autoregression_from_reads` on one read of every
+    value.
     """
-    series = list(series)
-    if len(series) < 2:
+    read = KeyedPoints(series)
+    if len(read.points) < 2:
         raise ValueError("need at least two observations")
-    label = partition.locate(x)
-    return autoregression_from_reads(ReadSeries(series, response_bits),
-                                     partition, label)
+    return autoregression_from_reads(read, partition)
 
 
-def _read_width(response_bits: int) -> int:
-    """Bits in one read: the response bits, and at least a table key."""
-    return max(response_bits, WIDTH)
-
-
-class ReadSeries:
-    """A series with every value read once.
-
-    A :class:`BinaryPoint` whose cap allows it is read to its first
-    ``max(response_bits, WIDTH)`` bits, packed in one int (``reads``, None
-    for any other value).  A read holds the point's table key, its top
-    ``WIDTH`` bits, and its response bits, so reading never raises
-    :class:`CapExceeded`.  A point without a read keeps the key
-    :meth:`Partition.locate` would read (:func:`prefix_key`) and its
-    response is read when summed, as on its own.  ``keyed`` holds the keys
-    sorted once, for :meth:`Partition.select`.
-    """
-
-    def __init__(self, series, response_bits: int = RESPONSE_BITS):
-        width = _read_width(response_bits)
-        self.values = list(series)
-        self.response_bits = response_bits
-        self.reads = [z.prefix_int(width)
-                      if isinstance(z, BinaryPoint) and z.cap >= width
-                      else None for z in self.values]
-        shift = width - WIDTH
-        keys = [None if not isinstance(z, BinaryPoint)
-                else prefix_key(z) if p is None else p >> shift
-                for z, p in zip(self.values, self.reads)]
-        self.keyed = KeyedPoints(self.values, keys)
-
-
-def autoregression_from_reads(read: ReadSeries, partition: Partition, label,
+def autoregression_from_reads(read: KeyedPoints, partition: Partition,
                               start: int = 0):
-    """:func:`partitioning_autoregression` on a series read once, with the
-    query already located in the cell `label`: the exact mean of the
-    responses ``X_{i+1}`` whose predictor ``X_i``, ``i >= start``, lies in
-    that cell (:meth:`Partition.select`, :func:`_cell_mean`).
+    """:func:`partitioning_autoregression` on a series read once: the exact
+    mean of the responses ``X_{i+1}`` whose predictor ``X_i``,
+    ``i >= start``, shares the cell of the last value
+    (:meth:`Partition.select`, :func:`_cell_mean`).
 
-    Predictors are located in index order, as the one-shot route does, so a
-    :class:`CapExceeded` is raised where it raises it.
+    The query is located first, then the predictors in index order, so a
+    :class:`CapExceeded` is the one a point-by-point scan raises.
     """
-    cell = partition.select(label, read.keyed, start, len(read.values) - 1)
-    return _cell_mean([read.values[i + 1] for i in cell], read.response_bits,
+    cell = partition.select(read, start)
+    return _cell_mean([read.points[i + 1] for i in cell],
                       [read.reads[i + 1] for i in cell])
 
 

@@ -13,8 +13,6 @@ from fractions import Fraction
 
 from .errors import DomainMismatch, NotIrrational
 
-LT, EQ, GT = -1, 0, 1
-
 
 def _is_square_free(d: int) -> bool:
     if d < 2:
@@ -296,7 +294,7 @@ def triple_sum(terms, d: int) -> QuadraticReal:
 
 
 def qr_compare(x, y) -> int:
-    """Exact ordering of two field elements: LT (-1), EQ (0) or GT (+1)."""
+    """Exact ordering of two field elements: -1, 0 or +1."""
     if not isinstance(x, QuadraticReal):
         x = QuadraticReal.rational(Fraction(x), y.d)
     return x.compare(y)

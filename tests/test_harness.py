@@ -36,6 +36,17 @@ class TestConfig:
         assert format_nlist((3, 4, 5, 6)) == "3:6"
         assert format_nlist((8,)) == "8"
 
+    def test_reversed_or_empty_nlist_is_an_error(self):
+        # neither may fall back to the default sweep; an empty value still
+        # leaves the list unchanged
+        for text in ("9:3", ",", "3:5,9:3"):
+            with pytest.raises(ConfigError, match="bad nlist"):
+                ExperimentConfig(experiment="thm3").set_key("nlist", text)
+            assert cli.main(["thm3", "--nlist", text, "--trials", "1"]) == 2
+        cfg = ExperimentConfig(experiment="thm3", nlist=(3, 4))
+        cfg.set_key("nlist", "")
+        assert cfg.validate().nlist == (3, 4)
+
     def test_file_round_trip(self, tmp_path):
         cfg = ExperimentConfig(experiment="thm3", trials=17, seed=5,
                                nlist=(3, 4, 5), q_schedule="sqrt:1",
@@ -128,7 +139,7 @@ class TestRunners:
         # reads anything there breaks the run, also under python -O.  The
         # runner estimates from one read per trial point.
         monkeypatch.setattr(predictors, "autoregression_from_reads",
-                            lambda read, partition, label, start: 1)
+                            lambda read, partition, start: 1)
         cfg = ExperimentConfig(experiment="thm3", trials=10, seed=2,
                                nlist=tuple(range(3, 9)))
         with pytest.raises(InvariantViolation, match="exactly-empty cell"):

@@ -12,8 +12,9 @@ from ergolab import odometer
 from ergolab.dyadic import BinaryPoint
 from ergolab.errors import CapExceeded, CoverageError
 from ergolab.intervals import _cmp, rational_set
-from ergolab.partitions import (WIDTH, KeyedPoints, PartitionSchedule,
-                                prefix_key, split_grid_partition)
+from ergolab.partitions import (READ_BITS, WIDTH, KeyedPoints,
+                                PartitionSchedule, prefix_key,
+                                split_grid_partition)
 from ergolab.rotation import Rotation, build_tower, default_rotation
 from ergolab.surd import QuadraticReal, golden_conjugate
 
@@ -53,9 +54,11 @@ def raised(fn, *args):
         return type(exc), str(exc)
 
 
-def select_point_by_point(part, label, xs, keys, start, stop):
-    return [i for i in range(start, stop)
-            if part.locate_prefixed(xs[i], keys[i]) == label]
+def select_point_by_point(part, xs, start):
+    """The points of ``xs[start:-1]`` in the cell of the last one, located
+    one by one, the last one first."""
+    label = part.locate(xs[-1])
+    return [i for i in range(start, len(xs) - 1) if part.locate(xs[i]) == label]
 
 
 def expansion(value, width):
@@ -70,7 +73,9 @@ def assert_same(x, q, split_set, part=None):
     fresh = outcome(compare_locate, x, q, split_set)
     assert outcome(part.locate, x) == fresh, (x, q, split_set)
     if isinstance(x, BinaryPoint):
-        assert outcome(part.locate_prefixed, x, prefix_key(x)) == fresh
+        # the same point as query and predictor, located from its read key
+        assert outcome(part.select, KeyedPoints([x, x]), 0) \
+            == ([0] if isinstance(fresh, tuple) else fresh)
 
 
 split_sets = st.one_of(
@@ -196,13 +201,19 @@ class TestBracketLocator:
                         assert_same(x, q, split_set, part)
                         if isinstance(outcome(part.locate, x), tuple):
                             decided.append(x)
-            # every cell's points picked from all of these at once
-            keys = [prefix_key(x) for x in decided]
-            keyed = KeyedPoints(decided, keys)
-            for label, _ in part:
-                assert part.select(label, keyed, 0, len(decided)) \
-                    == select_point_by_point(part, label, decided, keys, 0,
-                                             len(decided))
+            # every cell's points picked from all of these at once, with a
+            # query of that cell on the table route and one on the exact
+            # route (a key of the table, or a cap below WIDTH)
+            table_keys = set(breakpoint_keys(q, split_set))
+            queries = {}
+            for x in decided:
+                key = prefix_key(x)
+                exact = key is None or key in table_keys
+                queries.setdefault((part.locate(x), exact), x)
+            for query in queries.values():
+                xs = decided + [query]
+                assert part.select(KeyedPoints(xs), 0) \
+                    == select_point_by_point(part, xs, 0)
             # all zeros at bound 0: CapExceeded when seeded, cell 1 when
             # provably zero
             for x in (BinaryPoint.seeded(q, prefix=(0,) * BinaryPoint.default_cap),
@@ -210,13 +221,16 @@ class TestBracketLocator:
                 assert_same(x, q, split_set, part)
 
     @settings(max_examples=600, deadline=None)
-    @given(data=st.data(), cap=st.sampled_from([15, 16, 17, 128]),
+    @given(data=st.data(), cap=st.one_of(st.sampled_from([15, 16, 17, 128]),
+                                         st.integers(8, 128)),
            kind=st.sampled_from(["seeded", "periodic", "key"]))
     def test_prefixed_locate_matches_compare_route(self, data, cap, kind):
-        # the locate from an already-read key, on every thm3 partition at
+        # the locate from the key of a read, on every thm3 partition at
         # sqrt:1 and the grids over NON_DYADIC: seeded and periodic points,
         # and prefixes k - 1, k and k + 1 of every table key with a seeded
-        # tail or a zero run to the cap
+        # tail or a zero run to the cap.  A point is read to READ_BITS bits
+        # and keyed by the top WIDTH bits of the read, or unread below that
+        # cap and keyed by its own prefix.
         part, q, split_set = data.draw(st.sampled_from(table_partition_list()))
         prefix = data.draw(bit_lists)
         if kind == "seeded":
@@ -228,33 +242,39 @@ class TestBracketLocator:
             x = BinaryPoint.periodic(prefix, pattern, cap=cap)
         else:
             x = data.draw(near_keys(q, split_set, cap))
-        key = prefix_key(x)
-        assert (key is None) == (cap < WIDTH)
-        assert outcome(part.locate_prefixed, x, key) \
-            == outcome(compare_locate, x, q, split_set)
+        keyed = KeyedPoints([x])
+        assert keyed.keys == [prefix_key(x)]
+        assert keyed.reads == [x.prefix_int(READ_BITS)
+                               if cap >= READ_BITS else None]
+        assert (keyed.keys[0] is None) == (cap < WIDTH)
+        assert_same(x, q, split_set, part)
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_select_matches_point_by_point(self, data):
-        # the points of one cell picked by bisecting sorted keys, against
-        # locating every point of the window in turn, CapExceeded included
+        # the points in the last point's cell picked by bisecting sorted
+        # keys, against locating the last point and then every point of the
+        # window in turn, CapExceeded included; the last point is drawn
+        # like the others or is one of them
         part, q, split_set = data.draw(st.sampled_from(table_partition_list()))
-        xs = data.draw(st.lists(
-            st.one_of(points(), st.sampled_from([15, 16, 17, 128]).flatmap(
-                lambda cap: near_keys(q, split_set, cap))),
-            min_size=1, max_size=12))
-        keys = [prefix_key(x) for x in xs]
+        point = st.one_of(points(), st.sampled_from([15, 16, 17, 128]).flatmap(
+            lambda cap: near_keys(q, split_set, cap)))
+        xs = data.draw(st.lists(point, min_size=1, max_size=12))
+        xs.append(data.draw(st.one_of(point, st.sampled_from(xs))))
         start = data.draw(st.integers(0, len(xs)))
-        stop = data.draw(st.integers(start, len(xs)))
-        located = [outcome(part.locate, x) for x in xs]
-        label = data.draw(st.sampled_from(
-            [label for label, _ in part]
-            + [lab for lab in located if isinstance(lab, tuple)]))
 
-        assert raised(part.select, label, KeyedPoints(xs, keys), start,
-                      stop) \
-            == raised(select_point_by_point, part, label, xs, keys, start,
-                      stop)
+        assert raised(part.select, KeyedPoints(xs), start) \
+            == raised(select_point_by_point, part, xs, start)
+
+    def test_query_cap_error_comes_first(self):
+        # all zeros to the cap sit on bound 0, undecided: the predictors
+        # (cap 20) and the query (cap 17) both raise, the query first
+        part = odometer.starving_partition(8, PartitionSchedule.sqrt())
+        xs = [BinaryPoint.seeded(i, prefix=(0,) * cap, cap=cap)
+              for i, cap in enumerate((20, 20, 17))]
+        want = (CapExceeded, "no bit equal to 1 within cap 17")
+        assert raised(part.select, KeyedPoints(xs), 0) == want
+        assert raised(select_point_by_point, part, xs, 0) == want
 
     def test_fraction_queries_keep_the_comparison_route(self):
         part = split_grid_partition(1, PartitionSchedule.constant(5), NON_DYADIC)
@@ -263,11 +283,10 @@ class TestBracketLocator:
         # Fractions among the points: no table key, located one by one
         xs = [Fraction(1, 3), BinaryPoint.seeded(1), Fraction(2, 5),
               Fraction(9, 10)]
-        keys = [None, prefix_key(xs[1]), None, None]
-        for x, key in zip(xs, keys):
-            assert part.locate_prefixed(x, key) == part.locate(x)
-        for label, _ in part:
-            assert part.select(label, KeyedPoints(xs, keys), 0, len(xs)) \
+        assert KeyedPoints(xs).keys == [None, prefix_key(xs[1]), None, None]
+        for query in xs:
+            label = part.locate(query)
+            assert part.select(KeyedPoints(xs + [query]), 0) \
                 == [i for i, x in enumerate(xs) if part.locate(x) == label]
 
 

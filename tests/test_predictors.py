@@ -13,7 +13,8 @@ from ergolab import markov, odometer, predictors
 from ergolab.dyadic import BinaryPoint
 from ergolab.errors import CapExceeded, CoverageError, SingularFit
 from ergolab.intervals import rational_set
-from ergolab.partitions import Partition, PartitionSchedule, regularity_report
+from ergolab.partitions import (KeyedPoints, Partition, PartitionSchedule,
+                                regularity_report)
 from ergolab.predictors import (CellCounts, CountPredictor, dynamic_count,
                                 fit_linear_ar, make_predictor,
                                 partitioning_autoregression,
@@ -124,12 +125,12 @@ class TestPartitioningEstimate:
 
     def test_autoregression_example(self):
         series = (0.1, 0.6, 0.2, 0.7)
-        assert partitioning_autoregression(series, two_cell_partition(), 0.7) \
+        assert partitioning_autoregression(series, two_cell_partition()) \
             == 0.2
 
     def test_single_pair(self):
         series = (0.3, 0.4)
-        assert partitioning_autoregression(series, two_cell_partition(), 0.4) \
+        assert partitioning_autoregression(series, two_cell_partition()) \
             == 0.4
 
     def test_matches_general_estimate_on_random_series(self):
@@ -140,20 +141,18 @@ class TestPartitioningEstimate:
                       for _ in range(rng.randrange(3, 20))]
             x = series[-1]
             pairs = predictors.autoregression_pairs(series)
-            assert partitioning_autoregression(series, part, x) \
+            assert partitioning_autoregression(series, part) \
                 == partitioning_estimate(pairs, part, x)
 
     def test_exact_zero_on_empty_cell(self):
         series = [Fraction(3, 4), Fraction(7, 8), Fraction(1, 4)]
-        est = partitioning_autoregression(series, two_cell_partition(),
-                                          Fraction(1, 4))
+        est = partitioning_autoregression(series, two_cell_partition())
         assert est == 0 and isinstance(est, int)
 
     @settings(max_examples=200, deadline=None)
     @given(seed=st.integers(0, 10 ** 6), length=st.integers(2, 40),
-           n=st.integers(1, 64), response_bits=st.integers(1, 64))
-    def test_integer_response_sum_matches_fraction_sum(self, seed, length, n,
-                                                       response_bits):
+           n=st.integers(1, 64))
+    def test_integer_response_sum_matches_fraction_sum(self, seed, length, n):
         # an odometer orbit of binary points on a starving partition; the
         # responses summed as integers give the per-Fraction sum exactly
         series = [BinaryPoint.seeded(seed)]
@@ -165,27 +164,27 @@ class TestPartitioningEstimate:
         num, den = 0, 0
         for z, y in predictors.autoregression_pairs(series):
             if part.locate(z) == label:
-                num = y.truncated(response_bits) + num
+                num = y.truncated(64) + num
                 den += 1
         want = num / den if den else 0
-        got = partitioning_autoregression(series, part, x, response_bits)
+        got = partitioning_autoregression(series, part)
         assert got == want and type(got) is type(want)
         pairs = predictors.autoregression_pairs(series)
-        cell = CellCounts.from_pairs(pairs, part, response_bits).estimate(label)
+        cell = CellCounts.from_pairs(pairs, part).estimate(label)
         assert cell == want and type(cell) is type(want)
 
 
-def lazy_autoregression(series, partition, x, response_bits=64):
+def lazy_autoregression(series, partition):
     """The partitioning autoregression with every value located by
-    `Partition.locate` and every response read by `prefix_int` on its own:
-    the reference for the read-once route."""
-    label = partition.locate(x)
+    `Partition.locate`, the last one first, and every response read by
+    `prefix_int` on its own: the reference for the read-once route."""
+    label = partition.locate(series[-1])
     num, den = 0, 0
     for z, y in predictors.autoregression_pairs(series):
         if partition.locate(z) == label:
-            num += y.prefix_int(response_bits)
+            num += y.prefix_int(64)
             den += 1
-    return Fraction(num, den << response_bits) if den else 0
+    return Fraction(num, den << 64) if den else 0
 
 
 def outcome(fn, *args):
@@ -205,15 +204,13 @@ class TestReadOnceRoute:
         for trial in range(200):
             omega = BinaryPoint.seeded(1000 + trial)
             series = odometer.sample_past(omega, 64)
-            read = predictors.ReadSeries(series)
+            read = KeyedPoints(series)
             assert read.reads == [z.prefix_int(64) for z in series]
-            assert read.keyed.keys == [z.prefix_int(16) for z in series]
+            assert read.keys == [z.prefix_int(16) for z in series]
             for n, part in parts.items():
-                label = part.locate_prefixed(omega, read.keyed.keys[-1])
-                got = predictors.autoregression_from_reads(read, part, label,
-                                                           64 - n)
-                want = partitioning_autoregression(series[-n:], part, omega)
-                lazy = lazy_autoregression(series[-n:], part, omega)
+                got = predictors.autoregression_from_reads(read, part, 64 - n)
+                want = partitioning_autoregression(series[-n:], part)
+                lazy = lazy_autoregression(series[-n:], part)
                 assert got == want == lazy
                 assert type(got) is type(want) is type(lazy)
 
@@ -229,9 +226,9 @@ class TestReadOnceRoute:
                 for n in (3, 8, 17, 32):
                     part = odometer.starving_partition(n, schedule)
                     got = outcome(partitioning_autoregression, series[-n:],
-                                  part, series[-1])
+                                  part)
                     assert got == outcome(lazy_autoregression, series[-n:],
-                                          part, series[-1])
+                                          part)
                     seen.add(got is CapExceeded)
         assert seen == {True, False}
 
@@ -239,19 +236,16 @@ class TestReadOnceRoute:
     @given(seed=st.integers(0, 10 ** 6),
            cap=st.sampled_from([8, 15, 16, 20, 63, 64, 128]),
            n=st.integers(1, 64), length=st.integers(2, 30),
-           response_bits=st.sampled_from([1, 16, 17, 64]),
            zeros=st.integers(0, 130))
     def test_low_caps_keep_the_lazy_outcome(self, seed, cap, n, length,
-                                            response_bits, zeros):
+                                            zeros):
         # points whose cap is below a read stay unread, so CapExceeded comes
         # from the same place as on the lazy route
         series = [BinaryPoint.seeded(seed + i, prefix=(0,) * zeros, cap=cap)
                   for i in range(length)]
         part = odometer.starving_partition(n, PartitionSchedule.sqrt())
-        x = series[-1]
-        assert outcome(partitioning_autoregression, series, part, x,
-                       response_bits) \
-            == outcome(lazy_autoregression, series, part, x, response_bits)
+        assert outcome(partitioning_autoregression, series, part) \
+            == outcome(lazy_autoregression, series, part)
 
 
 class TestConsistencyOnTwoStateChain:
