@@ -338,6 +338,12 @@ class AttackMethod:
     max_atoms: int = 200_000
     trials: int = 20_000
 
+    def __post_init__(self):
+        if self.trials < 1:
+            raise ValueError(f"need at least 1 trial, got {self.trials}")
+        if not 0 <= self.mass_tol < 1:
+            raise ValueError(f"mass tolerance {self.mass_tol} outside [0, 1)")
+
     @classmethod
     def parse(cls, text: str) -> "AttackMethod":
         kind, _, arg = text.partition(":")

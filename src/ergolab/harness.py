@@ -48,7 +48,7 @@ def derived_seed(master, index: int) -> int:
 
 def parse_nlist(text: str) -> tuple:
     """The n of a comma list of values and ``lo:hi`` ranges; a reversed
-    range, or a list that yields no n, is a ValueError."""
+    range, a repeated n, or a list that yields no n, is a ValueError."""
     out = []
     for item in text.split(","):
         item = item.strip()
@@ -62,6 +62,8 @@ def parse_nlist(text: str) -> tuple:
             out.append(int(item))
     if not out:
         raise ValueError("no n in the list")
+    if len(set(out)) < len(out):
+        raise ValueError("an n is repeated")
     return tuple(out)
 
 
@@ -541,11 +543,10 @@ def run_consistency(config: ExperimentConfig) -> Report:
         for n in ns:
             for context in (0, 1):
                 truth = float(_TWO_STATE[context, 1])
-                est_s = float(predictors.static_count(data[:n], 1,
-                                                      context=(context,)))
-                est_d = float(predictors.dynamic_count(data[:n], 1,
-                                                       context=(context,)))
-                err = max(abs(est_s - truth), abs(est_d - truth))
+                # the static and dynamic count estimates are one value
+                est = float(predictors.dynamic_count(data[:n], 1,
+                                                     context=(context,)))
+                err = abs(est - truth)
                 if n == max(ns):
                     worst = max(worst, err)
                 rows.append((n, f"seed{seed_idx}-ctx{context}", err))

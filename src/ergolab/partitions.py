@@ -18,10 +18,8 @@ from .errors import CoverageError
 from .intervals import IntervalSet, _cmp
 from .surd import QuadraticReal, floor_raw
 
-# the width in bits of the prefix locator's breakpoint table
-WIDTH = 16
-# the bits of a BinaryPoint read once (KeyedPoints): its table key, and the
-# response bits a cell mean sums
+# the bits of a BinaryPoint read once (prefix_key): its breakpoint-table key,
+# and the response bits a cell mean sums
 READ_BITS = 64
 
 
@@ -73,23 +71,20 @@ class PartitionSchedule:
 
 
 class Partition:
-    """Labelled cells partitioning [0, 1); cells may be empty."""
+    """Labelled cells partitioning [0, 1), located by `locator` and, for a
+    binary point, by `table` when given; cells may be empty."""
 
-    def __init__(self, cells, locator=None, table=None):
+    def __init__(self, cells, locator, table=None):
         self.cells = list(cells)
         self._locator = locator
         self._table = table
 
     def locate(self, x):
-        """Label of the cell containing `x`; CoverageError if none."""
+        """Label of the cell containing `x`; CoverageError if none, and
+        TypeError for a type no locator reads exactly (a float)."""
         if self._table is not None and isinstance(x, BinaryPoint):
             return self._table.locate(x, prefix_key(x))
-        if self._locator is not None:
-            return self._locator(x)
-        for label, cell in self.cells:
-            if cell.contains(x):
-                return label
-        raise CoverageError(f"{x!r} is not covered by the partition")
+        return self._locator(x)
 
     def select(self, keyed: "KeyedPoints", start: int):
         """The indices ``start <= i < last`` of the points of `keyed` in the
@@ -115,38 +110,30 @@ class Partition:
         return iter(self.cells)
 
 
-def prefix_key(x: BinaryPoint):
-    """The breakpoint-table key of `x`: its first ``WIDTH`` bits as one int,
-    or None when its cap is below ``WIDTH``."""
-    return x.prefix_int(WIDTH) if x.cap >= WIDTH else None
+def prefix_key(x):
+    """The read of `x`: the first ``READ_BITS`` bits of a
+    :class:`BinaryPoint` whose cap allows them, packed in one int, which is
+    its breakpoint-table key; None for any other point, so a read never
+    raises :class:`CapExceeded`."""
+    if isinstance(x, BinaryPoint) and x.cap >= READ_BITS:
+        return x.prefix_int(READ_BITS)
+    return None
 
 
 class KeyedPoints:
-    """Points read once, with their breakpoint-table keys.
-
-    A :class:`BinaryPoint` whose cap allows it is read to its first
-    ``READ_BITS`` bits, packed in one int (``reads``, None for any other
-    point), so reading never raises :class:`CapExceeded`.  Its key is the
-    top ``WIDTH`` bits of that read; a point without a read has the key
-    :meth:`Partition.locate` would read (:func:`prefix_key`, None for a
-    point that is no :class:`BinaryPoint`).  The keyed points are sorted by
-    key once so that :meth:`Partition.select` finds a cell's points by
-    bisection.  ``binary`` says whether every point is a
+    """Points read once: ``keys[i]`` is :func:`prefix_key` of point i, its
+    breakpoint-table key and its response bits.  The keyed points are
+    sorted by key once so that :meth:`Partition.select` finds a cell's
+    points by bisection.  ``binary`` says whether every point is a
     :class:`BinaryPoint`, which a table needs.
     """
 
-    __slots__ = ("points", "reads", "keys", "binary", "order", "sorted_keys",
+    __slots__ = ("points", "keys", "binary", "order", "sorted_keys",
                  "key_set", "unkeyed")
 
     def __init__(self, points):
         self.points = points = list(points)
-        self.reads = [x.prefix_int(READ_BITS)
-                      if isinstance(x, BinaryPoint) and x.cap >= READ_BITS
-                      else None for x in points]
-        shift = READ_BITS - WIDTH
-        self.keys = keys = [None if not isinstance(x, BinaryPoint)
-                            else prefix_key(x) if p is None else p >> shift
-                            for x, p in zip(points, self.reads)]
+        self.keys = keys = [prefix_key(x) for x in points]
         self.binary = all(isinstance(x, BinaryPoint) for x in points)
         self.order = sorted((i for i, k in enumerate(keys) if k is not None),
                             key=keys.__getitem__)
@@ -163,10 +150,11 @@ def split_grid_partition(n: int, schedule: PartitionSchedule,
     ``(j, False)`` outside; ``j`` runs from 1 to q(n).  A field element or
     rational is located by ``j = floor(q*x) + 1`` (:func:`_floor_locator`);
     on the rational domain a :class:`BinaryPoint` is located by a breakpoint
-    table over its prefix bits, or else by exact comparison
+    table keyed by its 64-bit read, or else by exact comparison
     (:class:`_BreakpointTable`), and the points of a read series that share
     its last point's cell are found from their keys
-    (:meth:`Partition.select`).
+    (:meth:`Partition.select`).  No other query type (a float among them)
+    is located.
     """
     q = schedule.q(n)
     quadratic = split_set.domain and split_set.domain[0] == "quadratic"
@@ -216,12 +204,12 @@ def _floor_locator(q: int, inside_cells):
 
 
 class _BreakpointTable:
-    """Rational-domain locator of a BinaryPoint from its table key.
+    """Rational-domain locator of a BinaryPoint from its read.
 
     With ``p`` the point's :func:`prefix_key` it lies in the bracket
-    ``[p, p + 1) / 2**WIDTH`` of the lexicographic order that
+    ``[p, p + 1) / 2**READ_BITS`` of the lexicographic order that
     :meth:`BinaryPoint.compare` uses (an all-ones tail stays below the next
-    dyadic).  The table keys ``floor(e * 2**WIDTH)`` for every grid bound
+    dyadic).  The table keys ``floor(e * 2**READ_BITS)`` for every grid bound
     and split-set endpoint ``e`` below 1 (bound 0 among them), and next to
     each key stores the label of the brackets strictly between it and the
     next key, read through `fallback` at a bracket midpoint.  A point whose
@@ -233,7 +221,7 @@ class _BreakpointTable:
     (:meth:`select`).
 
     A point in a key's bracket, or with a key of None (a cap below
-    ``WIDTH``), is located by exact comparison: a bisection of the grid
+    ``READ_BITS``), is located by exact comparison: a bisection of the grid
     bounds with :meth:`BinaryPoint.compare`, a check of both ends of the
     located cell, and membership read from that cell's inside piece
     ``inside_cells[j - 1]``.  :class:`CapExceeded` comes from those
@@ -246,7 +234,7 @@ class _BreakpointTable:
     def __init__(self, q: int, bounds, split_set: IntervalSet, inside_cells,
                  fallback):
         breaks = bounds + [end for iv in split_set for end in (iv.lo, iv.hi)]
-        top = 1 << WIDTH
+        top = 1 << READ_BITS
         keys = sorted({e.numerator * top // e.denominator
                        for e in breaks if e < 1})
         self.q, self.bounds, self.inside_cells = q, bounds, inside_cells

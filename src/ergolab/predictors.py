@@ -107,6 +107,8 @@ class CountPredictor:
     def __init__(self, context_len: int = 1, mode: str = "dynamic"):
         if mode not in ("dynamic", "static"):
             raise ValueError("mode is 'dynamic' or 'static'")
+        if context_len < 1:
+            raise ValueError(f"context length {context_len} below 1")
         self.context_len = context_len
         self.mode = mode
         self.name = f"{mode}-count:{context_len}"
@@ -163,8 +165,8 @@ def _cell_mean(responses, reads=None):
     """Exact mean of one cell's responses; an exact 0 for an empty cell.
 
     Binary points are summed as their first ``READ_BITS`` bits in one
-    integer and divided once; `reads` may give a response's read
-    (:class:`KeyedPoints`, None where it has none), which is those bits.
+    integer and divided once; `reads` may give those bits of a response
+    (its :class:`KeyedPoints` key, None where it has none).
     Any other responses are summed from the first one, so a field element
     is never added to a plain 0.
     """
@@ -245,7 +247,7 @@ def autoregression_from_reads(read: KeyedPoints, partition: Partition,
     """
     cell = partition.select(read, start)
     return _cell_mean([read.points[i + 1] for i in cell],
-                      [read.reads[i + 1] for i in cell])
+                      [read.keys[i + 1] for i in cell])
 
 
 # -- linear autoregression (least squares through the origin)

@@ -47,6 +47,21 @@ class TestConfig:
         cfg.set_key("nlist", "")
         assert cfg.validate().nlist == (3, 4)
 
+    def test_repeated_n_is_an_error(self, tmp_path, capsys):
+        # a repeated n would be swept, and counted, twice: refused from a
+        # flag, from a config file and by validate
+        with pytest.raises(ValueError, match="an n is repeated"):
+            parse_nlist("3:12,12")
+        assert cli.main(["thm3", "--nlist", "3:12,12", "--trials", "1"]) == 2
+        assert "config error: bad nlist" in capsys.readouterr().err
+        path = tmp_path / "config.txt"
+        path.write_text("experiment = thm3\nnlist = 4,3:5\n")
+        with pytest.raises(ConfigError, match="an n is repeated"):
+            ExperimentConfig.from_file(path)
+        assert cli.main(["thm3", "--config", str(path)]) == 2
+        with pytest.raises(ConfigError, match="an n is repeated"):
+            ExperimentConfig(experiment="thm3", nlist=(3, 4, 3)).validate()
+
     def test_file_round_trip(self, tmp_path):
         cfg = ExperimentConfig(experiment="thm3", trials=17, seed=5,
                                nlist=(3, 4, 5), q_schedule="sqrt:1",
@@ -338,6 +353,22 @@ class TestCli:
         argv = [arg.format(tmp=tmp_path) for arg in argv]
         assert cli.main(argv) == 2
         assert "config error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["thm1", "--method", "mc:0"],
+        ["thm1", "--method", "mc:-5"],
+        ["thm1", "--method", "exact:2"],
+        ["thm1", "--method", "exact:1"],
+        ["thm1", "--method", "exact:-1/10"],
+        ["thm1", "--predictor", "dynamic-count:0"],
+        ["thm1", "--predictor", "static-count:-1"],
+    ])
+    def test_out_of_range_attack_setting_is_a_config_error(self, argv,
+                                                           capsys):
+        # refused before the run, not by a traceback in it
+        assert cli.main(argv + ["--trials", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
 
     def test_flags_are_the_config_keys(self):
         keys = {line.split(" = ")[0] for line in ExperimentConfig().to_lines()}

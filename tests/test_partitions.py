@@ -12,9 +12,8 @@ from ergolab import odometer
 from ergolab.dyadic import BinaryPoint
 from ergolab.errors import CapExceeded, CoverageError
 from ergolab.intervals import _cmp, rational_set
-from ergolab.partitions import (READ_BITS, WIDTH, KeyedPoints,
-                                PartitionSchedule, prefix_key,
-                                split_grid_partition)
+from ergolab.partitions import (READ_BITS, KeyedPoints, PartitionSchedule,
+                                prefix_key, split_grid_partition)
 from ergolab.rotation import Rotation, build_tower, default_rotation
 from ergolab.surd import QuadraticReal, golden_conjugate
 
@@ -131,10 +130,12 @@ def table_partition_list():
 
 
 def breakpoint_keys(q, split_set):
-    """``floor(e * 2**WIDTH)`` for every grid bound and set endpoint e < 1."""
+    """``floor(e * 2**READ_BITS)`` for every grid bound and set endpoint
+    e < 1."""
     breaks = [Fraction(j, q) for j in range(q)] \
         + [end for iv in split_set for end in (iv.lo, iv.hi) if end < 1]
-    return sorted({e.numerator * (1 << WIDTH) // e.denominator for e in breaks})
+    return sorted({e.numerator * (1 << READ_BITS) // e.denominator
+                   for e in breaks})
 
 
 @st.composite
@@ -143,11 +144,11 @@ def near_keys(draw, q, split_set, cap):
     seeded tail or a zero run to the cap."""
     key = draw(st.sampled_from(breakpoint_keys(q, split_set)))
     p = key + draw(st.sampled_from([-1, 0, 1]))
-    if not 0 <= p < 1 << WIDTH:
+    if not 0 <= p < 1 << READ_BITS:
         p = key
-    bits = expansion(Fraction(p, 1 << WIDTH), WIDTH)
+    bits = expansion(Fraction(p, 1 << READ_BITS), READ_BITS)
     if draw(st.booleans()):
-        bits += (0,) * max(0, cap - WIDTH)
+        bits += (0,) * max(0, cap - READ_BITS)
     return BinaryPoint.seeded(p, prefix=bits, cap=cap)
 
 
@@ -185,16 +186,18 @@ class TestBracketLocator:
 
     def test_breakpoint_table_boundaries(self):
         # the brackets of every breakpoint-table key and their neighbours,
-        # with a seeded tail or a zero run to the cap, at caps around WIDTH,
+        # with a seeded tail or a zero run to the cap, at caps around
+        # READ_BITS,
         # on the thm3 partitions and on grids over a non-dyadic set
         for part, q, split_set in table_partitions():
             decided = []
             for p in {p for key in breakpoint_keys(q, split_set)
-                      for p in (key - 1, key, key + 1) if 0 <= p < 1 << WIDTH}:
-                bits = expansion(Fraction(p, 1 << WIDTH), WIDTH)
-                for cap in (15, 16, 17, None):
+                      for p in (key - 1, key, key + 1)
+                      if 0 <= p < 1 << READ_BITS}:
+                bits = expansion(Fraction(p, 1 << READ_BITS), READ_BITS)
+                for cap in (63, 64, 65, None):
                     width = BinaryPoint.default_cap if cap is None else cap
-                    zeros = (0,) * max(0, width - WIDTH)
+                    zeros = (0,) * max(0, width - READ_BITS)
                     for x in (BinaryPoint.seeded(p, prefix=bits, cap=cap),
                               BinaryPoint.seeded(p, prefix=bits + zeros,
                                                  cap=cap)):
@@ -203,7 +206,7 @@ class TestBracketLocator:
                             decided.append(x)
             # every cell's points picked from all of these at once, with a
             # query of that cell on the table route and one on the exact
-            # route (a key of the table, or a cap below WIDTH)
+            # route (a key of the table, or a cap below READ_BITS)
             table_keys = set(breakpoint_keys(q, split_set))
             queries = {}
             for x in decided:
@@ -221,16 +224,15 @@ class TestBracketLocator:
                 assert_same(x, q, split_set, part)
 
     @settings(max_examples=600, deadline=None)
-    @given(data=st.data(), cap=st.one_of(st.sampled_from([15, 16, 17, 128]),
+    @given(data=st.data(), cap=st.one_of(st.sampled_from([63, 64, 65, 128]),
                                          st.integers(8, 128)),
            kind=st.sampled_from(["seeded", "periodic", "key"]))
     def test_prefixed_locate_matches_compare_route(self, data, cap, kind):
         # the locate from the key of a read, on every thm3 partition at
         # sqrt:1 and the grids over NON_DYADIC: seeded and periodic points,
         # and prefixes k - 1, k and k + 1 of every table key with a seeded
-        # tail or a zero run to the cap.  A point is read to READ_BITS bits
-        # and keyed by the top WIDTH bits of the read, or unread below that
-        # cap and keyed by its own prefix.
+        # tail or a zero run to the cap.  A point is read to READ_BITS bits,
+        # and that read is its key; below that cap it is unread and keyless.
         part, q, split_set = data.draw(st.sampled_from(table_partition_list()))
         prefix = data.draw(bit_lists)
         if kind == "seeded":
@@ -243,10 +245,8 @@ class TestBracketLocator:
         else:
             x = data.draw(near_keys(q, split_set, cap))
         keyed = KeyedPoints([x])
-        assert keyed.keys == [prefix_key(x)]
-        assert keyed.reads == [x.prefix_int(READ_BITS)
-                               if cap >= READ_BITS else None]
-        assert (keyed.keys[0] is None) == (cap < WIDTH)
+        assert keyed.keys == [x.prefix_int(READ_BITS)
+                              if cap >= READ_BITS else None]
         assert_same(x, q, split_set, part)
 
     @settings(max_examples=300, deadline=None)
@@ -257,7 +257,7 @@ class TestBracketLocator:
         # window in turn, CapExceeded included; the last point is drawn
         # like the others or is one of them
         part, q, split_set = data.draw(st.sampled_from(table_partition_list()))
-        point = st.one_of(points(), st.sampled_from([15, 16, 17, 128]).flatmap(
+        point = st.one_of(points(), st.sampled_from([63, 64, 65, 128]).flatmap(
             lambda cap: near_keys(q, split_set, cap)))
         xs = data.draw(st.lists(point, min_size=1, max_size=12))
         xs.append(data.draw(st.one_of(point, st.sampled_from(xs))))
@@ -288,6 +288,14 @@ class TestBracketLocator:
             label = part.locate(query)
             assert part.select(KeyedPoints(xs + [query]), 0) \
                 == [i for i, x in enumerate(xs) if part.locate(x) == label]
+
+    def test_float_queries_are_refused(self):
+        # no cell scan: a float is no exact point, located by no route
+        part = split_grid_partition(1, PartitionSchedule.constant(5), NON_DYADIC)
+        with pytest.raises(TypeError):
+            part.locate(0.5)
+        with pytest.raises(TypeError):
+            part.select(KeyedPoints([BinaryPoint.seeded(1), 0.5]), 0)
 
 
 def cover_set(rotation, n):

@@ -13,8 +13,8 @@ from ergolab import markov, odometer, predictors
 from ergolab.dyadic import BinaryPoint
 from ergolab.errors import CapExceeded, CoverageError, SingularFit
 from ergolab.intervals import rational_set
-from ergolab.partitions import (KeyedPoints, Partition, PartitionSchedule,
-                                regularity_report)
+from ergolab.partitions import (READ_BITS, KeyedPoints, PartitionSchedule,
+                                regularity_report, split_grid_partition)
 from ergolab.predictors import (CellCounts, CountPredictor, dynamic_count,
                                 fit_linear_ar, make_predictor,
                                 partitioning_autoregression,
@@ -31,10 +31,9 @@ OBSERVATION_BATCHES = st.sampled_from((
 
 
 def two_cell_partition():
-    return Partition([
-        ("left", rational_set((0, Fraction(1, 2)))),
-        ("right", rational_set((Fraction(1, 2), 1))),
-    ])
+    """[0, 1/2) and [1/2, 1), labelled (1, False) and (2, False)."""
+    return split_grid_partition(1, PartitionSchedule.constant(2),
+                                rational_set())
 
 
 class TestCountForecasters:
@@ -110,28 +109,33 @@ class TestCountForecasters:
 
 class TestPartitioningEstimate:
     def test_examples(self):
-        pairs = [(0.1, 1), (0.15, 2), (0.7, 5)]
+        pairs = [(Fraction(1, 10), 1), (Fraction(3, 20), 2),
+                 (Fraction(7, 10), 5)]
         part = two_cell_partition()
-        assert partitioning_estimate(pairs, part, 0.2) == 1.5
+        assert partitioning_estimate(pairs, part, Fraction(1, 5)) \
+            == Fraction(3, 2)
         # integer responses give an exact mean, not a float
-        assert type(partitioning_estimate(pairs, part, 0.2)) is Fraction
-        assert partitioning_estimate(pairs, part, 0.6) == 5
-        empty = [(0.7, 5)]
-        assert partitioning_estimate(empty, part, 0.2) == 0
+        assert type(partitioning_estimate(pairs, part, Fraction(1, 5))) \
+            is Fraction
+        assert partitioning_estimate(pairs, part, Fraction(3, 5)) == 5
+        empty = [(Fraction(7, 10), 5)]
+        assert partitioning_estimate(empty, part, Fraction(1, 5)) == 0
 
     def test_coverage_error(self):
         with pytest.raises(CoverageError):
-            partitioning_estimate([(0.1, 1)], two_cell_partition(), 1.5)
+            partitioning_estimate([(Fraction(1, 10), 1)],
+                                  two_cell_partition(), Fraction(3, 2))
 
     def test_autoregression_example(self):
-        series = (0.1, 0.6, 0.2, 0.7)
+        series = (Fraction(1, 10), Fraction(3, 5), Fraction(1, 5),
+                  Fraction(7, 10))
         assert partitioning_autoregression(series, two_cell_partition()) \
-            == 0.2
+            == Fraction(1, 5)
 
     def test_single_pair(self):
-        series = (0.3, 0.4)
+        series = (Fraction(3, 10), Fraction(2, 5))
         assert partitioning_autoregression(series, two_cell_partition()) \
-            == 0.4
+            == Fraction(2, 5)
 
     def test_matches_general_estimate_on_random_series(self):
         rng = random.Random(8)
@@ -205,8 +209,7 @@ class TestReadOnceRoute:
             omega = BinaryPoint.seeded(1000 + trial)
             series = odometer.sample_past(omega, 64)
             read = KeyedPoints(series)
-            assert read.reads == [z.prefix_int(64) for z in series]
-            assert read.keys == [z.prefix_int(16) for z in series]
+            assert read.keys == [z.prefix_int(READ_BITS) for z in series]
             for n, part in parts.items():
                 got = predictors.autoregression_from_reads(read, part, 64 - n)
                 want = partitioning_autoregression(series[-n:], part)
@@ -215,11 +218,11 @@ class TestReadOnceRoute:
                 assert type(got) is type(want) is type(lazy)
 
     def test_low_cap_trials_keep_the_lazy_outcome(self):
-        # thm3 trials at caps around the table key and the response width:
-        # an empty query cell still estimates 0 without reading a response
+        # thm3 trials at caps below and around the read width: an empty
+        # query cell still estimates 0 without reading a response
         schedule = PartitionSchedule.sqrt()
         seen = set()
-        for cap in (15, 16, 20, 63, 64):
+        for cap in (15, 16, 20, 63, 64, 65):
             for trial in range(10):
                 series = odometer.sample_past(
                     BinaryPoint.seeded(trial, cap=cap), 32)
