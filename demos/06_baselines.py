@@ -8,9 +8,9 @@ the true nonlinear regression even on a tame series.
 """
 import numpy as np
 
+from ergolab.baselines import fit_linear_ar, sample_sqrt_ar
 from ergolab.harness import ExperimentConfig, run
-from ergolab.markov import sample_sqrt_ar
-from ergolab.predictors import dynamic_count, fit_linear_ar, static_count
+from ergolab.predictors import dynamic_count, static_count
 
 print("== count forecasters on a two-state chain ==")
 report = run(ExperimentConfig(experiment="consistency", trials=1, seed=3,

@@ -7,7 +7,8 @@ A small laboratory with four moving parts:
 * two exactly-computable ergodic systems (the reverse binary odometer and an
   irrational rotation with constructive Rohlin towers);
 * the estimators under study (count forecasters, the partitioning estimate,
-  a no-intercept linear predictor);
+  and, in :mod:`ergolab.baselines`, the one module that needs numpy, a
+  no-intercept linear predictor);
 * an adversary that picks hidden-chain labels to confound any supplied
   black-box predictor, plus a reproducible experiment harness and CLI.
 """

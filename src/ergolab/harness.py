@@ -7,12 +7,14 @@ Seven experiments share one configuration shape and one persistence format:
 * ``thm3`` -- the odometer starvation sweep for the partitioning forecaster;
 * ``thm4`` -- the rotation tower experiment with exact L1 integrals;
 * ``consistency`` / ``linear`` -- the positive count-estimator baseline and
-  the linear-predictor suboptimality demo;
+  the linear-predictor suboptimality demo, in floating point; their runners
+  live in :mod:`ergolab.baselines`, the one module that imports numpy, and
+  RUNNERS imports it on their first call;
 * ``check-partitions`` -- partition-regularity trend report.
 
 Every run is deterministic given its config: per-trial seeds are derived
-from the master seed with a splittable sequence, and reports serialize to
-byte-identical CSV.
+from the master seed with numpy's SeedSequence hash, computed here in pure
+Python (:func:`derived_seed`), and reports serialize to byte-identical CSV.
 """
 
 from __future__ import annotations
@@ -24,8 +26,6 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Callable
 
-import numpy as np
-
 from . import adversary, markov, odometer, predictors, rotation as rot
 from .dyadic import BinaryPoint
 from .errors import (CapExceeded, ConfigError, ErgolabError, ExceptionalPoint,
@@ -36,10 +36,61 @@ from .partitions import (KeyedPoints, PartitionSchedule, regularity_report,
 from .surd import QuadraticReal, triple, triple_sum
 
 
-def derived_seed(master, index: int) -> int:
-    """Stable per-trial seed from the master seed."""
-    return int(np.random.SeedSequence([int(master), int(index)])
-               .generate_state(1)[0])
+# numpy's SeedSequence hash (its documented ``hashmix``/``mix`` scheme) for
+# an entropy of two non-negative integers, a pool of four 32-bit words and
+# one output word
+_MASK32 = 0xFFFF_FFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+_OUT_MULT = _INIT_B * _MULT_B & _MASK32
+
+
+def _words(n: int) -> list:
+    """The 32-bit little-endian words of ``n >= 0``; ``[0]`` for 0."""
+    words = [n & _MASK32]
+    n >>= 32
+    while n:
+        words.append(n & _MASK32)
+        n >>= 32
+    return words
+
+
+def derived_seed(master: int, index: int) -> int:
+    """Stable per-trial seed from the master seed: the value of numpy's
+    ``SeedSequence([master, index]).generate_state(1)[0]``, in pure Python.
+
+    Both arguments must be non-negative; anything else is a ValueError.
+    """
+    if master < 0 or index < 0:
+        raise ValueError(f"seeds are non-negative integers, not "
+                         f"({master}, {index})")
+    entropy = _words(master) + _words(index)
+    entropy += [0] * (_POOL_SIZE - len(entropy))
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value ^= const
+        const = const * _MULT_A & _MASK32
+        value = value * const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        x = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+        return x ^ x >> 16
+
+    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    value = (pool[0] ^ _INIT_B) * _OUT_MULT & _MASK32
+    return value ^ value >> 16
 
 
 # -- the configuration: the FIELDS table below defines the config class,
@@ -198,6 +249,8 @@ class ExperimentConfig:
             self.set_key(f.key, f.format(getattr(self, f.attr)))
         if self.trials <= 0:
             raise ConfigError("trials must be positive")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
         if self.kmax <= 0 or self.smax < 2:
             raise ConfigError("kmax must be >= 1 and smax >= 2")
         if any(n <= 0 for n in self.nlist):
@@ -519,75 +572,6 @@ def run_rotation_l1(config: ExperimentConfig) -> Report:
     )
 
 
-# -- positive baselines
-
-
-_TWO_STATE = np.array([[0.75, 0.25], [0.40, 0.60]])
-
-
-def run_consistency(config: ExperimentConfig) -> Report:
-    ns = sorted(config.nlist)
-    seeds = [derived_seed(config.seed, i) for i in range(5)]
-    rows = []
-    worst = 0.0
-    for seed_idx, seed in enumerate(seeds):
-        rng = np.random.default_rng(seed)
-        length = max(ns)
-        states = np.empty(length, dtype=np.int64)
-        state = 0
-        uniforms = rng.random(length)
-        for i in range(length):
-            state = int(uniforms[i] < _TWO_STATE[state, 1])
-            states[i] = state
-        data = states.tolist()
-        for n in ns:
-            for context in (0, 1):
-                truth = float(_TWO_STATE[context, 1])
-                # the static and dynamic count estimates are one value
-                est = float(predictors.dynamic_count(data[:n], 1,
-                                                     context=(context,)))
-                err = abs(est - truth)
-                if n == max(ns):
-                    worst = max(worst, err)
-                rows.append((n, f"seed{seed_idx}-ctx{context}", err))
-    return Report(
-        schema="baseline",
-        columns=("n", "context_or_model", "error"),
-        rows=rows,
-        summary={"max_error_at_longest_n": worst, "seeds": len(seeds)},
-        plot=[(n, max(r[2] for r in rows if r[0] == n)) for n in ns],
-        stat=worst,
-        stat_direction="le",
-    )
-
-
-def run_linear(config: ExperimentConfig) -> Report:
-    n = max(config.nlist)
-    series = markov.sample_sqrt_ar(1.0, n + 1,
-                                   seed=derived_seed(config.seed, 0))
-    model, _ = predictors.fit_linear_ar(series, 1)
-    x_prev = series[:-1]
-    x_next = series[1:]
-    err_linear = (x_next - model.coefficients[0] * x_prev) ** 2
-    err_truth = (x_next - np.sqrt(np.abs(x_prev))) ** 2
-    diff = err_linear - err_truth
-    z = float(diff.mean() / (diff.std(ddof=1) / math.sqrt(len(diff))))
-    rows = [
-        (n, "linear-ar", float(err_linear.mean())),
-        (n, "true-regression", float(err_truth.mean())),
-    ]
-    return Report(
-        schema="baseline",
-        columns=("n", "context_or_model", "error"),
-        rows=rows,
-        summary={"coefficient": float(model.coefficients[0]),
-                 "mse_gap": float(diff.mean()), "z_score": z},
-        plot=[(n, z)],
-        stat=z,
-        stat_direction="ge",
-    )
-
-
 def run_check_partitions(config: ExperimentConfig) -> Report:
     schedule = config.schedule(require_regular=False)
     parts = [(n, odometer.starving_partition(n, schedule))
@@ -608,13 +592,22 @@ def run_check_partitions(config: ExperimentConfig) -> Report:
     )
 
 
+def _baseline(name: str):
+    """The float baseline `name` of :mod:`ergolab.baselines`, which is
+    imported, with numpy, on the first call."""
+    def run_baseline(config: ExperimentConfig) -> Report:
+        from . import baselines
+        return getattr(baselines, name)(config)
+    return run_baseline
+
+
 RUNNERS = {
     "thm1": run_attack,
     "thm2": run_attack,
     "thm3": run_starvation,
     "thm4": run_rotation_l1,
-    "consistency": run_consistency,
-    "linear": run_linear,
+    "consistency": _baseline("run_consistency"),
+    "linear": _baseline("run_linear"),
     "check-partitions": run_check_partitions,
 }
 EXPERIMENTS = tuple(RUNNERS)

@@ -1,4 +1,4 @@
-"""The climbing Markov chain, its hidden labelings, and demo processes.
+"""The climbing Markov chain and its hidden labelings.
 
 The chain lives on the nonnegative integers: state 0 moves to 1, state 1 to
 2, and every state ``s >= 2`` moves to 0 or to ``s + 1`` with probability
@@ -18,8 +18,6 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-
-import numpy as np
 
 from .errors import (FrontierError, InconsistentObservation, InvalidLabel,
                      InvalidObservation)
@@ -316,21 +314,3 @@ def expected_next_relabeled(value, table: ShiftLabelTable) -> Fraction:
     if state <= 1:
         return table.label(state + 1)
     return HALF * table.label(state + 1)
-
-
-def sample_sqrt_ar(x0: float, length: int, noise=(-0.25, 0.25), seed=None):
-    """The nonlinear autoregression ``X_n = sqrt(|X_{n-1}|) + eps_n``.
-
-    Noise is uniform on the given interval (zero-mean by default); the true
-    one-step regression is ``sqrt(|x|)``.
-    """
-    lo, hi = noise
-    if not lo < hi or abs(lo + hi) > 1e-12:
-        raise ValueError("noise interval must be symmetric around zero")
-    rng = np.random.default_rng(seed)
-    out = np.empty(length)
-    x = float(x0)
-    for i in range(length):
-        x = np.sqrt(abs(x)) + rng.uniform(lo, hi)
-        out[i] = x
-    return out

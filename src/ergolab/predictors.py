@@ -1,21 +1,18 @@
-"""The estimators: count forecasters, the partitioning estimate, linear AR.
+"""The exact estimators: count forecasters and the partitioning estimate.
 
 Count forecasters average the successors of every past occurrence of the
 current context (the 0/0 = 0 convention applies to unseen contexts).  The
 partitioning estimate averages responses whose predictor fell in the same
 partition cell as the query; with exact inputs the cell sums stay exact, so
 "the estimate is zero because the cell is empty" is a statement, not a
-tolerance.
+tolerance.  The float linear predictor lives in :mod:`ergolab.baselines`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-import numpy as np
-
 from .dyadic import BinaryPoint
-from .errors import SingularFit
 from .partitions import READ_BITS, KeyedPoints, Partition
 
 
@@ -248,47 +245,3 @@ def autoregression_from_reads(read: KeyedPoints, partition: Partition,
     cell = partition.select(read, start)
     return _cell_mean([read.points[i + 1] for i in cell],
                       [read.keys[i + 1] for i in cell])
-
-
-# -- linear autoregression (least squares through the origin)
-
-
-class LinearARModel:
-    """Fitted convolution coefficients, oldest lag last."""
-
-    def __init__(self, coefficients: np.ndarray):
-        self.coefficients = np.asarray(coefficients, dtype=float)
-
-    @property
-    def order(self) -> int:
-        return len(self.coefficients)
-
-    def predict(self, recent) -> float:
-        """One-step prediction from the most recent `order` values
-        (given oldest first)."""
-        recent = np.asarray(recent, dtype=float)
-        if len(recent) < self.order:
-            raise ValueError("not enough history")
-        lags = recent[::-1][:self.order]  # most recent first
-        return float(self.coefficients @ lags)
-
-
-def fit_linear_ar(series, order: int):
-    """Least-squares fit of a no-intercept linear predictor; returns
-    ``(model, one_step_prediction)``.
-
-    Raises :class:`SingularFit` when the lagged design is rank deficient at
-    relative tolerance 1e-10.
-    """
-    x = np.asarray(series, dtype=float)
-    n = len(x)
-    if n <= 2 * order:
-        raise ValueError("series too short for the requested order")
-    design = np.column_stack([x[order - 1 - i:n - 1 - i] for i in range(order)])
-    target = x[order:]
-    rank = np.linalg.matrix_rank(design, tol=1e-10 * np.abs(design).max())
-    if rank < order:
-        raise SingularFit(f"design rank {rank} < order {order}")
-    coeffs, *_ = np.linalg.lstsq(design, target, rcond=None)
-    model = LinearARModel(coeffs)
-    return model, model.predict(x[-order:])

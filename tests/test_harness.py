@@ -2,9 +2,17 @@
 
 import argparse
 import hashlib
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ergolab import adversary, cli, harness, markov, predictors
 from ergolab.errors import ConfigError, ErgolabError, InvariantViolation
@@ -290,6 +298,14 @@ PINNED_OUTPUTS = {
              alpha="3,0,1", q_schedule="sqrt:200"),
         "b899bbeaf51989bc4490e85217c7e73b4438f1bb429c304b1820fef38251bd30",
         "35a9c1581e6a07b4f660253c4e497d953dce32d00a8c02eaed8533734a8cdd1a"),
+    "consistency": (
+        dict(experiment="consistency", trials=1, seed=0),
+        "3610a72f2a14ad2600db28748a1af17e03e19aa3041fc2d4740c55229b396ce3",
+        "a5940d707a0684de567ed3bad492767220ffb11f7331602aa7a3ce745f071bdb"),
+    "linear": (
+        dict(experiment="linear", trials=1, seed=0),
+        "40339964a18fc2da993ace83f07c0da6c101ab58c54381c60e53d2538784dc91",
+        "f210320b69d25e9ac587a43ff5e4f955ae90ce6331a521b20183799324647ca2"),
 }
 
 
@@ -337,6 +353,13 @@ class TestCli:
 
     def test_bad_config_exit_code(self):
         assert cli.main(["thm1", "--trials", "0"]) == 2
+
+    @pytest.mark.parametrize("experiment", ["thm3", "thm4"])
+    def test_negative_seed_is_a_config_error(self, experiment, capsys):
+        # refused by validate, before any per-trial seed is derived
+        assert cli.main([experiment, "--seed", "-1", "--trials", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: seed") and "Traceback" not in err
 
     @pytest.mark.parametrize("argv", [
         ["thm3", "--nlist", "abc"],
@@ -396,6 +419,70 @@ class TestCli:
         code = cli.main(["consistency", "--nlist", "1000,5000",
                          "--threshold", "0.05"])
         assert code == 0
+
+
+class TestDerivedSeed:
+    """The pure-Python seed hash against numpy's SeedSequence, its oracle."""
+
+    @staticmethod
+    def numpy_seed(master, index):
+        return int(np.random.SeedSequence([master, index])
+                   .generate_state(1)[0])
+
+    @pytest.mark.parametrize("master, index", [
+        (0, 0), (5, 0), (0, 5), (2**32, 0), (2**32 - 1, 2**32 - 1),
+        (2**64 + 3, 0), (2**64 + 3, 7), (2**100 - 1, 0), (2**100 - 1, 449)])
+    def test_named_cases(self, master, index):
+        assert harness.derived_seed(master, index) \
+            == self.numpy_seed(master, index)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.integers(0, 2**32), st.integers(0, 2**130)),
+           st.one_of(st.just(0), st.integers(0, 2**70)))
+    def test_matches_numpy(self, master, index):
+        assert harness.derived_seed(master, index) \
+            == self.numpy_seed(master, index)
+
+    @pytest.mark.parametrize("master, index", [(-1, 0), (0, -1), (-2**64, 3)])
+    def test_negative_input_is_refused(self, master, index):
+        with pytest.raises(ValueError, match="non-negative"):
+            harness.derived_seed(master, index)
+
+
+def _fresh_python(code: str):
+    """Run `code` in a new interpreter that imports the package sources."""
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", textwrap.dedent(code)],
+                          cwd=root, env=env, capture_output=True, text=True,
+                          timeout=300)
+
+
+class TestNumpyImport:
+    def test_exact_experiments_never_import_numpy(self):
+        result = _fresh_python("""
+            import sys
+            import ergolab, ergolab.cli, ergolab.harness
+            for argv in (["thm1", "--kmax", "2"], ["thm2", "--smax", "4"],
+                         ["thm3", "--nlist", "3:6"], ["thm4", "--nlist", "4"]):
+                assert ergolab.cli.main(argv + ["--trials", "5"]) == 0, argv
+            loaded = sorted(m for m in sys.modules if m.startswith("numpy"))
+            assert not loaded, loaded
+        """)
+        assert result.returncode == 0, result.stderr[-2000:]
+
+    def test_a_baseline_imports_numpy_on_first_run(self):
+        result = _fresh_python("""
+            import sys
+            import ergolab.cli
+            assert "numpy" not in sys.modules
+            assert ergolab.cli.main(["consistency", "--nlist", "100,1000",
+                                     "--trials", "1"]) == 0
+            assert "numpy" in sys.modules and "ergolab.baselines" in sys.modules
+        """)
+        assert result.returncode == 0, result.stderr[-2000:]
 
 
 class TestReportThresholds:

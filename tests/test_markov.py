@@ -7,6 +7,7 @@ from itertools import product
 import pytest
 
 from ergolab import markov
+from ergolab.baselines import sample_sqrt_ar
 from ergolab.errors import (FrontierError, InconsistentObservation,
                             InvalidLabel, InvalidObservation)
 
@@ -224,13 +225,13 @@ class TestConditionalExpectations:
 
 class TestSqrtAutoregression:
     def test_noise_free_step(self):
-        series = markov.sample_sqrt_ar(4.0, 1, noise=(-1e-12, 1e-12), seed=0)
+        series = sample_sqrt_ar(4.0, 1, noise=(-1e-12, 1e-12), seed=0)
         assert abs(series[0] - 2.0) < 1e-9
 
     def test_long_run_mean_near_fixed_point(self):
-        series = markov.sample_sqrt_ar(1.0, 100_000, seed=1)
+        series = sample_sqrt_ar(1.0, 100_000, seed=1)
         assert abs(series.mean() - 1.0) <= 0.1
 
     def test_asymmetric_noise_rejected(self):
         with pytest.raises(ValueError):
-            markov.sample_sqrt_ar(1.0, 10, noise=(-0.5, 0.25), seed=0)
+            sample_sqrt_ar(1.0, 10, noise=(-0.5, 0.25), seed=0)

@@ -10,14 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ergolab import markov, odometer, predictors
+from ergolab.baselines import fit_linear_ar, sample_sqrt_ar
 from ergolab.dyadic import BinaryPoint
 from ergolab.errors import CapExceeded, CoverageError, SingularFit
 from ergolab.intervals import rational_set
 from ergolab.partitions import (READ_BITS, KeyedPoints, PartitionSchedule,
                                 regularity_report, split_grid_partition)
 from ergolab.predictors import (CellCounts, CountPredictor, dynamic_count,
-                                fit_linear_ar, make_predictor,
-                                partitioning_autoregression,
+                                make_predictor, partitioning_autoregression,
                                 partitioning_estimate, static_count)
 
 
@@ -304,7 +304,6 @@ class TestLinearAR:
         assert abs(model.coefficients[0]) <= 0.05
 
     def test_sqrt_series_beats_linear(self):
-        from ergolab.markov import sample_sqrt_ar
         series = sample_sqrt_ar(1.0, 10_001, seed=12)
         model, _ = fit_linear_ar(series, 1)
         prev, nxt = series[:-1], series[1:]
