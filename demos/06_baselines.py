@@ -10,7 +10,7 @@ import numpy as np
 
 from ergolab.baselines import fit_linear_ar, sample_sqrt_ar
 from ergolab.harness import ExperimentConfig, run
-from ergolab.predictors import dynamic_count, static_count
+from ergolab.predictors import dynamic_count
 
 print("== count forecasters on a two-state chain ==")
 report = run(ExperimentConfig(experiment="consistency", trials=1, seed=3,
@@ -35,8 +35,7 @@ report = run(ExperimentConfig(experiment="linear", trials=1, seed=8))
 print(f"gap significance: z = {report.summary['z_score']:.1f}")
 
 print()
-print("== the count forecasters give exact rationals ==")
+print("== the count forecaster gives exact rationals ==")
 data = [0, 1, 1, 0, 1, 1, 1, 0, 1]
 print(f"series {data}")
-print(f"static estimate after context (1,):   {static_count(data, 1)}")
-print(f"dynamic estimate of the next value:   {dynamic_count(data, 1)}")
+print(f"count estimate of the next value: {dynamic_count(data, 1)}")

@@ -17,7 +17,7 @@ from .dyadic import BinaryPoint
 from .errors import ErgolabError
 from .intervals import Interval, IntervalSet, algebraic_set, dyadic_set
 from .partitions import Partition, PartitionSchedule, split_grid_partition
-from .surd import QuadraticReal, cf_convergents, qr_compare
+from .surd import QuadraticReal, cf_convergents
 
 __all__ = [
     "BinaryPoint",
@@ -30,7 +30,6 @@ __all__ = [
     "algebraic_set",
     "cf_convergents",
     "dyadic_set",
-    "qr_compare",
     "split_grid_partition",
 ]
 

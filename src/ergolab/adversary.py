@@ -428,46 +428,3 @@ def confound_injective(predictor, s_max: int,
                      lambda table, s, bit: table.with_bit(s + 1, bit),
                      method, seed)
 
-
-# -- freezing an attack to disk
-
-
-def save_labels(table, path, predictor_name: str, method: str):
-    """Text format: a header naming the target, one line per chosen label."""
-    if not isinstance(table, (OddLabelTable, ShiftLabelTable)):
-        raise TypeError(f"cannot serialize {type(table).__name__}")
-    lines = [f"# predictor: {predictor_name}", f"# method: {method}"]
-    for kind, bits in table.chosen_bits.items():
-        for key in sorted(bits):
-            state = 2 * key + 1 if kind == "odd" else key
-            lines.append(f"{kind} {state} {bits[key]}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def load_labels(path):
-    """Inverse of :func:`save_labels`; returns (table, header dict)."""
-    header = {}
-    odd = {}
-    shift = {}
-    with open(path, encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                key, _, value = line[1:].partition(":")
-                header[key.strip()] = value.strip()
-                continue
-            kind, where, bit = line.split()
-            if kind == "odd":
-                state = int(where)
-                odd[(state - 1) // 2] = int(bit)
-            elif kind == "L":
-                shift[int(where)] = int(bit)
-            else:
-                raise ValueError(f"unrecognized line {line!r}")
-    if odd and shift:
-        raise ValueError("file mixes both label kinds")
-    table = ShiftLabelTable(shift) if shift else OddLabelTable(odd)
-    return table, header

@@ -134,7 +134,7 @@ def _parse_schedule(text: str, ns=None,
         return PartitionSchedule.sqrt(int(arg) if arg else 1, ns=ns,
                                       require_regular=require_regular)
     if kind == "const":
-        return PartitionSchedule.constant(int(arg))
+        return PartitionSchedule.constant(int(arg), ns=ns)
     if kind == "table":
         table = {}
         for item in arg.split(","):
@@ -255,6 +255,10 @@ class ExperimentConfig:
             raise ConfigError("kmax must be >= 1 and smax >= 2")
         if any(n <= 0 for n in self.nlist):
             raise ConfigError("every n must be positive")
+        if self.experiment in ("consistency", "linear") \
+                and min(self.nlist) < 2:
+            raise ConfigError(f"{self.experiment} needs every n >= 2")
+        self.schedule(require_regular=False)
         return self
 
     # -- pieces assembled from the flat string fields
@@ -528,14 +532,12 @@ def run_rotation_l1(config: ExperimentConfig) -> Report:
         in_b = b_set.contains(omega)
         if in_b:
             in_b_hits += 1
-            if not all(c_set.contains(z) for z, _ in pairs):
+            # a label (j, inside) reads membership in C from cell j's piece
+            if not all(inside for _, inside in counts.cells):
                 raise InvariantViolation(
-                    f"trial {trial}: recent data must sit inside the cover set")
-            if any((j, False) in counts.cells
-                   for j in range(1, schedule.q(n) + 1)):
-                raise InvariantViolation(
-                    f"trial {trial}: outside-cells must be exactly empty on "
-                    f"the starving event")
+                    f"trial {trial}: recent data must sit inside the cover "
+                    f"set, and outside-cells be exactly empty, on the "
+                    f"starving event")
         # one common denominator over the cells, reduced once per trial
         l1 = triple_sum([triple(all_zero, rotation.d)] + [
             cell_errors[label].excess_raw(

@@ -192,9 +192,6 @@ class IntervalSet:
                 return True
         return False
 
-    def is_subset_of(self, other: "IntervalSet") -> bool:
-        return self.difference(other).is_empty()
-
     def translate_mod1(self, delta) -> "IntervalSet":
         """Exact image under x -> x + delta (mod 1); splits at the wrap."""
         if self.domain and self.domain[0] == "quadratic":

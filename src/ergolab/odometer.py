@@ -24,11 +24,6 @@ from .errors import AlignmentError, CapExceeded
 from .intervals import Interval, IntervalSet
 
 
-def first_one_index(point: BinaryPoint) -> int:
-    """Position of the first one bit (the quantity driving one step)."""
-    return point.first_index_of(1)
-
-
 def step(point: BinaryPoint) -> BinaryPoint:
     """One forward application of the map."""
     t = point.first_index_of(1)

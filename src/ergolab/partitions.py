@@ -26,12 +26,13 @@ READ_BITS = 64
 class PartitionSchedule:
     """The cell-count sequence ``n -> q(n)`` with width ``h(n) = 1/q(n)``.
 
-    Construction checks the shrinking-cells / growing-resolution trend on the
-    supplied index list: `h` may never increase, ``n*h(n)`` must grow from
-    the first index to the last, and over a window spanning at least a
-    factor of four the width must actually decrease (shorter windows cannot
-    witness the trend).  Pass ``require_regular=False`` to build a
-    deliberately irregular family, e.g. to demonstrate a failing condition.
+    Construction reads q(n) (at least 1) for every n of the supplied index
+    list and checks the shrinking-cells / growing-resolution trend on it: `h`
+    may never increase, ``n*h(n)`` must grow from the first index to the
+    last, and over a window spanning at least a factor of four the width
+    must actually decrease (shorter windows cannot witness the trend).  Pass
+    ``require_regular=False`` to build a deliberately irregular family, e.g.
+    to demonstrate a failing condition.
     """
 
     def __init__(self, q, ns=None, require_regular=True):
@@ -41,8 +42,8 @@ class PartitionSchedule:
             table = {int(k): int(v) for k, v in dict(q).items()}
             self._q = table.__getitem__
         self.ns = sorted(int(n) for n in ns) if ns is not None else None
-        if require_regular and self.ns and len(self.ns) > 1:
-            hs = [self.h(n) for n in self.ns]
+        hs = [self.h(n) for n in self.ns or ()]
+        if require_regular and len(hs) > 1:
             for a, b in zip(hs, hs[1:]):
                 if b > a:
                     raise ValueError("cell width must not increase with n")

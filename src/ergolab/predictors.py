@@ -19,25 +19,14 @@ from .partitions import READ_BITS, KeyedPoints, Partition
 # -- count forecasters over a finite alphabet
 
 
-def static_count(data, context_len: int, context=None):
-    """Count estimate of the next value after `context` from the past.
-
-    `data` is the past segment ``X_{-n} .. X_{-1}``; the context defaults to
-    the trailing `context_len` values.  Averages the values that followed
-    each earlier placement of the context, found by the same forward scan
-    as :func:`dynamic_count` (:func:`_context_count`).
-    """
-    return _context_count(data, context_len, context)
-
-
 def dynamic_count(data, context_len: int, context=None):
-    """Forward-scanning count estimate from ``X_0 .. X_{n-1}``."""
+    """Count estimate of the next value: the average of the values following
+    each placement of `context` (default: the trailing `context_len` values)
+    in `data` (0 when none)."""
     return _context_count(data, context_len, context)
 
 
 def _context_count(data, context_len: int, context):
-    """The count forecast both scans compute: the average of the values
-    following each placement of `context` in `data` (0 when none)."""
     data = list(data)
     n = len(data)
     if not 1 <= context_len < n:
@@ -91,24 +80,21 @@ def _count_forecast(obs, context_len: int):
 
 
 class CountPredictor:
-    """Callable wrapper around a count forecaster, for use as an attack target.
+    """The count forecaster of context length N, as a callable attack target.
 
-    Both modes compute the same exact forecast (the two scans agree on a
-    full history); `predict_batch` maps it over many observations.
+    Both registry spellings, ``dynamic-count:N`` and ``static-count:N``, name
+    it (the two scans agree on a full history).  `predict_batch` maps the
+    exact forecast (:func:`_count_forecast`) over many observations.
 
-    With context length 1 both modes read an observation only through
+    With context length 1 it reads an observation only through
     :func:`pair_counts` at its trailing value; `pair_statistic` declares that
     function to the adversary's excursion walk (None for longer contexts).
     """
 
-    def __init__(self, context_len: int = 1, mode: str = "dynamic"):
-        if mode not in ("dynamic", "static"):
-            raise ValueError("mode is 'dynamic' or 'static'")
+    def __init__(self, context_len: int = 1):
         if context_len < 1:
             raise ValueError(f"context length {context_len} below 1")
         self.context_len = context_len
-        self.mode = mode
-        self.name = f"{mode}-count:{context_len}"
         self.pair_statistic = pair_counts if context_len == 1 else None
 
     def __call__(self, obs):
@@ -122,9 +108,8 @@ class CountPredictor:
 class ConstantPredictor:
     """Predicts the same value regardless of the observation."""
 
-    def __init__(self, value, name: str | None = None):
+    def __init__(self, value):
         self.value = value
-        self.name = name or f"constant:{value}"
 
     def __call__(self, obs):
         return self.value
@@ -143,15 +128,14 @@ def evaluate_many(predictor, observations):
 
 
 def make_predictor(name: str):
-    """Predictor registry: 'dynamic-count[:N]', 'static-count[:N]',
-    'constant:<value>' (an exact rational: decimal or ``p/q`` text)."""
+    """Predictor registry: 'dynamic-count[:N]' or 'static-count[:N]' (two
+    spellings of one :class:`CountPredictor`), 'constant:<value>' (an exact
+    rational: decimal or ``p/q`` text)."""
     head, _, arg = name.partition(":")
-    if head == "dynamic-count":
-        return CountPredictor(int(arg) if arg else 1, "dynamic")
-    if head == "static-count":
-        return CountPredictor(int(arg) if arg else 1, "static")
+    if head in ("dynamic-count", "static-count"):
+        return CountPredictor(int(arg) if arg else 1)
     if head == "constant":
-        return ConstantPredictor(Fraction(arg or 0), name)
+        return ConstantPredictor(Fraction(arg or 0))
     raise KeyError(f"unknown predictor {name!r}")
 
 
@@ -198,16 +182,8 @@ class CellCounts:
         return _cell_mean(self.cells.get(label))
 
     def estimate_at(self, z):
+        """The partitioning estimate: the mean response in z's cell."""
         return self.estimate(self.partition.locate(z))
-
-    def pieces(self):
-        """(cell set, constant) pairs -- the estimate as a function."""
-        return [(cell, self.estimate(label)) for label, cell in self.partition]
-
-
-def partitioning_estimate(pairs, partition: Partition, z):
-    """Average response among pairs whose predictor shares z's cell."""
-    return CellCounts.from_pairs(pairs, partition).estimate_at(z)
 
 
 def autoregression_pairs(series):

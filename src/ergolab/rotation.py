@@ -42,10 +42,6 @@ class Rotation:
         """Exact ``x + times*alpha`` mod 1 (negative `times` walks back)."""
         return (self.scalar(x) + self.alpha * times).mod1()
 
-    def regression(self, x) -> QuadraticReal:
-        """One-step conditional expectation: the process is deterministic."""
-        return self.step(x)
-
     def series(self, omega, i_from: int, i_to: int):
         """Process values ``X_i = T^(i+1) omega`` for i in [i_from, i_to].
 

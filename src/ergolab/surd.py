@@ -293,13 +293,6 @@ def triple_sum(terms, d: int) -> QuadraticReal:
     return QuadraticReal._make(*total, d)
 
 
-def qr_compare(x, y) -> int:
-    """Exact ordering of two field elements: -1, 0 or +1."""
-    if not isinstance(x, QuadraticReal):
-        x = QuadraticReal.rational(Fraction(x), y.d)
-    return x.compare(y)
-
-
 def sqrt2_minus_1() -> QuadraticReal:
     """The default rotation angle: all continued-fraction quotients equal 2."""
     return QuadraticReal(-1, 1, 2)

@@ -290,7 +290,6 @@ def test_criterion_8_oracle_equivalences():
                             if bits[i:i + m] == context]
                     expected = Fraction(sum(hits), len(hits)) if hits else 0
                     assert predictors.dynamic_count(bits, m) == expected
-                    assert predictors.static_count(bits, m) == expected
 
         # forward filter vs full path enumeration on anchored strings
         compared = 0

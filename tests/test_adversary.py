@@ -11,9 +11,10 @@ from hypothesis import strategies as st
 from ergolab import adversary, markov
 from ergolab.adversary import (AttackMethod, EventSplit, confound_binary,
                                confound_injective, exact_split, hitting_paths,
-                               load_labels, mc_split, save_labels, walk_split)
+                               mc_split, walk_split)
 from ergolab.errors import CapExceeded
-from ergolab.predictors import ConstantPredictor, CountPredictor
+from ergolab.predictors import (ConstantPredictor, CountPredictor,
+                                make_predictor)
 
 
 class TestHittingPaths:
@@ -108,7 +109,7 @@ class TestEventSplits:
 
     def test_chosen_side_never_below_eighth(self):
         # max + uncertainty >= 1/8 is an identity of the accounting
-        pred = CountPredictor(1, "dynamic")
+        pred = CountPredictor(1)
         table = markov.OddLabelTable({1: 1, 2: 0})
         for level in (2, 3, 4, 5):
             split = exact_split(pred, table, level,
@@ -117,7 +118,7 @@ class TestEventSplits:
                 >= Fraction(1, 8)
 
     def test_mc_split_matches_exact_decision(self):
-        pred = CountPredictor(1, "dynamic")
+        pred = CountPredictor(1)
         table = markov.OddLabelTable({1: 1})
         exact = exact_split(pred, table, 4, Fraction(1, 10_000),
                             max_atoms=100_000)
@@ -139,7 +140,7 @@ class TestExcursionWalk:
     @settings(max_examples=60, deadline=None)
     @given(table=odd_tables, level=st.integers(2, 8))
     def test_agrees_with_enumeration(self, table, level):
-        pred = CountPredictor(1, "dynamic")
+        pred = CountPredictor(1)
         walk = walk_split(pred, table, level, Fraction(1, 10_000),
                           max_steps=200)
         enum = exact_split(pred, table, level, Fraction(1, 10_000),
@@ -155,9 +156,9 @@ class TestExcursionWalk:
     @settings(max_examples=30, deadline=None)
     @given(table=odd_tables, level=st.integers(2, 8))
     def test_static_and_dynamic_give_one_split(self, table, level):
-        splits = [walk_split(CountPredictor(1, mode), table, level,
+        splits = [walk_split(make_predictor(spelling), table, level,
                              Fraction(1, 10_000), max_steps=200)
-                  for mode in ("dynamic", "static")]
+                  for spelling in ("dynamic-count:1", "static-count:1")]
         assert splits[0] == splits[1]
 
     @settings(max_examples=30, deadline=None)
@@ -166,27 +167,27 @@ class TestExcursionWalk:
     def test_injective_labels_put_everything_low(self, bits, level):
         table = markov.ShiftLabelTable(
             {s: bit for s, bit in enumerate(bits, start=3)})
-        split = walk_split(CountPredictor(1, "dynamic"), table, level, 0)
+        split = walk_split(CountPredictor(1), table, level, 0)
         assert split.p_minus == adversary.ANCHOR_MASS
         assert split.p_plus == 0 and split.uncertainty == 0
         assert split.certified and split.minus_wins
 
     def test_level_two_reads_zero_over_zero(self):
         # the only anchored path observes 0, 0, 1: the context is unseen
-        split = walk_split(CountPredictor(1, "dynamic"),
-                           markov.OddLabelTable(), 2, Fraction(1, 10_000))
+        split = walk_split(CountPredictor(1), markov.OddLabelTable(), 2,
+                           Fraction(1, 10_000))
         assert split.p_minus == adversary.ANCHOR_MASS
         assert split.detail["margin_certified"]
 
     def test_black_boxes_have_no_walk(self):
-        for pred in (ConstantPredictor(0.0), CountPredictor(2, "dynamic"),
+        for pred in (ConstantPredictor(0.0), CountPredictor(2),
                      lambda obs: 0.0):
             assert walk_split(pred, markov.OddLabelTable(), 4, 0) is None
 
     def test_route_order(self, monkeypatch):
         table = markov.OddLabelTable({1: 1, 2: 0, 3: 0})
         rng = random.Random(0)
-        walked = adversary._split_for(CountPredictor(1, "dynamic"), table, 8,
+        walked = adversary._split_for(CountPredictor(1), table, 8,
                                       AttackMethod(), rng)
         assert walked.method.startswith("walk:") and walked.certified
         assert adversary._split_for(
@@ -194,14 +195,13 @@ class TestExcursionWalk:
         ).method.startswith("exact:")
         monkeypatch.setattr(adversary, "MAX_WALK_STEPS", 1)
         undecided = adversary._split_for(
-            CountPredictor(1, "dynamic"), table, 8,
+            CountPredictor(1), table, 8,
             AttackMethod(max_atoms=50, trials=100), rng)
         assert undecided.method == "mc:100"
         assert undecided.detail["exact_attempt"].detail["walk_attempt"] \
             .detail["steps"] == 1
         assert adversary._split_for(
-            CountPredictor(1, "dynamic"), table, 8, AttackMethod(kind="mc",
-                                                                 trials=100),
+            CountPredictor(1), table, 8, AttackMethod(kind="mc", trials=100),
             rng).method.startswith("mc:")
 
 
@@ -272,7 +272,7 @@ class TestConfoundBinary:
         assert table.odd_bits == {1: 0, 2: 0, 3: 0}
 
     def test_prefix_stability(self):
-        pred = CountPredictor(1, "dynamic")
+        pred = CountPredictor(1)
         method = AttackMethod(max_atoms=50_000)
         short, _ = confound_binary(pred, 2, method, seed=5)
         long, _ = confound_binary(pred, 3, method, seed=5)
@@ -282,7 +282,7 @@ class TestConfoundBinary:
     def test_gap_on_chosen_event(self):
         # on the chosen side the predictor misses the conditional
         # expectation by at least 1/4, exactly as engineered
-        pred = CountPredictor(1, "dynamic")
+        pred = CountPredictor(1)
         table, report = confound_binary(pred, 3, AttackMethod(max_atoms=50_000))
         rng = random.Random(1)
         checked = 0
@@ -301,11 +301,11 @@ class TestConfoundBinary:
         assert checked > 300
 
     def test_decision_agreement_exact_vs_mc(self):
-        pred = CountPredictor(1, "dynamic")
+        pred = CountPredictor(1)
         exact_table, exact_rep = confound_binary(
             pred, 3, AttackMethod(kind="exact", max_atoms=400_000), seed=3)
         mc_table, _ = confound_binary(
-            CountPredictor(1, "dynamic"), 3,
+            CountPredictor(1), 3,
             AttackMethod(kind="mc", trials=100_000), seed=3)
         assert all(r["split"].certified for r in exact_rep)
         assert exact_table.odd_bits == mc_table.odd_bits
@@ -331,7 +331,7 @@ class TestConfoundInjective:
 
     def test_gap_of_an_eighth(self):
         # whichever side is chosen, the engineered gap is at least 1/8
-        pred = CountPredictor(1, "dynamic")
+        pred = CountPredictor(1)
         table, report = confound_injective(pred, 4,
                                            AttackMethod(max_atoms=50_000))
         rng = random.Random(2)
@@ -347,42 +347,3 @@ class TestConfoundInjective:
                 if side_plus == chosen_plus:
                     assert abs(value - truth) >= 0.125
 
-
-class TestSerialization:
-    def test_round_trip_binary(self, tmp_path):
-        table, _ = confound_binary(ConstantPredictor(0.0), 3,
-                                   AttackMethod(max_atoms=4000))
-        path = tmp_path / "labels.txt"
-        save_labels(table, path, "constant:0", "exact:1e-4")
-        loaded, header = load_labels(path)
-        assert loaded.odd_bits == table.odd_bits
-        assert header["predictor"] == "constant:0"
-        assert header["method"] == "exact:1e-4"
-
-    def test_round_trip_injective(self, tmp_path):
-        table, _ = confound_injective(ConstantPredictor(1.0), 5,
-                                      AttackMethod(max_atoms=4000))
-        path = tmp_path / "labels.txt"
-        save_labels(table, path, "constant:1", "mc:1000")
-        loaded, _ = load_labels(path)
-        assert loaded.shift_bits == table.shift_bits
-
-    def test_format_lines(self, tmp_path):
-        table = markov.OddLabelTable({1: 1, 2: 0})
-        path = tmp_path / "labels.txt"
-        save_labels(table, path, "p", "m")
-        lines = path.read_text().splitlines()
-        assert lines[0] == "# predictor: p"
-        assert lines[1] == "# method: m"
-        assert lines[2] == "odd 3 1"
-        assert lines[3] == "odd 5 0"
-
-    def test_format_lines_injective(self, tmp_path):
-        table = markov.ShiftLabelTable({4: 0, 3: 1})
-        path = tmp_path / "labels.txt"
-        save_labels(table, path, "p", "m")
-        assert path.read_text().splitlines()[2:] == ["L 3 1", "L 4 0"]
-
-    def test_unknown_table_is_refused(self, tmp_path):
-        with pytest.raises(TypeError):
-            save_labels(object(), tmp_path / "labels.txt", "p", "m")

@@ -14,7 +14,7 @@ from ergolab.errors import (CapExceeded, DomainMismatch, ExceptionalPoint,
                             NotIrrational)
 from ergolab.intervals import IntervalSet, algebraic_set, dyadic_set, rational_set
 from ergolab.surd import (QuadraticReal, cf_convergents, floor_raw,
-                          golden_conjugate, qr_compare, sqrt2_minus_1, triple,
+                          golden_conjugate, sqrt2_minus_1, triple,
                           triple_add, triple_mul, triple_sum)
 
 
@@ -205,6 +205,8 @@ class TestQuadraticReal:
         assert one_plus_root2.compare(Fraction(12, 5)) == 1
         assert one_plus_root2.compare(one_plus_root2) == 0
         assert sqrt2_minus_1().compare(Fraction(1, 2)) == -1
+        half = QuadraticReal.rational(Fraction(1, 2), 2)
+        assert half.compare(sqrt2_minus_1()) == 1
 
     def test_compare_requires_same_field(self):
         with pytest.raises(DomainMismatch):
@@ -233,9 +235,6 @@ class TestQuadraticReal:
     def test_inverse(self):
         a = sqrt2_minus_1()
         assert a.inverse() == QuadraticReal(1, 1, 2)
-
-    def test_qr_compare_wrapper(self):
-        assert qr_compare(Fraction(1, 2), sqrt2_minus_1()) == 1
 
 
 def subtraction_sign(x):

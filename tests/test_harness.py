@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ergolab import adversary, cli, harness, markov, predictors
+from ergolab import rotation as rot
 from ergolab.errors import ConfigError, ErgolabError, InvariantViolation
 from ergolab.harness import (ExperimentConfig, Report, format_nlist,
                              parse_nlist, persist, run)
@@ -168,6 +169,16 @@ class TestRunners:
         with pytest.raises(InvariantViolation, match="exactly-empty cell"):
             run(cfg)
         assert issubclass(InvariantViolation, ErgolabError)
+
+    def test_thm4_cover_invariant_is_checked(self, monkeypatch):
+        # with B as its own cover set, the past points of a B-trial leave
+        # the cover set, so an outside-cell is read and the run stops
+        starving_pair = rot.RohlinTower.starving_pair
+        monkeypatch.setattr(rot.RohlinTower, "starving_pair",
+                            lambda tower, n: (starving_pair(tower, n)[0],) * 2)
+        cfg = ExperimentConfig(experiment="thm4", trials=50, seed=0)
+        with pytest.raises(InvariantViolation, match="inside the cover set"):
+            run(cfg)
 
     def test_thm4_small_run(self):
         cfg = ExperimentConfig(experiment="thm4", trials=30, seed=2)
@@ -370,12 +381,26 @@ class TestCli:
         ["thm1", "--config", "{tmp}/missing.txt"],
         ["thm1", "--predictor", "constant:nan"],
         ["thm1", "--predictor", "constant:inf"],
+        ["thm4", "--q-schedule", "const:0"],
+        ["thm4", "--q-schedule", "sqrt:-1"],
+        ["thm3", "--nlist", "3:5", "--q-schedule", "const:0"],
+        ["check-partitions", "--q-schedule", "const:-2"],
+        ["consistency", "--nlist", "1"],
+        ["linear", "--nlist", "1"],
     ])
     def test_malformed_value_is_a_config_error(self, argv, tmp_path, capsys):
         (tmp_path / "bad.txt").write_text("trials = abc\n")
         argv = [arg.format(tmp=tmp_path) for arg in argv]
         assert cli.main(argv) == 2
-        assert "config error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config error:" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["linear", "--nlist", "2"],
+        ["consistency", "--nlist", "2,5"],
+    ])
+    def test_smallest_baseline_n_runs(self, argv):
+        assert cli.main(argv + ["--trials", "1"]) == 0
 
     @pytest.mark.parametrize("argv", [
         ["thm1", "--method", "mc:0"],

@@ -28,21 +28,21 @@ def level_bits(value, level):
 
 class TestFirstOneIndex:
     def test_examples(self):
-        assert odometer.first_one_index(BinaryPoint.periodic((0, 0, 1), (0,))) == 3
-        assert odometer.first_one_index(point_of(Fraction(1, 2))) == 1
+        assert BinaryPoint.periodic((0, 0, 1), (0,)).first_index_of(1) == 3
+        assert point_of(Fraction(1, 2)).first_index_of(1) == 1
 
     def test_zero_point_is_exceptional(self):
         with pytest.raises(ExceptionalPoint):
-            odometer.first_one_index(BinaryPoint.periodic((), (0,)))
+            BinaryPoint.periodic((), (0,)).first_index_of(1)
 
     def test_seeded_scan_past_cap(self):
         p = BinaryPoint.periodic((0,) * 8, (0, 0, 0, 0), cap=8)
         # the pattern proves the tail is zero, so this is exceptional not capped
         with pytest.raises(ExceptionalPoint):
-            odometer.first_one_index(p)
+            p.first_index_of(1)
         q = BinaryPoint.seeded(0, prefix=(0,) * 16, cap=16)
         with pytest.raises(CapExceeded):
-            odometer.first_one_index(q)
+            q.first_index_of(1)
 
 
 class TestStep:
@@ -73,7 +73,7 @@ class TestStep:
 
     def test_tail_bits_untouched(self):
         p = BinaryPoint.seeded(77)
-        t = odometer.first_one_index(p)
+        t = p.first_index_of(1)
         image = odometer.step(p)
         for i in range(t + 1, t + 20):
             assert image.bit(i) == p.bit(i)

@@ -17,8 +17,7 @@ from ergolab.intervals import rational_set
 from ergolab.partitions import (READ_BITS, KeyedPoints, PartitionSchedule,
                                 regularity_report, split_grid_partition)
 from ergolab.predictors import (CellCounts, CountPredictor, dynamic_count,
-                                make_predictor, partitioning_autoregression,
-                                partitioning_estimate, static_count)
+                                make_predictor, partitioning_autoregression)
 
 
 # observation strings over the binary alphabet or over the dyadic labels
@@ -38,9 +37,9 @@ def two_cell_partition():
 
 class TestCountForecasters:
     def test_static_examples(self):
-        assert static_count((0, 1, 0, 1), 1) == 0
-        assert static_count((0, 1, 1, 1), 1) == 1
-        assert static_count((0, 0, 0, 1), 1) == 0  # context 1 never seen
+        assert dynamic_count((0, 1, 0, 1), 1) == 0
+        assert dynamic_count((0, 1, 1, 1), 1) == 1
+        assert dynamic_count((0, 0, 0, 1), 1) == 0  # context 1 never seen
 
     def test_dynamic_examples(self):
         assert dynamic_count((0, 1, 0, 1, 0), 1) == 1
@@ -57,28 +56,26 @@ class TestCountForecasters:
                             if bits[i:i + m] == context]
                     expected = Fraction(sum(hits), len(hits)) if hits else 0
                     assert dynamic_count(bits, m) == expected, (bits, m)
-                    # static scans placements of the context before the end
-                    hits_s = [bits[i + m] for i in range(0, n - m)
-                              if bits[i:i + m] == context]
-                    expected_s = Fraction(sum(hits_s), len(hits_s)) \
-                        if hits_s else 0
-                    assert static_count(bits, m) == expected_s, (bits, m)
 
     def test_static_and_dynamic_agree_on_full_history(self):
+        # both registry spellings name the one count forecaster
         rng = random.Random(0)
         for _ in range(100):
             data = [rng.randrange(2) for _ in range(rng.randrange(4, 30))]
             for m in (1, 2):
-                assert static_count(data, m) == dynamic_count(data, m)
+                expected = dynamic_count(data, m)
+                for spelling in ("dynamic-count", "static-count"):
+                    assert make_predictor(f"{spelling}:{m}")(data) \
+                        == expected
 
     def test_predictor_wrapper_batches(self):
-        pred = CountPredictor(1, "dynamic")
+        pred = CountPredictor(1)
         obs = [(0, 1, 0, 1, 0), (1, 1, 1, 1), (0, 0, 1), (0,)]
         batched = pred.predict_batch(obs)
         assert list(batched) == [pred(o) for o in obs]
 
     def test_predictor_wrapper_fraction_alphabet(self):
-        pred = CountPredictor(1, "dynamic")
+        pred = CountPredictor(1)
         obs = [(Fraction(0), Fraction(1, 2), Fraction(1, 4), Fraction(1, 2)),
                (Fraction(0), Fraction(1, 2))]
         batched = pred.predict_batch(obs)
@@ -86,10 +83,10 @@ class TestCountForecasters:
 
     @settings(max_examples=200, deadline=None)
     @given(batch=OBSERVATION_BATCHES, context_len=st.integers(1, 3),
-           mode=st.sampled_from(("dynamic", "static")))
-    def test_one_exact_route(self, batch, context_len, mode):
-        """Both modes, called or batched, give the exact dynamic count."""
-        pred = CountPredictor(context_len, mode)
+           spelling=st.sampled_from(("dynamic-count", "static-count")))
+    def test_one_exact_route(self, batch, context_len, spelling):
+        """Both spellings, called or batched, give the exact dynamic count."""
+        pred = make_predictor(f"{spelling}:{context_len}")
         values = [pred(obs) for obs in batch]
         for obs, value in zip(batch, values):
             expected = dynamic_count(obs, context_len) \
@@ -99,10 +96,10 @@ class TestCountForecasters:
 
     def test_registry(self):
         assert make_predictor("constant:0.5")((1, 2, 3)) == 0.5
-        third = make_predictor("constant:0.3")  # exact, spelled as given
-        assert third.name == "constant:0.3"
+        third = make_predictor("constant:0.3")  # exact, not a float
         assert third.predict_batch([(0,), (0, 1)]) == [Fraction(3, 10)] * 2
         assert make_predictor("dynamic-count:2").context_len == 2
+        assert make_predictor("static-count").context_len == 1
         with pytest.raises(KeyError):
             make_predictor("oracle")
 
@@ -111,20 +108,20 @@ class TestPartitioningEstimate:
     def test_examples(self):
         pairs = [(Fraction(1, 10), 1), (Fraction(3, 20), 2),
                  (Fraction(7, 10), 5)]
-        part = two_cell_partition()
-        assert partitioning_estimate(pairs, part, Fraction(1, 5)) \
-            == Fraction(3, 2)
+        counts = CellCounts.from_pairs(pairs, two_cell_partition())
+        assert counts.estimate_at(Fraction(1, 5)) == Fraction(3, 2)
         # integer responses give an exact mean, not a float
-        assert type(partitioning_estimate(pairs, part, Fraction(1, 5))) \
-            is Fraction
-        assert partitioning_estimate(pairs, part, Fraction(3, 5)) == 5
-        empty = [(Fraction(7, 10), 5)]
-        assert partitioning_estimate(empty, part, Fraction(1, 5)) == 0
+        assert type(counts.estimate_at(Fraction(1, 5))) is Fraction
+        assert counts.estimate_at(Fraction(3, 5)) == 5
+        empty = CellCounts.from_pairs([(Fraction(7, 10), 5)],
+                                      two_cell_partition())
+        assert empty.estimate_at(Fraction(1, 5)) == 0
 
     def test_coverage_error(self):
+        counts = CellCounts.from_pairs([(Fraction(1, 10), 1)],
+                                       two_cell_partition())
         with pytest.raises(CoverageError):
-            partitioning_estimate([(Fraction(1, 10), 1)],
-                                  two_cell_partition(), Fraction(3, 2))
+            counts.estimate_at(Fraction(3, 2))
 
     def test_autoregression_example(self):
         series = (Fraction(1, 10), Fraction(3, 5), Fraction(1, 5),
@@ -146,7 +143,7 @@ class TestPartitioningEstimate:
             x = series[-1]
             pairs = predictors.autoregression_pairs(series)
             assert partitioning_autoregression(series, part) \
-                == partitioning_estimate(pairs, part, x)
+                == CellCounts.from_pairs(pairs, part).estimate_at(x)
 
     def test_exact_zero_on_empty_cell(self):
         series = [Fraction(3, 4), Fraction(7, 8), Fraction(1, 4)]
@@ -266,8 +263,6 @@ class TestConsistencyOnTwoStateChain:
             data = states.tolist()
             for context in (0, 1):
                 truth = p[context, 1]
-                assert abs(float(static_count(data, 1, context=(context,)))
-                           - truth) <= 0.01
                 assert abs(float(dynamic_count(data, 1, context=(context,)))
                            - truth) <= 0.01
 
