@@ -6,11 +6,11 @@ point of the counterexamples is that no such guarantee survives on richer
 state spaces.  Second: a tuned linear predictor is measurably worse than
 the true nonlinear regression even on a tame series.
 """
-import numpy as np
+import math
 
-from ergolab.baselines import fit_linear_ar, sample_sqrt_ar
 from ergolab.harness import ExperimentConfig, run
-from ergolab.predictors import dynamic_count
+from ergolab.markov import sample_sqrt_ar
+from ergolab.predictors import dynamic_count, fit_linear_ar
 
 print("== count forecasters on a two-state chain ==")
 report = run(ExperimentConfig(experiment="consistency", trials=1, seed=3,
@@ -24,11 +24,12 @@ print(f"at the longest run: {report.summary['max_error_at_longest_n']:.4f}"
 print()
 print("== linear predictor vs the square-root regression ==")
 series = sample_sqrt_ar(1.0, 10_001, seed=8)
-model, prediction = fit_linear_ar(series, 1)
-print(f"fitted through-origin coefficient: {model.coefficients[0]:.4f}")
-prev, nxt = series[:-1], series[1:]
-mse_lin = float(np.mean((nxt - model.coefficients[0] * prev) ** 2))
-mse_true = float(np.mean((nxt - np.sqrt(np.abs(prev))) ** 2))
+(coefficient,), _ = fit_linear_ar(series, 1)
+print(f"fitted through-origin coefficient: {coefficient:.4f}")
+pairs = list(zip(series, series[1:]))
+mse_lin = math.fsum((y - coefficient * x) ** 2 for x, y in pairs) / len(pairs)
+mse_true = math.fsum((y - math.sqrt(abs(x))) ** 2
+                     for x, y in pairs) / len(pairs)
 print(f"one-step MSE, linear:          {mse_lin:.6f}")
 print(f"one-step MSE, true regression: {mse_true:.6f}")
 report = run(ExperimentConfig(experiment="linear", trials=1, seed=8))

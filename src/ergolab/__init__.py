@@ -6,9 +6,8 @@ A small laboratory with four moving parts:
   irrationals, interval sets with exact Lebesgue measure);
 * two exactly-computable ergodic systems (the reverse binary odometer and an
   irrational rotation with constructive Rohlin towers);
-* the estimators under study (count forecasters, the partitioning estimate,
-  and, in :mod:`ergolab.baselines`, the one module that needs numpy, a
-  no-intercept linear predictor);
+* the estimators under study (count forecasters, the partitioning estimate
+  and a no-intercept linear predictor fitted in exact arithmetic);
 * an adversary that picks hidden-chain labels to confound any supplied
   black-box predictor, plus a reproducible experiment harness and CLI.
 """

@@ -4,7 +4,8 @@ Flags override values from an optional ``--config`` file (flat
 ``key = value`` lines, same keys as the flags); both come from the field
 table in :mod:`ergolab.harness`.  Exit status: 0 pass, 1 the headline
 statistic missed the configured threshold, 2 config error (any malformed
-flag or file value), 3 experiment failed.
+flag or file value), 3 experiment failed or its output could not be
+written.
 """
 
 from __future__ import annotations
@@ -59,7 +60,11 @@ def main(argv=None) -> int:
     print(f"experiment: {config.experiment}")
     print(json.dumps(report.summary, indent=2, default=str))
     if config.out:
-        paths = persist(config, report, config.out)
+        try:
+            paths = persist(config, report, config.out)
+        except OSError as exc:
+            print(f"cannot write {config.out}: {exc}", file=sys.stderr)
+            return 3
         for kind, path in paths.items():
             print(f"wrote {kind}: {path}")
     if config.threshold is not None:

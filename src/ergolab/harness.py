@@ -7,9 +7,9 @@ Seven experiments share one configuration shape and one persistence format:
 * ``thm3`` -- the odometer starvation sweep for the partitioning forecaster;
 * ``thm4`` -- the rotation tower experiment with exact L1 integrals;
 * ``consistency`` / ``linear`` -- the positive count-estimator baseline and
-  the linear-predictor suboptimality demo, in floating point; their runners
-  live in :mod:`ergolab.baselines`, the one module that imports numpy, and
-  RUNNERS imports it on their first call;
+  the linear-predictor suboptimality demo; their chain transitions, context
+  errors and least-squares fits are exact, their reported errors and z-score
+  floats;
 * ``check-partitions`` -- partition-regularity trend report.
 
 Every run is deterministic given its config: per-trial seeds are derived
@@ -149,6 +149,13 @@ def _parse_alpha(text: str) -> rot.Rotation:
     return rot.Rotation(QuadraticReal(Fraction(a), Fraction(b), int(d)))
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError("not a finite number")
+    return value
+
+
 def _checked(build):
     """Parser for a field kept as text, which `build` has to accept."""
     def parse(text: str) -> str:
@@ -205,7 +212,7 @@ FIELDS = (
     ConfigField("alpha", "2,-1,1", _checked(_parse_alpha),
                 help="rotation angle as d,a,b meaning a + b*sqrt(d)"),
     ConfigField("out", "", help="directory for config echo, CSV and plot data"),
-    ConfigField("threshold", None, float,
+    ConfigField("threshold", None, _finite,
                 lambda value: "" if value is None else repr(value)),
 )
 # the experiment is the CLI subcommand; every other field is a --flag
@@ -253,6 +260,10 @@ class ExperimentConfig:
             raise ConfigError("seed must be non-negative")
         if self.kmax <= 0 or self.smax < 2:
             raise ConfigError("kmax must be >= 1 and smax >= 2")
+        if self.out and Path(self.out).exists() \
+                and not Path(self.out).is_dir():
+            raise ConfigError(f"out {self.out!r} exists and is not a "
+                              f"directory")
         if any(n <= 0 for n in self.nlist):
             raise ConfigError("every n must be positive")
         if self.experiment in ("consistency", "linear") \
@@ -433,7 +444,6 @@ def run_starvation(config: ExperimentConfig) -> Report:
     schedule = config.schedule()
     ns = list(config.nlist)
     parts = {n: odometer.starving_partition(n, schedule) for n in ns}
-    starving = {n: odometer.starving_prefix(n) for n in ns}
     max_n = max(ns)
 
     rows = []
@@ -455,9 +465,7 @@ def run_starvation(config: ExperimentConfig) -> Report:
                 est = predictors.autoregression_from_reads(read, parts[n],
                                                            max_n - n)
                 est_zero = est == 0
-                # odometer.in_starving_set, its prefix found once per n
-                level, bits = starving[n]
-                in_b = omega.prefix_int(level) == bits
+                in_b = odometer.in_starving_set(omega, n)
                 if in_b:
                     in_b_somewhere = True
                     if not (est_zero and truth_high):
@@ -574,6 +582,74 @@ def run_rotation_l1(config: ExperimentConfig) -> Report:
     )
 
 
+# -- the two positive baselines
+
+
+# P(1 | 0) and P(1 | 1) of the two-state chain, as (num, den)
+_TWO_STATE = ((1, 4), (3, 5))
+
+
+def run_consistency(config: ExperimentConfig) -> Report:
+    ns = sorted(config.nlist)
+    length = ns[-1]
+    seeds = [derived_seed(config.seed, i) for i in range(5)]
+    rows = []
+    worst = Fraction(0)
+    for seed_idx, seed in enumerate(seeds):
+        rng = random.Random(seed)
+        data = []
+        state = 0
+        for _ in range(length):
+            num, den = _TWO_STATE[state]
+            state = int(rng.randrange(den) < num)
+            data.append(state)
+        for n in ns:
+            for context in (0, 1):
+                truth = Fraction(*_TWO_STATE[context])
+                est = predictors.dynamic_count(data[:n], 1, context=(context,))
+                err = abs(est - truth)
+                if n == length:
+                    worst = max(worst, err)
+                rows.append((n, f"seed{seed_idx}-ctx{context}", float(err)))
+    return Report(
+        schema="baseline",
+        columns=("n", "context_or_model", "error"),
+        rows=rows,
+        summary={"max_error_at_longest_n": float(worst), "seeds": len(seeds)},
+        plot=[(n, max(r[2] for r in rows if r[0] == n)) for n in ns],
+        stat=float(worst),
+        stat_direction="le",
+    )
+
+
+def run_linear(config: ExperimentConfig) -> Report:
+    n = max(config.nlist)
+    series = markov.sample_sqrt_ar(1.0, n + 1,
+                                   seed=derived_seed(config.seed, 0))
+    (coefficient,), _ = predictors.fit_linear_ar(series, 1)
+    pairs = list(zip(series, series[1:]))
+    err_linear = [(y - coefficient * x) ** 2 for x, y in pairs]
+    err_truth = [(y - math.sqrt(abs(x))) ** 2 for x, y in pairs]
+    diff = [a - b for a, b in zip(err_linear, err_truth)]
+    m = len(diff)
+    gap = math.fsum(diff) / m
+    sd = math.sqrt(math.fsum((d - gap) ** 2 for d in diff) / (m - 1))
+    z = gap / (sd / math.sqrt(m))
+    rows = [
+        (n, "linear-ar", math.fsum(err_linear) / m),
+        (n, "true-regression", math.fsum(err_truth) / m),
+    ]
+    return Report(
+        schema="baseline",
+        columns=("n", "context_or_model", "error"),
+        rows=rows,
+        summary={"coefficient": coefficient, "mse_gap": gap, "z_score": z},
+        plot=[(n, z)],
+        stat=z,
+        stat_direction="ge",
+    )
+
+
 def run_check_partitions(config: ExperimentConfig) -> Report:
     schedule = config.schedule(require_regular=False)
     parts = [(n, odometer.starving_partition(n, schedule))
@@ -594,22 +670,13 @@ def run_check_partitions(config: ExperimentConfig) -> Report:
     )
 
 
-def _baseline(name: str):
-    """The float baseline `name` of :mod:`ergolab.baselines`, which is
-    imported, with numpy, on the first call."""
-    def run_baseline(config: ExperimentConfig) -> Report:
-        from . import baselines
-        return getattr(baselines, name)(config)
-    return run_baseline
-
-
 RUNNERS = {
     "thm1": run_attack,
     "thm2": run_attack,
     "thm3": run_starvation,
     "thm4": run_rotation_l1,
-    "consistency": _baseline("run_consistency"),
-    "linear": _baseline("run_linear"),
+    "consistency": run_consistency,
+    "linear": run_linear,
     "check-partitions": run_check_partitions,
 }
 EXPERIMENTS = tuple(RUNNERS)

@@ -12,10 +12,14 @@ Two labelings turn the chain into the processes under attack:
 * an injective labeling ``f(s) = L_s + 2**-s`` (with ``f(0) = 0``) whose free
   bits ``L_s`` likewise get chosen adversarially, but which keeps the state
   readable off the observation.
+
+The module also samples the square-root autoregression on which the linear
+baseline is fitted (:func:`sample_sqrt_ar`).
 """
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -314,3 +318,22 @@ def expected_next_relabeled(value, table: ShiftLabelTable) -> Fraction:
     if state <= 1:
         return table.label(state + 1)
     return HALF * table.label(state + 1)
+
+
+def sample_sqrt_ar(x0: float, length: int, noise=(-0.25, 0.25), seed=None):
+    """The nonlinear autoregression ``X_n = sqrt(|X_{n-1}|) + eps_n``, as a
+    list of floats.
+
+    Noise is uniform on the given interval (zero-mean by default); the true
+    one-step regression is ``sqrt(|x|)``.
+    """
+    lo, hi = noise
+    if not lo < hi or abs(lo + hi) > 1e-12:
+        raise ValueError("noise interval must be symmetric around zero")
+    rng = random.Random(seed)
+    out = []
+    x = float(x0)
+    for _ in range(length):
+        x = math.sqrt(abs(x)) + rng.uniform(lo, hi)
+        out.append(x)
+    return out

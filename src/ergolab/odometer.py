@@ -17,6 +17,7 @@ estimator's cell.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 from .dyadic import BinaryPoint, dyadic_exponent
@@ -127,6 +128,7 @@ def starving_set(n: int) -> IntervalSet:
     return _interval_set(bit_prefix_interval(level, index))
 
 
+@functools.cache
 def starving_prefix(n: int) -> tuple:
     """(level, bits): the n-th starving set is the points whose first
     `level` bits, packed into an int with bit 1 most significant, equal

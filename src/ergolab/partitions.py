@@ -40,7 +40,12 @@ class PartitionSchedule:
             self._q = q
         else:
             table = {int(k): int(v) for k, v in dict(q).items()}
-            self._q = table.__getitem__
+
+            def lookup(n):
+                if n not in table:
+                    raise ValueError(f"q({n}) is not in the table")
+                return table[n]
+            self._q = lookup
         self.ns = sorted(int(n) for n in ns) if ns is not None else None
         hs = [self.h(n) for n in self.ns or ()]
         if require_regular and len(hs) > 1:

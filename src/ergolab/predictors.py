@@ -5,14 +5,17 @@ current context (the 0/0 = 0 convention applies to unseen contexts).  The
 partitioning estimate averages responses whose predictor fell in the same
 partition cell as the query; with exact inputs the cell sums stay exact, so
 "the estimate is zero because the cell is empty" is a statement, not a
-tolerance.  The float linear predictor lives in :mod:`ergolab.baselines`.
+tolerance.  The no-intercept linear predictor of float data is fitted
+exactly too: its normal equations are solved in exact arithmetic.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .dyadic import BinaryPoint
+from .errors import SingularFit
 from .partitions import READ_BITS, KeyedPoints, Partition
 
 
@@ -221,3 +224,47 @@ def autoregression_from_reads(read: KeyedPoints, partition: Partition,
     cell = partition.select(read, start)
     return _cell_mean([read.points[i + 1] for i in cell],
                       [read.keys[i + 1] for i in cell])
+
+
+# -- the linear autoregression (least squares through the origin)
+
+
+def fit_linear_ar(series, order: int):
+    """Least-squares fit of a no-intercept linear predictor of the given
+    order; returns ``(coefficients, one_step_prediction)``, the coefficients
+    most recent lag first.
+
+    The normal equations of the float data are solved exactly, and each
+    result rounded once to a float.  Their matrix is positive semidefinite,
+    so elimination needs no row exchange, and it meets an exactly zero
+    pivot, a :class:`SingularFit`, exactly when the lagged design is rank
+    deficient.
+    """
+    exact = [Fraction(v) for v in series]
+    n = len(exact)
+    if n <= 2 * order:
+        raise ValueError("series too short for the requested order")
+    # the values as integers over one common denominator, which cancels
+    # out of the normal equations
+    den = math.lcm(*(v.denominator for v in exact))
+    x = [v.numerator * (den // v.denominator) for v in exact]
+    lags = [x[order - 1 - i:n - 1 - i] for i in range(order)]
+    target = x[order:]
+    rows = [[_dot(a, b) for b in lags] + [_dot(a, target)] for a in lags]
+    for k, pivot_row in enumerate(rows):
+        pivot = pivot_row[k]
+        if pivot == 0:
+            raise SingularFit(f"zero pivot at lag {k + 1} of order {order}")
+        for row in rows[k + 1:]:
+            factor = Fraction(row[k], pivot)
+            row[k:] = [a - factor * b for a, b in zip(row[k:], pivot_row[k:])]
+    coefficients = [Fraction(0)] * order
+    for k in reversed(range(order)):
+        rest = sum(rows[k][j] * coefficients[j] for j in range(k + 1, order))
+        coefficients[k] = Fraction(rows[k][order] - rest, rows[k][k])
+    prediction = sum(c * v for c, v in zip(coefficients, reversed(x[-order:])))
+    return [float(c) for c in coefficients], float(prediction / den)
+
+
+def _dot(a, b):
+    return sum(p * q for p, q in zip(a, b))

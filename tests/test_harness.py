@@ -311,12 +311,12 @@ PINNED_OUTPUTS = {
         "35a9c1581e6a07b4f660253c4e497d953dce32d00a8c02eaed8533734a8cdd1a"),
     "consistency": (
         dict(experiment="consistency", trials=1, seed=0),
-        "3610a72f2a14ad2600db28748a1af17e03e19aa3041fc2d4740c55229b396ce3",
-        "a5940d707a0684de567ed3bad492767220ffb11f7331602aa7a3ce745f071bdb"),
+        "c5c97853807d4cbc888edc85514289086a0b2b8a04a3ecb032619f1e54876127",
+        "0a9e9e131c0eac55aead0807e637029f8899ef11b22cb363d95c2eb7776e558e"),
     "linear": (
         dict(experiment="linear", trials=1, seed=0),
-        "40339964a18fc2da993ace83f07c0da6c101ab58c54381c60e53d2538784dc91",
-        "f210320b69d25e9ac587a43ff5e4f955ae90ce6331a521b20183799324647ca2"),
+        "5229182debdff08e2e6605bb30e4684cb483491abf6241a85b6896bf26abf7d7",
+        "8bdee60e7f2b7c62dd23885a43516ecaaac827ead01455b242fc79b0521e0036"),
 }
 
 
@@ -387,6 +387,9 @@ class TestCli:
         ["check-partitions", "--q-schedule", "const:-2"],
         ["consistency", "--nlist", "1"],
         ["linear", "--nlist", "1"],
+        ["thm3", "--threshold", "nan"],
+        ["thm3", "--threshold", "inf"],
+        ["thm3", "--threshold=-inf"],
     ])
     def test_malformed_value_is_a_config_error(self, argv, tmp_path, capsys):
         (tmp_path / "bad.txt").write_text("trials = abc\n")
@@ -394,6 +397,31 @@ class TestCli:
         assert cli.main(argv) == 2
         err = capsys.readouterr().err
         assert "config error:" in err and "Traceback" not in err
+
+    def test_missing_table_entry_is_named(self, capsys):
+        argv = ["thm3", "--nlist", "3:4", "--q-schedule", "table:3=2"]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "q(4)" in err
+
+    def test_out_naming_a_file_is_a_config_error(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("")
+        argv = ["thm3", "--nlist", "3:4", "--trials", "2", "--out", str(out)]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: out") and "Traceback" not in err
+
+    def test_unwritable_output_fails_in_one_line(self, tmp_path, capsys,
+                                                 monkeypatch):
+        def persist(config, report, out_dir):
+            raise PermissionError(13, "Permission denied", out_dir)
+        monkeypatch.setattr(cli, "persist", persist)
+        argv = ["thm3", "--nlist", "3:4", "--trials", "2",
+                "--out", str(tmp_path / "run")]
+        assert cli.main(argv) == 3
+        err = capsys.readouterr().err
+        assert "Permission denied" in err and len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("argv", [
         ["linear", "--nlist", "2"],
@@ -498,14 +526,19 @@ class TestNumpyImport:
         """)
         assert result.returncode == 0, result.stderr[-2000:]
 
-    def test_a_baseline_imports_numpy_on_first_run(self):
+    def test_every_experiment_runs_without_numpy(self):
         result = _fresh_python("""
             import sys
-            import ergolab.cli
-            assert "numpy" not in sys.modules
-            assert ergolab.cli.main(["consistency", "--nlist", "100,1000",
-                                     "--trials", "1"]) == 0
-            assert "numpy" in sys.modules and "ergolab.baselines" in sys.modules
+            sys.modules["numpy"] = None     # any import of numpy now fails
+            import ergolab, ergolab.cli, ergolab.harness
+            runs = {"thm1": ["--kmax", "2"], "thm2": ["--smax", "4"],
+                    "thm3": ["--nlist", "3:6"], "thm4": ["--nlist", "4"],
+                    "consistency": ["--nlist", "100,1000"],
+                    "linear": ["--nlist", "100"], "check-partitions": []}
+            assert set(runs) == set(ergolab.harness.EXPERIMENTS)
+            for name, argv in runs.items():
+                argv = [name, *argv, "--trials", "5"]
+                assert ergolab.cli.main(argv) == 0, argv
         """)
         assert result.returncode == 0, result.stderr[-2000:]
 

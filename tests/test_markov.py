@@ -7,9 +7,9 @@ from itertools import product
 import pytest
 
 from ergolab import markov
-from ergolab.baselines import sample_sqrt_ar
 from ergolab.errors import (FrontierError, InconsistentObservation,
                             InvalidLabel, InvalidObservation)
+from ergolab.markov import sample_sqrt_ar
 
 
 class TestStationaryLaw:
@@ -230,7 +230,7 @@ class TestSqrtAutoregression:
 
     def test_long_run_mean_near_fixed_point(self):
         series = sample_sqrt_ar(1.0, 100_000, seed=1)
-        assert abs(series.mean() - 1.0) <= 0.1
+        assert abs(sum(series) / len(series) - 1.0) <= 0.1
 
     def test_asymmetric_noise_rejected(self):
         with pytest.raises(ValueError):

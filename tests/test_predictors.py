@@ -6,18 +6,19 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ergolab import markov, odometer, predictors
-from ergolab.baselines import fit_linear_ar, sample_sqrt_ar
 from ergolab.dyadic import BinaryPoint
 from ergolab.errors import CapExceeded, CoverageError, SingularFit
 from ergolab.intervals import rational_set
 from ergolab.partitions import (READ_BITS, KeyedPoints, PartitionSchedule,
                                 regularity_report, split_grid_partition)
+from ergolab.markov import sample_sqrt_ar
 from ergolab.predictors import (CellCounts, CountPredictor, dynamic_count,
-                                make_predictor, partitioning_autoregression)
+                                fit_linear_ar, make_predictor,
+                                partitioning_autoregression)
 
 
 # observation strings over the binary alphabet or over the dyadic labels
@@ -272,16 +273,16 @@ class TestLinearAR:
         series = [1.0]
         for _ in range(40):
             series.append(0.5 * series[-1])
-        model, prediction = fit_linear_ar(series, 1)
-        assert abs(model.coefficients[0] - 0.5) < 1e-9
+        coefficients, prediction = fit_linear_ar(series, 1)
+        assert abs(coefficients[0] - 0.5) < 1e-9
         assert abs(prediction - 0.5 * series[-1]) < 1e-12
 
     def test_exact_on_order_two(self):
         series = [1.0, 2.0]
         for _ in range(60):
             series.append(0.5 * series[-1] - 0.06 * series[-2])
-        model, prediction = fit_linear_ar(series, 2)
-        assert np.allclose(model.coefficients, [0.5, -0.06], atol=1e-8)
+        coefficients, prediction = fit_linear_ar(series, 2)
+        assert np.allclose(coefficients, [0.5, -0.06], atol=1e-8)
         expected = 0.5 * series[-1] - 0.06 * series[-2]
         assert abs(prediction - expected) < 1e-10
 
@@ -292,19 +293,51 @@ class TestLinearAR:
         with pytest.raises(SingularFit):
             fit_linear_ar(series, 2)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 3),
+           st.lists(st.floats(-100, 100).map(
+               lambda v: v if abs(v) >= 1e-3 else 0.0),
+               min_size=7, max_size=60))
+    def test_matches_least_squares(self, order, series):
+        # numpy's least squares is the oracle on a well-conditioned design
+        # of values whose products stay clear of float underflow
+        x = np.array(series)
+        design = np.column_stack([x[order - 1 - i:len(x) - 1 - i]
+                                  for i in range(order)])
+        assume(np.linalg.cond(design) < 1e3)
+        expected, *_ = np.linalg.lstsq(design, x[order:], rcond=None)
+        coefficients, prediction = fit_linear_ar(series, order)
+        scale = np.linalg.norm(expected)
+        assert np.linalg.norm(np.array(coefficients) - expected) \
+            <= 1e-9 * scale
+        lags = x[::-1][:order]
+        assert abs(prediction - expected @ lags) \
+            <= 1e-9 * scale * np.linalg.norm(lags)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 3), st.data())
+    def test_periodic_series_is_singular(self, order, data):
+        # a period shorter than the order repeats a lag column exactly
+        period = data.draw(st.integers(1, order - 1))
+        cycle = data.draw(st.lists(st.floats(-100, 100), min_size=period,
+                                   max_size=period))
+        reps = data.draw(st.integers(2 * order + 1, 40))
+        with pytest.raises(SingularFit, match="zero pivot"):
+            fit_linear_ar((cycle * reps)[:reps], order)
+
     def test_iid_coefficient_shrinks(self):
         rng = np.random.default_rng(3)
         series = rng.standard_normal(10_000)
-        model, _ = fit_linear_ar(series, 1)
-        assert abs(model.coefficients[0]) <= 0.05
+        coefficients, _ = fit_linear_ar(series, 1)
+        assert abs(coefficients[0]) <= 0.05
 
     def test_sqrt_series_beats_linear(self):
-        series = sample_sqrt_ar(1.0, 10_001, seed=12)
-        model, _ = fit_linear_ar(series, 1)
+        series = np.array(sample_sqrt_ar(1.0, 10_001, seed=12))
+        coefficients, _ = fit_linear_ar(series, 1)
         prev, nxt = series[:-1], series[1:]
-        mse_linear = np.mean((nxt - model.coefficients[0] * prev) ** 2)
+        mse_linear = np.mean((nxt - coefficients[0] * prev) ** 2)
         mse_truth = np.mean((nxt - np.sqrt(np.abs(prev))) ** 2)
-        diff = (nxt - model.coefficients[0] * prev) ** 2 \
+        diff = (nxt - coefficients[0] * prev) ** 2 \
             - (nxt - np.sqrt(np.abs(prev))) ** 2
         z = diff.mean() / (diff.std(ddof=1) / np.sqrt(len(diff)))
         assert mse_linear > mse_truth
