@@ -95,7 +95,10 @@ class IntervalSet:
                 lo, hi = item.lo, item.hi
             else:
                 lo, hi = item
-            if _cmp(lo, hi) == 0:
+            order = _cmp(lo, hi)
+            if order > 0:
+                raise ValueError(f"reversed pair ({lo}, {hi})")
+            if order == 0:
                 continue
             domain = _join_domains(domain, _domain_of(lo))
             domain = _join_domains(domain, _domain_of(hi))
@@ -108,16 +111,10 @@ class IntervalSet:
                     merged[-1] = (merged[-1][0], hi)
             else:
                 merged.append((lo, hi))
+        if merged and (_cmp(merged[0][0], 0) < 0 or _cmp(merged[-1][1], 1) > 0):
+            raise ValueError("interval set reaches outside [0, 1)")
         self.intervals = tuple(Interval(lo, hi) for lo, hi in merged)
         self.domain = domain
-
-    # -- constructors
-
-    @classmethod
-    def empty(cls, domain=None) -> "IntervalSet":
-        s = cls(())
-        s.domain = domain
-        return s
 
     def is_empty(self) -> bool:
         return not self.intervals

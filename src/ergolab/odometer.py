@@ -23,6 +23,7 @@ from fractions import Fraction
 from .dyadic import BinaryPoint, dyadic_exponent
 from .errors import AlignmentError, CapExceeded
 from .intervals import Interval, IntervalSet
+from .partitions import Partition, split_grid_partition
 
 
 def step(point: BinaryPoint) -> BinaryPoint:
@@ -204,7 +205,6 @@ def backward_images_disjoint(s: IntervalSet, n: int) -> bool:
     return True
 
 
-def starving_partition(n: int, schedule) -> "Partition":
+def starving_partition(n: int, schedule) -> Partition:
     """The grid partition for index n, split by the n-th starving set."""
-    from .partitions import split_grid_partition
     return split_grid_partition(n, schedule, starving_set(n))

@@ -5,6 +5,13 @@ grid of ``q(n)`` intervals, each cell split into its intersection with a
 distinguished set and with that set's complement.  Cell diameters are at most
 ``1/q(n)`` and there are at most ``2*q(n)`` cells, which is what the usual
 regression-consistency conditions ask of a partition sequence.
+
+:class:`Partition` is that split grid.  It locates a point exactly, with no
+scan of its cells: field elements and rationals by their floor, binary
+points by a breakpoint table keyed by their one 64-bit read
+(:func:`prefix_key`), else by comparison.  :meth:`Partition.select` finds
+the points of a read series (:class:`KeyedPoints`) in its last point's
+cell.
 """
 
 from __future__ import annotations
@@ -77,37 +84,129 @@ class PartitionSchedule:
 
 
 class Partition:
-    """Labelled cells partitioning [0, 1), located by `locator` and, for a
-    binary point, by `table` when given; cells may be empty."""
+    """The split grid: ``q`` equal grid cells of [0, 1), each cut by a
+    split set into a labelled inside and outside piece; cells may be empty.
 
-    def __init__(self, cells, locator, table=None):
-        self.cells = list(cells)
-        self._locator = locator
-        self._table = table
+    Labels are ``(j, True)`` for grid cell ``j`` inside the set and
+    ``(j, False)`` outside; ``j`` runs from 1 to ``q`` and ``bounds[j]`` is
+    ``j/q``, a Fraction or a field element.  Built by
+    :func:`split_grid_partition`.
+
+    One exact locate finds grid cell ``j``, then reads membership from its
+    inside piece ``inside_cells[j - 1]``, usually one or two intervals:
+
+    * a field element or a rational: ``j = floor(q*x) + 1`` from the exact
+      triple ``(q*A, q*B, Q)`` of ``x = (A + B*sqrt(d)) / Q`` (``B = 0``
+      for a rational), with one integer square root;
+    * a :class:`BinaryPoint`, on the rational domain only: its read
+      ``p = prefix_key(x)`` puts it in the bracket ``[p, p + 1) /
+      2**READ_BITS`` of the lexicographic order :meth:`BinaryPoint.compare`
+      uses (an all-ones tail stays below the next dyadic).  ``keys`` holds
+      ``floor(e * 2**READ_BITS)`` for every grid bound and split-set
+      endpoint ``e`` below 1, and ``labels`` next to each key the label of
+      the brackets strictly between it and the next key, so a read that is
+      no key takes that label after one bisection.  A point whose read is a
+      key, or that has no read (a cap below ``READ_BITS``), is located by a
+      bisection of the grid bounds with ``compare`` and a check of both
+      ends of the cell; :class:`CapExceeded` comes from those comparisons.
+
+    Any other point (a float, or a binary point on the quadratic domain)
+    raises TypeError, and a point outside [0, 1) CoverageError.  No cell is
+    ever scanned.
+    """
+
+    def __init__(self, q: int, bounds, split_set: IntervalSet):
+        self.q, self.bounds = q, bounds
+        self.cells = []
+        for j in range(1, q + 1):
+            grid_cell = IntervalSet([(bounds[j - 1], bounds[j])],
+                                    domain=split_set.domain)
+            self.cells.append(((j, True), grid_cell.intersection(split_set)))
+            self.cells.append(((j, False), grid_cell.difference(split_set)))
+        self.inside_cells = [inside for _, inside in self.cells[::2]]
+        # the breakpoint table, and the runs of keys between its keys that
+        # lie in one cell; empty on the quadratic domain
+        self.keys, self.labels, self.runs = [], [], {}
+        if isinstance(bounds[0], Fraction):
+            breaks = bounds + [end for iv in split_set
+                               for end in (iv.lo, iv.hi)]
+            top = 1 << READ_BITS
+            self.keys = sorted({e.numerator * top // e.denominator
+                                for e in breaks if e < 1})
+            for k, after in zip(self.keys, self.keys[1:] + [top]):
+                label = None
+                if k + 1 < after:
+                    # the bracket after k's, at its midpoint
+                    label = self._locate(Fraction(2 * k + 3, 2 * top), None)
+                    self.runs.setdefault(label, []).append((k, after))
+                self.labels.append(label)
+        self.key_set = frozenset(self.keys)
+
+    def _locate(self, x, key):
+        """Label of the cell containing `x`, whose read is `key`."""
+        q = self.q
+        if isinstance(x, QuadraticReal):
+            j = floor_raw(q * x.A, q * x.B, x.Q, x.d) + 1
+        elif isinstance(x, (int, Fraction)):
+            j = q * x.numerator // x.denominator + 1
+        elif isinstance(x, BinaryPoint) and self.keys:
+            if key is not None:
+                i = bisect_right(self.keys, key) - 1
+                if self.keys[i] != key:
+                    return self.labels[i]
+            bounds = self.bounds
+            j, hi = 1, q
+            while j < hi:
+                mid = (j + hi) // 2
+                if x.compare(bounds[mid]) < 0:
+                    hi = mid
+                else:
+                    j = mid + 1
+            if x.compare(bounds[j - 1]) < 0 or x.compare(bounds[j]) >= 0:
+                j = 0  # outside [0, 1)
+        else:
+            raise TypeError(f"cannot locate a {type(x).__name__} exactly")
+        if not 0 < j <= q:
+            raise CoverageError(f"{x!r} outside [0, 1)")
+        return (j, self.inside_cells[j - 1].contains(x))
 
     def locate(self, x):
         """Label of the cell containing `x`; CoverageError if none, and
-        TypeError for a type no locator reads exactly (a float)."""
-        if self._table is not None and isinstance(x, BinaryPoint):
-            return self._table.locate(x, prefix_key(x))
-        return self._locator(x)
+        TypeError for a point no route reads exactly (a float)."""
+        return self._locate(x, prefix_key(x))
 
     def select(self, keyed: "KeyedPoints", start: int):
         """The indices ``start <= i < last`` of the points of `keyed` in the
         cell of its last point (the query), in increasing order.
 
-        The query is located first, from its key, then the other points as
-        :meth:`locate` would locate them, those on the exact routes in
-        index order, so the first :class:`CapExceeded` is the one a
-        point-by-point scan raises.
+        The query is located first, from its key.  The keys strictly between
+        two table keys form a run of one cell, so the keyed points in the
+        query's cell are found by bisecting the sorted keys at that cell's
+        runs.  Points on a table key, points without a key, and every point
+        of a grid without a table are located one by one in index order, so
+        the first :class:`CapExceeded` is the one a point-by-point scan
+        raises.
         """
-        if self._table is not None and keyed.binary:
-            return self._table.select(keyed, start)
-        points = keyed.points
-        last = len(points) - 1
-        label = self.locate(points[last])
-        return [i for i in range(start, last)
-                if self.locate(points[i]) == label]
+        points, keys = keyed.points, keyed.keys
+        stop = len(points) - 1
+        label = self._locate(points[stop], keys[stop])
+        order, sorted_keys = keyed.order, keyed.sorted_keys
+        found = []
+        for lo, hi in self.runs.get(label, ()):
+            found += [i for i in order[bisect_right(sorted_keys, lo):
+                                       bisect_left(sorted_keys, hi)]
+                      if start <= i < stop]
+        if self.keys:
+            hits = self.key_set.intersection(keyed.key_set)
+            exact = [i for i in keyed.unkeyed if start <= i < stop]
+            if hits:
+                exact = sorted(exact + [i for i in range(start, stop)
+                                        if keys[i] in hits])
+        else:
+            exact = range(start, stop)
+        found += [i for i in exact if self._locate(points[i], keys[i]) == label]
+        found.sort()
+        return found
 
     def __len__(self):
         return len(self.cells)
@@ -130,17 +229,15 @@ class KeyedPoints:
     """Points read once: ``keys[i]`` is :func:`prefix_key` of point i, its
     breakpoint-table key and its response bits.  The keyed points are
     sorted by key once so that :meth:`Partition.select` finds a cell's
-    points by bisection.  ``binary`` says whether every point is a
-    :class:`BinaryPoint`, which a table needs.
+    points by bisection.
     """
 
-    __slots__ = ("points", "keys", "binary", "order", "sorted_keys",
-                 "key_set", "unkeyed")
+    __slots__ = ("points", "keys", "order", "sorted_keys", "key_set",
+                 "unkeyed")
 
     def __init__(self, points):
         self.points = points = list(points)
         self.keys = keys = [prefix_key(x) for x in points]
-        self.binary = all(isinstance(x, BinaryPoint) for x in points)
         self.order = sorted((i for i, k in enumerate(keys) if k is not None),
                             key=keys.__getitem__)
         self.sorted_keys = [keys[i] for i in self.order]
@@ -150,147 +247,16 @@ class KeyedPoints:
 
 def split_grid_partition(n: int, schedule: PartitionSchedule,
                          split_set: IntervalSet) -> Partition:
-    """Equal grid of q(n) intervals, each cell cut by `split_set`.
-
-    Cell labels are ``(j, True)`` for grid cell ``j`` inside the set and
-    ``(j, False)`` outside; ``j`` runs from 1 to q(n).  A field element or
-    rational is located by ``j = floor(q*x) + 1`` (:func:`_floor_locator`);
-    on the rational domain a :class:`BinaryPoint` is located by a breakpoint
-    table keyed by its 64-bit read, or else by exact comparison
-    (:class:`_BreakpointTable`), and the points of a read series that share
-    its last point's cell are found from their keys
-    (:meth:`Partition.select`).  No other query type (a float among them)
-    is located.
-    """
+    """The :class:`Partition` of the equal grid of q(n) intervals, each
+    cell cut by `split_set`; grid bounds are field elements when the set
+    is over a quadratic field."""
     q = schedule.q(n)
-    quadratic = split_set.domain and split_set.domain[0] == "quadratic"
-    if quadratic:
+    if split_set.domain and split_set.domain[0] == "quadratic":
         d = split_set.domain[1]
         bounds = [QuadraticReal.rational(Fraction(j, q), d) for j in range(q + 1)]
     else:
         bounds = [Fraction(j, q) for j in range(q + 1)]
-    cells = []
-    for j in range(1, q + 1):
-        grid_cell = IntervalSet([(bounds[j - 1], bounds[j])],
-                                domain=split_set.domain)
-        inside = grid_cell.intersection(split_set)
-        outside = grid_cell.difference(split_set)
-        cells.append(((j, True), inside))
-        cells.append(((j, False), outside))
-
-    inside_cells = [inside for _, inside in cells[::2]]
-    locator = _floor_locator(q, inside_cells)
-    if quadratic:
-        return Partition(cells, locator=locator)
-    return Partition(cells, locator=locator, table=_BreakpointTable(
-        q, bounds, split_set, inside_cells, locator))
-
-
-def _floor_locator(q: int, inside_cells):
-    """Locator reading the grid cell as ``floor(q*x) + 1`` from the exact
-    triple ``(q*A, q*B, Q)`` of ``x = (A + B*sqrt(d)) / Q`` (``B = 0`` for a
-    rational) with one integer square root.  Inside grid cell ``j`` a point
-    is in the split set exactly when it is in the cell's inside piece
-    ``inside_cells[j - 1]``, usually one or two intervals, so membership is
-    read from that piece rather than from the whole split set.  Other query
-    types raise TypeError."""
-
-    def locate_scalar(x):
-        if isinstance(x, QuadraticReal):
-            j = floor_raw(q * x.A, q * x.B, x.Q, x.d)
-        elif isinstance(x, (int, Fraction)):
-            j = q * x.numerator // x.denominator
-        else:
-            raise TypeError(f"cannot locate a {type(x).__name__} by its floor")
-        if not 0 <= j < q:
-            raise CoverageError(f"{x!r} outside [0, 1)")
-        return (j + 1, inside_cells[j].contains(x))
-
-    return locate_scalar
-
-
-class _BreakpointTable:
-    """Rational-domain locator of a BinaryPoint from its read.
-
-    With ``p`` the point's :func:`prefix_key` it lies in the bracket
-    ``[p, p + 1) / 2**READ_BITS`` of the lexicographic order that
-    :meth:`BinaryPoint.compare` uses (an all-ones tail stays below the next
-    dyadic).  The table keys ``floor(e * 2**READ_BITS)`` for every grid bound
-    and split-set endpoint ``e`` below 1 (bound 0 among them), and next to
-    each key stores the label of the brackets strictly between it and the
-    next key, read through `fallback` at a bracket midpoint.  A point whose
-    prefix ``p`` is no key has no bound or endpoint in its bracket, so the
-    stored label is its label: one bisection of the keys (:meth:`locate`).
-    Read the other way, the keys strictly between a key and the next are
-    a run of the stored label's cell, so the keyed points in the query's
-    cell are found by bisecting their sorted keys at that cell's runs
-    (:meth:`select`).
-
-    A point in a key's bracket, or with a key of None (a cap below
-    ``READ_BITS``), is located by exact comparison: a bisection of the grid
-    bounds with :meth:`BinaryPoint.compare`, a check of both ends of the
-    located cell, and membership read from that cell's inside piece
-    ``inside_cells[j - 1]``.  :class:`CapExceeded` comes from those
-    comparisons.
-    """
-
-    __slots__ = ("q", "bounds", "inside_cells", "keys", "labels", "key_set",
-                 "runs")
-
-    def __init__(self, q: int, bounds, split_set: IntervalSet, inside_cells,
-                 fallback):
-        breaks = bounds + [end for iv in split_set for end in (iv.lo, iv.hi)]
-        top = 1 << READ_BITS
-        keys = sorted({e.numerator * top // e.denominator
-                       for e in breaks if e < 1})
-        self.q, self.bounds, self.inside_cells = q, bounds, inside_cells
-        self.keys = keys
-        self.key_set = frozenset(keys)
-        self.labels = []
-        self.runs = {}
-        for k, after in zip(keys, keys[1:] + [top]):
-            label = None
-            if k + 1 < after:
-                label = fallback(Fraction(2 * k + 3, 2 * top))
-                self.runs.setdefault(label, []).append((k, after))
-            self.labels.append(label)
-
-    def locate(self, x, p):
-        if p is not None:
-            i = bisect_right(self.keys, p) - 1
-            if self.keys[i] != p:
-                return self.labels[i]
-        bounds = self.bounds
-        lo, hi = 1, self.q
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if x.compare(bounds[mid]) < 0:
-                hi = mid
-            else:
-                lo = mid + 1
-        if x.compare(bounds[lo - 1]) < 0 or x.compare(bounds[lo]) >= 0:
-            raise CoverageError(f"{x!r} outside [0, 1)")
-        return (lo, self.inside_cells[lo - 1].contains(x))
-
-    def select(self, keyed: KeyedPoints, start: int):
-        points, keys = keyed.points, keyed.keys
-        stop = len(points) - 1
-        label = self.locate(points[stop], keys[stop])
-        order, sorted_keys = keyed.order, keyed.sorted_keys
-        found = []
-        for lo, hi in self.runs.get(label, ()):
-            found += [i for i in order[bisect_right(sorted_keys, lo):
-                                       bisect_left(sorted_keys, hi)]
-                      if start <= i < stop]
-        # points on a key, and points without one, by the exact routes
-        hits = self.key_set.intersection(keyed.key_set)
-        exact = [i for i in keyed.unkeyed if start <= i < stop]
-        if hits:
-            exact = sorted(exact + [i for i in range(start, stop)
-                                    if keys[i] in hits])
-        found += [i for i in exact if self.locate(points[i], keys[i]) == label]
-        found.sort()
-        return found
+    return Partition(q, bounds, split_set)
 
 
 def regularity_report(partitions):

@@ -19,7 +19,7 @@ from .errors import (HeightError, InvariantViolation, NotIrrational,
                      PrecisionError)
 from .intervals import IntervalSet, algebraic_set
 from .surd import (QuadraticReal, cf_convergents, sqrt2_minus_1, triple,
-                   triple_add, triple_mul, triple_sum)
+                   triple_add, triple_mul)
 
 
 class Rotation:
@@ -241,7 +241,7 @@ class CellError:
     those below it, each in x order.  Their ends are the breakpoints; on the
     segment before breakpoint ``s`` (after the last one for ``s = len``)
     ``F(c) = k2*c**2 + k1*c + k0``, with ``k2 = 1`` inside a piece and 0
-    between pieces.  ``at_zero`` is ``F(0)`` and ``excess(c)`` is
+    between pieces.  ``at_zero`` is ``F(0)`` and ``excess_raw(c)`` is
     ``F(c) - F(0)``, whose coefficients are stored, so that one cell costs a
     binary search and a few field operations.
     """
@@ -285,10 +285,6 @@ class CellError:
         self.coeffs = [(k2, triple(k1, self.d),
                         triple(k0 - self.at_zero, self.d))
                        for k2, k1, k0 in coeffs]
-
-    def excess(self, c) -> QuadraticReal:
-        """``F(c) - F(0)``, exactly."""
-        return triple_sum((self.excess_raw(c),), self.d)
 
     def excess_raw(self, c) -> tuple:
         """``F(c) - F(0)`` for a rational or field element `c`, as an

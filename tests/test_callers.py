@@ -1,12 +1,14 @@
 """Every public library name has a caller outside the tests, or a reason.
 
-A public module-level function or class of ``src/ergolab`` must be named
-by the code of another library module (``__init__.py`` aside), of a demo
-or of ``perfbench/``, or by code of its own module outside its own
-definition.  A name counts when it is read as a variable, an attribute or
-an import, or appears as a whole string constant (``perfbench/tracing.py``
-patches functions by their name).  The few names only the tests use are
-listed in TEST_ONLY with the reason they stay.
+A public module-level function or class of ``src/ergolab``, and a public
+method or property of such a class, must be named by the code of another
+library module (``__init__.py`` aside), of a demo or of ``perfbench/``, or
+by code of its own module outside its own definition.  A name counts when
+it is read as a variable, an attribute or an import, or appears as a whole
+string constant (``perfbench/tracing.py`` patches functions by their name);
+a method counts by its attribute name.  The few names only the tests use
+are listed in TEST_ONLY, a method as ``Class.method``, with the reason they
+stay.
 """
 
 import ast
@@ -36,6 +38,8 @@ TEST_ONLY = {
     "golden_conjugate": "a second rotation angle, so the tests do not only "
                         "see sqrt(2) - 1",
     "rational_set": "builds rational-domain interval sets for tests",
+    "BinaryPoint.periodic": "oracle: builds periodic and eventually "
+                            "constant expansions",
 }
 
 
@@ -53,24 +57,46 @@ def _references(node) -> set:
     return out
 
 
+def _units(tree):
+    """(top-level statement, class member or None, names referenced) for
+    the code of a file; a class is split into its members."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                yield node, member, _references(member)
+        else:
+            yield node, None, _references(node)
+
+
+def _definitions(tree):
+    """(listed name, defining node, name a caller reads) for every public
+    module-level function and class, and every public method and property
+    of a public class."""
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                or node.name.startswith("_"):
+            continue
+        yield node.name, node, node.name
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, ast.FunctionDef) \
+                        and not member.name.startswith("_"):
+                    yield f"{node.name}.{member.name}", member, member.name
+
+
 def _callers() -> dict:
-    """Public name -> the files whose code names it, for every public
-    module-level function and class of the package."""
-    statements = {}   # file -> [(top-level statement, names it references)]
-    for path in CALLERS:
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        statements[path] = [(node, _references(node)) for node in tree.body]
+    """Public name -> the files whose code names it."""
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for path in CALLERS}
+    units = {path: list(_units(tree)) for path, tree in trees.items()}
     found = {}
     for module in MODULES:
-        for node, _ in statements[module]:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
-                    or node.name.startswith("_"):
-                continue
-            found[node.name] = [
+        for name, node, word in _definitions(trees[module]):
+            found[name] = [
                 path.relative_to(ROOT).as_posix()
-                for path, pairs in statements.items()
-                if any(node.name in refs
-                       for other, refs in pairs if other is not node)]
+                for path, triples in units.items()
+                if any(word in refs for top, member, refs in triples
+                       if node is not top and node is not member)]
     return found
 
 

@@ -419,7 +419,7 @@ class TestIntervalSets:
         assert dyadic_set((0, Fraction(1, 2))).measure() == Fraction(1, 2)
         two = dyadic_set((0, Fraction(1, 4)), (Fraction(1, 2), Fraction(3, 4)))
         assert two.measure() == Fraction(1, 2)
-        assert IntervalSet.empty().measure() == 0
+        assert IntervalSet().measure() == 0
 
     def test_union_with_complement_is_unit(self):
         rng = random.Random(3)
@@ -444,6 +444,26 @@ class TestIntervalSets:
             rng.shuffle(pairs)
             two = rational_set(*pairs)
             assert one == two
+
+    def test_reversed_pair_is_refused_among_others(self):
+        # alone or merged with a pair that would swallow it
+        for pairs in ([(Fraction(1, 4), Fraction(1, 8))],
+                      [(0, Fraction(1, 2)), (Fraction(1, 4), Fraction(1, 8))]):
+            with pytest.raises(ValueError):
+                rational_set(*pairs)
+        with pytest.raises(ValueError):
+            algebraic_set(2, (QuadraticReal(0, Fraction(1, 2), 2),
+                              Fraction(1, 4)))
+
+    def test_sets_outside_the_unit_interval_are_refused(self):
+        for pairs in ([(0, 2)], [(Fraction(-1, 2), Fraction(1, 4))],
+                      [(0, Fraction(1, 4)), (Fraction(1, 2), Fraction(5, 4))]):
+            with pytest.raises(ValueError):
+                rational_set(*pairs)
+        with pytest.raises(ValueError):
+            algebraic_set(2, (0, QuadraticReal(0, 1, 2)))
+        # [0, 1) itself, and an empty pair at 1, are fine
+        assert rational_set((0, 1), (1, 1)).measure() == 1
 
     def test_domain_mismatch(self):
         quad = algebraic_set(2, (0, QuadraticReal(0, Fraction(1, 2), 2)))

@@ -1,5 +1,7 @@
-"""Grid partitions: the prefix-bracket and floor locators against the
-binary-search route."""
+"""The split grid's one locate and one select, against a bisection of the
+grid bounds with exact comparisons and a point-by-point scan: binary points
+on the rational domain (breakpoint table, then comparisons), field elements
+and rationals by their floor."""
 
 import functools
 from fractions import Fraction
@@ -345,9 +347,29 @@ class TestFloorLocator:
                         + ends:
                     assert_same(x, q, split_set, part)
 
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), index=st.integers(0, len(COVER_SETS) - 1),
+           q=st.integers(2, 40))
+    def test_select_matches_point_by_point(self, data, index, q):
+        # no breakpoint table on the quadratic domain: select locates every
+        # point of the window in index order, CoverageError included; the
+        # last point is drawn like the others or is one of them
+        point = field_points(COVER_SETS[index].domain[1])
+        xs = data.draw(st.lists(point, min_size=1, max_size=12))
+        xs.append(data.draw(st.one_of(point, st.sampled_from(xs))))
+        start = data.draw(st.integers(0, len(xs)))
+        part = cover_partition(index, q)
+        assert raised(part.select, KeyedPoints(xs), start) \
+            == raised(select_point_by_point, part, xs, start)
+
     def test_other_query_types_are_refused(self):
         part = cover_partition(0, 4)
         with pytest.raises(TypeError):
             part.locate(BinaryPoint.from_dyadic(Fraction(1, 2)))
         with pytest.raises(TypeError):
             part.locate(0.5)
+        # a read binary point among field elements is located, and refused
+        with pytest.raises(TypeError):
+            part.select(KeyedPoints([BinaryPoint.seeded(1),
+                                     QuadraticReal.rational(Fraction(1, 3), 2)]),
+                        0)
