@@ -41,3 +41,6 @@ print(f"frequency of landing in B:     {s['in_set_frequency']:.3f}")
 print(f"Monte Carlo floor mu(B) - 3sigma: {s['mc_floor']:.3f}")
 print("every trial inside B forces the outside cells exactly empty, so")
 print("the integral bound holds there by construction, not by tolerance")
+print(f"outside cells' exact L1 floor on B: {s['l1_floor_on_B']:.4f}")
+print(f"proven by the library: P(L1 >= 1/16) >= "
+      f"{s['proven_event_lower_bound']:.6f} (mu(B) if the floor is >= 1/16)")

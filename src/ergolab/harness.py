@@ -509,14 +509,30 @@ def run_starvation(config: ExperimentConfig) -> Report:
 
 
 def run_rotation_l1(config: ExperimentConfig) -> Report:
+    """The ``thm4`` experiment: each trial draws ``omega = N / 2**64`` and
+    reads its orbit (:class:`~ergolab.rotation.DyadicOrbit`), so every
+    point's cell, and omega's membership in B (a one-cell partition over
+    B), comes from its read through a breakpoint table
+    (:meth:`~ergolab.partitions.Partition.read_label`); only a read on a
+    table key takes the exact locate.  Cell means are triples over one
+    denominator, and the trial reduces three values: its L1 error, the next
+    value and the query cell's mean.
+
+    On B every predictor ``T^-j omega``, ``j < n``, lies in C, so every
+    outside cell is empty and predicts 0, and L1 is at least ``floor``, the
+    sum of the outside cells' ``F(0)``.  If ``floor >= 1/16`` the event
+    has probability at least mu(B), exactly: the proven lower bound.
+    """
     if len(config.nlist) != 1:
         raise ConfigError("the rotation experiment runs one n at a time")
     n = config.nlist[0]
     schedule = config.schedule(require_regular=False)
     rotation = config.rotation()
+    d = rotation.d
     tower = rot.build_tower(rotation, 4 * n, Fraction(1, 2))
     b_set, c_set = tower.starving_pair(n)
     partition = split_grid_partition(n, schedule, c_set)
+    b_part = split_grid_partition(n, PartitionSchedule.constant(1), b_set)
     h = schedule.h(n)
 
     # F(c) = integral of |c - m| over a cell, in closed form; empty cells
@@ -524,8 +540,21 @@ def run_rotation_l1(config: ExperimentConfig) -> Report:
     # F(c) - F(0)
     cell_errors = {label: rot.CellError(cell, rotation)
                    for label, cell in partition}
-    all_zero = sum((error.at_zero for error in cell_errors.values()),
-                   rotation.scalar(0))
+    zero = rotation.scalar(0)
+    all_zero = triple(sum((error.at_zero for error in cell_errors.values()),
+                          zero), d)
+    floor = sum((error.at_zero for (_, inside), error in cell_errors.items()
+                 if not inside), zero)
+
+    # x_k = T^k omega for k = 1 - n .. 1: the predictors x_k, k < 0, the
+    # responses x_k, 1 - n < k <= 0, the query x_0 = omega and the next
+    # value x_1, all over one denominator
+    orbit = rot.DyadicOrbit(rotation, 1 - n, 1)
+    den = orbit.den
+
+    def label(part, point):
+        r, a, b = point
+        return part.read_label(r) or part.locate(orbit.point(a, b))
 
     sixteenth = Fraction(1, 16)
     rows = []
@@ -533,33 +562,46 @@ def run_rotation_l1(config: ExperimentConfig) -> Report:
     in_b_hits = 0
     rng = random.Random(derived_seed(config.seed, 0))
     for trial in range(config.trials):
-        omega = rotation.scalar(Fraction(rng.getrandbits(64), 1 << 64))
-        *past, x_next = rotation.series(omega, -n, 0)
-        pairs = predictors.autoregression_pairs(past)
-        counts = predictors.CellCounts.from_pairs(pairs, partition)
-        in_b = b_set.contains(omega)
+        points = orbit.points(rng.getrandbits(64))
+        labels = [label(partition, point) for point in points[:-1]]
+        # per non-empty cell: the responses' numerators summed, and count
+        sums = {}
+        for cell, (_, a, b) in zip(labels[:-1], points[1:-1]):
+            acc = sums.get(cell)
+            if acc is None:
+                sums[cell] = [a, b, 1]
+            else:
+                acc[0] += a
+                acc[1] += b
+                acc[2] += 1
+        # one common denominator over the cells, reduced once per trial
+        l1 = triple_sum([all_zero] + [
+            cell_errors[cell].excess_raw((a, b, den * count))
+            for cell, (a, b, count) in sums.items()], d)
+        in_b = label(b_part, points[-2])[1]
         if in_b:
             in_b_hits += 1
             # a label (j, inside) reads membership in C from cell j's piece
-            if not all(inside for _, inside in counts.cells):
+            if not all(inside for _, inside in labels[:-1]):
                 raise InvariantViolation(
                     f"trial {trial}: recent data must sit inside the cover "
                     f"set, and outside-cells be exactly empty, on the "
                     f"starving event")
-        # one common denominator over the cells, reduced once per trial
-        l1 = triple_sum([triple(all_zero, rotation.d)] + [
-            cell_errors[label].excess_raw(
-                rotation.scalar(counts.estimate(label)))
-            for label in counts.cells], rotation.d)
-        l1_exceeds = l1.compare(sixteenth) >= 0
-        if l1_exceeds:
+            if l1.compare(floor) < 0:
+                raise InvariantViolation(
+                    f"trial {trial}: L1 error {l1} below the outside "
+                    f"cells' floor {floor} on the starving event")
+        if l1.compare(sixteenth) >= 0:
             l1_hits += 1
-        est_f = float(counts.estimate_at(omega))
-        truth = float(x_next)
+        query = sums.get(labels[-1])
+        est_f = 0.0 if query is None else float(
+            triple_sum(((query[0], query[1], den * query[2]),), d))
+        truth = float(orbit.point(*points[-1][1:]))
         rows.append((n, trial, in_b, est_f, truth,
                      abs(est_f - truth), float(l1)))
 
     mu_b = tower.rotation.scalar(b_set.measure())
+    proven = mu_b if floor.compare(sixteenth) >= 0 else zero
     freq = l1_hits / config.trials
     mu_b_f = float(mu_b)
     return Report(
@@ -575,6 +617,10 @@ def run_rotation_l1(config: ExperimentConfig) -> Report:
             "mu_B_at_least_eighth": bool(mu_b.compare(Fraction(1, 8)) >= 0),
             "cell_width": str(h),
             "mc_floor": mu_b_f - _half_width(mu_b_f, config.trials),
+            "l1_floor_on_B": float(floor),
+            "l1_floor_on_B_exact": str(floor),
+            "proven_event_lower_bound": float(proven),
+            "proven_event_lower_bound_exact": str(proven),
         },
         plot=[(n, freq)],
         stat=freq,

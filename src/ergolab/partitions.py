@@ -7,11 +7,11 @@ distinguished set and with that set's complement.  Cell diameters are at most
 regression-consistency conditions ask of a partition sequence.
 
 :class:`Partition` is that split grid.  It locates a point exactly, with no
-scan of its cells: field elements and rationals by their floor, binary
-points by a breakpoint table keyed by their one 64-bit read
-(:func:`prefix_key`), else by comparison.  :meth:`Partition.select` finds
-the points of a read series (:class:`KeyedPoints`) in its last point's
-cell.
+scan of its cells: by a breakpoint table keyed by the point's 64-bit read
+(:func:`prefix_key` for a binary point; the caller's read for a field
+element whose read it knows), else field elements and rationals by their
+floor and binary points by comparison.  :meth:`Partition.select` finds the
+points of a read series (:class:`KeyedPoints`) in its last point's cell.
 """
 
 from __future__ import annotations
@@ -92,23 +92,27 @@ class Partition:
     ``j/q``, a Fraction or a field element.  Built by
     :func:`split_grid_partition`.
 
-    One exact locate finds grid cell ``j``, then reads membership from its
-    inside piece ``inside_cells[j - 1]``, usually one or two intervals:
+    On both domains the partition holds a breakpoint table: ``keys`` holds
+    the read ``floor(e * 2**READ_BITS)`` of every grid bound and split-set
+    endpoint ``e`` below 1 (one :func:`~ergolab.surd.floor_raw` for a field
+    element), and ``labels`` next to each key the label of the brackets
+    ``[p, p + 1) / 2**READ_BITS`` strictly between it and the next key.  So
+    a point whose read ``p`` is no key takes that label after one bisection
+    (:meth:`read_label`).  A binary point's read is :func:`prefix_key`: in
+    the lexicographic order :meth:`BinaryPoint.compare` uses, an all-ones
+    tail stays below the next dyadic.  A field element has a read only
+    where its caller computed one (the ``thm4`` orbit).
+
+    A point whose read is a key, or that has none, takes the exact route:
+    grid cell ``j``, then membership from its inside piece
+    ``inside_cells[j - 1]``, usually one or two intervals.
 
     * a field element or a rational: ``j = floor(q*x) + 1`` from the exact
       triple ``(q*A, q*B, Q)`` of ``x = (A + B*sqrt(d)) / Q`` (``B = 0``
       for a rational), with one integer square root;
-    * a :class:`BinaryPoint`, on the rational domain only: its read
-      ``p = prefix_key(x)`` puts it in the bracket ``[p, p + 1) /
-      2**READ_BITS`` of the lexicographic order :meth:`BinaryPoint.compare`
-      uses (an all-ones tail stays below the next dyadic).  ``keys`` holds
-      ``floor(e * 2**READ_BITS)`` for every grid bound and split-set
-      endpoint ``e`` below 1, and ``labels`` next to each key the label of
-      the brackets strictly between it and the next key, so a read that is
-      no key takes that label after one bisection.  A point whose read is a
-      key, or that has no read (a cap below ``READ_BITS``), is located by a
-      bisection of the grid bounds with ``compare`` and a check of both
-      ends of the cell; :class:`CapExceeded` comes from those comparisons.
+    * a :class:`BinaryPoint`, on the rational domain only: a bisection of
+      the grid bounds with ``compare`` and a check of both ends of the
+      cell; :class:`CapExceeded` comes from those comparisons.
 
     Any other point (a float, or a binary point on the quadratic domain)
     raises TypeError, and a point outside [0, 1) CoverageError.  No cell is
@@ -117,43 +121,51 @@ class Partition:
 
     def __init__(self, q: int, bounds, split_set: IntervalSet):
         self.q, self.bounds = q, bounds
+        self.rational = isinstance(bounds[0], Fraction)
+        outside = split_set.complement()
         self.cells = []
         for j in range(1, q + 1):
             grid_cell = IntervalSet([(bounds[j - 1], bounds[j])],
                                     domain=split_set.domain)
             self.cells.append(((j, True), grid_cell.intersection(split_set)))
-            self.cells.append(((j, False), grid_cell.difference(split_set)))
+            self.cells.append(((j, False), grid_cell.intersection(outside)))
         self.inside_cells = [inside for _, inside in self.cells[::2]]
-        # the breakpoint table, and the runs of keys between its keys that
-        # lie in one cell; empty on the quadratic domain
-        self.keys, self.labels, self.runs = [], [], {}
-        if isinstance(bounds[0], Fraction):
-            breaks = bounds + [end for iv in split_set
-                               for end in (iv.lo, iv.hi)]
-            top = 1 << READ_BITS
-            self.keys = sorted({e.numerator * top // e.denominator
-                                for e in breaks if e < 1})
-            for k, after in zip(self.keys, self.keys[1:] + [top]):
-                label = None
-                if k + 1 < after:
-                    # the bracket after k's, at its midpoint
-                    label = self._locate(Fraction(2 * k + 3, 2 * top), None)
+        # the breakpoint table and, for the keyed binary points select
+        # finds, the runs of reads between its keys that lie in one cell
+        breaks = bounds + [end for iv in split_set for end in (iv.lo, iv.hi)]
+        top = 1 << READ_BITS
+        self.keys = sorted({_read_of(e) for e in breaks if e < 1})
+        self.labels, self.runs = [], {}
+        for k, after in zip(self.keys, self.keys[1:] + [top]):
+            label = None
+            if k + 1 < after:
+                # the bracket after k's, at its midpoint
+                label = self._locate(Fraction(2 * k + 3, 2 * top), None)
+                if self.rational:
                     self.runs.setdefault(label, []).append((k, after))
-                self.labels.append(label)
+            self.labels.append(label)
         self.key_set = frozenset(self.keys)
+
+    def read_label(self, key):
+        """The label of every point whose read is `key`, after one
+        bisection of the table; None when `key` is None or a table key,
+        where the point needs the exact route."""
+        if key is None:
+            return None
+        i = bisect_right(self.keys, key) - 1
+        return None if self.keys[i] == key else self.labels[i]
 
     def _locate(self, x, key):
         """Label of the cell containing `x`, whose read is `key`."""
+        label = self.read_label(key)
+        if label is not None:
+            return label
         q = self.q
         if isinstance(x, QuadraticReal):
             j = floor_raw(q * x.A, q * x.B, x.Q, x.d) + 1
         elif isinstance(x, (int, Fraction)):
             j = q * x.numerator // x.denominator + 1
-        elif isinstance(x, BinaryPoint) and self.keys:
-            if key is not None:
-                i = bisect_right(self.keys, key) - 1
-                if self.keys[i] != key:
-                    return self.labels[i]
+        elif isinstance(x, BinaryPoint) and self.rational:
             bounds = self.bounds
             j, hi = 1, q
             while j < hi:
@@ -172,22 +184,24 @@ class Partition:
 
     def locate(self, x):
         """Label of the cell containing `x`; CoverageError if none, and
-        TypeError for a point no route reads exactly (a float)."""
-        return self._locate(x, prefix_key(x))
+        TypeError for a point no route reads exactly (a float, or a binary
+        point on the quadratic domain)."""
+        return self._locate(x, prefix_key(x) if self.rational else None)
 
     def select(self, keyed: "KeyedPoints", start: int):
         """The indices ``start <= i < last`` of the points of `keyed` in the
         cell of its last point (the query), in increasing order.
 
-        The query is located first, from its key.  The keys strictly between
-        two table keys form a run of one cell, so the keyed points in the
-        query's cell are found by bisecting the sorted keys at that cell's
-        runs.  Points on a table key, points without a key, and every point
-        of a grid without a table are located one by one in index order, so
-        the first :class:`CapExceeded` is the one a point-by-point scan
-        raises.
+        The query is located first, from its key.  On the rational domain
+        the keys strictly between two table keys form a run of one cell, so
+        the keyed points in the query's cell are found by bisecting the
+        sorted keys at that cell's runs.  Points on a table key, points
+        without a key, and every point on the quadratic domain are located
+        one by one in index order, so the first :class:`CapExceeded` or
+        TypeError is the one a point-by-point scan raises.
         """
-        points, keys = keyed.points, keyed.keys
+        points = keyed.points
+        keys = keyed.keys if self.rational else [None] * len(points)
         stop = len(points) - 1
         label = self._locate(points[stop], keys[stop])
         order, sorted_keys = keyed.order, keyed.sorted_keys
@@ -196,7 +210,7 @@ class Partition:
             found += [i for i in order[bisect_right(sorted_keys, lo):
                                        bisect_left(sorted_keys, hi)]
                       if start <= i < stop]
-        if self.keys:
+        if self.rational:
             hits = self.key_set.intersection(keyed.key_set)
             exact = [i for i in keyed.unkeyed if start <= i < stop]
             if hits:
@@ -213,6 +227,13 @@ class Partition:
 
     def __iter__(self):
         return iter(self.cells)
+
+
+def _read_of(e):
+    """``floor(e * 2**READ_BITS)`` of a rational or field element `e`."""
+    if isinstance(e, QuadraticReal):
+        return floor_raw(e.A << READ_BITS, e.B << READ_BITS, e.Q, e.d)
+    return (e.numerator << READ_BITS) // e.denominator
 
 
 def prefix_key(x):

@@ -18,8 +18,9 @@ from fractions import Fraction
 from .errors import (HeightError, InvariantViolation, NotIrrational,
                      PrecisionError)
 from .intervals import IntervalSet, algebraic_set
-from .surd import (QuadraticReal, cf_convergents, sqrt2_minus_1, triple,
-                   triple_add, triple_mul)
+from .partitions import READ_BITS
+from .surd import (QuadraticReal, cf_convergents, floor_raw, sqrt2_minus_1,
+                   triple, triple_add, triple_compare, triple_mul, triple_sum)
 
 
 class Rotation:
@@ -42,24 +43,6 @@ class Rotation:
         """Exact ``x + times*alpha`` mod 1 (negative `times` walks back)."""
         return (self.scalar(x) + self.alpha * times).mod1()
 
-    def series(self, omega, i_from: int, i_to: int):
-        """Process values ``X_i = T^(i+1) omega`` for i in [i_from, i_to].
-
-        Only the first value is a full :meth:`step`; the walk then adds
-        ``alpha`` and subtracts 1 when the sum reaches 1, one field addition
-        and one comparison per value, exactly.
-        """
-        if i_to < i_from:
-            return []
-        x = self.step(omega, i_from + 1)
-        out = [x]
-        for _ in range(i_to - i_from):
-            x = x + self.alpha
-            if x.compare(1) >= 0:
-                x = x - 1
-            out.append(x)
-        return out
-
     def translate_set(self, s: IntervalSet, times: int) -> IntervalSet:
         return s.translate_mod1(self.alpha * times)
 
@@ -69,6 +52,56 @@ class Rotation:
 
 def default_rotation() -> Rotation:
     return Rotation(sqrt2_minus_1())
+
+
+class DyadicOrbit:
+    """The orbit points ``x_k = frac(omega + k*alpha)``, ``first <= k <=
+    last``, of a dyadic ``omega = N / 2**READ_BITS``, with their reads
+    ``floor(2**READ_BITS * x_k)``, from integer sums alone.
+
+    Per offset, ``w_k = floor(k*alpha)`` and the read ``s_k =
+    floor(2**READ_BITS * frac(k*alpha))`` are computed once with
+    :func:`~ergolab.surd.floor_raw`.  Then ``N + s_k`` is the read of
+    ``x_k``, less ``2**READ_BITS`` where it reaches that (the orbit wraps,
+    and ``m_k = w_k + 1`` is subtracted instead of ``w_k``).  This is
+    exact: ``N`` is an integer, so ``floor(N + 2**READ_BITS *
+    frac(k*alpha)) = N + s_k`` for every real ``frac(k*alpha)``.  No field
+    element is compared or floored per point.
+    """
+
+    __slots__ = ("d", "alpha_q", "den", "offsets")
+
+    def __init__(self, rotation: Rotation, first: int, last: int):
+        a, b, q, d = (rotation.alpha.A, rotation.alpha.B, rotation.alpha.Q,
+                      rotation.d)
+        top = 1 << READ_BITS
+        self.d, self.alpha_q, self.den = d, q, top * q
+        # per offset: (s_k, the numerator's N-free part for m_k = w_k,
+        # the coefficient of sqrt(d)), all over den = 2**READ_BITS * q
+        self.offsets = []
+        for k in range(first, last + 1):
+            w = floor_raw(k * a, k * b, q, d)
+            s = floor_raw(top * k * a, top * k * b, q, d) - top * w
+            self.offsets.append((s, top * (k * a - w * q), top * k * b))
+
+    def points(self, read: int) -> list:
+        """``(r, A, B)`` for each offset in order, for ``omega = read /
+        2**READ_BITS``: ``x_k = (A + B*sqrt(d)) / den`` unreduced, with
+        ``r = floor(2**READ_BITS * x_k)``."""
+        top, den = 1 << READ_BITS, self.den
+        nq = read * self.alpha_q
+        out = []
+        for s, a, b in self.offsets:
+            r = read + s
+            if r >= top:
+                out.append((r - top, nq + a - den, b))
+            else:
+                out.append((r, nq + a, b))
+        return out
+
+    def point(self, a: int, b: int) -> QuadraticReal:
+        """The orbit point ``(a + b*sqrt(d)) / den``, reduced."""
+        return triple_sum(((a, b, self.den),), self.d)
 
 
 class RohlinTower:
@@ -242,8 +275,9 @@ class CellError:
     segment before breakpoint ``s`` (after the last one for ``s = len``)
     ``F(c) = k2*c**2 + k1*c + k0``, with ``k2 = 1`` inside a piece and 0
     between pieces.  ``at_zero`` is ``F(0)`` and ``excess_raw(c)`` is
-    ``F(c) - F(0)``, whose coefficients are stored, so that one cell costs a
-    binary search and a few field operations.
+    ``F(c) - F(0)``, whose coefficients are stored, like the breakpoints, as
+    integer triples, so that one cell costs a binary search and a few
+    integer products, with no reduction.
     """
 
     __slots__ = ("breaks", "coeffs", "at_zero", "d")
@@ -279,30 +313,31 @@ class CellError:
                 a, b = pieces[p]
                 coeffs.append((1, k1 + lens[p] - a - b,
                                k0 - sqs[p] + (a * a + b * b) / 2))
-        self.breaks = breaks
+        self.d = d = rotation.d
+        self.breaks = [triple(end, d) for end in breaks]
         self.at_zero = coeffs[0][2]
-        self.d = rotation.d
-        self.coeffs = [(k2, triple(k1, self.d),
-                        triple(k0 - self.at_zero, self.d))
+        self.coeffs = [(k2, triple(k1, d), triple(k0 - self.at_zero, d))
                        for k2, k1, k0 in coeffs]
 
-    def excess_raw(self, c) -> tuple:
-        """``F(c) - F(0)`` for a rational or field element `c`, as an
-        unreduced triple (:func:`~ergolab.surd.triple`), so that a caller
-        summing many cells reduces once (:func:`~ergolab.surd.triple_sum`).
+    def excess_raw(self, c: tuple) -> tuple:
+        """``F(c) - F(0)`` for the cell constant `c`, an unreduced triple
+        (:func:`~ergolab.surd.triple`) with a positive denominator, as an
+        unreduced triple, so that a caller summing many cells reduces once
+        (:func:`~ergolab.surd.triple_sum`).  The breakpoints are bisected
+        with :func:`~ergolab.surd.triple_compare`.
         """
-        lo, hi = 0, len(self.breaks)
+        breaks, d = self.breaks, self.d
+        lo, hi = 0, len(breaks)
         while lo < hi:
             mid = (lo + hi) // 2
-            if self.breaks[mid].compare(c) <= 0:
+            if triple_compare(breaks[mid], c, d) <= 0:
                 lo = mid + 1
             else:
                 hi = mid
         k2, k1, k0 = self.coeffs[lo]
-        x = triple(c, self.d)
         if k2:
-            return triple_add(triple_mul(triple_add(x, k1), x, self.d), k0)
-        return triple_add(triple_mul(k1, x, self.d), k0)
+            return triple_add(triple_mul(triple_add(c, k1), c, d), k0)
+        return triple_add(triple_mul(k1, c, d), k0)
 
 
 def l1_error_exact(pieces, target: str, rotation: Rotation | None = None):

@@ -284,6 +284,14 @@ def triple_mul(x: tuple, y: tuple, d: int) -> tuple:
             x[2] * y[2])
 
 
+def triple_compare(x: tuple, y: tuple, d: int) -> int:
+    """Sign of ``x - y`` for triples of Q(sqrt(d)), as
+    :meth:`QuadraticReal.compare` reads it off the cross-multiplied
+    integers; neither need be reduced, but both denominators must be
+    positive (a negative one flips the sign)."""
+    return _sign(x[0] * y[2] - y[0] * x[2], x[1] * y[2] - y[1] * x[2], d)
+
+
 def triple_sum(terms, d: int) -> QuadraticReal:
     """The sum of unreduced triples, over one common denominator and reduced
     once."""

@@ -258,6 +258,9 @@ def test_criterion_5_rotation_tower_l1():
         freq = report.summary["l1_event_frequency"]
         floor = report.summary["mc_floor"]  # mu(B) - 3 sigma
         assert freq >= floor, f"L1 event frequency {freq} below {floor}"
+        # the library's own proof: on B the outside cells' floor is >= 1/16
+        assert report.summary["l1_floor_on_B"] >= 1 / 16
+        assert report.summary["proven_event_lower_bound"] >= 1 / 8
 
 
 def test_criterion_6_count_consistency():

@@ -40,6 +40,10 @@ TEST_ONLY = {
     "rational_set": "builds rational-domain interval sets for tests",
     "BinaryPoint.periodic": "oracle: builds periodic and eventually "
                             "constant expansions",
+    "autoregression_pairs": "oracle: the lagged pairs of a series, for the "
+                            "per-point partitioning estimate and thm4 route",
+    "CellCounts.estimate_at": "oracle: the estimate at a point located on "
+                              "its own, for the per-point thm4 route",
 }
 
 

@@ -15,7 +15,7 @@ from ergolab.errors import (CapExceeded, DomainMismatch, ExceptionalPoint,
 from ergolab.intervals import IntervalSet, algebraic_set, dyadic_set, rational_set
 from ergolab.surd import (QuadraticReal, cf_convergents, floor_raw,
                           golden_conjugate, sqrt2_minus_1, triple,
-                          triple_add, triple_mul, triple_sum)
+                          triple_add, triple_compare, triple_mul, triple_sum)
 
 
 class TestDyadicBoundary:
@@ -367,6 +367,21 @@ class TestUnreducedTriples:
         got = triple_sum((triple_mul(triple_add(tx, ty), tx, d), tz), d)
         want = QuadraticReal.rational(0, d) + (x + y) * x + z
         assert (got.A, got.B, got.Q, got.d) == (want.A, want.B, want.Q, d)
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data(), d=BASES, kx=st.integers(1, 2 ** 70),
+           ky=st.integers(1, 2 ** 70))
+    def test_compare_matches_field_compare(self, data, d, kx, ky):
+        # unreduced triples: each side scaled by a positive factor up to
+        # 2**70, and one time in four the same value on both sides
+        x = data.draw(field_elements(d))
+        y = x if data.draw(st.integers(0, 3)) == 0 \
+            else data.draw(field_elements(d))
+        tx = tuple(kx * v for v in triple(x, d))
+        ty = tuple(ky * v for v in triple(y, d))
+        assert triple_compare(tx, ty, d) == x.compare(y) \
+            == -triple_compare(ty, tx, d)
+        assert triple_compare(tx, triple(x, d), d) == 0
 
     def test_triple_keeps_bases_apart(self):
         third = QuadraticReal.rational(Fraction(2, 6), 3)

@@ -2,11 +2,13 @@
 
 import argparse
 import hashlib
+import math
 import os
 import random
 import subprocess
 import sys
 import textwrap
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -17,8 +19,11 @@ from hypothesis import strategies as st
 from ergolab import adversary, cli, harness, markov, predictors
 from ergolab import rotation as rot
 from ergolab.errors import ConfigError, ErgolabError, InvariantViolation
+from ergolab.intervals import algebraic_set
 from ergolab.harness import (ExperimentConfig, Report, format_nlist,
                              parse_nlist, persist, run)
+from ergolab.partitions import split_grid_partition
+from ergolab.surd import triple, triple_sum
 
 
 class TestConfig:
@@ -180,6 +185,30 @@ class TestRunners:
         with pytest.raises(InvariantViolation, match="inside the cover set"):
             run(cfg)
 
+    def test_thm4_floor_invariant_is_checked(self, monkeypatch):
+        # a cell error below the one it must be breaks a B-trial's L1 floor
+        monkeypatch.setattr(rot.CellError, "excess_raw",
+                            lambda error, c: (-1, 0, 1))
+        cfg = ExperimentConfig(experiment="thm4", trials=50, seed=0)
+        with pytest.raises(InvariantViolation, match="floor"):
+            run(cfg)
+
+    def test_thm4_low_floor_proves_nothing(self, monkeypatch):
+        # a cover set that leaves out less than 1/16 of [0, 1): the outside
+        # cells' floor is below 1/16, so the bound is 0, not a false proof
+        starving_pair = rot.RohlinTower.starving_pair
+
+        def wide_cover(tower, n):
+            b_set, c_set = starving_pair(tower, n)
+            d = tower.rotation.d
+            return b_set, c_set.union(algebraic_set(d, (0, Fraction(15, 16))))
+
+        monkeypatch.setattr(rot.RohlinTower, "starving_pair", wide_cover)
+        report = run(ExperimentConfig(experiment="thm4", trials=50, seed=0))
+        assert 0 < report.summary["l1_floor_on_B"] < 1 / 16
+        assert report.summary["proven_event_lower_bound"] == 0
+        assert report.summary["proven_event_lower_bound_exact"] == "0"
+
     def test_thm4_small_run(self):
         cfg = ExperimentConfig(experiment="thm4", trials=30, seed=2)
         report = run(cfg)
@@ -267,12 +296,92 @@ class TestProvenLowerBound:
             == max(getattr(exact, side), getattr(walk, side))
 
 
+def per_point_rotation(config):
+    """The thm4 rows and summary by the per-point route: every orbit point
+    by `Rotation.step`, the cells by `CellCounts` (one `Partition.locate`
+    per predictor), membership in B by `IntervalSet.contains`, each cell's
+    error by `CellError` at its reduced field mean, summed by
+    `triple_sum`."""
+    n = config.nlist[0]
+    rotation = config.rotation()
+    d = rotation.d
+    tower = rot.build_tower(rotation, 4 * n, Fraction(1, 2))
+    b_set, c_set = tower.starving_pair(n)
+    schedule = config.schedule(require_regular=False)
+    partition = split_grid_partition(n, schedule, c_set)
+    errors = {label: rot.CellError(cell, rotation)
+              for label, cell in partition}
+    zero = rotation.scalar(0)
+    all_zero = sum((e.at_zero for e in errors.values()), zero)
+    floor = sum((e.at_zero for (_, inside), e in errors.items()
+                 if not inside), zero)
+    rng = random.Random(harness.derived_seed(config.seed, 0))
+    rows, hits, in_b_hits = [], 0, 0
+    for trial in range(config.trials):
+        omega = rotation.scalar(Fraction(rng.getrandbits(64), 1 << 64))
+        past = [rotation.step(omega, k) for k in range(1 - n, 1)]
+        counts = predictors.CellCounts.from_pairs(
+            predictors.autoregression_pairs(past), partition)
+        l1 = triple_sum([triple(all_zero, d)] + [
+            errors[label].excess_raw(triple(counts.estimate(label), d))
+            for label in counts.cells], d)
+        in_b = b_set.contains(omega)
+        hits += l1 >= Fraction(1, 16)
+        in_b_hits += in_b
+        est = float(counts.estimate_at(omega))
+        truth = float(rotation.step(omega, 1))
+        rows.append((n, trial, in_b, est, truth, abs(est - truth), float(l1)))
+    mu_b = b_set.measure()
+    proven = mu_b if floor >= Fraction(1, 16) else zero
+    summary = {
+        "l1_event_frequency": hits / config.trials,
+        "in_set_frequency": in_b_hits / config.trials,
+        "tower_height": 4 * n,
+        "tower_coverage": float(tower.coverage),
+        "mu_B": float(mu_b),
+        "mu_B_at_least_eighth": mu_b >= Fraction(1, 8),
+        "cell_width": str(schedule.h(n)),
+        "mc_floor": float(mu_b) - 3 * math.sqrt(
+            float(mu_b) * (1 - float(mu_b)) / config.trials),
+        "l1_floor_on_B": float(floor),
+        "l1_floor_on_B_exact": str(floor),
+        "proven_event_lower_bound": float(proven),
+        "proven_event_lower_bound_exact": str(proven),
+    }
+    return rows, summary
+
+
+def typed(rows):
+    """Rows with each value's type, so True and 1 differ."""
+    return [[(type(v), v) for v in row] for row in rows]
+
+
+class TestRotationOracle:
+    @pytest.mark.parametrize("fields", [
+        dict(trials=200, seed=40),
+        dict(trials=200, seed=40, nlist=(6,), alpha="5,-1/2,1/2"),
+        dict(trials=200, seed=40, nlist=(10,), alpha="3,0,1",
+             q_schedule="sqrt:200"),
+        dict(trials=200, seed=41, nlist=(16,)),
+    ])
+    def test_orbit_reads_match_per_point_route(self, fields):
+        # every row and the whole summary, at the three pinned angles and at
+        # n = 16
+        cfg = ExperimentConfig(experiment="thm4", **fields).validate()
+        report = run(cfg)
+        rows, summary = per_point_rotation(cfg)
+        assert typed(report.rows) == typed(rows)
+        assert report.summary == summary
+
+
 # SHA-256 of the CSV and plot.dat each configuration writes.  The thm3 and
 # check-partitions runs go through the odometer, interval and dyadic code,
 # the thm1 and thm2 runs through the adversary and the count forecasts, the
-# thm4 runs (sqrt 2, golden-mean and sqrt 3 angles) through the surd, the
-# orbit walk, the tower build, the floor locator and the per-cell L1 closed
-# form, so a change there that moves a single byte of output fails here.
+# thm4 runs (sqrt 2, golden-mean and sqrt 3 angles) through the surd
+# triples, the dyadic orbit reads, the tower build, the breakpoint table on
+# the quadratic domain (and the floor locate on a table key) and the
+# per-cell L1 closed form, so a change there that moves a single byte of
+# output fails here.
 PINNED_OUTPUTS = {
     "thm3": (
         dict(experiment="thm3", trials=10, seed=3, nlist=(3, 4, 5, 6, 7, 8, 9)),

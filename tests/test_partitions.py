@@ -1,7 +1,8 @@
 """The split grid's one locate and one select, against a bisection of the
 grid bounds with exact comparisons and a point-by-point scan: binary points
 on the rational domain (breakpoint table, then comparisons), field elements
-and rationals by their floor."""
+and rationals by their floor, and field elements with a read by the table
+of the quadratic domain."""
 
 import functools
 from fractions import Fraction
@@ -17,7 +18,7 @@ from ergolab.intervals import _cmp, rational_set
 from ergolab.partitions import (READ_BITS, KeyedPoints, PartitionSchedule,
                                 prefix_key, split_grid_partition)
 from ergolab.rotation import Rotation, build_tower, default_rotation
-from ergolab.surd import QuadraticReal, golden_conjugate
+from ergolab.surd import QuadraticReal, floor_raw, golden_conjugate
 
 NON_DYADIC = rational_set((Fraction(1, 3), Fraction(2, 5)),
                           (Fraction(1, 2), Fraction(5, 7)),
@@ -347,13 +348,45 @@ class TestFloorLocator:
                         + ends:
                     assert_same(x, q, split_set, part)
 
+    def test_read_table_boundaries(self):
+        # field points whose 64-bit read is a breakpoint-table key or next
+        # to one: the dyadic point of the read, one an irrational fraction
+        # of a bracket past it, every bound and endpoint and points 2**-70
+        # to either side; the table's label, or the exact locate on a key,
+        # against the comparison route
+        for index, split_set in enumerate(COVER_SETS):
+            d = split_set.domain[1]
+            surd = QuadraticReal(0, 1, d).mod1()
+            nudge = QuadraticReal.rational(Fraction(1, 1 << 70), d)
+            for q in (2, 7, 24, 40):
+                part = cover_partition(index, q)
+                xs = [end for iv in split_set for end in (iv.lo, iv.hi)]
+                xs += [QuadraticReal.rational(Fraction(j, q), d)
+                       for j in range(q)]
+                xs += [x + sign * nudge for x in xs for sign in (-1, 1)]
+                for p in {key + delta for key in part.keys
+                          for delta in (-1, 0, 1)}:
+                    dyadic = QuadraticReal.rational(Fraction(p, 1 << READ_BITS), d)
+                    xs += [dyadic, dyadic + surd / (1 << READ_BITS)]
+                fallbacks = 0
+                for x in xs:
+                    read = floor_raw(x.A << READ_BITS, x.B << READ_BITS, x.Q, d)
+                    if not 0 <= read < 1 << READ_BITS:
+                        continue
+                    label = part.read_label(read)
+                    assert (label is None) == (read in part.key_set)
+                    fallbacks += label is None
+                    assert (label or part.locate(x)) \
+                        == compare_locate(x, q, split_set), (x, q)
+                assert fallbacks >= len(part.keys)
+
     @settings(max_examples=300, deadline=None)
     @given(data=st.data(), index=st.integers(0, len(COVER_SETS) - 1),
            q=st.integers(2, 40))
     def test_select_matches_point_by_point(self, data, index, q):
-        # no breakpoint table on the quadratic domain: select locates every
-        # point of the window in index order, CoverageError included; the
-        # last point is drawn like the others or is one of them
+        # select locates every point of the window in index order on the
+        # quadratic domain, CoverageError included; the last point is drawn
+        # like the others or is one of them
         point = field_points(COVER_SETS[index].domain[1])
         xs = data.draw(st.lists(point, min_size=1, max_size=12))
         xs.append(data.draw(st.one_of(point, st.sampled_from(xs))))

@@ -10,12 +10,15 @@ from scipy.integrate import quad
 
 from ergolab.errors import HeightError, NotIrrational
 from ergolab.intervals import IntervalSet, algebraic_set
-from ergolab.partitions import PartitionSchedule, split_grid_partition
-from ergolab.rotation import (CellError, RohlinTower, Rotation, build_tower,
-                              default_rotation, integral_abs_error_on_interval,
-                              l1_error_exact, tower_from_base)
-from ergolab.surd import (QuadraticReal, golden_conjugate, sqrt2_minus_1,
-                         triple_sum)
+from ergolab.partitions import (READ_BITS, PartitionSchedule,
+                                split_grid_partition)
+from ergolab.rotation import (CellError, DyadicOrbit, RohlinTower, Rotation,
+                              build_tower, default_rotation,
+                              integral_abs_error_on_interval, l1_error_exact,
+                              tower_from_base)
+from ergolab.surd import (QuadraticReal, floor_raw, golden_conjugate,
+                         sqrt2_minus_1, triple_sum)
+from ergolab.surd import triple as field_triple
 
 
 def unit_set():
@@ -29,7 +32,7 @@ def remark_pair_series(rotation: Rotation, omega, count: int):
     process into pairs ``(Z_i, Y_i)`` with ``Y_i == Z_i`` exactly, so the
     true regression is ``m(z) = z``.
     """
-    zs = rotation.series(omega, 0, count - 1)
+    zs = [rotation.step(omega, i + 1) for i in range(count)]
     pairs = []
     one_minus_alpha = QuadraticReal.rational(1, rotation.d) - rotation.alpha
     for i, z in enumerate(zs):
@@ -52,6 +55,12 @@ THM4_CELLS = (thm4_cells(default_rotation(), 8, PartitionSchedule.sqrt(72))
                            PartitionSchedule.sqrt(72))
               + thm4_cells(Rotation(QuadraticReal(-1, 1, 3)), 4,
                            PartitionSchedule.constant(7)))
+
+# (rotation, n, schedule) of the three pinned thm4 runs
+THM4_CONFIGS = ((default_rotation(), 8, PartitionSchedule.sqrt(72)),
+                (Rotation(golden_conjugate()), 6, PartitionSchedule.sqrt(72)),
+                (Rotation(QuadraticReal(-1, 1, 3)), 10,
+                 PartitionSchedule.sqrt(200)))
 
 
 def summed_integrals(cell, constant, rotation):
@@ -97,40 +106,85 @@ def set_key(s):
     return tuple((triple(iv.lo), triple(iv.hi)) for iv in s)
 
 
-@st.composite
-def orbit_starts(draw):
-    angle = draw(st.sampled_from(ANGLES))
-    a = draw(st.fractions(0, 1, max_denominator=64).filter(lambda v: v < 1))
-    if draw(st.booleans()):
-        omega = a
-    else:
-        b = draw(st.fractions(-2, 2, max_denominator=16))
-        omega = QuadraticReal(a, b, angle.d)
-    return Rotation(angle), omega
+TOP = 1 << READ_BITS
+# omega = 0, 1/2 (a grid bound of every even q) and the largest read
+EDGE_READS = (0, TOP // 2, TOP - 1)
 
 
-class TestSeries:
-    """series walks one step at a time; the per-index step is the oracle."""
+def read_of(x):
+    """``floor(2**READ_BITS * x)`` of a field element."""
+    return floor_raw(x.A << READ_BITS, x.B << READ_BITS, x.Q, x.d)
+
+
+def assert_orbit(rotation, read, first, last):
+    """Every point of the orbit of ``read / 2**READ_BITS`` against
+    :meth:`Rotation.step`: the reduced point, the wraps ``m_k`` in its
+    unreduced numerator, and its read."""
+    orbit = DyadicOrbit(rotation, first, last)
+    alpha = rotation.alpha
+    omega = rotation.scalar(Fraction(read, TOP))
+    points = orbit.points(read)
+    assert len(points) == max(0, last - first + 1)
+    for k, (r, a, b) in zip(range(first, last + 1), points):
+        x = rotation.step(omega, k)
+        assert triple(orbit.point(a, b)) == triple(x)
+        wraps, rest = divmod(read * alpha.Q + TOP * k * alpha.A - a, orbit.den)
+        assert rest == 0 and wraps == (omega + alpha * k).floor()
+        assert b == TOP * k * alpha.B
+        assert r == read_of(x)
+    return points
+
+
+class TestDyadicOrbit:
+    """DyadicOrbit reads each point from integer sums; the per-index step
+    and one floor_raw per point are the oracle."""
 
     @settings(max_examples=200, deadline=None)
-    @given(start=orbit_starts(), i_from=st.integers(-80, 80),
-           length=st.integers(-3, 60))
-    def test_walk_matches_per_index_step(self, start, i_from, length):
-        rotation, omega = start
-        i_to = i_from + length - 1
-        expected = [rotation.step(omega, i + 1) for i in range(i_from, i_to + 1)]
-        got = rotation.series(omega, i_from, i_to)
-        assert [triple(x) for x in got] == [triple(x) for x in expected]
+    @given(angle=st.sampled_from(ANGLES),
+           read=st.one_of(st.integers(0, TOP - 1), st.sampled_from(EDGE_READS)),
+           first=st.integers(-80, 80), length=st.integers(-3, 60))
+    def test_walk_matches_per_index_step(self, angle, read, first, length):
+        assert_orbit(Rotation(angle), read, first, first + length - 1)
 
     def test_ranges_around_zero(self):
         for angle in ANGLES:
             rotation = Rotation(angle)
-            omega = rotation.scalar(Fraction(5, 7))
-            for i_from, i_to in ((-9, -1), (-4, 3), (0, 0), (2, 11)):
-                assert rotation.series(omega, i_from, i_to) == [
-                    rotation.step(omega, i + 1) for i in range(i_from, i_to + 1)]
-            assert rotation.series(omega, 0, -1) == []
-            assert rotation.series(omega, 5, -20) == []
+            for read in EDGE_READS + (5 * TOP // 7,):
+                for first, last in ((-9, -1), (-4, 3), (0, 0), (2, 11)):
+                    assert_orbit(rotation, read, first, last)
+                assert assert_orbit(rotation, read, 0, -1) == []
+                assert assert_orbit(rotation, read, 5, -20) == []
+
+    def test_reads_next_to_every_table_key(self):
+        # for each offset of a thm4 trial and each breakpoint-table key K of
+        # its partition and of the one-cell partition over B, the draw whose
+        # read at that offset is K - 1, K or K + 1, and the edge draws: the
+        # runner's label (the table, or the exact locate on a key) is the
+        # exact locate of the stepped point
+        for rotation, n, schedule in THM4_CONFIGS:
+            b_set, c_set = build_tower(rotation, 4 * n,
+                                       Fraction(1, 2)).starving_pair(n)
+            parts = (split_grid_partition(n, schedule, c_set),
+                     split_grid_partition(n, PartitionSchedule.constant(1),
+                                          b_set))
+            orbit = DyadicOrbit(rotation, 1 - n, 1)
+            fallbacks = 0
+            for index, k in enumerate(range(1 - n, 2)):
+                shift = read_of(rotation.step(0, k))  # s_k
+                reads = {(key + delta - shift) % TOP for part in parts
+                         for key in part.keys for delta in (-1, 0, 1)}
+                for read in sorted(reads) + list(EDGE_READS):
+                    r, a, b = orbit.points(read)[index]
+                    x = rotation.step(Fraction(read, TOP), k)
+                    assert r == read_of(x)
+                    assert triple(orbit.point(a, b)) == triple(x)
+                    for part in parts:
+                        label = part.read_label(r)
+                        assert (label is None) == (r in part.key_set)
+                        fallbacks += label is None
+                        assert (label or part.locate(orbit.point(a, b))) \
+                            == part.locate(x)
+            assert fallbacks >= (n + 1) * sum(len(part.keys) for part in parts)
 
 
 # the tower construction with one union per translate, as the oracle for the
@@ -336,8 +390,9 @@ class TestExactL1:
 
 
 def excess(error, c):
-    """``F(c) - F(0)`` of a CellError, reduced from its raw triple."""
-    return triple_sum((error.excess_raw(c),), error.d)
+    """``F(c) - F(0)`` of a CellError at a scalar `c`, reduced from its raw
+    triple."""
+    return triple_sum((error.excess_raw(field_triple(c, error.d)),), error.d)
 
 
 class TestCellError:
@@ -346,7 +401,7 @@ class TestCellError:
         checked = 0
         for rotation, cell in THM4_CELLS:
             error = CellError(cell, rotation)
-            breaks = error.breaks
+            breaks = [triple_sum((t,), rotation.d) for t in error.breaks]
             assert len(breaks) == 2 * sum(
                 1 + (iv.lo < 1 - rotation.alpha < iv.hi) for iv in cell)
             assert all(a <= b for a, b in zip(breaks, breaks[1:]))
