@@ -31,7 +31,7 @@ from .dyadic import BinaryPoint
 from .errors import (CapExceeded, ConfigError, ErgolabError, ExceptionalPoint,
                      InvariantViolation)
 from .intervals import IntervalSet
-from .partitions import (KeyedPoints, PartitionSchedule, regularity_report,
+from .partitions import (PartitionSchedule, SortedReads, regularity_report,
                          split_grid_partition)
 from .surd import QuadraticReal, triple, triple_sum
 
@@ -441,6 +441,15 @@ def run_attack(config: ExperimentConfig) -> Report:
 
 
 def run_starvation(config: ExperimentConfig) -> Report:
+    """The ``thm3`` experiment.  Each trial reads its past from omega's
+    first 64 bits alone (:func:`~ergolab.odometer.past_reads`), and each
+    partition finds the query cell's points from those reads
+    (:meth:`~ergolab.partitions.Partition.select`); only a read on a table
+    key builds its point, by ``odometer.iterate``.  Omega stays a binary
+    point for its successor (the truth) and for membership in B_n.  On B_n
+    the query cell is empty, so the estimate is exactly 0, and the truth is
+    at least 1/2: checked on every trial.
+    """
     schedule = config.schedule()
     ns = list(config.nlist)
     parts = {n: odometer.starving_partition(n, schedule) for n in ns}
@@ -453,17 +462,20 @@ def run_starvation(config: ExperimentConfig) -> Report:
     for trial in range(config.trials):
         try:
             omega = BinaryPoint.seeded(derived_seed(config.seed, trial))
-            series = odometer.sample_past(omega, max_n)
+            # every past point is read once; omega, the query, is the last
+            reads = SortedReads(odometer.past_reads(omega, max_n))
+
+            def point(i):
+                return odometer.iterate(omega, i + 1 - max_n)
+
             x_next = odometer.step(omega)
             truth_high = x_next.bit(1) == 1
             truth = float(x_next)
             event_somewhere = False
             in_b_somewhere = False
-            # every past point is read once; omega, the query, is the last
-            read = KeyedPoints(series)
             for n in ns:
-                est = predictors.autoregression_from_reads(read, parts[n],
-                                                           max_n - n)
+                est = predictors.autoregression_from_reads(
+                    reads, parts[n], max_n - n, point)
                 est_zero = est == 0
                 in_b = odometer.in_starving_set(omega, n)
                 if in_b:

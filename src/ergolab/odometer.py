@@ -6,7 +6,9 @@ bit ``t`` becomes zero and deeper bits are untouched.  Viewing the first
 ``i`` bits as a reversed-binary counter, one application decrements the
 counter, so the map sends each binary-prefix interval onto its predecessor
 and is measure preserving.  Its inverse flips the first zero bit to one and
-clears the bits before it.
+clears the bits before it: on the 2-adic integers it adds one, so the 64-bit
+reads of a point's past follow from its own read by integer addition
+(:func:`past_reads`).
 
 On top of the map this module builds the classic starving sets: for each
 ``n`` a prefix interval whose first ``n`` backward images are pairwise
@@ -23,7 +25,7 @@ from fractions import Fraction
 from .dyadic import BinaryPoint, dyadic_exponent
 from .errors import AlignmentError, CapExceeded
 from .intervals import Interval, IntervalSet
-from .partitions import Partition, split_grid_partition
+from .partitions import READ_BITS, Partition, split_grid_partition
 
 
 def step(point: BinaryPoint) -> BinaryPoint:
@@ -53,19 +55,6 @@ def iterate(point: BinaryPoint, k: int) -> BinaryPoint:
     return point
 
 
-def sample_series(omega: BinaryPoint, i_from: int, i_to: int):
-    """Exact process values ``X_i = T^(i+1) omega`` for i in [i_from, i_to]."""
-    if i_from > i_to:
-        raise ValueError("empty index range")
-    out = []
-    current = iterate(omega, i_from + 1)
-    out.append(current)
-    for _ in range(i_from, i_to):
-        current = step(current)
-        out.append(current)
-    return out
-
-
 def sample_past(omega: BinaryPoint, n: int):
     """The data segment ``X_{-n} .. X_{-1}``, oldest first; ``X_{-1}``
     equals omega.  Walks back from omega: ``n - 1`` inverse steps."""
@@ -76,6 +65,18 @@ def sample_past(omega: BinaryPoint, n: int):
         out.append(step_back(out[-1]))
     out.reverse()
     return out
+
+
+def past_reads(omega: BinaryPoint, n: int):
+    """The reads ``prefix_int(READ_BITS)`` of the points of
+    :func:`sample_past`, oldest first, from omega's read alone: read with
+    bit 1 least significant, ``T^-j`` adds ``j`` on the 2-adic integers,
+    and the low ``READ_BITS`` digits of a sum depend on those of its terms
+    only.  Exact for every omega, a carry out of the read included."""
+    if n < 1:
+        raise ValueError("empty index range")
+    r = _reversed_bits(omega.prefix_int(READ_BITS), READ_BITS)
+    return [_reversed_bits(r + j, READ_BITS) for j in range(n - 1, -1, -1)]
 
 
 def bit_prefix_interval(level: int, index: int) -> Interval:
@@ -99,10 +100,7 @@ def bit_prefix_interval(level: int, index: int) -> Interval:
 
 def _reversed_bits(value: int, width: int) -> int:
     """The low `width` bits of `value`, in reverse order."""
-    rev = 0
-    for l in range(width):
-        rev = (rev << 1) | ((value >> l) & 1)
-    return rev
+    return int(f"{value & ((1 << width) - 1):0{width}b}"[::-1], 2)
 
 
 def _interval_set(*intervals) -> IntervalSet:

@@ -6,12 +6,13 @@ distinguished set and with that set's complement.  Cell diameters are at most
 ``1/q(n)`` and there are at most ``2*q(n)`` cells, which is what the usual
 regression-consistency conditions ask of a partition sequence.
 
-:class:`Partition` is that split grid.  It locates a point exactly, with no
-scan of its cells: by a breakpoint table keyed by the point's 64-bit read
-(:func:`prefix_key` for a binary point; the caller's read for a field
-element whose read it knows), else field elements and rationals by their
-floor and binary points by comparison.  :meth:`Partition.select` finds the
-points of a read series (:class:`KeyedPoints`) in its last point's cell.
+:class:`Partition` is that split grid.  It labels a point from its 64-bit
+read by a breakpoint table (:meth:`Partition.read_label`), and locates a
+point exactly, with no scan of its cells (:meth:`Partition.locate`): field
+elements and rationals by their floor, binary points by comparison.  The
+reads come from the caller, which knows its system's orbit.
+:meth:`Partition.select` finds the points of a series of reads
+(:class:`SortedReads`) in its last point's cell.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ from .errors import CoverageError
 from .intervals import IntervalSet, _cmp
 from .surd import QuadraticReal, floor_raw
 
-# the bits of a BinaryPoint read once (prefix_key): its breakpoint-table key,
-# and the response bits a cell mean sums
+# the bits of a point's read: its breakpoint-table key, and the response
+# bits a cell mean sums
 READ_BITS = 64
 
 
@@ -98,14 +99,14 @@ class Partition:
     element), and ``labels`` next to each key the label of the brackets
     ``[p, p + 1) / 2**READ_BITS`` strictly between it and the next key.  So
     a point whose read ``p`` is no key takes that label after one bisection
-    (:meth:`read_label`).  A binary point's read is :func:`prefix_key`: in
-    the lexicographic order :meth:`BinaryPoint.compare` uses, an all-ones
-    tail stays below the next dyadic.  A field element has a read only
-    where its caller computed one (the ``thm4`` orbit).
+    (:meth:`read_label`), and ``runs`` holds per label the open intervals
+    of reads between two keys that take it (:meth:`select`).  A point's
+    read comes from its caller: the odometer's 2-adic reads for ``thm3``,
+    :class:`~ergolab.rotation.DyadicOrbit` for ``thm4``.
 
-    A point whose read is a key, or that has none, takes the exact route:
-    grid cell ``j``, then membership from its inside piece
-    ``inside_cells[j - 1]``, usually one or two intervals.
+    A point whose read is a key takes the exact :meth:`locate`: grid cell
+    ``j``, then membership from its inside piece ``inside_cells[j - 1]``,
+    usually one or two intervals.
 
     * a field element or a rational: ``j = floor(q*x) + 1`` from the exact
       triple ``(q*A, q*B, Q)`` of ``x = (A + B*sqrt(d)) / Q`` (``B = 0``
@@ -130,36 +131,30 @@ class Partition:
             self.cells.append(((j, True), grid_cell.intersection(split_set)))
             self.cells.append(((j, False), grid_cell.intersection(outside)))
         self.inside_cells = [inside for _, inside in self.cells[::2]]
-        # the breakpoint table and, for the keyed binary points select
-        # finds, the runs of reads between its keys that lie in one cell
         breaks = bounds + [end for iv in split_set for end in (iv.lo, iv.hi)]
         top = 1 << READ_BITS
         self.keys = sorted({_read_of(e) for e in breaks if e < 1})
+        self.key_set = frozenset(self.keys)
         self.labels, self.runs = [], {}
         for k, after in zip(self.keys, self.keys[1:] + [top]):
             label = None
             if k + 1 < after:
                 # the bracket after k's, at its midpoint
-                label = self._locate(Fraction(2 * k + 3, 2 * top), None)
-                if self.rational:
-                    self.runs.setdefault(label, []).append((k, after))
+                label = self.locate(Fraction(2 * k + 3, 2 * top))
+                self.runs.setdefault(label, []).append((k, after))
             self.labels.append(label)
-        self.key_set = frozenset(self.keys)
 
-    def read_label(self, key):
-        """The label of every point whose read is `key`, after one
-        bisection of the table; None when `key` is None or a table key,
-        where the point needs the exact route."""
-        if key is None:
-            return None
-        i = bisect_right(self.keys, key) - 1
-        return None if self.keys[i] == key else self.labels[i]
+    def read_label(self, read):
+        """The label of every point whose read is `read`, after one
+        bisection of the table; None when `read` is a table key, where the
+        point needs :meth:`locate`."""
+        i = bisect_right(self.keys, read) - 1
+        return None if self.keys[i] == read else self.labels[i]
 
-    def _locate(self, x, key):
-        """Label of the cell containing `x`, whose read is `key`."""
-        label = self.read_label(key)
-        if label is not None:
-            return label
+    def locate(self, x):
+        """Label of the cell containing `x`, exactly; CoverageError if
+        none, and TypeError for a point no route reads exactly (a float, or
+        a binary point on the quadratic domain)."""
         q = self.q
         if isinstance(x, QuadraticReal):
             j = floor_raw(q * x.A, q * x.B, x.Q, x.d) + 1
@@ -182,43 +177,29 @@ class Partition:
             raise CoverageError(f"{x!r} outside [0, 1)")
         return (j, self.inside_cells[j - 1].contains(x))
 
-    def locate(self, x):
-        """Label of the cell containing `x`; CoverageError if none, and
-        TypeError for a point no route reads exactly (a float, or a binary
-        point on the quadratic domain)."""
-        return self._locate(x, prefix_key(x) if self.rational else None)
+    def select(self, reads: "SortedReads", start: int, point):
+        """The indices ``start <= i < last`` of the points read by `reads`
+        in the cell of the last one (the query), in increasing order.
 
-    def select(self, keyed: "KeyedPoints", start: int):
-        """The indices ``start <= i < last`` of the points of `keyed` in the
-        cell of its last point (the query), in increasing order.
-
-        The query is located first, from its key.  On the rational domain
-        the keys strictly between two table keys form a run of one cell, so
-        the keyed points in the query's cell are found by bisecting the
-        sorted keys at that cell's runs.  Points on a table key, points
-        without a key, and every point on the quadratic domain are located
-        one by one in index order, so the first :class:`CapExceeded` or
-        TypeError is the one a point-by-point scan raises.
+        The reads strictly between two table keys form a run of one cell,
+        so the points in the query's cell are found by bisecting the sorted
+        reads at that cell's runs.  Only a point whose read is a table key
+        is built, as ``point(i)``, and located exactly: the query first,
+        then the others in index order, so the first :class:`CapExceeded`
+        or TypeError is the one a point-by-point scan raises.
         """
-        points = keyed.points
-        keys = keyed.keys if self.rational else [None] * len(points)
-        stop = len(points) - 1
-        label = self._locate(points[stop], keys[stop])
-        order, sorted_keys = keyed.order, keyed.sorted_keys
-        found = []
-        for lo, hi in self.runs.get(label, ()):
-            found += [i for i in order[bisect_right(sorted_keys, lo):
-                                       bisect_left(sorted_keys, hi)]
-                      if start <= i < stop]
-        if self.rational:
-            hits = self.key_set.intersection(keyed.key_set)
-            exact = [i for i in keyed.unkeyed if start <= i < stop]
-            if hits:
-                exact = sorted(exact + [i for i in range(start, stop)
-                                        if keys[i] in hits])
-        else:
-            exact = range(start, stop)
-        found += [i for i in exact if self._locate(points[i], keys[i]) == label]
+        values, order = reads.reads, reads.order
+        stop = len(values) - 1
+        label = self.read_label(values[stop]) or self.locate(point(stop))
+        at = values.__getitem__
+        found = [i for lo, hi in self.runs.get(label, ())
+                 for i in order[bisect_right(order, lo, key=at):
+                                bisect_left(order, hi, key=at)]
+                 if start <= i < stop]
+        hits = self.key_set.intersection(values)
+        if hits:
+            found += [i for i in range(start, stop) if values[i] in hits
+                      and self.locate(point(i)) == label]
         found.sort()
         return found
 
@@ -236,34 +217,16 @@ def _read_of(e):
     return (e.numerator << READ_BITS) // e.denominator
 
 
-def prefix_key(x):
-    """The read of `x`: the first ``READ_BITS`` bits of a
-    :class:`BinaryPoint` whose cap allows them, packed in one int, which is
-    its breakpoint-table key; None for any other point, so a read never
-    raises :class:`CapExceeded`."""
-    if isinstance(x, BinaryPoint) and x.cap >= READ_BITS:
-        return x.prefix_int(READ_BITS)
-    return None
+class SortedReads:
+    """The reads of a series of points, ``reads[i]`` of point i, and
+    ``order``, its indices sorted by read once, so that
+    :meth:`Partition.select` finds a cell's points by bisection."""
 
+    __slots__ = ("reads", "order")
 
-class KeyedPoints:
-    """Points read once: ``keys[i]`` is :func:`prefix_key` of point i, its
-    breakpoint-table key and its response bits.  The keyed points are
-    sorted by key once so that :meth:`Partition.select` finds a cell's
-    points by bisection.
-    """
-
-    __slots__ = ("points", "keys", "order", "sorted_keys", "key_set",
-                 "unkeyed")
-
-    def __init__(self, points):
-        self.points = points = list(points)
-        self.keys = keys = [prefix_key(x) for x in points]
-        self.order = sorted((i for i, k in enumerate(keys) if k is not None),
-                            key=keys.__getitem__)
-        self.sorted_keys = [keys[i] for i in self.order]
-        self.key_set = set(self.sorted_keys)
-        self.unkeyed = [i for i, k in enumerate(keys) if k is None]
+    def __init__(self, reads):
+        self.reads = reads = list(reads)
+        self.order = sorted(range(len(reads)), key=reads.__getitem__)
 
 
 def split_grid_partition(n: int, schedule: PartitionSchedule,

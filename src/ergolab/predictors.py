@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .dyadic import BinaryPoint
 from .errors import SingularFit
-from .partitions import READ_BITS, KeyedPoints, Partition
+from .partitions import READ_BITS, Partition, SortedReads
 
 
 # -- count forecasters over a finite alphabet
@@ -145,24 +145,24 @@ def make_predictor(name: str):
 # -- the partitioning estimate
 
 
-def _cell_mean(responses, reads=None):
+def _cell_mean(responses):
     """Exact mean of one cell's responses; an exact 0 for an empty cell.
 
-    Binary points are summed as their first ``READ_BITS`` bits in one
-    integer and divided once; `reads` may give those bits of a response
-    (its :class:`KeyedPoints` key, None where it has none).
-    Any other responses are summed from the first one, so a field element
-    is never added to a plain 0.
+    Binary points are summed as their reads (:func:`_read_mean`).  Any
+    other responses are summed from the first one, so a field element is
+    never added to a plain 0.
     """
     if not responses:
         return 0
     if isinstance(responses[0], BinaryPoint):
-        if reads is None:
-            reads = [None] * len(responses)
-        total = sum(y.prefix_int(READ_BITS) if p is None else p
-                    for y, p in zip(responses, reads))
-        return Fraction(total, len(responses) << READ_BITS)
+        return _read_mean([y.prefix_int(READ_BITS) for y in responses])
     return _ratio(sum(responses[1:], responses[0]), len(responses))
+
+
+def _read_mean(reads):
+    """Exact mean of the points whose first ``READ_BITS`` bits are
+    `reads`, summed in one integer and divided once; an exact 0 for none."""
+    return Fraction(sum(reads), len(reads) << READ_BITS) if reads else 0
 
 
 class CellCounts:
@@ -201,29 +201,29 @@ def partitioning_autoregression(series, partition: Partition):
     `series` is ``X_{-n} .. X_{-1}`` and the query is its last value
     ``X_{-1}``, which gives the static forecast of the next value: the
     exact mean (:func:`_cell_mean`) of the responses whose predictor shares
-    the query cell, so an empty cell yields an exact integer zero.
-    Computed by :func:`autoregression_from_reads` on one read of every
-    value.
+    the query cell, so an empty cell yields an exact integer zero.  The
+    query is located first, then the predictors in index order, so a
+    :class:`CapExceeded` or TypeError is the first one met in that order.
     """
-    read = KeyedPoints(series)
-    if len(read.points) < 2:
+    series = list(series)
+    if len(series) < 2:
         raise ValueError("need at least two observations")
-    return autoregression_from_reads(read, partition)
+    label = partition.locate(series[-1])
+    return _cell_mean([y for z, y in zip(series, series[1:])
+                       if partition.locate(z) == label])
 
 
-def autoregression_from_reads(read: KeyedPoints, partition: Partition,
-                              start: int = 0):
-    """:func:`partitioning_autoregression` on a series read once: the exact
-    mean of the responses ``X_{i+1}`` whose predictor ``X_i``,
-    ``i >= start``, shares the cell of the last value
-    (:meth:`Partition.select`, :func:`_cell_mean`).
-
-    The query is located first, then the predictors in index order, so a
-    :class:`CapExceeded` is the one a point-by-point scan raises.
+def autoregression_from_reads(reads: SortedReads, partition: Partition,
+                              start: int, point):
+    """:func:`partitioning_autoregression` of the points ``start .. last``
+    of a series given by their reads: the exact mean of the reads of the
+    responses ``X_{i+1}`` whose predictor ``X_i``, ``i >= start``, shares
+    the cell of the last point (:meth:`Partition.select`, which builds
+    point ``i`` as ``point(i)`` only where its read is a table key).
     """
-    cell = partition.select(read, start)
-    return _cell_mean([read.points[i + 1] for i in cell],
-                      [read.keys[i + 1] for i in cell])
+    values = reads.reads
+    return _read_mean([values[i + 1]
+                       for i in partition.select(reads, start, point)])
 
 
 # -- the linear autoregression (least squares through the origin)

@@ -32,7 +32,6 @@ TEST_ONLY = {
                             "first visit, in closed form",
     "expected_next_relabeled": "oracle: the conditional expectation under "
                                "the injective labeling",
-    "sample_series": "oracle: the odometer process by repeated steps",
     "l1_error_exact": "oracle: the exact L1 error by integration over "
                       "pieces, against the runner's per-cell closed form",
     "golden_conjugate": "a second rotation angle, so the tests do not only "

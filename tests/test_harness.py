@@ -16,10 +16,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ergolab import adversary, cli, harness, markov, predictors
+from ergolab import adversary, cli, harness, markov, odometer, predictors
 from ergolab import rotation as rot
-from ergolab.errors import ConfigError, ErgolabError, InvariantViolation
-from ergolab.intervals import algebraic_set
+from ergolab.dyadic import BinaryPoint
+from ergolab.errors import (CapExceeded, ConfigError, ErgolabError,
+                            InvariantViolation)
+from ergolab.intervals import IntervalSet, algebraic_set
 from ergolab.harness import (ExperimentConfig, Report, format_nlist,
                              parse_nlist, persist, run)
 from ergolab.partitions import split_grid_partition
@@ -168,7 +170,7 @@ class TestRunners:
         # reads anything there breaks the run, also under python -O.  The
         # runner estimates from one read per trial point.
         monkeypatch.setattr(predictors, "autoregression_from_reads",
-                            lambda read, partition, start: 1)
+                            lambda reads, partition, start, point: 1)
         cfg = ExperimentConfig(experiment="thm3", trials=10, seed=2,
                                nlist=tuple(range(3, 9)))
         with pytest.raises(InvariantViolation, match="exactly-empty cell"):
@@ -372,6 +374,133 @@ class TestRotationOracle:
         rows, summary = per_point_rotation(cfg)
         assert typed(report.rows) == typed(rows)
         assert report.summary == summary
+
+
+def per_point_starvation(config):
+    """The thm3 rows, summary and plot by the per-point route: the past by
+    `sample_past` (inverse steps on binary points), each n's estimate by
+    `partitioning_autoregression` over the stepped points, the next value
+    by `step` and membership in B_n by `in_starving_set`."""
+    schedule = config.schedule()
+    ns = list(config.nlist)
+    max_n = max(ns)
+    parts = {n: odometer.starving_partition(n, schedule) for n in ns}
+    rows, hits, in_b_hits = [], 0, 0
+    per_n = dict.fromkeys(ns, 0)
+    for trial in range(config.trials):
+        omega = BinaryPoint.seeded(harness.derived_seed(config.seed, trial))
+        series = odometer.sample_past(omega, max_n)
+        x_next = odometer.step(omega)
+        truth = float(x_next)
+        events, in_bs = [], []
+        for n in ns:
+            est = predictors.partitioning_autoregression(series[-n:], parts[n])
+            in_b = odometer.in_starving_set(omega, n)
+            event = est == 0 and x_next.bit(1) == 1
+            per_n[n] += event
+            events.append(event)
+            in_bs.append(in_b)
+            est_f = 0.0 if est == 0 else float(est)
+            rows.append((n, trial, in_b, est_f, truth, abs(est_f - truth),
+                         None))
+        hits += any(events)
+        in_b_hits += any(in_bs)
+    union = IntervalSet(iv for n in ns
+                        for iv in odometer.starving_set(n)).measure()
+    summary = {"sweep_event_frequency": hits / config.trials,
+               "in_set_frequency": in_b_hits / config.trials,
+               "starving_union_measure": float(union),
+               "starving_union_measure_exact": str(union)}
+    return rows, summary, [(n, per_n[n] / config.trials) for n in ns]
+
+
+def reversed_read(read):
+    """A 64-bit read with its bit order reversed."""
+    return int(f"{read:064b}"[::-1], 2)
+
+
+class TestStarvationOracle:
+    @pytest.mark.parametrize("seed", [20, 7])
+    def test_orbit_reads_match_per_point_route(self, seed):
+        # every row, the summary and the plot at the bench configuration's
+        # sweep, on a few trials: the per-point route is slow
+        cfg = ExperimentConfig(experiment="thm3", trials=40, seed=seed,
+                               nlist=tuple(range(3, 65)),
+                               q_schedule="sqrt:1").validate()
+        report = run(cfg)
+        rows, summary, plot = per_point_starvation(cfg)
+        assert typed(report.rows) == typed(rows)
+        assert report.summary == summary
+        assert report.plot == plot
+        assert 0 < summary["in_set_frequency"] < 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 10 ** 6), n=st.integers(1, 130),
+           kind=st.sampled_from(["seeded", "ones", "zeros", "carry"]),
+           length=st.integers(0, 127), tail=st.lists(st.integers(0, 1),
+                                                     max_size=70))
+    def test_past_reads_match_inverse_steps(self, seed, n, kind, length,
+                                            tail):
+        # the reads of X_{-n} .. X_{-1} from omega's read alone, against
+        # inverse steps on binary points: seeded bits, a run of ones (then
+        # a zero, so that the steps stay within the cap) or of zeros, and a
+        # read within 130 of all ones, whose past carries out of bit 64
+        if kind == "seeded":
+            prefix = tail
+        elif kind == "ones":
+            prefix = [1] * length + [0]
+        elif kind == "zeros":
+            prefix = [0] * length + tail
+        else:
+            prefix = (tail + [0] * 7)[:7] + [1] * 57 + [0]
+        omega = BinaryPoint.seeded(seed, prefix=prefix)
+        want = [x.prefix_int(64) for x in odometer.sample_past(omega, n)]
+        assert odometer.past_reads(omega, n) == want
+
+    def test_carry_out_of_the_read(self):
+        # omega reads all ones: its first inverse step carries out of
+        # bit 64, and its past reads count up from 0 in reversed order
+        omega = BinaryPoint.seeded(1, prefix=(1,) * 64 + (0,))
+        reads = odometer.past_reads(omega, 5)
+        assert reads == [x.prefix_int(64)
+                         for x in odometer.sample_past(omega, 5)]
+        assert reads == [reversed_read(j) for j in (3, 2, 1, 0)] \
+            + [(1 << 64) - 1]
+
+    def test_all_ones_omega_raises_where_it_did(self, monkeypatch):
+        # an omega whose first 128 bits are ones has no inverse step within
+        # the cap.  Its reads need none, but X_{-2} reads 0, the key of
+        # bound 0, so the trial builds that point and meets the cap there
+        # with the error the inverse steps of the per-point route raise
+        omega = BinaryPoint.seeded(1, prefix=(1,) * 128)
+        assert odometer.past_reads(omega, 3) == [1 << 63, 0, (1 << 64) - 1]
+        with pytest.raises(CapExceeded, match="no bit equal to 0 within "
+                                              "cap 128"):
+            odometer.sample_past(omega, 2)
+        monkeypatch.setattr(BinaryPoint, "seeded",
+                            classmethod(lambda cls, seed: omega))
+        cfg = ExperimentConfig(experiment="thm3", trials=1, seed=1,
+                               nlist=(3, 4, 5)).validate()
+        with pytest.raises(CapExceeded, match="trial 0: no bit equal to 0 "
+                                              "within cap 128"):
+            run(cfg)
+
+    @pytest.mark.parametrize("name", ["thm3", "thm3-sqrt4"])
+    def test_no_binary_point_per_past_point(self, monkeypatch, tmp_path,
+                                            name):
+        # the pinned runs hit no table key, so no past point is ever built:
+        # with the stepping routes refused the outputs are unchanged
+        def refuse(*args):
+            raise AssertionError("a past point was built")
+
+        monkeypatch.setattr(odometer, "iterate", refuse)
+        monkeypatch.setattr(odometer, "step_back", refuse)
+        fields, csv_sha, plot_sha = PINNED_OUTPUTS[name]
+        cfg = ExperimentConfig(**fields)
+        paths = persist(cfg, run(cfg), tmp_path)
+        assert hashlib.sha256(paths["csv"].read_bytes()).hexdigest() == csv_sha
+        assert hashlib.sha256(paths["plot"].read_bytes()).hexdigest() \
+            == plot_sha
 
 
 # SHA-256 of the CSV and plot.dat each configuration writes.  The thm3 and

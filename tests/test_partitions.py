@@ -1,8 +1,8 @@
-"""The split grid's one locate and one select, against a bisection of the
-grid bounds with exact comparisons and a point-by-point scan: binary points
-on the rational domain (breakpoint table, then comparisons), field elements
-and rationals by their floor, and field elements with a read by the table
-of the quadratic domain."""
+"""The split grid's table, its one exact locate and its one select, against
+a bisection of the grid bounds with exact comparisons and a point-by-point
+scan: binary points on the rational domain by comparisons, field elements
+and rationals by their floor, and every point with a 64-bit read by the
+breakpoint table on both domains."""
 
 import functools
 from fractions import Fraction
@@ -15,8 +15,8 @@ from ergolab import odometer
 from ergolab.dyadic import BinaryPoint
 from ergolab.errors import CapExceeded, CoverageError
 from ergolab.intervals import _cmp, rational_set
-from ergolab.partitions import (READ_BITS, KeyedPoints, PartitionSchedule,
-                                prefix_key, split_grid_partition)
+from ergolab.partitions import (READ_BITS, PartitionSchedule, SortedReads,
+                                split_grid_partition)
 from ergolab.rotation import Rotation, build_tower, default_rotation
 from ergolab.surd import QuadraticReal, floor_raw, golden_conjugate
 
@@ -56,6 +56,24 @@ def raised(fn, *args):
         return type(exc), str(exc)
 
 
+def read_of(x):
+    """The read ``floor(x * 2**READ_BITS)`` of a point, None where it has
+    none: a binary point capped below READ_BITS, a point outside [0, 1)."""
+    if isinstance(x, BinaryPoint):
+        return x.prefix_int(READ_BITS) if x.cap >= READ_BITS else None
+    if isinstance(x, QuadraticReal):
+        read = floor_raw(x.A << READ_BITS, x.B << READ_BITS, x.Q, x.d)
+    else:
+        read = (x.numerator << READ_BITS) // x.denominator
+    return read if 0 <= read < 1 << READ_BITS else None
+
+
+def select_reads(part, xs, start):
+    """`Partition.select` on the reads of `xs`, building point i as
+    ``xs[i]``."""
+    return part.select(SortedReads(map(read_of, xs)), start, xs.__getitem__)
+
+
 def select_point_by_point(part, xs, start):
     """The points of ``xs[start:-1]`` in the cell of the last one, located
     one by one, the last one first."""
@@ -74,10 +92,15 @@ def assert_same(x, q, split_set, part=None):
                                         split_set)
     fresh = outcome(compare_locate, x, q, split_set)
     assert outcome(part.locate, x) == fresh, (x, q, split_set)
-    if isinstance(x, BinaryPoint):
-        # the same point as query and predictor, located from its read key
-        assert outcome(part.select, KeyedPoints([x, x]), 0) \
+    read = read_of(x)
+    if read is not None:
+        # the table's label off a key; and the same point as query and
+        # predictor, selected from its read
+        label = part.read_label(read)
+        assert label == (None if read in part.key_set else fresh)
+        assert outcome(select_reads, part, [x, x], 0) \
             == ([0] if isinstance(fresh, tuple) else fresh)
+    return fresh
 
 
 split_sets = st.one_of(
@@ -92,7 +115,9 @@ bit_lists = st.lists(st.integers(0, 1), max_size=40)
 
 
 @st.composite
-def points(draw):
+def points(draw, caps=caps):
+    """A binary point: seeded, periodic, zeros to the cap, or a rational's
+    expansion then zeros, capped by a draw from `caps`."""
     cap = draw(caps)
     kind = draw(st.sampled_from(["seeded", "periodic", "zeros", "edge"]))
     if kind == "seeded":
@@ -193,7 +218,7 @@ class TestBracketLocator:
         # READ_BITS,
         # on the thm3 partitions and on grids over a non-dyadic set
         for part, q, split_set in table_partitions():
-            decided = []
+            decided = {}
             for p in {p for key in breakpoint_keys(q, split_set)
                       for p in (key - 1, key, key + 1)
                       if 0 <= p < 1 << READ_BITS}:
@@ -204,22 +229,20 @@ class TestBracketLocator:
                     for x in (BinaryPoint.seeded(p, prefix=bits, cap=cap),
                               BinaryPoint.seeded(p, prefix=bits + zeros,
                                                  cap=cap)):
-                        assert_same(x, q, split_set, part)
-                        if isinstance(outcome(part.locate, x), tuple):
-                            decided.append(x)
-            # every cell's points picked from all of these at once, with a
-            # query of that cell on the table route and one on the exact
-            # route (a key of the table, or a cap below READ_BITS)
-            table_keys = set(breakpoint_keys(q, split_set))
+                        label = assert_same(x, q, split_set, part)
+                        if isinstance(label, tuple) and x.cap >= READ_BITS:
+                            decided[x] = label
+            # every cell's read points picked from all of these at once,
+            # with a query of that cell on the table route and one on the
+            # exact route (a key of the table), against their labels by the
+            # comparison route
+            xs, labels = list(decided), list(decided.values())
             queries = {}
-            for x in decided:
-                key = prefix_key(x)
-                exact = key is None or key in table_keys
-                queries.setdefault((part.locate(x), exact), x)
-            for query in queries.values():
-                xs = decided + [query]
-                assert part.select(KeyedPoints(xs), 0) \
-                    == select_point_by_point(part, xs, 0)
+            for x, label in decided.items():
+                queries.setdefault((label, read_of(x) in part.key_set), x)
+            for (label, _), query in queries.items():
+                assert select_reads(part, xs + [query], 0) \
+                    == [i for i, other in enumerate(labels) if other == label]
             # all zeros at bound 0: CapExceeded when seeded, cell 1 when
             # provably zero
             for x in (BinaryPoint.seeded(q, prefix=(0,) * BinaryPoint.default_cap),
@@ -235,7 +258,7 @@ class TestBracketLocator:
         # sqrt:1 and the grids over NON_DYADIC: seeded and periodic points,
         # and prefixes k - 1, k and k + 1 of every table key with a seeded
         # tail or a zero run to the cap.  A point is read to READ_BITS bits,
-        # and that read is its key; below that cap it is unread and keyless.
+        # and that read is its key; below that cap it has no read.
         part, q, split_set = data.draw(st.sampled_from(table_partition_list()))
         prefix = data.draw(bit_lists)
         if kind == "seeded":
@@ -247,58 +270,63 @@ class TestBracketLocator:
             x = BinaryPoint.periodic(prefix, pattern, cap=cap)
         else:
             x = data.draw(near_keys(q, split_set, cap))
-        keyed = KeyedPoints([x])
-        assert keyed.keys == [x.prefix_int(READ_BITS)
-                              if cap >= READ_BITS else None]
         assert_same(x, q, split_set, part)
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_select_matches_point_by_point(self, data):
         # the points in the last point's cell picked by bisecting sorted
-        # keys, against locating the last point and then every point of the
-        # window in turn, CapExceeded included; the last point is drawn
-        # like the others or is one of them
+        # reads, against locating the last point and then every point of
+        # the window in turn, CapExceeded included; the last point is drawn
+        # like the others or is one of them.  Every point has a read.
         part, q, split_set = data.draw(st.sampled_from(table_partition_list()))
-        point = st.one_of(points(), st.sampled_from([63, 64, 65, 128]).flatmap(
-            lambda cap: near_keys(q, split_set, cap)))
+        point = st.one_of(
+            points(st.one_of(st.none(), st.integers(READ_BITS, 140))),
+            st.sampled_from([64, 65, 128]).flatmap(
+                lambda cap: near_keys(q, split_set, cap)))
         xs = data.draw(st.lists(point, min_size=1, max_size=12))
         xs.append(data.draw(st.one_of(point, st.sampled_from(xs))))
         start = data.draw(st.integers(0, len(xs)))
 
-        assert raised(part.select, KeyedPoints(xs), start) \
+        assert raised(select_reads, part, xs, start) \
             == raised(select_point_by_point, part, xs, start)
 
     def test_query_cap_error_comes_first(self):
-        # all zeros to the cap sit on bound 0, undecided: the predictors
-        # (cap 20) and the query (cap 17) both raise, the query first
+        # all zeros to the cap read 0, the key of bound 0, and are
+        # undecided there: the predictors (cap 100) and the query (cap 80)
+        # both raise, the query first
         part = odometer.starving_partition(8, PartitionSchedule.sqrt())
         xs = [BinaryPoint.seeded(i, prefix=(0,) * cap, cap=cap)
-              for i, cap in enumerate((20, 20, 17))]
-        want = (CapExceeded, "no bit equal to 1 within cap 17")
-        assert raised(part.select, KeyedPoints(xs), 0) == want
+              for i, cap in enumerate((100, 100, 80))]
+        want = (CapExceeded, "no bit equal to 1 within cap 80")
+        assert raised(select_reads, part, xs, 0) == want
         assert raised(select_point_by_point, part, xs, 0) == want
 
     def test_fraction_queries_keep_the_comparison_route(self):
         part = split_grid_partition(1, PartitionSchedule.constant(5), NON_DYADIC)
         assert part.locate(Fraction(1, 3)) == (2, True)
         assert part.locate(Fraction(2, 5)) == (3, False)
-        # Fractions among the points: no table key, located one by one
+        # Fractions among the points: the set's endpoints read a table key
+        # and are located by their floor, the others take the table
         xs = [Fraction(1, 3), BinaryPoint.seeded(1), Fraction(2, 5),
               Fraction(9, 10)]
-        assert KeyedPoints(xs).keys == [None, prefix_key(xs[1]), None, None]
+        assert [read_of(x) in part.key_set for x in xs] \
+            == [True, False, True, False]
         for query in xs:
             label = part.locate(query)
-            assert part.select(KeyedPoints(xs + [query]), 0) \
+            assert select_reads(part, xs + [query], 0) \
                 == [i for i, x in enumerate(xs) if part.locate(x) == label]
 
     def test_float_queries_are_refused(self):
-        # no cell scan: a float is no exact point, located by no route
+        # no cell scan: a float is no exact point, located by no route,
+        # also where a select builds it for a read on a table key
         part = split_grid_partition(1, PartitionSchedule.constant(5), NON_DYADIC)
         with pytest.raises(TypeError):
             part.locate(0.5)
+        xs = [BinaryPoint.seeded(1), 0.5]
         with pytest.raises(TypeError):
-            part.select(KeyedPoints([BinaryPoint.seeded(1), 0.5]), 0)
+            part.select(SortedReads([read_of(xs[0]), part.keys[1]]), 0,
+                        xs.__getitem__)
 
 
 def cover_set(rotation, n):
@@ -312,12 +340,13 @@ COVER_SETS = (cover_set(default_rotation(), 8), cover_set(default_rotation(), 3)
 
 
 @st.composite
-def field_points(draw, d):
-    """Field elements in [0, 1), and one in five anywhere near it."""
+def field_points(draw, d, anywhere=True):
+    """Field elements in [0, 1), and one in five anywhere near it if
+    `anywhere`."""
     a = draw(st.fractions(-1, 2, max_denominator=200))
     b = draw(st.fractions(-1, 1, max_denominator=200))
     x = QuadraticReal(a, b, d)
-    return x if draw(st.integers(0, 4)) == 0 else x.mod1()
+    return x if anywhere and draw(st.integers(0, 4)) == 0 else x.mod1()
 
 
 @functools.lru_cache(maxsize=None)
@@ -384,15 +413,22 @@ class TestFloorLocator:
     @given(data=st.data(), index=st.integers(0, len(COVER_SETS) - 1),
            q=st.integers(2, 40))
     def test_select_matches_point_by_point(self, data, index, q):
-        # select locates every point of the window in index order on the
-        # quadratic domain, CoverageError included; the last point is drawn
-        # like the others or is one of them
-        point = field_points(COVER_SETS[index].domain[1])
+        # select by read runs on the quadratic domain, against locating
+        # the last point and then every point of the window in turn; the
+        # last point is drawn like the others or is one of them, and one
+        # point in four is a grid bound or a cover-set endpoint, whose read
+        # is a table key
+        split_set = COVER_SETS[index]
+        d = split_set.domain[1]
+        edges = [QuadraticReal.rational(Fraction(j, q), d) for j in range(q)]
+        edges += [end for iv in split_set for end in (iv.lo, iv.hi) if end < 1]
+        point = st.one_of(*[field_points(d, anywhere=False)] * 3,
+                          st.sampled_from(edges))
         xs = data.draw(st.lists(point, min_size=1, max_size=12))
         xs.append(data.draw(st.one_of(point, st.sampled_from(xs))))
         start = data.draw(st.integers(0, len(xs)))
         part = cover_partition(index, q)
-        assert raised(part.select, KeyedPoints(xs), start) \
+        assert raised(select_reads, part, xs, start) \
             == raised(select_point_by_point, part, xs, start)
 
     def test_other_query_types_are_refused(self):
@@ -401,8 +437,9 @@ class TestFloorLocator:
             part.locate(BinaryPoint.from_dyadic(Fraction(1, 2)))
         with pytest.raises(TypeError):
             part.locate(0.5)
-        # a read binary point among field elements is located, and refused
+        # a binary point whose read is a table key is located, and refused
+        xs = [QuadraticReal.rational(Fraction(1, 3), 2),
+              BinaryPoint.from_dyadic(Fraction(1, 2))]
+        assert read_of(xs[1]) in part.key_set
         with pytest.raises(TypeError):
-            part.select(KeyedPoints([BinaryPoint.seeded(1),
-                                     QuadraticReal.rational(Fraction(1, 3), 2)]),
-                        0)
+            select_reads(part, xs, 0)

@@ -13,7 +13,7 @@ from ergolab import markov, odometer, predictors
 from ergolab.dyadic import BinaryPoint
 from ergolab.errors import CapExceeded, CoverageError, SingularFit
 from ergolab.intervals import rational_set
-from ergolab.partitions import (READ_BITS, KeyedPoints, PartitionSchedule,
+from ergolab.partitions import (READ_BITS, PartitionSchedule, SortedReads,
                                 regularity_report, split_grid_partition)
 from ergolab.markov import sample_sqrt_ar
 from ergolab.predictors import (CellCounts, CountPredictor, dynamic_count,
@@ -179,7 +179,7 @@ class TestPartitioningEstimate:
 def lazy_autoregression(series, partition):
     """The partitioning autoregression with every value located by
     `Partition.locate`, the last one first, and every response read by
-    `prefix_int` on its own: the reference for the read-once route."""
+    `prefix_int` on its own: the reference for the per-point estimate."""
     label = partition.locate(series[-1])
     num, den = 0, 0
     for z, y in predictors.autoregression_pairs(series):
@@ -196,24 +196,69 @@ def outcome(fn, *args):
         return CapExceeded
 
 
+def forced_reads():
+    """(partition, read) for every thm3 partition, n = 3..64 at sqrt:1 and
+    sqrt:4, and every read next to or on one of its table keys."""
+    for scale in (1, 4):
+        schedule = PartitionSchedule.sqrt(scale)
+        for n in range(3, 65):
+            part = odometer.starving_partition(n, schedule)
+            for read in {key + d for key in part.keys for d in (-1, 0, 1)}:
+                if 0 <= read < 1 << READ_BITS:
+                    yield part, read
+
+
+def omega_reading(read, j):
+    """A seeded binary point omega whose past point ``T^-j omega`` reads
+    `read`: the inverse step adds one to a reversed read."""
+    r = (int(f"{read:064b}"[::-1], 2) - j) % (1 << READ_BITS)
+    return BinaryPoint.seeded(read, prefix=[int(c) for c in f"{r:064b}"[::-1]])
+
+
 class TestReadOnceRoute:
     def test_trial_reads_match_one_shot_estimates(self):
-        # a thm3 trial read once, then estimated for every n, against the
-        # one-shot estimator and the per-point lazy route, type included
+        # a thm3 trial read from omega alone, then estimated for every n,
+        # against the per-point estimator over the stepped points, type
+        # included
         schedule = PartitionSchedule.sqrt()
         parts = {n: odometer.starving_partition(n, schedule)
                  for n in range(3, 65)}
         for trial in range(200):
             omega = BinaryPoint.seeded(1000 + trial)
             series = odometer.sample_past(omega, 64)
-            read = KeyedPoints(series)
-            assert read.keys == [z.prefix_int(READ_BITS) for z in series]
+            reads = odometer.past_reads(omega, 64)
+            assert reads == [z.prefix_int(READ_BITS) for z in series]
+            reads = SortedReads(reads)
             for n, part in parts.items():
-                got = predictors.autoregression_from_reads(read, part, 64 - n)
+                got = predictors.autoregression_from_reads(
+                    reads, part, 64 - n, series.__getitem__)
                 want = partitioning_autoregression(series[-n:], part)
-                lazy = lazy_autoregression(series[-n:], part)
-                assert got == want == lazy
-                assert type(got) is type(want) is type(lazy)
+                assert got == want and type(got) is type(want)
+
+    def test_forced_table_keys_match_per_point(self):
+        # for every table key K of every thm3 partition (n = 3..64, sqrt:1
+        # and sqrt:4), an omega whose query, and one whose past point,
+        # reads K - 1, K or K + 1: the runner's estimate from the reads,
+        # with the exact route built by odometer.iterate on a key, against
+        # the per-point estimate over the stepped points
+        m = 5  # four predictors and the query
+        estimates = set()
+        for part, read in forced_reads():
+            for j in (0, 1 + read % (m - 1)):
+                omega = omega_reading(read, j)
+                series = odometer.sample_past(omega, m)
+                assert series[m - 1 - j].prefix_int(64) == read
+
+                def point(i):
+                    return odometer.iterate(omega, i + 1 - m)
+
+                got = predictors.autoregression_from_reads(
+                    SortedReads(odometer.past_reads(omega, m)), part, 0,
+                    point)
+                want = partitioning_autoregression(series, part)
+                assert got == want and type(got) is type(want)
+                estimates.add(got == 0)
+        assert estimates == {True, False}
 
     def test_low_cap_trials_keep_the_lazy_outcome(self):
         # thm3 trials at caps below and around the read width: an empty
