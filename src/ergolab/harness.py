@@ -31,8 +31,8 @@ from .dyadic import BinaryPoint
 from .errors import (CapExceeded, ConfigError, ErgolabError, ExceptionalPoint,
                      InvariantViolation)
 from .intervals import IntervalSet
-from .partitions import (PartitionSchedule, SortedReads, regularity_report,
-                         split_grid_partition)
+from .partitions import (READ_BITS, PartitionSchedule, SortedReads,
+                         regularity_report, split_grid_partition)
 from .surd import QuadraticReal, triple, triple_sum
 
 
@@ -342,11 +342,18 @@ class Report:
             return self.stat >= threshold
         return self.stat <= threshold
 
-    def csv_text(self) -> str:
-        lines = [",".join(self.columns)]
+    def csv_lines(self):
+        """The CSV, one line at a time.  A nonzero float is formatted once
+        while in a memo emptied past 1024 values, as repeats sit close
+        together; 0.0 and -0.0 are equal keys, so never memoised."""
+        yield ",".join(self.columns) + "\n"
+        floats = {}
         for row in self.rows:
-            lines.append(",".join(_fmt(v) for v in row))
-        return "\n".join(lines) + "\n"
+            if len(floats) > 1024:
+                floats.clear()
+            yield ",".join([floats.get(v) or floats.setdefault(v, repr(v))
+                            if type(v) is float and v else _fmt(v)
+                            for v in row]) + "\n"
 
 
 def _fmt(value) -> str:
@@ -445,14 +452,16 @@ def run_starvation(config: ExperimentConfig) -> Report:
     first 64 bits alone (:func:`~ergolab.odometer.past_reads`), and each
     partition finds the query cell's points from those reads
     (:meth:`~ergolab.partitions.Partition.select`); only a read on a table
-    key builds its point, by ``odometer.iterate``.  Omega stays a binary
-    point for its successor (the truth) and for membership in B_n.  On B_n
-    the query cell is empty, so the estimate is exactly 0, and the truth is
-    at least 1/2: checked on every trial.
+    key builds its point, by ``odometer.iterate``.  B_n is tested on
+    omega's read, and omega stays a binary point for its successor.  On
+    B_n the query cell is empty, so the estimate is exactly 0, and the
+    truth is at least 1/2: checked on every trial, and proven for every
+    omega of B_n when its backward images are disjoint and bit 1 is 0.
     """
     schedule = config.schedule()
     ns = list(config.nlist)
     parts = {n: odometer.starving_partition(n, schedule) for n in ns}
+    prefixes = {n: odometer.starving_prefix(n) for n in ns}
     max_n = max(ns)
 
     rows = []
@@ -473,11 +482,13 @@ def run_starvation(config: ExperimentConfig) -> Report:
             truth = float(x_next)
             event_somewhere = False
             in_b_somewhere = False
+            w = reads.reads[-1]
             for n in ns:
-                est = predictors.autoregression_from_reads(
+                total, count = predictors.autoregression_from_reads(
                     reads, parts[n], max_n - n, point)
-                est_zero = est == 0
-                in_b = odometer.in_starving_set(omega, n)
+                est_zero = total == 0
+                level, bits = prefixes[n]
+                in_b = w >> (READ_BITS - level) == bits
                 if in_b:
                     in_b_somewhere = True
                     if not (est_zero and truth_high):
@@ -488,7 +499,7 @@ def run_starvation(config: ExperimentConfig) -> Report:
                 if event:
                     per_n_exceed[n] += 1
                     event_somewhere = True
-                est_f = 0.0 if est_zero else float(est)
+                est_f = 0.0 if est_zero else total / (count << READ_BITS)
                 rows.append((n, trial, in_b, est_f, truth,
                              abs(est_f - truth), None))
             if event_somewhere:
@@ -498,8 +509,15 @@ def run_starvation(config: ExperimentConfig) -> Report:
         except (CapExceeded, ExceptionalPoint) as exc:
             raise type(exc)(f"trial {trial}: {exc}") from exc
 
+    starving = {n: odometer.starving_set(n) for n in ns}
     union_measure = IntervalSet(
-        iv for n in ns for iv in odometer.starving_set(n)).measure()
+        iv for s in starving.values() for iv in s).measure()
+    # on B_n the query cell holds no predictor and the truth is >= 1/2, so
+    # every omega of the union makes the sweep event
+    proven = union_measure if all(
+        odometer.backward_images_disjoint(s, n)
+        and all(iv.hi <= Fraction(1, 2) for iv in s)
+        for n, s in starving.items()) else Fraction(0)
     sweep_freq = sweep_hits / config.trials
     return Report(
         schema="static",
@@ -510,6 +528,8 @@ def run_starvation(config: ExperimentConfig) -> Report:
             "in_set_frequency": in_b_hits / config.trials,
             "starving_union_measure": float(union_measure),
             "starving_union_measure_exact": str(union_measure),
+            "proven_event_lower_bound": float(proven),
+            "proven_event_lower_bound_exact": str(proven),
         },
         plot=[(n, per_n_exceed[n] / config.trials) for n in ns],
         stat=sweep_freq,
@@ -759,7 +779,8 @@ def persist(config: ExperimentConfig, report: Report, out_dir) -> dict:
     paths["config"] = config_path
 
     csv_path = out / f"{report.schema}.csv"
-    csv_path.write_text(report.csv_text(), encoding="utf-8")
+    with csv_path.open("w", encoding="utf-8") as f:
+        f.writelines(report.csv_lines())
     paths["csv"] = csv_path
 
     plot_path = out / "plot.dat"

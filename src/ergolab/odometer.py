@@ -98,9 +98,17 @@ def bit_prefix_interval(level: int, index: int) -> Interval:
     return Interval(Fraction(rev, 1 << level), Fraction(rev + 1, 1 << level))
 
 
+# each byte with its eight bits in reverse order
+_REVERSED_BYTES = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
 def _reversed_bits(value: int, width: int) -> int:
-    """The low `width` bits of `value`, in reverse order."""
-    return int(f"{value & ((1 << width) - 1):0{width}b}"[::-1], 2)
+    """The low `width` bits of `value`, in reverse order: byte by byte
+    through a table, then shifted down over the padding of the last byte."""
+    size = (width + 7) >> 3
+    low = (value & ((1 << width) - 1)).to_bytes(size, "little")
+    return int.from_bytes(low.translate(_REVERSED_BYTES), "big") \
+        >> ((size << 3) - width)
 
 
 def _interval_set(*intervals) -> IntervalSet:

@@ -188,17 +188,16 @@ class Partition:
         then the others in index order, so the first :class:`CapExceeded`
         or TypeError is the one a point-by-point scan raises.
         """
-        values, order = reads.reads, reads.order
+        values, order, ranked = reads.reads, reads.order, reads.sorted
         stop = len(values) - 1
         label = self.read_label(values[stop]) or self.locate(point(stop))
-        at = values.__getitem__
         found = [i for lo, hi in self.runs.get(label, ())
-                 for i in order[bisect_right(order, lo, key=at):
-                                bisect_left(order, hi, key=at)]
+                 for i in order[bisect_right(ranked, lo):
+                                bisect_left(ranked, hi)]
                  if start <= i < stop]
-        hits = self.key_set.intersection(values)
-        if hits:
-            found += [i for i in range(start, stop) if values[i] in hits
+        if not self.key_set.isdisjoint(reads.set):
+            found += [i for i in range(start, stop)
+                      if values[i] in self.key_set
                       and self.locate(point(i)) == label]
         found.sort()
         return found
@@ -218,15 +217,19 @@ def _read_of(e):
 
 
 class SortedReads:
-    """The reads of a series of points, ``reads[i]`` of point i, and
-    ``order``, its indices sorted by read once, so that
-    :meth:`Partition.select` finds a cell's points by bisection."""
+    """The reads of a series of points, ``reads[i]`` of point i, computed
+    once per series: ``order``, its indices sorted by read, and ``sorted``,
+    the reads in that order, so that :meth:`Partition.select` finds a
+    cell's points by bisection, and ``set``, so that it tests the table
+    keys against all reads at once."""
 
-    __slots__ = ("reads", "order")
+    __slots__ = ("reads", "order", "sorted", "set")
 
     def __init__(self, reads):
         self.reads = reads = list(reads)
         self.order = sorted(range(len(reads)), key=reads.__getitem__)
+        self.sorted = [reads[i] for i in self.order]
+        self.set = frozenset(reads)
 
 
 def split_grid_partition(n: int, schedule: PartitionSchedule,

@@ -148,21 +148,16 @@ def make_predictor(name: str):
 def _cell_mean(responses):
     """Exact mean of one cell's responses; an exact 0 for an empty cell.
 
-    Binary points are summed as their reads (:func:`_read_mean`).  Any
-    other responses are summed from the first one, so a field element is
-    never added to a plain 0.
+    Binary points are summed as their first ``READ_BITS`` bits, in one
+    integer divided once.  Any other responses are summed from the first
+    one, so a field element is never added to a plain 0.
     """
     if not responses:
         return 0
     if isinstance(responses[0], BinaryPoint):
-        return _read_mean([y.prefix_int(READ_BITS) for y in responses])
+        return Fraction(sum(y.prefix_int(READ_BITS) for y in responses),
+                        len(responses) << READ_BITS)
     return _ratio(sum(responses[1:], responses[0]), len(responses))
-
-
-def _read_mean(reads):
-    """Exact mean of the points whose first ``READ_BITS`` bits are
-    `reads`, summed in one integer and divided once; an exact 0 for none."""
-    return Fraction(sum(reads), len(reads) << READ_BITS) if reads else 0
 
 
 class CellCounts:
@@ -216,14 +211,16 @@ def partitioning_autoregression(series, partition: Partition):
 def autoregression_from_reads(reads: SortedReads, partition: Partition,
                               start: int, point):
     """:func:`partitioning_autoregression` of the points ``start .. last``
-    of a series given by their reads: the exact mean of the reads of the
+    of a series given by their reads, as the unreduced exact mean
+    ``(total, count)``: the sum and the number of the reads of the
     responses ``X_{i+1}`` whose predictor ``X_i``, ``i >= start``, shares
     the cell of the last point (:meth:`Partition.select`, which builds
-    point ``i`` as ``point(i)`` only where its read is a table key).
+    point ``i`` as ``point(i)`` only where its read is a table key).  The
+    mean is ``total / (count << READ_BITS)``, exactly 0 when `total` is.
     """
     values = reads.reads
-    return _read_mean([values[i + 1]
-                       for i in partition.select(reads, start, point)])
+    picked = partition.select(reads, start, point)
+    return sum([values[i + 1] for i in picked]), len(picked)
 
 
 # -- the linear autoregression (least squares through the origin)

@@ -80,6 +80,7 @@ def test_criterion_2_starvation_sweep():
                 assert truth >= 0.5, f"trial {trial}, n={n}: truth below 1/2"
         freq = report.summary["sweep_event_frequency"]
         assert freq >= 0.4, f"sweep frequency {freq} below 0.4"
+        assert report.summary["proven_event_lower_bound"] >= 1 / 8
 
 
 def _pair_statistic(table, states):

@@ -168,9 +168,10 @@ class TestRunners:
     def test_thm3_starving_invariant_is_checked(self, monkeypatch):
         # a starving trial must see an exactly-empty cell; an estimator that
         # reads anything there breaks the run, also under python -O.  The
-        # runner estimates from one read per trial point.
+        # runner estimates from one read per trial point, as an unreduced
+        # mean (total, count).
         monkeypatch.setattr(predictors, "autoregression_from_reads",
-                            lambda reads, partition, start, point: 1)
+                            lambda reads, partition, start, point: (1, 1))
         cfg = ExperimentConfig(experiment="thm3", trials=10, seed=2,
                                nlist=tuple(range(3, 9)))
         with pytest.raises(InvariantViolation, match="exactly-empty cell"):
@@ -208,6 +209,25 @@ class TestRunners:
         monkeypatch.setattr(rot.RohlinTower, "starving_pair", wide_cover)
         report = run(ExperimentConfig(experiment="thm4", trials=50, seed=0))
         assert 0 < report.summary["l1_floor_on_B"] < 1 / 16
+        assert report.summary["proven_event_lower_bound"] == 0
+        assert report.summary["proven_event_lower_bound_exact"] == "0"
+
+    def test_thm3_failed_premise_proves_nothing(self, monkeypatch):
+        # B_3 joined with its own preimage: its backward images meet, so
+        # the bound is 0, not a false proof.  The added piece lies in
+        # another grid cell than B_3, so the sampled checks still hold
+        starving_set = odometer.starving_set
+        preimage = odometer.bit_prefix_interval(3, 3)  # B_3 is (3, 2)
+
+        def joined(n):
+            s = starving_set(n)
+            return s.union(IntervalSet([preimage])) if n == 3 else s
+
+        assert not odometer.backward_images_disjoint(joined(3), 3)
+        monkeypatch.setattr(odometer, "starving_set", joined)
+        report = run(ExperimentConfig(experiment="thm3", trials=50, seed=1,
+                                      nlist=(3, 4, 5)))
+        assert report.summary["in_set_frequency"] > 0
         assert report.summary["proven_event_lower_bound"] == 0
         assert report.summary["proven_event_lower_bound_exact"] == "0"
 
@@ -407,10 +427,21 @@ def per_point_starvation(config):
         in_b_hits += any(in_bs)
     union = IntervalSet(iv for n in ns
                         for iv in odometer.starving_set(n)).measure()
+
+    def proves_event(n):
+        # the backward images of B_n are disjoint and its prefix starts
+        # with a zero bit
+        level, bits = odometer.starving_prefix(n)
+        return odometer.backward_images_disjoint(odometer.starving_set(n), n) \
+            and bits >> (level - 1) == 0
+
+    proven = union if all(map(proves_event, ns)) else 0
     summary = {"sweep_event_frequency": hits / config.trials,
                "in_set_frequency": in_b_hits / config.trials,
                "starving_union_measure": float(union),
-               "starving_union_measure_exact": str(union)}
+               "starving_union_measure_exact": str(union),
+               "proven_event_lower_bound": float(proven),
+               "proven_event_lower_bound_exact": str(proven)}
     return rows, summary, [(n, per_n[n] / config.trials) for n in ns]
 
 
@@ -572,6 +603,33 @@ class TestPersistence:
         assert first["config"].read_bytes() == second["config"].read_bytes()
         assert hashlib.sha256(first["csv"].read_bytes()).hexdigest() == csv_sha
         assert hashlib.sha256(first["plot"].read_bytes()).hexdigest() == plot_sha
+
+    def test_streamed_csv_matches_joined_text(self, tmp_path):
+        # the streamed CSV, each nonzero float formatted once, against the
+        # text joined whole from one format per cell: signed zeros, nan,
+        # infinities, the least subnormal, a float repeated across rows,
+        # values equal to one another but of other types, non-floats, and
+        # enough distinct floats to fill the memo and empty it
+        def fmt(value):
+            if isinstance(value, bool):
+                return "true" if value else "false"
+            if isinstance(value, float):
+                return repr(value)
+            return "" if value is None else str(value)
+
+        rows = [(0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324),
+                (-0.0, 0.0, 0.1, True, 1, 1.0),
+                (1.0, True, 1, 0.1, Fraction(1, 3), None),
+                ("text", False, 0, -0.0, 0.0, -5e-324),
+                (math.nan, 1.0, 0.30000000000000004, 0.1 + 0.2, None, "")]
+        rows += [(i / 7, 0.1, -i / 7, i, 1.0, (i % 5) / 3) for i in range(3000)]
+        report = Report(schema="static", columns=tuple("abcdef"), rows=rows)
+        want = "\n".join([",".join(report.columns)]
+                         + [",".join(fmt(v) for v in row) for row in rows])
+        cfg = ExperimentConfig(experiment="thm3", trials=1, seed=0)
+        paths = persist(cfg, report, tmp_path)
+        assert paths["csv"].read_text(encoding="utf-8") == want + "\n"
+        assert "".join(report.csv_lines()) == want + "\n"
 
     def test_csv_schema_headers(self, tmp_path):
         cfg = ExperimentConfig(experiment="linear", trials=1, seed=0)

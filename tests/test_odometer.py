@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ergolab import odometer
 from ergolab.dyadic import BinaryPoint
@@ -100,6 +102,14 @@ class TestPrefixIntervals:
         assert (iv.lo, iv.hi) == (Fraction(1, 2), Fraction(3, 4))
         iv = odometer.bit_prefix_interval(3, 2)
         assert (iv.lo, iv.hi) == (Fraction(1, 4), Fraction(3, 8))
+
+    @settings(max_examples=2000, deadline=None)
+    @given(width=st.integers(1, 200), value=st.integers(0, (1 << 260) - 1))
+    def test_reversed_bits_match_the_string_reversal(self, width, value):
+        # the byte-table reversal against reversing the width-digit binary
+        # string, with values wider than the width
+        want = int(f"{value & ((1 << width) - 1):0{width}b}"[::-1], 2)
+        assert odometer._reversed_bits(value, width) == want
 
     def test_out_of_range(self):
         with pytest.raises(IndexError):

@@ -189,6 +189,14 @@ def lazy_autoregression(series, partition):
     return Fraction(num, den << 64) if den else 0
 
 
+def read_mean(pair):
+    """The exact mean that the unreduced ``(total, count)`` of
+    `autoregression_from_reads` stands for, typed as the per-point
+    estimator types it: an integer 0 for an empty cell, else a Fraction."""
+    total, count = pair
+    return Fraction(total, count << READ_BITS) if count else 0
+
+
 def outcome(fn, *args):
     try:
         return fn(*args)
@@ -230,8 +238,8 @@ class TestReadOnceRoute:
             assert reads == [z.prefix_int(READ_BITS) for z in series]
             reads = SortedReads(reads)
             for n, part in parts.items():
-                got = predictors.autoregression_from_reads(
-                    reads, part, 64 - n, series.__getitem__)
+                got = read_mean(predictors.autoregression_from_reads(
+                    reads, part, 64 - n, series.__getitem__))
                 want = partitioning_autoregression(series[-n:], part)
                 assert got == want and type(got) is type(want)
 
@@ -252,9 +260,9 @@ class TestReadOnceRoute:
                 def point(i):
                     return odometer.iterate(omega, i + 1 - m)
 
-                got = predictors.autoregression_from_reads(
+                got = read_mean(predictors.autoregression_from_reads(
                     SortedReads(odometer.past_reads(omega, m)), part, 0,
-                    point)
+                    point))
                 want = partitioning_autoregression(series, part)
                 assert got == want and type(got) is type(want)
                 estimates.add(got == 0)
@@ -292,6 +300,19 @@ class TestReadOnceRoute:
         part = odometer.starving_partition(n, PartitionSchedule.sqrt())
         assert outcome(partitioning_autoregression, series, part) \
             == outcome(lazy_autoregression, series, part)
+
+
+    @settings(max_examples=500, deadline=None)
+    @given(count=st.integers(1, 64), data=st.data())
+    def test_unreduced_mean_rounds_as_its_fraction(self, count, data):
+        # the runner's float of a nonzero estimate, one true division of the
+        # unreduced total, against the float of the reduced Fraction: both
+        # are correctly rounded, so they are equal
+        den = count << READ_BITS
+        total = data.draw(st.one_of(st.integers(1, den),
+                                    st.integers(1, 1 << 20),
+                                    st.integers(den - (1 << 20), den)))
+        assert total / den == float(Fraction(total, den))
 
 
 class TestConsistencyOnTwoStateChain:
