@@ -24,7 +24,7 @@ print(f"at the longest run: {report.summary['max_error_at_longest_n']:.4f}"
 print()
 print("== linear predictor vs the square-root regression ==")
 series = sample_sqrt_ar(1.0, 10_001, seed=8)
-(coefficient,), _ = fit_linear_ar(series, 1)
+coefficient, _ = fit_linear_ar(series)
 print(f"fitted through-origin coefficient: {coefficient:.4f}")
 pairs = list(zip(series, series[1:]))
 mse_lin = math.fsum((y - coefficient * x) ** 2 for x, y in pairs) / len(pairs)

@@ -58,7 +58,7 @@ class CoverageError(ErgolabError):
 
 
 class SingularFit(ErgolabError):
-    """The least-squares design matrix is rank deficient."""
+    """A least-squares fit whose predictors are all exactly zero."""
 
 
 class InvariantViolation(ErgolabError):

@@ -269,6 +269,8 @@ class ExperimentConfig:
         if self.experiment in ("consistency", "linear") \
                 and min(self.nlist) < 2:
             raise ConfigError(f"{self.experiment} needs every n >= 2")
+        if self.experiment == "thm4" and len(self.nlist) != 1:
+            raise ConfigError("the rotation experiment runs one n at a time")
         self.schedule(require_regular=False)
         return self
 
@@ -444,7 +446,43 @@ def run_attack(config: ExperimentConfig) -> Report:
     )
 
 
-# -- thm3: odometer starvation sweep
+# -- thm3 / thm4: the static experiments
+
+
+def _static_report(config: ExperimentConfig, ns, headline: str, trial_body,
+                   proof: dict) -> Report:
+    """The trial loop and report of ``thm3`` and ``thm4``.
+
+    ``trial_body(trial, rows)`` appends one row per n, ``(n, trial, in_Bn,
+    estimate, truth, |estimate - truth|, l1)``, and returns the ns whose
+    event it met and whether omega was in some B_n.  The statistic, named
+    `headline` in the summary, is the share of trials with an event at some
+    n; ``plot.dat`` has each n's share.  `proof` ends the summary.  A
+    CapExceeded or ExceptionalPoint is re-raised tagged with its trial.
+    """
+    rows = []
+    per_n = dict.fromkeys(ns, 0)
+    hits = in_b_hits = 0
+    for trial in range(config.trials):
+        try:
+            events, in_b = trial_body(trial, rows)
+        except (CapExceeded, ExceptionalPoint) as exc:
+            raise type(exc)(f"trial {trial}: {exc}") from exc
+        for n in events:
+            per_n[n] += 1
+        hits += bool(events)
+        in_b_hits += in_b
+    freq = hits / config.trials
+    return Report(
+        schema="static",
+        columns=("n", "trial", "in_Bn", "estimate", "truth", "error", "l1"),
+        rows=rows,
+        summary={headline: freq,
+                 "in_set_frequency": in_b_hits / config.trials, **proof},
+        plot=[(n, per_n[n] / config.trials) for n in ns],
+        stat=freq,
+        stat_direction="ge",
+    )
 
 
 def run_starvation(config: ExperimentConfig) -> Report:
@@ -464,50 +502,39 @@ def run_starvation(config: ExperimentConfig) -> Report:
     prefixes = {n: odometer.starving_prefix(n) for n in ns}
     max_n = max(ns)
 
-    rows = []
-    sweep_hits = 0
-    in_b_hits = 0
-    per_n_exceed = {n: 0 for n in ns}
-    for trial in range(config.trials):
-        try:
-            omega = BinaryPoint.seeded(derived_seed(config.seed, trial))
-            # every past point is read once; omega, the query, is the last
-            reads = SortedReads(odometer.past_reads(omega, max_n))
+    def trial_body(trial, rows):
+        omega = BinaryPoint.seeded(derived_seed(config.seed, trial))
+        # every past point is read once; omega, the query, is the last
+        reads = SortedReads(odometer.past_reads(omega, max_n))
+        values = reads.reads
 
-            def point(i):
-                return odometer.iterate(omega, i + 1 - max_n)
+        def point(i):
+            return odometer.iterate(omega, i + 1 - max_n)
 
-            x_next = odometer.step(omega)
-            truth_high = x_next.bit(1) == 1
-            truth = float(x_next)
-            event_somewhere = False
-            in_b_somewhere = False
-            w = reads.reads[-1]
-            for n in ns:
-                total, count = predictors.autoregression_from_reads(
-                    reads, parts[n], max_n - n, point)
-                est_zero = total == 0
-                level, bits = prefixes[n]
-                in_b = w >> (READ_BITS - level) == bits
-                if in_b:
-                    in_b_somewhere = True
-                    if not (est_zero and truth_high):
-                        raise InvariantViolation(
-                            f"trial {trial}, n={n}: starvation must force "
-                            f"an exactly-empty cell under a truth >= 1/2")
-                event = est_zero and truth_high
-                if event:
-                    per_n_exceed[n] += 1
-                    event_somewhere = True
-                est_f = 0.0 if est_zero else total / (count << READ_BITS)
-                rows.append((n, trial, in_b, est_f, truth,
-                             abs(est_f - truth), None))
-            if event_somewhere:
-                sweep_hits += 1
-            if in_b_somewhere:
-                in_b_hits += 1
-        except (CapExceeded, ExceptionalPoint) as exc:
-            raise type(exc)(f"trial {trial}: {exc}") from exc
+        x_next = odometer.step(omega)
+        truth_high = x_next.bit(1) == 1
+        truth = float(x_next)
+        events = []
+        in_b_somewhere = False
+        w = values[-1]
+        for n in ns:
+            picked = parts[n].select(reads, max_n - n, point)
+            total = sum([values[i + 1] for i in picked])
+            est_zero = total == 0
+            level, bits = prefixes[n]
+            in_b = w >> (READ_BITS - level) == bits
+            if in_b:
+                in_b_somewhere = True
+                if not (est_zero and truth_high):
+                    raise InvariantViolation(
+                        f"trial {trial}, n={n}: starvation must force "
+                        f"an exactly-empty cell under a truth >= 1/2")
+            if est_zero and truth_high:
+                events.append(n)
+            est_f = 0.0 if est_zero else total / (len(picked) << READ_BITS)
+            rows.append((n, trial, in_b, est_f, truth,
+                         abs(est_f - truth), None))
+        return events, in_b_somewhere
 
     starving = {n: odometer.starving_set(n) for n in ns}
     union_measure = IntervalSet(
@@ -518,26 +545,12 @@ def run_starvation(config: ExperimentConfig) -> Report:
         odometer.backward_images_disjoint(s, n)
         and all(iv.hi <= Fraction(1, 2) for iv in s)
         for n, s in starving.items()) else Fraction(0)
-    sweep_freq = sweep_hits / config.trials
-    return Report(
-        schema="static",
-        columns=("n", "trial", "in_Bn", "estimate", "truth", "error", "l1"),
-        rows=rows,
-        summary={
-            "sweep_event_frequency": sweep_freq,
-            "in_set_frequency": in_b_hits / config.trials,
-            "starving_union_measure": float(union_measure),
-            "starving_union_measure_exact": str(union_measure),
-            "proven_event_lower_bound": float(proven),
-            "proven_event_lower_bound_exact": str(proven),
-        },
-        plot=[(n, per_n_exceed[n] / config.trials) for n in ns],
-        stat=sweep_freq,
-        stat_direction="ge",
-    )
-
-
-# -- thm4: rotation tower with exact L1 integrals
+    return _static_report(config, ns, "sweep_event_frequency", trial_body, {
+        "starving_union_measure": float(union_measure),
+        "starving_union_measure_exact": str(union_measure),
+        "proven_event_lower_bound": float(proven),
+        "proven_event_lower_bound_exact": str(proven),
+    })
 
 
 def run_rotation_l1(config: ExperimentConfig) -> Report:
@@ -555,8 +568,6 @@ def run_rotation_l1(config: ExperimentConfig) -> Report:
     sum of the outside cells' ``F(0)``.  If ``floor >= 1/16`` the event
     has probability at least mu(B), exactly: the proven lower bound.
     """
-    if len(config.nlist) != 1:
-        raise ConfigError("the rotation experiment runs one n at a time")
     n = config.nlist[0]
     schedule = config.schedule(require_regular=False)
     rotation = config.rotation()
@@ -584,16 +595,15 @@ def run_rotation_l1(config: ExperimentConfig) -> Report:
     orbit = rot.DyadicOrbit(rotation, 1 - n, 1)
     den = orbit.den
 
+    # labelled point by point: L1 needs every predictor's cell
     def label(part, point):
         r, a, b = point
         return part.read_label(r) or part.locate(orbit.point(a, b))
 
     sixteenth = Fraction(1, 16)
-    rows = []
-    l1_hits = 0
-    in_b_hits = 0
     rng = random.Random(derived_seed(config.seed, 0))
-    for trial in range(config.trials):
+
+    def trial_body(trial, rows):
         points = orbit.points(rng.getrandbits(64))
         labels = [label(partition, point) for point in points[:-1]]
         # per non-empty cell: the responses' numerators summed, and count
@@ -612,7 +622,6 @@ def run_rotation_l1(config: ExperimentConfig) -> Report:
             for cell, (a, b, count) in sums.items()], d)
         in_b = label(b_part, points[-2])[1]
         if in_b:
-            in_b_hits += 1
             # a label (j, inside) reads membership in C from cell j's piece
             if not all(inside for _, inside in labels[:-1]):
                 raise InvariantViolation(
@@ -623,41 +632,29 @@ def run_rotation_l1(config: ExperimentConfig) -> Report:
                 raise InvariantViolation(
                     f"trial {trial}: L1 error {l1} below the outside "
                     f"cells' floor {floor} on the starving event")
-        if l1.compare(sixteenth) >= 0:
-            l1_hits += 1
         query = sums.get(labels[-1])
         est_f = 0.0 if query is None else float(
             triple_sum(((query[0], query[1], den * query[2]),), d))
         truth = float(orbit.point(*points[-1][1:]))
         rows.append((n, trial, in_b, est_f, truth,
                      abs(est_f - truth), float(l1)))
+        return (n,) if l1.compare(sixteenth) >= 0 else (), in_b
 
     mu_b = tower.rotation.scalar(b_set.measure())
     proven = mu_b if floor.compare(sixteenth) >= 0 else zero
-    freq = l1_hits / config.trials
     mu_b_f = float(mu_b)
-    return Report(
-        schema="static",
-        columns=("n", "trial", "in_Bn", "estimate", "truth", "error", "l1"),
-        rows=rows,
-        summary={
-            "l1_event_frequency": freq,
-            "in_set_frequency": in_b_hits / config.trials,
-            "tower_height": tower.height,
-            "tower_coverage": float(tower.coverage),
-            "mu_B": mu_b_f,
-            "mu_B_at_least_eighth": bool(mu_b.compare(Fraction(1, 8)) >= 0),
-            "cell_width": str(h),
-            "mc_floor": mu_b_f - _half_width(mu_b_f, config.trials),
-            "l1_floor_on_B": float(floor),
-            "l1_floor_on_B_exact": str(floor),
-            "proven_event_lower_bound": float(proven),
-            "proven_event_lower_bound_exact": str(proven),
-        },
-        plot=[(n, freq)],
-        stat=freq,
-        stat_direction="ge",
-    )
+    return _static_report(config, (n,), "l1_event_frequency", trial_body, {
+        "tower_height": tower.height,
+        "tower_coverage": float(tower.coverage),
+        "mu_B": mu_b_f,
+        "mu_B_at_least_eighth": bool(mu_b.compare(Fraction(1, 8)) >= 0),
+        "cell_width": str(h),
+        "mc_floor": mu_b_f - _half_width(mu_b_f, config.trials),
+        "l1_floor_on_B": float(floor),
+        "l1_floor_on_B_exact": str(floor),
+        "proven_event_lower_bound": float(proven),
+        "proven_event_lower_bound_exact": str(proven),
+    })
 
 
 # -- the two positive baselines
@@ -704,7 +701,7 @@ def run_linear(config: ExperimentConfig) -> Report:
     n = max(config.nlist)
     series = markov.sample_sqrt_ar(1.0, n + 1,
                                    seed=derived_seed(config.seed, 0))
-    (coefficient,), _ = predictors.fit_linear_ar(series, 1)
+    coefficient, _ = predictors.fit_linear_ar(series)
     pairs = list(zip(series, series[1:]))
     err_linear = [(y - coefficient * x) ** 2 for x, y in pairs]
     err_truth = [(y - math.sqrt(abs(x))) ** 2 for x, y in pairs]

@@ -5,8 +5,8 @@ current context (the 0/0 = 0 convention applies to unseen contexts).  The
 partitioning estimate averages responses whose predictor fell in the same
 partition cell as the query; with exact inputs the cell sums stay exact, so
 "the estimate is zero because the cell is empty" is a statement, not a
-tolerance.  The no-intercept linear predictor of float data is fitted
-exactly too: its normal equations are solved in exact arithmetic.
+tolerance.  The no-intercept order-1 linear predictor of float data is
+fitted exactly too: its coefficient is an exact ratio of sums.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .dyadic import BinaryPoint
 from .errors import SingularFit
-from .partitions import READ_BITS, Partition, SortedReads
+from .partitions import READ_BITS, Partition
 
 
 # -- count forecasters over a finite alphabet
@@ -208,60 +208,25 @@ def partitioning_autoregression(series, partition: Partition):
                        if partition.locate(z) == label])
 
 
-def autoregression_from_reads(reads: SortedReads, partition: Partition,
-                              start: int, point):
-    """:func:`partitioning_autoregression` of the points ``start .. last``
-    of a series given by their reads, as the unreduced exact mean
-    ``(total, count)``: the sum and the number of the reads of the
-    responses ``X_{i+1}`` whose predictor ``X_i``, ``i >= start``, shares
-    the cell of the last point (:meth:`Partition.select`, which builds
-    point ``i`` as ``point(i)`` only where its read is a table key).  The
-    mean is ``total / (count << READ_BITS)``, exactly 0 when `total` is.
-    """
-    values = reads.reads
-    picked = partition.select(reads, start, point)
-    return sum([values[i + 1] for i in picked]), len(picked)
-
-
 # -- the linear autoregression (least squares through the origin)
 
 
-def fit_linear_ar(series, order: int):
-    """Least-squares fit of a no-intercept linear predictor of the given
-    order; returns ``(coefficients, one_step_prediction)``, the coefficients
-    most recent lag first.
+def fit_linear_ar(series):
+    """Least-squares fit of the no-intercept order-1 linear predictor
+    ``X_i ~ c * X_{i-1}``; returns ``(c, one_step_prediction)``.
 
-    The normal equations of the float data are solved exactly, and each
-    result rounded once to a float.  Their matrix is positive semidefinite,
-    so elimination needs no row exchange, and it meets an exactly zero
-    pivot, a :class:`SingularFit`, exactly when the lagged design is rank
-    deficient.
+    The float data are read exactly, as integers over one common
+    denominator, so ``c`` is the exact ratio ``sum X_{i-1} X_i / sum
+    X_{i-1}**2``, rounded once to a float; an all-zero predictor sum is a
+    :class:`SingularFit`.
     """
     exact = [Fraction(v) for v in series]
-    n = len(exact)
-    if n <= 2 * order:
-        raise ValueError("series too short for the requested order")
-    # the values as integers over one common denominator, which cancels
-    # out of the normal equations
+    if len(exact) <= 2:
+        raise ValueError("series too short for an order-1 fit")
     den = math.lcm(*(v.denominator for v in exact))
     x = [v.numerator * (den // v.denominator) for v in exact]
-    lags = [x[order - 1 - i:n - 1 - i] for i in range(order)]
-    target = x[order:]
-    rows = [[_dot(a, b) for b in lags] + [_dot(a, target)] for a in lags]
-    for k, pivot_row in enumerate(rows):
-        pivot = pivot_row[k]
-        if pivot == 0:
-            raise SingularFit(f"zero pivot at lag {k + 1} of order {order}")
-        for row in rows[k + 1:]:
-            factor = Fraction(row[k], pivot)
-            row[k:] = [a - factor * b for a, b in zip(row[k:], pivot_row[k:])]
-    coefficients = [Fraction(0)] * order
-    for k in reversed(range(order)):
-        rest = sum(rows[k][j] * coefficients[j] for j in range(k + 1, order))
-        coefficients[k] = Fraction(rows[k][order] - rest, rows[k][k])
-    prediction = sum(c * v for c, v in zip(coefficients, reversed(x[-order:])))
-    return [float(c) for c in coefficients], float(prediction / den)
-
-
-def _dot(a, b):
-    return sum(p * q for p, q in zip(a, b))
+    power = sum(v * v for v in x[:-1])
+    if power == 0:
+        raise SingularFit("every predictor of the order-1 fit is zero")
+    coefficient = Fraction(sum(p * q for p, q in zip(x, x[1:])), power)
+    return float(coefficient), float(coefficient * x[-1] / den)

@@ -24,7 +24,7 @@ from ergolab.errors import (CapExceeded, ConfigError, ErgolabError,
 from ergolab.intervals import IntervalSet, algebraic_set
 from ergolab.harness import (ExperimentConfig, Report, format_nlist,
                              parse_nlist, persist, run)
-from ergolab.partitions import split_grid_partition
+from ergolab.partitions import Partition, split_grid_partition
 from ergolab.surd import triple, triple_sum
 
 
@@ -36,6 +36,8 @@ class TestConfig:
             ExperimentConfig(experiment="thm1", trials=0).validate()
         with pytest.raises(ConfigError):
             ExperimentConfig(experiment="thm1", method="magic:3").validate()
+        with pytest.raises(ConfigError, match="one n at a time"):
+            ExperimentConfig(experiment="thm4", nlist=(8, 9)).validate()
 
     def test_defaults_fill_in(self):
         cfg = ExperimentConfig(experiment="thm3").validate()
@@ -168,10 +170,9 @@ class TestRunners:
     def test_thm3_starving_invariant_is_checked(self, monkeypatch):
         # a starving trial must see an exactly-empty cell; an estimator that
         # reads anything there breaks the run, also under python -O.  The
-        # runner estimates from one read per trial point, as an unreduced
-        # mean (total, count).
-        monkeypatch.setattr(predictors, "autoregression_from_reads",
-                            lambda reads, partition, start, point: (1, 1))
+        # runner sums the responses' reads of the points `select` picks.
+        monkeypatch.setattr(Partition, "select",
+                            lambda partition, reads, start, point: [start])
         cfg = ExperimentConfig(experiment="thm3", trials=10, seed=2,
                                nlist=tuple(range(3, 9)))
         with pytest.raises(InvariantViolation, match="exactly-empty cell"):
@@ -186,6 +187,15 @@ class TestRunners:
                             lambda tower, n: (starving_pair(tower, n)[0],) * 2)
         cfg = ExperimentConfig(experiment="thm4", trials=50, seed=0)
         with pytest.raises(InvariantViolation, match="inside the cover set"):
+            run(cfg)
+
+    def test_thm4_trial_error_names_its_trial(self, monkeypatch):
+        # a cap hit inside a thm4 trial is tagged with the trial, as in thm3
+        def excess_raw(error, c):
+            raise CapExceeded("boom")
+        monkeypatch.setattr(rot.CellError, "excess_raw", excess_raw)
+        cfg = ExperimentConfig(experiment="thm4", trials=5, seed=0)
+        with pytest.raises(CapExceeded, match="trial 0: boom"):
             run(cfg)
 
     def test_thm4_floor_invariant_is_checked(self, monkeypatch):
@@ -686,6 +696,7 @@ class TestCli:
         ["thm3", "--threshold", "nan"],
         ["thm3", "--threshold", "inf"],
         ["thm3", "--threshold=-inf"],
+        ["thm4", "--nlist", "8,9"],
     ])
     def test_malformed_value_is_a_config_error(self, argv, tmp_path, capsys):
         (tmp_path / "bad.txt").write_text("trials = abc\n")

@@ -189,12 +189,14 @@ def lazy_autoregression(series, partition):
     return Fraction(num, den << 64) if den else 0
 
 
-def read_mean(pair):
-    """The exact mean that the unreduced ``(total, count)`` of
-    `autoregression_from_reads` stands for, typed as the per-point
-    estimator types it: an integer 0 for an empty cell, else a Fraction."""
-    total, count = pair
-    return Fraction(total, count << READ_BITS) if count else 0
+def select_mean(reads, partition, start, point):
+    """The exact mean of the reads of the responses that follow the points
+    :meth:`Partition.select` picks, as the runner sums them, typed as the
+    per-point estimator types it: an integer 0 for an empty cell, else a
+    Fraction."""
+    picked = partition.select(reads, start, point)
+    total = sum(reads.reads[i + 1] for i in picked)
+    return Fraction(total, len(picked) << READ_BITS) if picked else 0
 
 
 def outcome(fn, *args):
@@ -238,8 +240,7 @@ class TestReadOnceRoute:
             assert reads == [z.prefix_int(READ_BITS) for z in series]
             reads = SortedReads(reads)
             for n, part in parts.items():
-                got = read_mean(predictors.autoregression_from_reads(
-                    reads, part, 64 - n, series.__getitem__))
+                got = select_mean(reads, part, 64 - n, series.__getitem__)
                 want = partitioning_autoregression(series[-n:], part)
                 assert got == want and type(got) is type(want)
 
@@ -260,9 +261,8 @@ class TestReadOnceRoute:
                 def point(i):
                     return odometer.iterate(omega, i + 1 - m)
 
-                got = read_mean(predictors.autoregression_from_reads(
-                    SortedReads(odometer.past_reads(omega, m)), part, 0,
-                    point))
+                got = select_mean(SortedReads(odometer.past_reads(omega, m)),
+                                  part, 0, point)
                 want = partitioning_autoregression(series, part)
                 assert got == want and type(got) is type(want)
                 estimates.add(got == 0)
@@ -339,71 +339,44 @@ class TestLinearAR:
         series = [1.0]
         for _ in range(40):
             series.append(0.5 * series[-1])
-        coefficients, prediction = fit_linear_ar(series, 1)
-        assert abs(coefficients[0] - 0.5) < 1e-9
+        coefficient, prediction = fit_linear_ar(series)
+        assert abs(coefficient - 0.5) < 1e-9
         assert abs(prediction - 0.5 * series[-1]) < 1e-12
 
-    def test_exact_on_order_two(self):
-        series = [1.0, 2.0]
-        for _ in range(60):
-            series.append(0.5 * series[-1] - 0.06 * series[-2])
-        coefficients, prediction = fit_linear_ar(series, 2)
-        assert np.allclose(coefficients, [0.5, -0.06], atol=1e-8)
-        expected = 0.5 * series[-1] - 0.06 * series[-2]
-        assert abs(prediction - expected) < 1e-10
-
-    def test_overfit_order_is_singular(self):
-        series = [1.0]
-        for _ in range(40):
-            series.append(0.5 * series[-1])
-        with pytest.raises(SingularFit):
-            fit_linear_ar(series, 2)
+    def test_all_zero_predictors_are_singular(self):
+        with pytest.raises(SingularFit, match="zero"):
+            fit_linear_ar([0.0, 0.0, 0.0, 0.0, 2.5])
 
     @settings(max_examples=200, deadline=None)
-    @given(st.integers(1, 3),
-           st.lists(st.floats(-100, 100).map(
+    @given(st.lists(st.floats(-100, 100).map(
                lambda v: v if abs(v) >= 1e-3 else 0.0),
                min_size=7, max_size=60))
-    def test_matches_least_squares(self, order, series):
+    def test_matches_least_squares(self, series):
         # numpy's least squares is the oracle on a well-conditioned design
         # of values whose products stay clear of float underflow
         x = np.array(series)
-        design = np.column_stack([x[order - 1 - i:len(x) - 1 - i]
-                                  for i in range(order)])
+        design = x[:-1, None]
         assume(np.linalg.cond(design) < 1e3)
-        expected, *_ = np.linalg.lstsq(design, x[order:], rcond=None)
-        coefficients, prediction = fit_linear_ar(series, order)
-        scale = np.linalg.norm(expected)
-        assert np.linalg.norm(np.array(coefficients) - expected) \
-            <= 1e-9 * scale
-        lags = x[::-1][:order]
-        assert abs(prediction - expected @ lags) \
-            <= 1e-9 * scale * np.linalg.norm(lags)
-
-    @settings(max_examples=100, deadline=None)
-    @given(st.integers(2, 3), st.data())
-    def test_periodic_series_is_singular(self, order, data):
-        # a period shorter than the order repeats a lag column exactly
-        period = data.draw(st.integers(1, order - 1))
-        cycle = data.draw(st.lists(st.floats(-100, 100), min_size=period,
-                                   max_size=period))
-        reps = data.draw(st.integers(2 * order + 1, 40))
-        with pytest.raises(SingularFit, match="zero pivot"):
-            fit_linear_ar((cycle * reps)[:reps], order)
+        (expected,), *_ = np.linalg.lstsq(design, x[1:], rcond=None)
+        coefficient, prediction = fit_linear_ar(series)
+        scale = abs(expected)
+        assert abs(coefficient - expected) <= 1e-9 * scale
+        assert abs(prediction - expected * x[-1]) \
+            <= 1e-9 * scale * abs(x[-1])
 
     def test_iid_coefficient_shrinks(self):
         rng = np.random.default_rng(3)
         series = rng.standard_normal(10_000)
-        coefficients, _ = fit_linear_ar(series, 1)
-        assert abs(coefficients[0]) <= 0.05
+        coefficient, _ = fit_linear_ar(series)
+        assert abs(coefficient) <= 0.05
 
     def test_sqrt_series_beats_linear(self):
         series = np.array(sample_sqrt_ar(1.0, 10_001, seed=12))
-        coefficients, _ = fit_linear_ar(series, 1)
+        coefficient, _ = fit_linear_ar(series)
         prev, nxt = series[:-1], series[1:]
-        mse_linear = np.mean((nxt - coefficients[0] * prev) ** 2)
+        mse_linear = np.mean((nxt - coefficient * prev) ** 2)
         mse_truth = np.mean((nxt - np.sqrt(np.abs(prev))) ** 2)
-        diff = (nxt - coefficients[0] * prev) ** 2 \
+        diff = (nxt - coefficient * prev) ** 2 \
             - (nxt - np.sqrt(np.abs(prev))) ** 2
         z = diff.mean() / (diff.std(ddof=1) / np.sqrt(len(diff)))
         assert mse_linear > mse_truth
