@@ -14,7 +14,7 @@ A small laboratory with four moving parts:
 
 from .dyadic import BinaryPoint
 from .errors import ErgolabError
-from .intervals import Interval, IntervalSet, algebraic_set, dyadic_set
+from .intervals import Interval, IntervalSet, dyadic_set
 from .partitions import Partition, PartitionSchedule, split_grid_partition
 from .surd import QuadraticReal, cf_convergents
 
@@ -26,7 +26,6 @@ __all__ = [
     "Partition",
     "PartitionSchedule",
     "QuadraticReal",
-    "algebraic_set",
     "cf_convergents",
     "dyadic_set",
     "split_grid_partition",

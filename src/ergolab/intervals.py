@@ -1,16 +1,15 @@
 """Finite unions of half-open intervals with exact Lebesgue measure.
 
 An :class:`IntervalSet` is a canonical (sorted, disjoint, merged) union of
-``[lo, hi)`` intervals inside ``[0, 1)``.  Endpoints are exact scalars from
-one of two domains:
+``[lo, hi)`` intervals inside ``[0, 1)``.  Endpoints are exact scalars of
+any supported kind -- ``int``, ``Fraction`` or :class:`QuadraticReal` --
+and may mix freely: the rationals lie in every Q(sqrt(d)), so a set with
+rational and field endpoints is as exact as either.
 
-* the rational domain -- ``int`` or ``Fraction``;
-* a quadratic domain -- :class:`QuadraticReal` over a fixed surd base.
-
-Set algebra (union, intersection, complement in ``[0, 1)``) stays inside the
-operands' domain; mixing the two domains raises :class:`DomainMismatch`.
-Rational constants may be embedded into a quadratic domain explicitly via
-:func:`algebraic_set`.
+Set algebra (union, intersection, complement in ``[0, 1)``) compares
+endpoints with :func:`_cmp`, the one place that decides whether two scalars
+compare: a float raises TypeError, and field elements over two different
+surd bases raise :class:`DomainMismatch`.
 """
 
 from __future__ import annotations
@@ -19,39 +18,24 @@ from fractions import Fraction
 from functools import cmp_to_key
 
 from .dyadic import BinaryPoint, dyadic_exponent
-from .errors import DomainMismatch
 from .surd import QuadraticReal
-
-RATIONAL_KINDS = (int, Fraction)
-
-
-def _domain_of(x):
-    if isinstance(x, QuadraticReal):
-        return ("quadratic", x.d)
-    if isinstance(x, RATIONAL_KINDS):
-        return ("rational",)
-    raise TypeError(f"unsupported endpoint type {type(x).__name__}")
-
-
-def _join_domains(da, db):
-    if da == db or db is None:
-        return da
-    if da is None:
-        return db
-    raise DomainMismatch(f"cannot combine {da} with {db}")
 
 
 def _cmp(x, y) -> int:
-    """Exact three-way comparison across the supported scalar types."""
-    if isinstance(x, BinaryPoint):
-        if isinstance(y, QuadraticReal):
-            raise TypeError("binary points compare against rationals only")
-        return x.compare(y)
-    if isinstance(x, QuadraticReal):
-        return x.compare(y)
+    """Exact three-way comparison of two scalars, each an ``int``, a
+    ``Fraction`` or a :class:`QuadraticReal`; `x` may also be a
+    :class:`BinaryPoint` against a rational.  Any other pair raises
+    TypeError."""
     if isinstance(y, QuadraticReal):
-        return -y.compare(x)
-    return (x > y) - (x < y)
+        if isinstance(x, (QuadraticReal, int, Fraction)):
+            return -y.compare(x)
+    elif isinstance(y, (int, Fraction)):
+        if isinstance(x, (QuadraticReal, BinaryPoint)):
+            return x.compare(y)
+        if isinstance(x, (int, Fraction)):
+            return (x > y) - (x < y)
+    raise TypeError(f"cannot compare a {type(x).__name__} with a "
+                    f"{type(y).__name__} exactly")
 
 
 # (lo, hi) pairs in lexicographic order under _cmp
@@ -86,9 +70,9 @@ class Interval:
 class IntervalSet:
     """Canonical finite union of half-open intervals within [0, 1)."""
 
-    __slots__ = ("intervals", "domain")
+    __slots__ = ("intervals",)
 
-    def __init__(self, intervals=(), domain=None):
+    def __init__(self, intervals=()):
         pairs = []
         for item in intervals:
             if isinstance(item, Interval):
@@ -100,8 +84,6 @@ class IntervalSet:
                 raise ValueError(f"reversed pair ({lo}, {hi})")
             if order == 0:
                 continue
-            domain = _join_domains(domain, _domain_of(lo))
-            domain = _join_domains(domain, _domain_of(hi))
             pairs.append((lo, hi))
         pairs.sort(key=_PAIR_ORDER)
         merged = []
@@ -114,26 +96,16 @@ class IntervalSet:
         if merged and (_cmp(merged[0][0], 0) < 0 or _cmp(merged[-1][1], 1) > 0):
             raise ValueError("interval set reaches outside [0, 1)")
         self.intervals = tuple(Interval(lo, hi) for lo, hi in merged)
-        self.domain = domain
 
     def is_empty(self) -> bool:
         return not self.intervals
 
-    def _require_compatible(self, other: "IntervalSet"):
-        if self.domain is not None and other.domain is not None \
-                and self.domain != other.domain:
-            raise DomainMismatch(
-                f"set domains differ: {self.domain} vs {other.domain}")
-
     # -- algebra (operands canonical; results canonical)
 
     def union(self, other: "IntervalSet") -> "IntervalSet":
-        self._require_compatible(other)
-        return IntervalSet(list(self.intervals) + list(other.intervals),
-                           domain=self.domain or other.domain)
+        return IntervalSet(list(self.intervals) + list(other.intervals))
 
     def intersection(self, other: "IntervalSet") -> "IntervalSet":
-        self._require_compatible(other)
         out = []
         i = j = 0
         a, b = self.intervals, other.intervals
@@ -146,24 +118,19 @@ class IntervalSet:
                 i += 1
             else:
                 j += 1
-        return IntervalSet(out, domain=self.domain or other.domain)
+        return IntervalSet(out)
 
     def complement(self) -> "IntervalSet":
         """Complement within [0, 1)."""
-        if self.domain and self.domain[0] == "quadratic":
-            zero = QuadraticReal.rational(0, self.domain[1])
-            one = QuadraticReal.rational(1, self.domain[1])
-        else:
-            zero, one = Fraction(0), Fraction(1)
         out = []
-        cursor = zero
+        cursor = Fraction(0)
         for iv in self.intervals:
             if _cmp(cursor, iv.lo) < 0:
                 out.append((cursor, iv.lo))
             cursor = iv.hi
-        if _cmp(cursor, one) < 0:
-            out.append((cursor, one))
-        return IntervalSet(out, domain=self.domain)
+        if _cmp(cursor, 1) < 0:
+            out.append((cursor, Fraction(1)))
+        return IntervalSet(out)
 
     def difference(self, other: "IntervalSet") -> "IntervalSet":
         return self.intersection(other.complement())
@@ -191,10 +158,7 @@ class IntervalSet:
 
     def translate_mod1(self, delta) -> "IntervalSet":
         """Exact image under x -> x + delta (mod 1); splits at the wrap."""
-        if self.domain and self.domain[0] == "quadratic":
-            one = QuadraticReal.rational(1, self.domain[1])
-        else:
-            one = Fraction(1)
+        one = Fraction(1)
         if isinstance(delta, QuadraticReal):
             delta = delta.mod1()
         else:
@@ -209,8 +173,8 @@ class IntervalSet:
                 out.append((lo, hi))
             else:
                 out.append((lo, one))
-                out.append((lo - lo, hi - one))  # [0, hi-1) in the same domain
-        return IntervalSet(out, domain=self.domain)
+                out.append((Fraction(0), hi - one))
+        return IntervalSet(out)
 
     def sup(self):
         if not self.intervals:
@@ -256,21 +220,4 @@ def dyadic_set(*pairs) -> IntervalSet:
         dyadic_exponent(lo)
         dyadic_exponent(hi)
         out.append((lo, hi))
-    return IntervalSet(out, domain=("rational",))
-
-
-def rational_set(*pairs) -> IntervalSet:
-    return IntervalSet([(Fraction(lo), Fraction(hi)) for lo, hi in pairs],
-                       domain=("rational",))
-
-
-def algebraic_set(d: int, *pairs) -> IntervalSet:
-    """Interval set over Q(sqrt(d)); rational endpoints are embedded."""
-    out = []
-    for lo, hi in pairs:
-        if not isinstance(lo, QuadraticReal):
-            lo = QuadraticReal.rational(Fraction(lo), d)
-        if not isinstance(hi, QuadraticReal):
-            hi = QuadraticReal.rational(Fraction(hi), d)
-        out.append((lo, hi))
-    return IntervalSet(out, domain=("quadratic", d))
+    return IntervalSet(out)

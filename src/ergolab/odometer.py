@@ -111,10 +111,6 @@ def _reversed_bits(value: int, width: int) -> int:
         >> ((size << 3) - width)
 
 
-def _interval_set(*intervals) -> IntervalSet:
-    return IntervalSet(intervals, domain=("rational",))
-
-
 def starving_level(n: int) -> tuple:
     """(level, index) of the n-th starving set's prefix interval."""
     if n < 1:
@@ -132,7 +128,7 @@ def starving_set(n: int) -> IntervalSet:
     """The n-th starving set: a single prefix interval whose first n
     backward images are pairwise disjoint."""
     level, index = starving_level(n)
-    return _interval_set(bit_prefix_interval(level, index))
+    return IntervalSet([bit_prefix_interval(level, index)])
 
 
 @functools.cache
@@ -156,7 +152,7 @@ def starving_union(k: int) -> IntervalSet:
     if k < 2:
         raise IndexError("generations are indexed from 2")
     ns = range((1 << (k - 2)) + 1, (1 << (k - 1)) + 1)
-    return _interval_set(*(iv for n in ns for iv in starving_set(n)))
+    return IntervalSet(iv for n in ns for iv in starving_set(n))
 
 
 def aligned_indices(s: IntervalSet, level: int):

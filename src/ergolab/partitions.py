@@ -4,7 +4,9 @@ The estimators under study work over a sequence of partitions: an equal-width
 grid of ``q(n)`` intervals, each cell split into its intersection with a
 distinguished set and with that set's complement.  Cell diameters are at most
 ``1/q(n)`` and there are at most ``2*q(n)`` cells, which is what the usual
-regression-consistency conditions ask of a partition sequence.
+regression-consistency conditions ask of a partition sequence.  The grid
+bounds are the Fractions ``j/q``; the distinguished set's endpoints may be
+rationals or field elements, and the cells mix them exactly.
 
 :class:`Partition` is that split grid.  It labels a point from its 64-bit
 read by a breakpoint table (:meth:`Partition.read_label`), and locates a
@@ -90,10 +92,10 @@ class Partition:
 
     Labels are ``(j, True)`` for grid cell ``j`` inside the set and
     ``(j, False)`` outside; ``j`` runs from 1 to ``q`` and ``bounds[j]`` is
-    ``j/q``, a Fraction or a field element.  Built by
-    :func:`split_grid_partition`.
+    the Fraction ``j/q``; the split set's endpoints may be rationals or
+    field elements.  Built by :func:`split_grid_partition`.
 
-    On both domains the partition holds a breakpoint table: ``keys`` holds
+    The partition holds a breakpoint table: ``keys`` holds
     the read ``floor(e * 2**READ_BITS)`` of every grid bound and split-set
     endpoint ``e`` below 1 (one :func:`~ergolab.surd.floor_raw` for a field
     element), and ``labels`` next to each key the label of the brackets
@@ -111,23 +113,22 @@ class Partition:
     * a field element or a rational: ``j = floor(q*x) + 1`` from the exact
       triple ``(q*A, q*B, Q)`` of ``x = (A + B*sqrt(d)) / Q`` (``B = 0``
       for a rational), with one integer square root;
-    * a :class:`BinaryPoint`, on the rational domain only: a bisection of
-      the grid bounds with ``compare`` and a check of both ends of the
-      cell; :class:`CapExceeded` comes from those comparisons.
+    * a :class:`BinaryPoint`: a bisection of the grid bounds with
+      ``compare`` and a check of both ends of the cell; :class:`CapExceeded`
+      comes from those comparisons.  Membership then compares it with the
+      ends of the inside piece, and TypeError comes from an end that is a
+      field element.
 
-    Any other point (a float, or a binary point on the quadratic domain)
-    raises TypeError, and a point outside [0, 1) CoverageError.  No cell is
-    ever scanned.
+    Any other point (a float) raises TypeError, and a point outside [0, 1)
+    CoverageError.  No cell is ever scanned.
     """
 
     def __init__(self, q: int, bounds, split_set: IntervalSet):
         self.q, self.bounds = q, bounds
-        self.rational = isinstance(bounds[0], Fraction)
         outside = split_set.complement()
         self.cells = []
         for j in range(1, q + 1):
-            grid_cell = IntervalSet([(bounds[j - 1], bounds[j])],
-                                    domain=split_set.domain)
+            grid_cell = IntervalSet([(bounds[j - 1], bounds[j])])
             self.cells.append(((j, True), grid_cell.intersection(split_set)))
             self.cells.append(((j, False), grid_cell.intersection(outside)))
         self.inside_cells = [inside for _, inside in self.cells[::2]]
@@ -154,13 +155,13 @@ class Partition:
     def locate(self, x):
         """Label of the cell containing `x`, exactly; CoverageError if
         none, and TypeError for a point no route reads exactly (a float, or
-        a binary point on the quadratic domain)."""
+        a binary point compared against a field element)."""
         q = self.q
         if isinstance(x, QuadraticReal):
             j = floor_raw(q * x.A, q * x.B, x.Q, x.d) + 1
         elif isinstance(x, (int, Fraction)):
             j = q * x.numerator // x.denominator + 1
-        elif isinstance(x, BinaryPoint) and self.rational:
+        elif isinstance(x, BinaryPoint):
             bounds = self.bounds
             j, hi = 1, q
             while j < hi:
@@ -235,15 +236,9 @@ class SortedReads:
 def split_grid_partition(n: int, schedule: PartitionSchedule,
                          split_set: IntervalSet) -> Partition:
     """The :class:`Partition` of the equal grid of q(n) intervals, each
-    cell cut by `split_set`; grid bounds are field elements when the set
-    is over a quadratic field."""
+    cell cut by `split_set`; the grid bounds are the Fractions ``j/q``."""
     q = schedule.q(n)
-    if split_set.domain and split_set.domain[0] == "quadratic":
-        d = split_set.domain[1]
-        bounds = [QuadraticReal.rational(Fraction(j, q), d) for j in range(q + 1)]
-    else:
-        bounds = [Fraction(j, q) for j in range(q + 1)]
-    return Partition(q, bounds, split_set)
+    return Partition(q, [Fraction(j, q) for j in range(q + 1)], split_set)
 
 
 def regularity_report(partitions):

@@ -26,10 +26,6 @@ def dynamic_count(data, context_len: int, context=None):
     """Count estimate of the next value: the average of the values following
     each placement of `context` (default: the trailing `context_len` values)
     in `data` (0 when none)."""
-    return _context_count(data, context_len, context)
-
-
-def _context_count(data, context_len: int, context):
     data = list(data)
     n = len(data)
     if not 1 <= context_len < n:
@@ -79,7 +75,7 @@ def _count_forecast(obs, context_len: int):
     `Fraction` on an int or `Fraction` alphabet, never a float)."""
     if len(obs) <= context_len:
         return 0
-    return _context_count(obs, context_len, None)
+    return dynamic_count(obs, context_len)
 
 
 class CountPredictor:

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .errors import (HeightError, InvariantViolation, NotIrrational,
                      PrecisionError)
-from .intervals import IntervalSet, algebraic_set
+from .intervals import IntervalSet
 from .partitions import READ_BITS
 from .surd import (QuadraticReal, cf_convergents, floor_raw, sqrt2_minus_1,
                    triple, triple_add, triple_compare, triple_mul, triple_sum)
@@ -141,8 +141,7 @@ def _union_of_levels(rotation: Rotation, base: IntervalSet,
     pieces go to one constructor call, which sorts and merges them once."""
     return IntervalSet(
         list(base) + [iv for i in range(1, count)
-                      for iv in rotation.translate_set(base, -i)],
-        domain=base.domain)
+                      for iv in rotation.translate_set(base, -i)])
 
 
 def _verify_tower(rotation: Rotation, base: IntervalSet, height: int) -> QuadraticReal:
@@ -196,17 +195,15 @@ def build_tower(rotation: Rotation, height: int, epsilon) -> RohlinTower:
     (p_m, q_m), (p_m1, q_m1) = convergents[m], convergents[m + 1]
 
     eta = abs(rotation.alpha * q_m - p_m)       # |q_m alpha - p_m|
-    base_y = algebraic_set(rotation.d, (0, eta))
+    base_y = IntervalSet([(0, eta)])
 
     # First-return columns: points returning after q_{m+1} steps, the rest
     # after q_{m+1} + q_m steps.  Computed, then verified by exact tiling.
     fast = base_y.intersection(rotation.translate_set(base_y, -q_m1))
     slow = base_y.difference(fast)
     columns = [(fast, q_m1), (slow, q_m1 + q_m)]
-    domain = base_y.domain
     tiling = IntervalSet([iv for col_base, h in columns for j in range(h)
-                          for iv in rotation.translate_set(col_base, j)],
-                         domain=domain)
+                          for iv in rotation.translate_set(col_base, j)])
     tiled_measure = 0
     for col_base, h in columns:
         tiled_measure = col_base.measure() * h + tiled_measure
@@ -218,8 +215,7 @@ def build_tower(rotation: Rotation, height: int, epsilon) -> RohlinTower:
     # chosen level is the block's top so the backward images sweep the block.
     pieces = IntervalSet(
         [iv for col_base, h in columns for block in range(h // height)
-         for iv in rotation.translate_set(col_base, (block + 1) * height - 1)],
-        domain=domain)
+         for iv in rotation.translate_set(col_base, (block + 1) * height - 1)])
     tower = tower_from_base(rotation, pieces, height)
     if tower.coverage < one - epsilon:
         raise PrecisionError("tower coverage fell short of 1 - epsilon")

@@ -17,7 +17,7 @@ from ergolab import adversary, markov, odometer, predictors
 from ergolab import rotation as rot
 from ergolab.dyadic import BinaryPoint
 from ergolab.harness import ExperimentConfig, run
-from ergolab.intervals import algebraic_set, dyadic_set
+from ergolab.intervals import IntervalSet, dyadic_set
 
 DELTA = Fraction(1, 10_000)
 
@@ -324,7 +324,7 @@ def test_criterion_8_oracle_equivalences():
             cuts = sorted(rng.sample(range(1, 48), k=rng.randrange(1, 6)))
             bounds = [Fraction(0)] + [Fraction(c, 48) for c in cuts] \
                 + [Fraction(1)]
-            pieces = [(algebraic_set(2, (lo, hi)),
+            pieces = [(IntervalSet([(lo, hi)]),
                        Fraction(rng.randrange(-4, 20), 16))
                       for lo, hi in zip(bounds, bounds[1:])]
             exact = float(rot.l1_error_exact(pieces, "rotation", rotation))

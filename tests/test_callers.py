@@ -36,7 +36,6 @@ TEST_ONLY = {
                       "pieces, against the runner's per-cell closed form",
     "golden_conjugate": "a second rotation angle, so the tests do not only "
                         "see sqrt(2) - 1",
-    "rational_set": "builds rational-domain interval sets for tests",
     "BinaryPoint.periodic": "oracle: builds periodic and eventually "
                             "constant expansions",
     "autoregression_pairs": "oracle: the lagged pairs of a series, for the "

@@ -12,7 +12,8 @@ from ergolab import odometer
 from ergolab.dyadic import BinaryPoint, _SeededSource, dyadic_exponent
 from ergolab.errors import (CapExceeded, DomainMismatch, ExceptionalPoint,
                             NotIrrational)
-from ergolab.intervals import IntervalSet, algebraic_set, dyadic_set, rational_set
+from ergolab.intervals import Interval, IntervalSet, dyadic_set
+from ergolab.rotation import Rotation, build_tower
 from ergolab.surd import (QuadraticReal, cf_convergents, floor_raw,
                           golden_conjugate, sqrt2_minus_1, triple,
                           triple_add, triple_compare, triple_mul, triple_sum)
@@ -413,10 +414,16 @@ class TestContinuedFractions:
             cf_convergents(QuadraticReal(Fraction(1, 3), 0, 2), 3)
 
 
+# (d, a tower base over Q(sqrt(d))) for d = 2, 5 and 3
+SURD_SETS = tuple(
+    (angle.d, build_tower(Rotation(angle), 8, Fraction(1, 2)).base)
+    for angle in (sqrt2_minus_1(), golden_conjugate(), QuadraticReal(-1, 1, 3)))
+
+
 class TestIntervalSets:
     def test_complement(self):
         s = dyadic_set((0, Fraction(1, 2)))
-        assert s.complement() == rational_set((Fraction(1, 2), 1))
+        assert s.complement() == IntervalSet([(Fraction(1, 2), 1)])
 
     def test_intersection(self):
         a = dyadic_set((0, Fraction(3, 8)))
@@ -442,7 +449,7 @@ class TestIntervalSets:
             points = sorted(set(Fraction(rng.randrange(0, 65), 64)
                                 for _ in range(6)))
             pairs = list(zip(points[::2], points[1::2]))
-            s = rational_set(*[(a, b) for a, b in pairs if a != b])
+            s = IntervalSet([(a, b) for a, b in pairs if a != b])
             full = s.union(s.complement())
             assert full.measure() == 1
             assert len(full) == 1
@@ -455,9 +462,9 @@ class TestIntervalSets:
                 a = Fraction(rng.randrange(0, 60), 64)
                 b = a + Fraction(rng.randrange(1, 5), 64)
                 pairs.append((a, b))
-            one = rational_set(*pairs)
+            one = IntervalSet(pairs)
             rng.shuffle(pairs)
-            two = rational_set(*pairs)
+            two = IntervalSet(pairs)
             assert one == two
 
     def test_reversed_pair_is_refused_among_others(self):
@@ -465,26 +472,74 @@ class TestIntervalSets:
         for pairs in ([(Fraction(1, 4), Fraction(1, 8))],
                       [(0, Fraction(1, 2)), (Fraction(1, 4), Fraction(1, 8))]):
             with pytest.raises(ValueError):
-                rational_set(*pairs)
+                IntervalSet(pairs)
         with pytest.raises(ValueError):
-            algebraic_set(2, (QuadraticReal(0, Fraction(1, 2), 2),
-                              Fraction(1, 4)))
+            IntervalSet([(QuadraticReal(0, Fraction(1, 2), 2),
+                          Fraction(1, 4))])
 
     def test_sets_outside_the_unit_interval_are_refused(self):
         for pairs in ([(0, 2)], [(Fraction(-1, 2), Fraction(1, 4))],
                       [(0, Fraction(1, 4)), (Fraction(1, 2), Fraction(5, 4))]):
             with pytest.raises(ValueError):
-                rational_set(*pairs)
+                IntervalSet(pairs)
         with pytest.raises(ValueError):
-            algebraic_set(2, (0, QuadraticReal(0, 1, 2)))
+            IntervalSet([(0, QuadraticReal(0, 1, 2))])
         # [0, 1) itself, and an empty pair at 1, are fine
-        assert rational_set((0, 1), (1, 1)).measure() == 1
+        assert IntervalSet([(0, 1), (1, 1)]).measure() == 1
 
-    def test_domain_mismatch(self):
-        quad = algebraic_set(2, (0, QuadraticReal(0, Fraction(1, 2), 2)))
-        rat = rational_set((0, Fraction(1, 2)))
+    @settings(max_examples=150, deadline=None)
+    @given(ends=st.lists(st.fractions(0, 1, max_denominator=24), max_size=6,
+                         unique=True),
+           index=st.integers(0, len(SURD_SETS) - 1),
+           coeffs=st.lists(st.tuples(st.fractions(-1, 2, max_denominator=12),
+                                     st.fractions(-1, 1, max_denominator=12)),
+                           max_size=4))
+    def test_rationals_mix_exactly_with_field_elements(self, ends, index,
+                                                       coeffs):
+        # a set of rational endpoints, and the same set with each endpoint
+        # embedded in Q(sqrt(d)), are one set, also against a surd set
+        d, surd = SURD_SETS[index]
+        ends = sorted(ends)
+        pairs = list(zip(ends[::2], ends[1::2]))
+        rational = IntervalSet(pairs)
+        embedded = IntervalSet(
+            [(QuadraticReal.rational(lo, d), QuadraticReal.rational(hi, d))
+             for lo, hi in pairs])
+        assert rational == embedded
+        assert rational.measure() == embedded.measure()
+        assert rational.complement() == embedded.complement()
+        probes = ends + [QuadraticReal(a, b, d).mod1() for a, b in coeffs] \
+            + [end for iv in surd for end in (iv.lo, iv.hi)]
+        for x in probes:
+            assert rational.contains(x) == embedded.contains(x)
+        for op in (IntervalSet.union, IntervalSet.intersection,
+                   IntervalSet.difference):
+            mixed, lifted = op(rational, surd), op(embedded, surd)
+            assert mixed == lifted
+            assert mixed.measure() == lifted.measure()
+            assert op(surd, rational) == op(surd, embedded)
+
+    def test_two_surd_bases_do_not_mix(self):
+        half_root2 = QuadraticReal(0, Fraction(1, 2), 2)   # 0.707..
+        half_root3 = QuadraticReal(0, Fraction(1, 2), 3)   # 0.866..
+        root2 = IntervalSet([(0, half_root2)])
+        root3 = IntervalSet([(Fraction(1, 4), half_root3)])
         with pytest.raises(DomainMismatch):
-            quad.union(rat)
+            IntervalSet([(half_root2, half_root3)])
+        with pytest.raises(DomainMismatch):
+            IntervalSet(list(root2) + list(root3))
+        for op in (IntervalSet.union, IntervalSet.intersection):
+            with pytest.raises(DomainMismatch):
+                op(root2, root3)
+
+    def test_floats_are_refused(self):
+        # no float decides a membership or makes an endpoint
+        with pytest.raises(TypeError):
+            dyadic_set((0, Fraction(1, 2))).contains(0.3)
+        with pytest.raises(TypeError):
+            Interval(0.1, 0.2)
+        with pytest.raises(TypeError):
+            IntervalSet([(0, 0.5)])
 
     def test_contains_binary_point(self):
         s = dyadic_set((Fraction(1, 4), Fraction(3, 8)))
@@ -493,7 +548,7 @@ class TestIntervalSets:
         assert not s.contains(BinaryPoint.from_dyadic(Fraction(3, 8)))
 
     def test_translate_mod1_wraps(self):
-        s = algebraic_set(2, (Fraction(1, 2), 1))
+        s = IntervalSet([(Fraction(1, 2), 1)])
         moved = s.translate_mod1(sqrt2_minus_1())
         assert moved.measure() == Fraction(1, 2)
         assert len(moved) == 2

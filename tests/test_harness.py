@@ -21,7 +21,7 @@ from ergolab import rotation as rot
 from ergolab.dyadic import BinaryPoint
 from ergolab.errors import (CapExceeded, ConfigError, ErgolabError,
                             InvariantViolation)
-from ergolab.intervals import IntervalSet, algebraic_set
+from ergolab.intervals import IntervalSet
 from ergolab.harness import (ExperimentConfig, Report, format_nlist,
                              parse_nlist, persist, run)
 from ergolab.partitions import Partition, split_grid_partition
@@ -213,8 +213,7 @@ class TestRunners:
 
         def wide_cover(tower, n):
             b_set, c_set = starving_pair(tower, n)
-            d = tower.rotation.d
-            return b_set, c_set.union(algebraic_set(d, (0, Fraction(15, 16))))
+            return b_set, c_set.union(IntervalSet([(0, Fraction(15, 16))]))
 
         monkeypatch.setattr(rot.RohlinTower, "starving_pair", wide_cover)
         report = run(ExperimentConfig(experiment="thm4", trials=50, seed=0))
@@ -549,7 +548,7 @@ class TestStarvationOracle:
 # the thm1 and thm2 runs through the adversary and the count forecasts, the
 # thm4 runs (sqrt 2, golden-mean and sqrt 3 angles) through the surd
 # triples, the dyadic orbit reads, the tower build, the breakpoint table on
-# the quadratic domain (and the floor locate on a table key) and the
+# a surd cover set (and the floor locate on a table key) and the
 # per-cell L1 closed form, so a change there that moves a single byte of
 # output fails here.
 PINNED_OUTPUTS = {

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from ergolab import odometer
 from ergolab.dyadic import BinaryPoint
 from ergolab.errors import AlignmentError, CapExceeded, ExceptionalPoint
-from ergolab.intervals import dyadic_set
+from ergolab.intervals import IntervalSet, dyadic_set
 from ergolab.partitions import PartitionSchedule
 
 
@@ -243,10 +243,9 @@ class TestStarvingSets:
             assert odometer.backward_images_disjoint(odometer.starving_set(n), n)
 
     def test_alignment_error(self):
-        from ergolab.intervals import rational_set
         with pytest.raises(AlignmentError):
             odometer.backward_images_disjoint(
-                rational_set((0, Fraction(1, 3))), 1)
+                IntervalSet([(0, Fraction(1, 3))]), 1)
 
 
 class TestMeasurePreservation:

@@ -1,8 +1,8 @@
 """The split grid's table, its one exact locate and its one select, against
 a bisection of the grid bounds with exact comparisons and a point-by-point
-scan: binary points on the rational domain by comparisons, field elements
-and rationals by their floor, and every point with a 64-bit read by the
-breakpoint table on both domains."""
+scan: binary points by comparisons, field elements and rationals by their
+floor, and every point with a 64-bit read by the breakpoint table, on split
+sets with rational and with field-element endpoints."""
 
 import functools
 from fractions import Fraction
@@ -14,15 +14,15 @@ from hypothesis import strategies as st
 from ergolab import odometer
 from ergolab.dyadic import BinaryPoint
 from ergolab.errors import CapExceeded, CoverageError
-from ergolab.intervals import _cmp, rational_set
+from ergolab.intervals import IntervalSet, _cmp
 from ergolab.partitions import (READ_BITS, PartitionSchedule, SortedReads,
                                 split_grid_partition)
 from ergolab.rotation import Rotation, build_tower, default_rotation
 from ergolab.surd import QuadraticReal, floor_raw, golden_conjugate
 
-NON_DYADIC = rational_set((Fraction(1, 3), Fraction(2, 5)),
+NON_DYADIC = IntervalSet([(Fraction(1, 3), Fraction(2, 5)),
                           (Fraction(1, 2), Fraction(5, 7)),
-                          (Fraction(7, 9), 1))
+                          (Fraction(7, 9), 1)])
 
 
 def compare_locate(x, q, split_set):
@@ -107,8 +107,8 @@ split_sets = st.one_of(
     st.integers(1, 64).map(odometer.starving_set),
     st.just(NON_DYADIC),
     st.lists(st.fractions(0, 1, max_denominator=24), min_size=2, max_size=6,
-             unique=True).map(lambda ends: rational_set(
-                 *zip(sorted(ends)[::2], sorted(ends)[1::2]))),
+             unique=True).map(lambda ends: IntervalSet(
+                 zip(sorted(ends)[::2], sorted(ends)[1::2]))),
 )
 caps = st.one_of(st.none(), st.integers(1, 15), st.integers(16, 140))
 bit_lists = st.lists(st.integers(0, 1), max_size=40)
@@ -330,10 +330,12 @@ class TestBracketLocator:
 
 
 def cover_set(rotation, n):
-    return build_tower(rotation, 4 * n, Fraction(1, 2)).starving_pair(n)[1]
+    """The surd base d and the tower cover set C over Q(sqrt(d))."""
+    return (rotation.d,
+            build_tower(rotation, 4 * n, Fraction(1, 2)).starving_pair(n)[1])
 
 
-# tower cover sets over Q(sqrt(2)), Q(sqrt(5)) and Q(sqrt(3))
+# (d, tower cover set) over Q(sqrt(2)), Q(sqrt(5)) and Q(sqrt(3))
 COVER_SETS = (cover_set(default_rotation(), 8), cover_set(default_rotation(), 3),
               cover_set(Rotation(golden_conjugate()), 6),
               cover_set(Rotation(QuadraticReal(-1, 1, 3)), 4))
@@ -352,7 +354,7 @@ def field_points(draw, d, anywhere=True):
 @functools.lru_cache(maxsize=None)
 def cover_partition(index, q):
     return split_grid_partition(1, PartitionSchedule.constant(q),
-                                COVER_SETS[index])
+                                COVER_SETS[index][1])
 
 
 class TestFloorLocator:
@@ -360,15 +362,14 @@ class TestFloorLocator:
     @given(data=st.data(), index=st.integers(0, len(COVER_SETS) - 1),
            q=st.integers(2, 40))
     def test_matches_binary_search_on_field_points(self, data, index, q):
-        split_set = COVER_SETS[index]
-        x = data.draw(field_points(split_set.domain[1]))
+        d, split_set = COVER_SETS[index]
+        x = data.draw(field_points(d))
         assert_same(x, q, split_set, cover_partition(index, q))
 
     def test_every_bound_and_endpoint(self):
         # grid bounds j/q as field elements and as Fractions, and every
         # endpoint of the cover set, for q = 2..40
-        for index, split_set in enumerate(COVER_SETS):
-            d = split_set.domain[1]
+        for index, (d, split_set) in enumerate(COVER_SETS):
             ends = [end for iv in split_set for end in (iv.lo, iv.hi)]
             for q in range(2, 41):
                 part = cover_partition(index, q)
@@ -383,8 +384,7 @@ class TestFloorLocator:
         # of a bracket past it, every bound and endpoint and points 2**-70
         # to either side; the table's label, or the exact locate on a key,
         # against the comparison route
-        for index, split_set in enumerate(COVER_SETS):
-            d = split_set.domain[1]
+        for index, (d, split_set) in enumerate(COVER_SETS):
             surd = QuadraticReal(0, 1, d).mod1()
             nudge = QuadraticReal.rational(Fraction(1, 1 << 70), d)
             for q in (2, 7, 24, 40):
@@ -413,13 +413,12 @@ class TestFloorLocator:
     @given(data=st.data(), index=st.integers(0, len(COVER_SETS) - 1),
            q=st.integers(2, 40))
     def test_select_matches_point_by_point(self, data, index, q):
-        # select by read runs on the quadratic domain, against locating
+        # select by read runs on a surd cover set, against locating
         # the last point and then every point of the window in turn; the
         # last point is drawn like the others or is one of them, and one
         # point in four is a grid bound or a cover-set endpoint, whose read
         # is a table key
-        split_set = COVER_SETS[index]
-        d = split_set.domain[1]
+        d, split_set = COVER_SETS[index]
         edges = [QuadraticReal.rational(Fraction(j, q), d) for j in range(q)]
         edges += [end for iv in split_set for end in (iv.lo, iv.hi) if end < 1]
         point = st.one_of(*[field_points(d, anywhere=False)] * 3,
@@ -443,3 +442,18 @@ class TestFloorLocator:
         assert read_of(xs[1]) in part.key_set
         with pytest.raises(TypeError):
             select_reads(part, xs, 0)
+
+    def test_binary_points_meet_field_elements_only_in_membership(self):
+        # split set [0, sqrt(2) - 1) on a grid of 4: the grid bounds are
+        # Fractions, cell 1's inside piece is [0, 1/4), cell 2's is
+        # [1/4, sqrt(2) - 1) and cells 3 and 4 have none
+        split_set = IntervalSet([(0, default_rotation().alpha)])
+        part = split_grid_partition(1, PartitionSchedule.constant(4),
+                                    split_set)
+        assert all(isinstance(bound, Fraction) for bound in part.bounds)
+        assert part.locate(BinaryPoint.from_dyadic(Fraction(1, 8))) \
+            == (1, True)
+        assert part.locate(BinaryPoint.from_dyadic(Fraction(5, 8))) \
+            == (3, False)
+        with pytest.raises(TypeError):
+            part.locate(BinaryPoint.from_dyadic(Fraction(3, 8)))

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from ergolab import markov, odometer, predictors
 from ergolab.dyadic import BinaryPoint
 from ergolab.errors import CapExceeded, CoverageError, SingularFit
-from ergolab.intervals import rational_set
+from ergolab.intervals import IntervalSet
 from ergolab.partitions import (READ_BITS, PartitionSchedule, SortedReads,
                                 regularity_report, split_grid_partition)
 from ergolab.markov import sample_sqrt_ar
@@ -33,7 +33,7 @@ OBSERVATION_BATCHES = st.sampled_from((
 def two_cell_partition():
     """[0, 1/2) and [1/2, 1), labelled (1, False) and (2, False)."""
     return split_grid_partition(1, PartitionSchedule.constant(2),
-                                rational_set())
+                                IntervalSet())
 
 
 class TestCountForecasters:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from ergolab.errors import HeightError, NotIrrational
-from ergolab.intervals import IntervalSet, algebraic_set
+from ergolab.intervals import IntervalSet
 from ergolab.partitions import (READ_BITS, PartitionSchedule,
                                 split_grid_partition)
 from ergolab.rotation import (CellError, DyadicOrbit, RohlinTower, Rotation,
@@ -22,7 +22,7 @@ from ergolab.surd import triple as field_triple
 
 
 def unit_set():
-    return algebraic_set(2, (0, 1))
+    return IntervalSet([(0, 1)])
 
 
 def remark_pair_series(rotation: Rotation, omega, count: int):
@@ -206,7 +206,7 @@ def incremental_build_tower(rotation, height, epsilon):
              if convergents[idx + 1][1] >= need)
     (p_m, q_m), (_, q_m1) = convergents[m], convergents[m + 1]
     eta = abs(rotation.alpha * q_m - p_m)
-    base_y = algebraic_set(rotation.d, (0, eta))
+    base_y = IntervalSet([(0, eta)])
     fast = base_y.intersection(rotation.translate_set(base_y, -q_m1))
     slow = base_y.difference(fast)
     columns = [(fast, q_m1), (slow, q_m1 + q_m)]
@@ -248,13 +248,12 @@ class TestOneSortBuild:
     @given(data=st.data(), quadratic=st.booleans())
     def test_one_constructor_call_equals_union(self, data, quadratic):
         pool = QUADRATIC_POOL if quadratic else RATIONAL_POOL
-        domain = ("quadratic", 2) if quadratic else ("rational",)
         a = data.draw(interval_lists(pool))
         b = data.draw(interval_lists(pool))
-        joined = IntervalSet(a + b, domain=domain)
-        unioned = IntervalSet(a, domain=domain).union(IntervalSet(b, domain=domain))
+        joined = IntervalSet(a + b)
+        unioned = IntervalSet(a).union(IntervalSet(b))
         assert set_key(joined) == set_key(unioned)
-        assert joined == unioned and joined.domain == unioned.domain
+        assert joined == unioned
         # canonical: sorted, disjoint and not touching; and it covers exactly
         # the points some drawn piece covers
         ivs = joined.intervals
@@ -284,14 +283,14 @@ class TestTowerFromBase:
         # and cover exactly 9 - 6*sqrt(2) of the interval
         rotn = default_rotation()
         eta = abs(rotn.alpha * 2 - 1)
-        tower = tower_from_base(rotn, algebraic_set(2, (0, eta)), 3)
+        tower = tower_from_base(rotn, IntervalSet([(0, eta)]), 3)
         assert tower.coverage == QuadraticReal(9, -6, 2)
         assert tower.coverage.compare(Fraction(1, 2)) >= 0
 
     def test_overlapping_base_rejected(self):
         rotn = default_rotation()
         with pytest.raises(ValueError):
-            tower_from_base(rotn, algebraic_set(2, (0, Fraction(1, 2))), 3)
+            tower_from_base(rotn, IntervalSet([(0, Fraction(1, 2))]), 3)
 
 
 class TestBuildTower:
@@ -374,7 +373,7 @@ class TestExactL1:
             pieces = []
             for lo, hi in zip(bounds, bounds[1:]):
                 c = Fraction(rng.randrange(-4, 20), 16)
-                pieces.append((algebraic_set(2, (lo, hi)), c))
+                pieces.append((IntervalSet([(lo, hi)]), c))
             exact = float(l1_error_exact(pieces, "rotation", rotn))
             numeric = 0.0
             for cell, c in pieces:
@@ -425,7 +424,7 @@ class TestCellError:
 
     def test_empty_cell_is_zero(self):
         rotation = default_rotation()
-        error = CellError(algebraic_set(2), rotation)
+        error = CellError(IntervalSet(), rotation)
         assert error.breaks == [] and error.at_zero == 0
         assert excess(error, Fraction(1, 3)) == 0
 
