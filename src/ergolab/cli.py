@@ -70,7 +70,7 @@ def main(argv=None) -> int:
     if config.threshold is not None:
         ok = report.passed(config.threshold)
         rel = ">=" if report.stat_direction == "ge" else "<="
-        print(f"threshold check: {report.stat!r} {rel} {config.threshold!r}"
+        print(f"threshold check: {report.stat} {rel} {config.threshold}"
               f" -> {'pass' if ok else 'FAIL'}")
         return 0 if ok else 1
     return 0

@@ -10,7 +10,9 @@ Seven experiments share one configuration shape and one persistence format:
   the linear-predictor suboptimality demo; their chain transitions, context
   errors and least-squares fits are exact, their reported errors and z-score
   floats;
-* ``check-partitions`` -- partition-regularity trend report.
+* ``check-partitions`` -- the partitions' largest cell diameter and cell
+  count over n, per n, and the schedule's verdict on the consistency
+  premise (:func:`~ergolab.partitions.regularity`).
 
 Every run is deterministic given its config: per-trial seeds are derived
 from the master seed with numpy's SeedSequence hash, computed here in pure
@@ -32,7 +34,7 @@ from .errors import (CapExceeded, ConfigError, ErgolabError, ExceptionalPoint,
                      InvariantViolation)
 from .intervals import IntervalSet
 from .partitions import (READ_BITS, PartitionSchedule, SortedReads,
-                         regularity_report, split_grid_partition)
+                         regularity, split_grid_partition)
 from .surd import QuadraticReal, triple, triple_sum
 
 
@@ -127,33 +129,24 @@ def format_nlist(ns) -> str:
     return ",".join(str(n) for n in ns)
 
 
-def _parse_schedule(text: str, ns=None,
-                    require_regular=False) -> PartitionSchedule:
+def _parse_schedule(text: str) -> PartitionSchedule:
     kind, _, arg = text.partition(":")
     if kind == "sqrt":
-        return PartitionSchedule.sqrt(int(arg) if arg else 1, ns=ns,
-                                      require_regular=require_regular)
+        return PartitionSchedule.sqrt(int(arg) if arg else 1)
     if kind == "const":
-        return PartitionSchedule.constant(int(arg), ns=ns)
+        return PartitionSchedule.constant(int(arg))
     if kind == "table":
         table = {}
         for item in arg.split(","):
             n, _, q = item.partition("=")
             table[int(n)] = int(q)
-        return PartitionSchedule(table, ns=ns, require_regular=require_regular)
+        return PartitionSchedule(table)
     raise ValueError("expected sqrt[:scale], const:q or table:n=q,..")
 
 
 def _parse_alpha(text: str) -> rot.Rotation:
     d, a, b = (part.strip() for part in text.split(","))
     return rot.Rotation(QuadraticReal(Fraction(a), Fraction(b), int(d)))
-
-
-def _finite(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError("not a finite number")
-    return value
 
 
 def _checked(build):
@@ -212,8 +205,8 @@ FIELDS = (
     ConfigField("alpha", "2,-1,1", _checked(_parse_alpha),
                 help="rotation angle as d,a,b meaning a + b*sqrt(d)"),
     ConfigField("out", "", help="directory for config echo, CSV and plot data"),
-    ConfigField("threshold", None, _finite,
-                lambda value: "" if value is None else repr(value)),
+    ConfigField("threshold", None, _checked(Fraction),
+                lambda value: "" if value is None else str(value)),
 )
 # the experiment is the CLI subcommand; every other field is a --flag
 EXPERIMENT, FLAGS = FIELDS[0], FIELDS[1:]
@@ -243,8 +236,6 @@ class ExperimentConfig:
     def validate(self) -> "ExperimentConfig":
         """Fill the per-experiment defaults, parse every field from its text
         form and check ranges; any malformed value is a ConfigError.
-
-        Partition regularity is left to :meth:`schedule` at run time.
         """
         if self.experiment not in RUNNERS:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
@@ -271,16 +262,17 @@ class ExperimentConfig:
             raise ConfigError(f"{self.experiment} needs every n >= 2")
         if self.experiment == "thm4" and len(self.nlist) != 1:
             raise ConfigError("the rotation experiment runs one n at a time")
-        self.schedule(require_regular=False)
+        verdict = _parsed("partition schedule", lambda text: regularity(
+            _parse_schedule(text), self.nlist), self.q_schedule)
+        if verdict == "refuted" and self.experiment in ("thm3", "thm4"):
+            raise ConfigError(f"partition schedule {self.q_schedule!r} is "
+                              f"not regular: h(n) -> 0, n*h(n) -> oo fails")
         return self
 
     # -- pieces assembled from the flat string fields
 
-    def schedule(self, require_regular=True) -> PartitionSchedule:
-        return _parsed("partition schedule",
-                       lambda text: _parse_schedule(text, self.nlist,
-                                                    require_regular),
-                       self.q_schedule)
+    def schedule(self) -> PartitionSchedule:
+        return _parsed("partition schedule", _parse_schedule, self.q_schedule)
 
     def rotation(self) -> rot.Rotation:
         return _parsed("rotation angle", _parse_alpha, self.alpha)
@@ -334,12 +326,15 @@ class Report:
     rows: list
     summary: dict = field(default_factory=dict)
     plot: list = field(default_factory=list)
-    stat: float | None = None   # the statistic a threshold applies to
+    stat: Fraction | float | None = None   # what a threshold applies to
     stat_direction: str = "ge"
 
     def passed(self, threshold) -> bool:
+        """Whether the statistic meets `threshold`, a number or its text
+        (a decimal or ``p/q``), compared exactly."""
         if threshold is None or self.stat is None:
             return True
+        threshold = Fraction(threshold)
         if self.stat_direction == "ge":
             return self.stat >= threshold
         return self.stat <= threshold
@@ -407,10 +402,9 @@ def run_attack(config: ExperimentConfig) -> Report:
 
     rows = []
     plot = []
-    min_p = 1.0
+    worst = min(exceed.values())
     for checkpoint, _ in checkpoints:
         p_hat = exceed[checkpoint] / config.trials
-        min_p = min(min_p, p_hat)
         rows.append((checkpoint, config.trials, exceed[checkpoint],
                      p_hat, _half_width(p_hat, config.trials), True))
         rows.append((checkpoint, config.trials, exceed[checkpoint],
@@ -438,10 +432,10 @@ def run_attack(config: ExperimentConfig) -> Report:
         rows=rows,
         summary={"labels": label_summary,
                  "table": table.chosen_bits,
-                 "min_conditional_exceedance": min_p,
+                 "min_conditional_exceedance": worst / config.trials,
                  "gap_threshold": float(gap)},
         plot=plot,
-        stat=min_p,
+        stat=Fraction(worst, config.trials),
         stat_direction="ge",
     )
 
@@ -455,10 +449,11 @@ def _static_report(config: ExperimentConfig, ns, headline: str, trial_body,
 
     ``trial_body(trial, rows)`` appends one row per n, ``(n, trial, in_Bn,
     estimate, truth, |estimate - truth|, l1)``, and returns the ns whose
-    event it met and whether omega was in some B_n.  The statistic, named
-    `headline` in the summary, is the share of trials with an event at some
-    n; ``plot.dat`` has each n's share.  `proof` ends the summary.  A
-    CapExceeded or ExceptionalPoint is re-raised tagged with its trial.
+    event it met and whether omega was in some B_n.  The statistic is the
+    exact share of trials with an event at some n, and `headline` in the
+    summary its float; ``plot.dat`` has each n's share.  `proof` ends the
+    summary.  A CapExceeded or ExceptionalPoint is re-raised tagged with its
+    trial.
     """
     rows = []
     per_n = dict.fromkeys(ns, 0)
@@ -480,7 +475,7 @@ def _static_report(config: ExperimentConfig, ns, headline: str, trial_body,
         summary={headline: freq,
                  "in_set_frequency": in_b_hits / config.trials, **proof},
         plot=[(n, per_n[n] / config.trials) for n in ns],
-        stat=freq,
+        stat=Fraction(hits, config.trials),
         stat_direction="ge",
     )
 
@@ -550,6 +545,7 @@ def run_starvation(config: ExperimentConfig) -> Report:
         "starving_union_measure_exact": str(union_measure),
         "proven_event_lower_bound": float(proven),
         "proven_event_lower_bound_exact": str(proven),
+        "estimator_regular": regularity(schedule, ns),
     })
 
 
@@ -569,7 +565,7 @@ def run_rotation_l1(config: ExperimentConfig) -> Report:
     has probability at least mu(B), exactly: the proven lower bound.
     """
     n = config.nlist[0]
-    schedule = config.schedule(require_regular=False)
+    schedule = config.schedule()
     rotation = config.rotation()
     d = rotation.d
     tower = rot.build_tower(rotation, 4 * n, Fraction(1, 2))
@@ -654,6 +650,7 @@ def run_rotation_l1(config: ExperimentConfig) -> Report:
         "l1_floor_on_B_exact": str(floor),
         "proven_event_lower_bound": float(proven),
         "proven_event_lower_bound_exact": str(proven),
+        "estimator_regular": regularity(schedule, (n,)),
     })
 
 
@@ -692,7 +689,7 @@ def run_consistency(config: ExperimentConfig) -> Report:
         rows=rows,
         summary={"max_error_at_longest_n": float(worst), "seeds": len(seeds)},
         plot=[(n, max(r[2] for r in rows if r[0] == n)) for n in ns],
-        stat=float(worst),
+        stat=worst,
         stat_direction="le",
     )
 
@@ -726,21 +723,24 @@ def run_linear(config: ExperimentConfig) -> Report:
 
 
 def run_check_partitions(config: ExperimentConfig) -> Report:
-    schedule = config.schedule(require_regular=False)
-    parts = [(n, odometer.starving_partition(n, schedule))
-             for n in config.nlist]
-    report = regularity_report(parts)
-    rows = [(r["n"], 0, float(r["max_diameter"]), float(r["cells_over_n"]))
-            for r in report["rows"]]
-    verdict = report["verdicts"]
-    both = verdict["diameters_shrink"] and verdict["cell_ratio_decays"]
+    """Per n, the largest diameter of the starving partition's non-empty
+    cells and their count over n, and the schedule's :func:`regularity`
+    over the nlist; the statistic is 0 when that is refuted, else 1."""
+    schedule = config.schedule()
+    rows = []
+    for n in config.nlist:
+        cells = [cell for _, cell in odometer.starving_partition(n, schedule)
+                 if not cell.is_empty()]
+        diameter = max((cell.diameter() for cell in cells), default=0)
+        rows.append((n, 0, float(diameter), len(cells) / n))
+    verdict = regularity(schedule, config.nlist)
     return Report(
         schema="partitions",
         columns=("n", "window", "max_diameter", "cells_over_n"),
         rows=rows,
-        summary={"verdicts": verdict, "regular_on_tested_range": both},
-        plot=[(r["n"], float(r["max_diameter"])) for r in report["rows"]],
-        stat=1.0 if both else 0.0,
+        summary={"estimator_regular": verdict},
+        plot=[(n, diameter) for n, _, diameter, _ in rows],
+        stat=0.0 if verdict == "refuted" else 1.0,
         stat_direction="ge",
     )
 

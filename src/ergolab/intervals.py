@@ -157,12 +157,15 @@ class IntervalSet:
         return False
 
     def translate_mod1(self, delta) -> "IntervalSet":
-        """Exact image under x -> x + delta (mod 1); splits at the wrap."""
+        """Exact image under x -> x + delta (mod 1), split at the wrap;
+        a `delta` not ``int``, ``Fraction`` or field element is a TypeError."""
         one = Fraction(1)
         if isinstance(delta, QuadraticReal):
             delta = delta.mod1()
+        elif isinstance(delta, (int, Fraction)):
+            delta = delta % 1
         else:
-            delta = Fraction(delta) % 1
+            raise TypeError(f"cannot translate by a {type(delta).__name__}")
         out = []
         for iv in self.intervals:
             lo = iv.lo + delta

@@ -3,8 +3,9 @@
 The estimators under study work over a sequence of partitions: an equal-width
 grid of ``q(n)`` intervals, each cell split into its intersection with a
 distinguished set and with that set's complement.  Cell diameters are at most
-``1/q(n)`` and there are at most ``2*q(n)`` cells, which is what the usual
-regression-consistency conditions ask of a partition sequence.  The grid
+``1/q(n)`` and there are at most ``2*q(n)`` cells, so the usual
+consistency conditions on a partition sequence come down to its schedule:
+``h(n) = 1/q(n) -> 0`` and ``n*h(n) -> oo`` (:func:`regularity`).  The grid
 bounds are the Fractions ``j/q``; the distinguished set's endpoints may be
 rationals or field elements, and the cells mix them exactly.
 
@@ -25,7 +26,7 @@ from fractions import Fraction
 
 from .dyadic import BinaryPoint
 from .errors import CoverageError
-from .intervals import IntervalSet, _cmp
+from .intervals import IntervalSet
 from .surd import QuadraticReal, floor_raw
 
 # the bits of a point's read: its breakpoint-table key, and the response
@@ -34,18 +35,17 @@ READ_BITS = 64
 
 
 class PartitionSchedule:
-    """The cell-count sequence ``n -> q(n)`` with width ``h(n) = 1/q(n)``.
+    """The cell-count sequence ``n -> q(n)`` with width ``h(n) = 1/q(n)``,
+    from a callable or an ``{n: q}`` table; q(n) must be at least 1.
 
-    Construction reads q(n) (at least 1) for every n of the supplied index
-    list and checks the shrinking-cells / growing-resolution trend on it: `h`
-    may never increase, ``n*h(n)`` must grow from the first index to the
-    last, and over a window spanning at least a factor of four the width
-    must actually decrease (shorter windows cannot witness the trend).  Pass
-    ``require_regular=False`` to build a deliberately irregular family, e.g.
-    to demonstrate a failing condition.
+    `limit` is what the schedule's definition proves of the limits
+    ``h(n) -> 0`` and ``n*h(n) -> oo``: ``"proven"``, ``"refuted"``, or None
+    when only a finite trend can be checked (:func:`regularity`).
     """
 
-    def __init__(self, q, ns=None, require_regular=True):
+    limit = None
+
+    def __init__(self, q):
         if callable(q):
             self._q = q
         else:
@@ -56,16 +56,6 @@ class PartitionSchedule:
                     raise ValueError(f"q({n}) is not in the table")
                 return table[n]
             self._q = lookup
-        self.ns = sorted(int(n) for n in ns) if ns is not None else None
-        hs = [self.h(n) for n in self.ns or ()]
-        if require_regular and len(hs) > 1:
-            for a, b in zip(hs, hs[1:]):
-                if b > a:
-                    raise ValueError("cell width must not increase with n")
-            if self.ns[-1] >= 4 * self.ns[0] and not hs[-1] < hs[0]:
-                raise ValueError("cell width must decrease over the range")
-            if not self.ns[-1] * hs[-1] > self.ns[0] * hs[0]:
-                raise ValueError("n * h(n) must grow over the range")
 
     def q(self, n: int) -> int:
         value = int(self._q(n))
@@ -77,13 +67,44 @@ class PartitionSchedule:
         return Fraction(1, self.q(n))
 
     @classmethod
-    def sqrt(cls, scale: int = 1, ns=None, require_regular=True):
-        """q(n) = max(2, floor(sqrt(scale * n))), exact integer square root."""
-        return cls(lambda n: max(2, math.isqrt(scale * n)), ns, require_regular)
+    def sqrt(cls, scale: int = 1):
+        """q(n) = max(2, floor(sqrt(scale * n))), exact integer square root.
+        For ``scale >= 1`` q(n) tends to infinity and q(n)/n to 0, so both
+        limits are proven; ``scale == 0`` fixes q at 2."""
+        schedule = cls(lambda n: max(2, math.isqrt(scale * n)))
+        schedule.limit = ("proven" if scale >= 1
+                          else "refuted" if scale == 0 else None)
+        return schedule
 
     @classmethod
-    def constant(cls, q: int, ns=None):
-        return cls(lambda n: q, ns, require_regular=False)
+    def constant(cls, q: int):
+        """q(n) = q: the cells never shrink."""
+        schedule = cls(lambda n: q)
+        schedule.limit = "refuted"
+        return schedule
+
+
+def regularity(schedule: PartitionSchedule, ns) -> str:
+    """Whether `schedule` meets the consistency premise of the partitioning
+    estimate, cells that shrink (``h(n) -> 0``) while ``n*h(n) -> oo``.
+
+    Reads h(n) for every n of `ns` first, so a missing q(n) or a q(n) below
+    1 raises ValueError.  Returns the schedule's `limit` when its
+    definition decides it.  Otherwise a finite list can only check a trend:
+    `h` never increases, ``n*h(n)`` grows from the first n to the last, and
+    over a range spanning at least a factor of four `h` decreases (a
+    shorter range cannot witness that).  ``"trend"`` if it holds,
+    ``"refuted"`` if not.
+    """
+    ns = sorted(ns)
+    hs = [schedule.h(n) for n in ns]
+    if schedule.limit is not None:
+        return schedule.limit
+    if len(hs) > 1 and (any(b > a for a, b in zip(hs, hs[1:]))
+                        or ns[-1] >= 4 * ns[0] and not hs[-1] < hs[0]
+                        or not ns[-1] * hs[-1] > ns[0] * hs[0]):
+        return "refuted"
+    return "trend"
 
 
 class Partition:
@@ -239,35 +260,3 @@ def split_grid_partition(n: int, schedule: PartitionSchedule,
     cell cut by `split_set`; the grid bounds are the Fractions ``j/q``."""
     q = schedule.q(n)
     return Partition(q, [Fraction(j, q) for j in range(q + 1)], split_set)
-
-
-def regularity_report(partitions):
-    """Trend check for a partition family over its index list.
-
-    For each ``(n, partition)`` reports the largest diameter among the
-    non-empty cells and the non-empty cell count divided by ``n``.  Verdicts
-    state whether, on the tested range, diameters shrink and the relative
-    cell count decays; a finite list can only ever be consistent with the
-    limit conditions, never prove them.
-    """
-    rows = []
-    for n, part in partitions:
-        diam = 0
-        count = 0
-        for _, cell in part:
-            if cell.is_empty():
-                continue
-            count += 1
-            d = cell.diameter()
-            if _cmp(d, diam) > 0:
-                diam = d
-        rows.append({"n": n, "max_diameter": diam,
-                     "cells_over_n": Fraction(count, n)})
-    diams = [r["max_diameter"] for r in rows]
-    ratios = [r["cells_over_n"] for r in rows]
-    shrink = all(_cmp(b, a) <= 0 for a, b in zip(diams, diams[1:])) \
-        and len(diams) > 1 and _cmp(diams[-1], diams[0]) < 0
-    decay = len(ratios) > 1 and ratios[-1] < ratios[0]
-    return {"rows": rows,
-            "verdicts": {"diameters_shrink": bool(shrink),
-                         "cell_ratio_decays": bool(decay)}}

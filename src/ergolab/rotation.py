@@ -37,7 +37,7 @@ class Rotation:
     def scalar(self, value) -> QuadraticReal:
         if isinstance(value, QuadraticReal):
             return value
-        return QuadraticReal.rational(Fraction(value), self.d)
+        return QuadraticReal.rational(value, self.d)
 
     def step(self, x, times: int = 1) -> QuadraticReal:
         """Exact ``x + times*alpha`` mod 1 (negative `times` walks back)."""

@@ -37,6 +37,8 @@ class QuadraticReal:
             return
         if not _is_square_free(d):
             raise ValueError(f"surd base {d} must be square free and >= 2")
+        if isinstance(a, float) or isinstance(b, float):
+            raise TypeError("refusing to mix floats into exact arithmetic")
         a = Fraction(a)
         b = Fraction(b)
         q = a.denominator * b.denominator // math.gcd(a.denominator, b.denominator)
@@ -57,7 +59,7 @@ class QuadraticReal:
 
     @classmethod
     def rational(cls, value, d: int) -> "QuadraticReal":
-        return cls(Fraction(value), 0, d)
+        return cls(value, 0, d)
 
     @property
     def a(self) -> Fraction:

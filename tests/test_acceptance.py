@@ -81,6 +81,8 @@ def test_criterion_2_starvation_sweep():
         freq = report.summary["sweep_event_frequency"]
         assert freq >= 0.4, f"sweep frequency {freq} below 0.4"
         assert report.summary["proven_event_lower_bound"] >= 1 / 8
+        # the bound is the paper's claim: the estimator is consistent
+        assert report.summary["estimator_regular"] == "proven"
 
 
 def _pair_statistic(table, states):
@@ -262,6 +264,7 @@ def test_criterion_5_rotation_tower_l1():
         # the library's own proof: on B the outside cells' floor is >= 1/16
         assert report.summary["l1_floor_on_B"] >= 1 / 16
         assert report.summary["proven_event_lower_bound"] >= 1 / 8
+        assert report.summary["estimator_regular"] == "proven"
 
 
 def test_criterion_6_count_consistency():

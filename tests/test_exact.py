@@ -541,6 +541,27 @@ class TestIntervalSets:
         with pytest.raises(TypeError):
             IntervalSet([(0, 0.5)])
 
+    def test_floats_never_reach_a_field_element(self):
+        # a float would bring its binary expansion in: 0.3 is not 3/10
+        with pytest.raises(TypeError, match="refusing to mix floats"):
+            QuadraticReal(0.5, 0, 2)
+        with pytest.raises(TypeError, match="refusing to mix floats"):
+            QuadraticReal(0, 0.5, 2)
+        with pytest.raises(TypeError, match="refusing to mix floats"):
+            QuadraticReal.rational(0.3, 2)
+        rotation = Rotation(sqrt2_minus_1())
+        for refused in (rotation.scalar, rotation.step):
+            with pytest.raises(TypeError, match="refusing to mix floats"):
+                refused(0.3)
+        with pytest.raises(TypeError, match="cannot translate by a float"):
+            IntervalSet([(0, Fraction(1, 2))]).translate_mod1(0.3)
+        # exact values still pass
+        assert rotation.scalar(Fraction(3, 10)) \
+            == QuadraticReal(Fraction(3, 10), 0, 2)
+        assert IntervalSet([(0, Fraction(1, 2))]).translate_mod1(
+            Fraction(3, 10)) == IntervalSet([(Fraction(3, 10),
+                                               Fraction(4, 5))])
+
     def test_contains_binary_point(self):
         s = dyadic_set((Fraction(1, 4), Fraction(3, 8)))
         assert s.contains(BinaryPoint.from_dyadic(Fraction(1, 4)))

@@ -45,7 +45,7 @@ class TestConfig:
         assert cfg.q_schedule == "sqrt:1"
         cfg4 = ExperimentConfig(experiment="thm4").validate()
         assert cfg4.nlist == (8,)
-        assert cfg4.schedule(require_regular=False).q(8) == 24
+        assert cfg4.schedule().q(8) == 24
 
     def test_nlist_formats(self):
         assert parse_nlist("3:6") == (3, 4, 5, 6)
@@ -91,11 +91,11 @@ class TestConfig:
         assert loaded.trials == 17
         assert loaded.seed == 5
         assert loaded.nlist == (3, 4, 5)
-        assert loaded.threshold == 0.4
+        assert loaded.threshold == "0.4"
 
     def test_file_round_trip_of_every_field(self, tmp_path):
         for threshold, out, nlist in ((None, "", (3, 5, 8)),
-                                      (0.125, "runs/a b", (2, 3, 4, 9))):
+                                      ("0.125", "runs/a b", (2, 3, 4, 9))):
             cfg = ExperimentConfig(experiment="thm4", trials=250, seed=-3,
                                    kmax=2, smax=5, nlist=nlist,
                                    q_schedule="table:3=2,5=3,8=4",
@@ -126,14 +126,20 @@ class TestConfig:
                     {"threshold": "high"}):
             with pytest.raises(ConfigError):
                 ExperimentConfig(experiment="thm3", **bad).validate()
-        # irregular schedules validate; regularity is checked at run time
+        # a schedule whose regularity is refuted is refused by validate
+        # for thm3 and thm4, and builds for check-partitions
         flat = ExperimentConfig(experiment="thm3", q_schedule="const:4",
-                                nlist=(3, 4)).validate()
+                                nlist=(3, 4))
+        with pytest.raises(ConfigError, match="not regular"):
+            flat.validate()
         assert flat.schedule().q(3) == 4
         shrinking = ExperimentConfig(experiment="thm3", nlist=(3, 4),
-                                     q_schedule="table:3=4,4=2").validate()
-        with pytest.raises(ConfigError):
-            shrinking.schedule()
+                                     q_schedule="table:3=4,4=2")
+        with pytest.raises(ConfigError, match="not regular"):
+            shrinking.validate()
+        checked = ExperimentConfig(experiment="check-partitions", nlist=(3, 4),
+                                   q_schedule="table:3=4,4=2").validate()
+        assert checked.schedule().q(4) == 2
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "config.txt"
@@ -263,11 +269,26 @@ class TestRunners:
     def test_check_partitions_run(self):
         cfg = ExperimentConfig(experiment="check-partitions", trials=1, seed=0)
         report = run(cfg)
-        assert report.summary["regular_on_tested_range"]
+        assert report.summary == {"estimator_regular": "proven"}
+        assert report.stat == 1.0
         flat = ExperimentConfig(experiment="check-partitions", trials=1,
                                 seed=0, q_schedule="const:4")
         report = run(flat)
-        assert not report.summary["verdicts"]["diameters_shrink"]
+        assert report.summary == {"estimator_regular": "refuted"}
+        assert report.stat == 0.0
+        diameters = [row[2] for row in report.rows]
+        assert diameters == [diameters[0]] * len(diameters)
+        table = ExperimentConfig(experiment="check-partitions", trials=1,
+                                 nlist=(4, 16), q_schedule="table:4=2,16=4")
+        assert run(table).summary == {"estimator_regular": "trend"}
+
+    def test_regular_schedule_on_a_short_nlist_runs(self):
+        # sqrt:1 is proven regular, though 2:8 is too short for q(n) to
+        # show a trend
+        cfg = ExperimentConfig(experiment="thm3", trials=2, seed=0,
+                               nlist=tuple(range(2, 9)))
+        assert run(cfg).summary["estimator_regular"] == "proven"
+        assert cli.main(["thm3", "--nlist", "2:8", "--trials", "2"]) == 0
 
     def test_thm1_tiny_attack(self):
         cfg = ExperimentConfig(experiment="thm1", trials=300, seed=1, kmax=2,
@@ -338,7 +359,7 @@ def per_point_rotation(config):
     d = rotation.d
     tower = rot.build_tower(rotation, 4 * n, Fraction(1, 2))
     b_set, c_set = tower.starving_pair(n)
-    schedule = config.schedule(require_regular=False)
+    schedule = config.schedule()
     partition = split_grid_partition(n, schedule, c_set)
     errors = {label: rot.CellError(cell, rotation)
               for label, cell in partition}
@@ -378,6 +399,8 @@ def per_point_rotation(config):
         "l1_floor_on_B_exact": str(floor),
         "proven_event_lower_bound": float(proven),
         "proven_event_lower_bound_exact": str(proven),
+        # every config here is sqrt:s with s >= 1, whose limits are proven
+        "estimator_regular": "proven",
     }
     return rows, summary
 
@@ -450,7 +473,9 @@ def per_point_starvation(config):
                "starving_union_measure": float(union),
                "starving_union_measure_exact": str(union),
                "proven_event_lower_bound": float(proven),
-               "proven_event_lower_bound_exact": str(proven)}
+               "proven_event_lower_bound_exact": str(proven),
+               # sqrt:1, whose limits are proven
+               "estimator_regular": "proven"}
     return rows, summary, [(n, per_n[n] / config.trials) for n in ns]
 
 
@@ -667,6 +692,35 @@ class TestCli:
                          "--nlist", "3:10", "--threshold", "0.999"])
         assert code == 1
 
+    def test_threshold_is_compared_exactly(self, capsys):
+        # the event frequency is 1/3, below the threshold, though the
+        # float 1/3 equals the float of the threshold
+        argv = ["thm3", "--trials", "3", "--seed", "0", "--nlist", "3:64",
+                "--threshold", "0.33333333333333334"]
+        assert cli.main(argv) == 1
+        assert "threshold check: 1/3 >= 0.33333333333333334 -> FAIL" \
+            in capsys.readouterr().out
+        assert cli.main(argv[:-1] + ["1/3"]) == 0
+        assert "threshold check: 1/3 >= 1/3 -> pass" \
+            in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [
+        ["thm3", "--q-schedule", "const:4"],
+        ["thm4", "--q-schedule", "const:7"],
+        ["thm4", "--q-schedule", "sqrt:0"],
+        ["thm3", "--nlist", "3:4", "--q-schedule", "table:3=4,4=2"],
+    ])
+    def test_refuted_schedule_is_a_config_error(self, argv, capsys):
+        # thm3 and thm4 are claims about a consistent estimator
+        assert cli.main(argv + ["--trials", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: partition schedule") \
+            and "not regular" in err
+
+    def test_check_partitions_reports_a_refuted_schedule(self, capsys):
+        assert cli.main(["check-partitions", "--q-schedule", "const:4"]) == 0
+        assert '"estimator_regular": "refuted"' in capsys.readouterr().out
+
     def test_bad_config_exit_code(self):
         assert cli.main(["thm1", "--trials", "0"]) == 2
 
@@ -858,3 +912,24 @@ class TestReportThresholds:
                     stat_direction="le")
         assert le.passed(0.6) and not le.passed(0.4)
         assert ge.passed(None)
+
+    @settings(max_examples=300, deadline=None)
+    @given(trials=st.integers(1, 10 ** 6), data=st.data(),
+           direction=st.sampled_from(["ge", "le"]))
+    def test_passed_is_exact(self, trials, data, direction):
+        # thresholds at, near and far from hits/trials, as a decimal, as
+        # p/q and as the repr of the float nearest to the share
+        hits = data.draw(st.integers(0, trials))
+        share = Fraction(hits, trials)
+        text = data.draw(st.one_of(
+            st.just(repr(hits / trials)),
+            st.integers(-2, 2).map(lambda k: f"{hits + k}/{trials}"),
+            st.decimals(-1, 2, allow_nan=False, places=20).map(str),
+            st.fractions(-1, 2).map(str)))
+        report = Report(schema="static", columns=("a",), rows=[], stat=share,
+                        stat_direction=direction)
+        threshold = Fraction(text)
+        want = share >= threshold if direction == "ge" else share <= threshold
+        assert report.passed(text) == want
+        cfg = ExperimentConfig(experiment="thm3", threshold=text).validate()
+        assert report.passed(cfg.threshold) == want

@@ -14,7 +14,7 @@ from ergolab.dyadic import BinaryPoint
 from ergolab.errors import CapExceeded, CoverageError, SingularFit
 from ergolab.intervals import IntervalSet
 from ergolab.partitions import (READ_BITS, PartitionSchedule, SortedReads,
-                                regularity_report, split_grid_partition)
+                                regularity, split_grid_partition)
 from ergolab.markov import sample_sqrt_ar
 from ergolab.predictors import (CellCounts, CountPredictor, dynamic_count,
                                 fit_linear_ar, make_predictor,
@@ -383,6 +383,24 @@ class TestLinearAR:
         assert z >= 3.0
 
 
+def trend_holds(schedule, ns):
+    """The finite trend a schedule was once checked for on construction,
+    kept as the oracle of `regularity` where no definition decides the
+    limits: h never increases, n*h(n) grows from the first n to the last,
+    and over a range spanning a factor of four h decreases."""
+    ns = sorted(ns)
+    hs = [schedule.h(n) for n in ns]
+    if len(hs) > 1:
+        for a, b in zip(hs, hs[1:]):
+            if b > a:
+                return False
+        if ns[-1] >= 4 * ns[0] and not hs[-1] < hs[0]:
+            return False
+        if not ns[-1] * hs[-1] > ns[0] * hs[0]:
+            return False
+    return True
+
+
 class TestScheduleAndRegularity:
     def test_sqrt_schedule_values(self):
         schedule = PartitionSchedule.sqrt()
@@ -392,20 +410,51 @@ class TestScheduleAndRegularity:
         assert PartitionSchedule.sqrt(72).q(8) == 24
 
     def test_schedule_validation(self):
-        with pytest.raises(ValueError):
-            PartitionSchedule(lambda n: max(2, 64 // n), ns=[4, 16, 64])
-        PartitionSchedule.constant(4)  # irregular but explicitly allowed
+        growing = PartitionSchedule(lambda n: max(2, 64 // n))
+        assert regularity(growing, [4, 16, 64]) == "refuted"
+        flat = PartitionSchedule.constant(4)  # builds, but is irregular
+        assert regularity(flat, [4, 16, 64]) == "refuted"
 
     def test_regularity_verdicts(self):
         from ergolab.odometer import starving_partition
         ns = [4, 16, 64, 256]
-        good = PartitionSchedule.sqrt(ns=ns)
-        parts = [(n, starving_partition(n, good)) for n in ns]
-        report = regularity_report(parts)
-        assert report["verdicts"]["diameters_shrink"]
-        assert report["verdicts"]["cell_ratio_decays"]
 
+        def diameters(schedule):
+            return [max(cell.diameter() for _, cell
+                        in starving_partition(n, schedule)
+                        if not cell.is_empty()) for n in ns]
+
+        good = PartitionSchedule.sqrt()
+        assert regularity(good, ns) == "proven"
+        shrinking = diameters(good)
+        assert shrinking == sorted(shrinking, reverse=True)
+        assert shrinking[-1] < shrinking[0]
         flat = PartitionSchedule.constant(4)
-        parts = [(n, starving_partition(n, flat)) for n in ns]
-        report = regularity_report(parts)
-        assert not report["verdicts"]["diameters_shrink"]
+        assert regularity(flat, ns) == "refuted"
+        assert len(set(diameters(flat))) == 1
+
+    def test_definitions_decide_the_limits(self):
+        # sqrt:s, s >= 1, is proven even where the range is too short to
+        # show the trend; sqrt:0 and const:q never shrink
+        for scale in (1, 4, 72):
+            assert regularity(PartitionSchedule.sqrt(scale), range(2, 9)) \
+                == "proven"
+        assert not trend_holds(PartitionSchedule.sqrt(), range(2, 9))
+        assert regularity(PartitionSchedule.sqrt(0), [3, 100]) == "refuted"
+        assert regularity(PartitionSchedule.constant(3), [8]) == "refuted"
+
+    def test_every_n_is_read_first(self):
+        for schedule, ns in ((PartitionSchedule.constant(0), [3]),
+                             (PartitionSchedule.sqrt(-1), [3, 4]),
+                             (PartitionSchedule({3: 4}), [3, 4]),
+                             (PartitionSchedule({3: 0, 4: 2}), [3, 4])):
+            with pytest.raises(ValueError):
+                regularity(schedule, ns)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.dictionaries(st.integers(1, 80), st.integers(1, 12),
+                           min_size=1, max_size=6))
+    def test_table_verdict_is_the_trend(self, table):
+        schedule = PartitionSchedule(table)
+        assert regularity(schedule, table) \
+            == ("trend" if trend_holds(schedule, table) else "refuted")
