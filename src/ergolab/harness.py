@@ -35,7 +35,7 @@ from .errors import (CapExceeded, ConfigError, ErgolabError, ExceptionalPoint,
 from .intervals import IntervalSet
 from .partitions import (READ_BITS, PartitionSchedule, SortedReads,
                          regularity, split_grid_partition)
-from .surd import QuadraticReal, triple, triple_sum
+from .surd import QuadraticReal, sign, to_float
 
 
 # numpy's SeedSequence hash (its documented ``hashmix``/``mix`` scheme) for
@@ -555,9 +555,10 @@ def run_rotation_l1(config: ExperimentConfig) -> Report:
     point's cell, and omega's membership in B (a one-cell partition over
     B), comes from its read through a breakpoint table
     (:meth:`~ergolab.partitions.Partition.read_label`); only a read on a
-    table key takes the exact locate.  Cell means are triples over one
-    denominator, and the trial reduces three values: its L1 error, the next
-    value and the query cell's mean.
+    table key takes the exact locate.  A trial's L1 error is the sum of
+    F(0) plus one :meth:`~ergolab.rotation.CellError.excess` per non-empty
+    cell, integers ``(A, B)`` over one ``scale`` per run, and its event and
+    floor check are integer signs.
 
     On B every predictor ``T^-j omega``, ``j < n``, lies in C, so every
     outside cell is empty and predicts 0, and L1 is at least ``floor``, the
@@ -580,8 +581,7 @@ def run_rotation_l1(config: ExperimentConfig) -> Report:
     cell_errors = {label: rot.CellError(cell, rotation)
                    for label, cell in partition}
     zero = rotation.scalar(0)
-    all_zero = triple(sum((error.at_zero for error in cell_errors.values()),
-                          zero), d)
+    all_zero = sum((error.at_zero for error in cell_errors.values()), zero)
     floor = sum((error.at_zero for (_, inside), error in cell_errors.items()
                  if not inside), zero)
 
@@ -589,7 +589,13 @@ def run_rotation_l1(config: ExperimentConfig) -> Report:
     # responses x_k, 1 - n < k <= 0, the query x_0 = omega and the next
     # value x_1, all over one denominator
     orbit = rot.DyadicOrbit(rotation, 1 - n, 1)
-    den = orbit.den
+    den, counts = orbit.den, math.lcm(*range(1, n))
+    unit = math.lcm(all_zero.Q, floor.Q,
+                    *(error.unit for error in cell_errors.values()))
+    for error in cell_errors.values():
+        error.fix_scale(den, counts, unit)
+    scale = unit * (den * counts) ** 2
+    base, floor_at = all_zero.over(scale), floor.over(scale)
 
     # labelled point by point: L1 needs every predictor's cell
     def label(part, point):
@@ -602,20 +608,19 @@ def run_rotation_l1(config: ExperimentConfig) -> Report:
     def trial_body(trial, rows):
         points = orbit.points(rng.getrandbits(64))
         labels = [label(partition, point) for point in points[:-1]]
-        # per non-empty cell: the responses' numerators summed, and count
+        # per non-empty cell: the responses' numerators, count and reads
         sums = {}
-        for cell, (_, a, b) in zip(labels[:-1], points[1:-1]):
-            acc = sums.get(cell)
-            if acc is None:
-                sums[cell] = [a, b, 1]
-            else:
-                acc[0] += a
-                acc[1] += b
-                acc[2] += 1
-        # one common denominator over the cells, reduced once per trial
-        l1 = triple_sum([all_zero] + [
-            cell_errors[cell].excess_raw((a, b, den * count))
-            for cell, (a, b, count) in sums.items()], d)
+        for cell, (r, a, b) in zip(labels[:-1], points[1:-1]):
+            acc = sums.setdefault(cell, [0, 0, 0, 0])
+            acc[0] += a
+            acc[1] += b
+            acc[2] += 1
+            acc[3] += r
+        l1_a, l1_b = base
+        for cell, acc in sums.items():
+            part_a, part_b = cell_errors[cell].excess(*acc)
+            l1_a += part_a
+            l1_b += part_b
         in_b = label(b_part, points[-2])[1]
         if in_b:
             # a label (j, inside) reads membership in C from cell j's piece
@@ -624,17 +629,18 @@ def run_rotation_l1(config: ExperimentConfig) -> Report:
                     f"trial {trial}: recent data must sit inside the cover "
                     f"set, and outside-cells be exactly empty, on the "
                     f"starving event")
-            if l1.compare(floor) < 0:
+            if sign(l1_a - floor_at[0], l1_b - floor_at[1], d) < 0:
                 raise InvariantViolation(
-                    f"trial {trial}: L1 error {l1} below the outside "
-                    f"cells' floor {floor} on the starving event")
+                    f"trial {trial}: L1 error ({l1_a} + {l1_b}*sqrt({d}))/"
+                    f"{scale} below the outside cells' floor {floor} on the "
+                    f"starving event")
         query = sums.get(labels[-1])
-        est_f = 0.0 if query is None else float(
-            triple_sum(((query[0], query[1], den * query[2]),), d))
-        truth = float(orbit.point(*points[-1][1:]))
+        est_f = 0.0 if query is None else to_float(
+            query[0], query[1], den * query[2], d)
+        truth = to_float(*points[-1][1:], den, d)
         rows.append((n, trial, in_b, est_f, truth,
-                     abs(est_f - truth), float(l1)))
-        return (n,) if l1.compare(sixteenth) >= 0 else (), in_b
+                     abs(est_f - truth), to_float(l1_a, l1_b, scale, d)))
+        return (n,) if sign(16 * l1_a - scale, 16 * l1_b, d) >= 0 else (), in_b
 
     mu_b = tower.rotation.scalar(b_set.measure())
     proven = mu_b if floor.compare(sixteenth) >= 0 else zero

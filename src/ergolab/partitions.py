@@ -92,9 +92,9 @@ def regularity(schedule: PartitionSchedule, ns) -> str:
     1 raises ValueError.  Returns the schedule's `limit` when its
     definition decides it.  Otherwise a finite list can only check a trend:
     `h` never increases, ``n*h(n)`` grows from the first n to the last, and
-    over a range spanning at least a factor of four `h` decreases (a
-    shorter range cannot witness that).  ``"trend"`` if it holds,
-    ``"refuted"`` if not.
+    over a range spanning at least a factor of four `h` decreases:
+    ``"refuted"`` if not, else ``"trend"``, or ``"untested"`` on a shorter
+    range, which cannot witness a decrease.
     """
     ns = sorted(ns)
     hs = [schedule.h(n) for n in ns]
@@ -104,7 +104,7 @@ def regularity(schedule: PartitionSchedule, ns) -> str:
                         or ns[-1] >= 4 * ns[0] and not hs[-1] < hs[0]
                         or not ns[-1] * hs[-1] > ns[0] * hs[0]):
         return "refuted"
-    return "trend"
+    return "trend" if ns[-1] >= 4 * ns[0] else "untested"
 
 
 class Partition:

@@ -13,6 +13,8 @@ discarding the remainders yields the tower base; every claimed property
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
 from fractions import Fraction
 
 from .errors import (HeightError, InvariantViolation, NotIrrational,
@@ -20,7 +22,7 @@ from .errors import (HeightError, InvariantViolation, NotIrrational,
 from .intervals import IntervalSet
 from .partitions import READ_BITS
 from .surd import (QuadraticReal, cf_convergents, floor_raw, sqrt2_minus_1,
-                   triple, triple_add, triple_compare, triple_mul, triple_sum)
+                   triple, triple_compare)
 
 
 class Rotation:
@@ -101,7 +103,7 @@ class DyadicOrbit:
 
     def point(self, a: int, b: int) -> QuadraticReal:
         """The orbit point ``(a + b*sqrt(d)) / den``, reduced."""
-        return triple_sum(((a, b, self.den),), self.d)
+        return QuadraticReal._make(a, b, self.den, self.d)
 
 
 class RohlinTower:
@@ -270,13 +272,15 @@ class CellError:
     those below it, each in x order.  Their ends are the breakpoints; on the
     segment before breakpoint ``s`` (after the last one for ``s = len``)
     ``F(c) = k2*c**2 + k1*c + k0``, with ``k2 = 1`` inside a piece and 0
-    between pieces.  ``at_zero`` is ``F(0)`` and ``excess_raw(c)`` is
-    ``F(c) - F(0)``, whose coefficients are stored, like the breakpoints, as
-    integer triples, so that one cell costs a binary search and a few
-    integer products, with no reduction.
+    between pieces.  ``at_zero`` is ``F(0)``, ``coeffs`` holds per segment
+    ``(k2, k1, k0 - F(0))`` (denominators dividing ``unit``), and ``reads``
+    the read ``floor(2**READ_BITS * e)`` of each breakpoint triple ``e`` of
+    ``breaks``.  :meth:`excess` gives ``F(c) - F(0)`` at the scale
+    :meth:`fix_scale` fixed, with no reduction.
     """
 
-    __slots__ = ("breaks", "coeffs", "at_zero", "d")
+    __slots__ = ("breaks", "reads", "coeffs", "at_zero", "d", "unit", "den",
+                 "counts", "scale", "scaled")
 
     def __init__(self, cell: IntervalSet, rotation: Rotation):
         alpha = rotation.alpha
@@ -311,29 +315,45 @@ class CellError:
                                k0 - sqs[p] + (a * a + b * b) / 2))
         self.d = d = rotation.d
         self.breaks = [triple(end, d) for end in breaks]
+        self.reads = [floor_raw(A << READ_BITS, B << READ_BITS, Q, d)
+                      for A, B, Q in self.breaks]
         self.at_zero = coeffs[0][2]
-        self.coeffs = [(k2, triple(k1, d), triple(k0 - self.at_zero, d))
-                       for k2, k1, k0 in coeffs]
+        self.coeffs = [(k2, k1, k0 - self.at_zero) for k2, k1, k0 in coeffs]
+        self.unit = math.lcm(*(x.Q for _, k1, k0 in self.coeffs
+                               for x in (k1, k0)))
 
-    def excess_raw(self, c: tuple) -> tuple:
-        """``F(c) - F(0)`` for the cell constant `c`, an unreduced triple
-        (:func:`~ergolab.surd.triple`) with a positive denominator, as an
-        unreduced triple, so that a caller summing many cells reduces once
-        (:func:`~ergolab.surd.triple_sum`).  The breakpoints are bisected
-        with :func:`~ergolab.surd.triple_compare`.
+    def fix_scale(self, den: int, counts: int, unit: int):
+        """Fix :meth:`excess` to means ``c = (a + b*sqrt(d)) / (den*k)``, k
+        dividing `counts`, and to ``scale = unit * (den*counts)**2``
+        (`unit` a multiple of this cell's).  With ``U = c * den*counts``,
+        ``scale * (F(c) - F(0)) = k2*unit*U**2 + K1*U + K0`` for the
+        integer pairs ``K1 = k1*unit*den*counts`` and ``K0 = k0*scale``."""
+        self.den, self.counts = den, counts
+        self.scale = unit * (den * counts) ** 2
+        self.scaled = [(k2 * unit, *k1.over(unit * den * counts),
+                        *k0.over(self.scale)) for k2, k1, k0 in self.coeffs]
+
+    def excess(self, a: int, b: int, k: int, read_sum: int) -> tuple:
+        """``(F(c) - F(0)) * scale`` as the integers ``(A, B)`` of ``A +
+        B*sqrt(d)``, for the mean ``c = (a + b*sqrt(d)) / (den*k)`` of `k`
+        responses whose reads sum to `read_sum`.  Each response ``x`` has
+        ``read <= 2**READ_BITS * x < read + 1``, so ``2**READ_BITS * c`` is
+        in ``[m, m + 2)`` for ``m = read_sum // k``: only a breakpoint read
+        ``m`` or ``m + 1`` is compared with c exactly
+        (:func:`~ergolab.surd.triple_compare`); the reads place the rest.
         """
-        breaks, d = self.breaks, self.d
-        lo, hi = 0, len(breaks)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if triple_compare(breaks[mid], c, d) <= 0:
-                lo = mid + 1
-            else:
-                hi = mid
-        k2, k1, k0 = self.coeffs[lo]
-        if k2:
-            return triple_add(triple_mul(triple_add(c, k1), c, d), k0)
-        return triple_add(triple_mul(k1, c, d), k0)
+        m = read_sum // k
+        lo = bisect_left(self.reads, m)
+        hi = bisect_left(self.reads, m + 2, lo)
+        if lo < hi:
+            c = (a, b, self.den * k)
+            while lo < hi and triple_compare(self.breaks[lo], c, self.d) <= 0:
+                lo += 1
+        k2, k1a, k1b, k0a, k0b = self.scaled[lo]
+        d, f = self.d, self.counts // k
+        a, b = a * f, b * f
+        return (k2 * (a * a + d * b * b) + k1a * a + d * k1b * b + k0a,
+                2 * k2 * a * b + k1a * b + k1b * a + k0b)
 
 
 def l1_error_exact(pieces, target: str, rotation: Rotation | None = None):

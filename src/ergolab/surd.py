@@ -97,7 +97,7 @@ class QuadraticReal:
 
     def sign(self) -> int:
         """Sign of the value: -1, 0 or +1, by pure integer reasoning."""
-        return _sign(self.A, self.B, self.d)
+        return sign(self.A, self.B, self.d)
 
     def compare(self, other) -> int:
         """Sign of ``self - other``, read off the cross-multiplied integers
@@ -116,7 +116,7 @@ class QuadraticReal:
         else:
             raise DomainMismatch("incomparable operands")
         q1 = self.Q
-        return _sign(self.A * q2 - a2 * q1, self.B * q2 - b2 * q1, d)
+        return sign(self.A * q2 - a2 * q1, self.B * q2 - b2 * q1, d)
 
     def __eq__(self, other):
         try:
@@ -217,8 +217,16 @@ class QuadraticReal:
     def mod1(self) -> "QuadraticReal":
         return self - self.floor()
 
+    def over(self, scale: int) -> tuple:
+        """The integers ``(A, B)`` with ``self == (A + B*sqrt(d)) / scale``;
+        `scale` must be a positive multiple of ``Q``."""
+        factor, rest = divmod(scale, self.Q)
+        if rest or factor < 1:
+            raise ValueError(f"{scale} is no positive multiple of {self.Q}")
+        return self.A * factor, self.B * factor
+
     def __float__(self):
-        return self.A / self.Q + (self.B / self.Q) * math.sqrt(self.d)
+        return to_float(self.A, self.B, self.Q, self.d)
 
     def __repr__(self):
         return f"QuadraticReal({self.a}, {self.b}, d={self.d})"
@@ -229,7 +237,7 @@ class QuadraticReal:
         return f"({self.A} + {self.B}*sqrt({self.d}))/{self.Q}"
 
 
-def _sign(a: int, b: int, d: int) -> int:
+def sign(a: int, b: int, d: int) -> int:
     """Sign of ``a + b*sqrt(d)`` for integers a, b and a square-free d."""
     if b == 0:
         return (a > 0) - (a < 0)
@@ -242,6 +250,13 @@ def _sign(a: int, b: int, d: int) -> int:
     if a > 0:
         return (lhs > rhs) - (lhs < rhs)
     return (rhs > lhs) - (rhs < lhs)
+
+
+def to_float(A: int, B: int, Q: int, d: int) -> float:
+    """The float of ``(A + B*sqrt(d)) / Q``, ``Q > 0``.  An int divided by an
+    int is correctly rounded, so ``A / Q`` and ``B / Q`` are the same floats
+    for every triple of one value, reduced or not, and so is the result."""
+    return A / Q + (B / Q) * math.sqrt(d)
 
 
 def floor_raw(A: int, B: int, Q: int, d: int) -> int:
@@ -258,12 +273,12 @@ def floor_raw(A: int, B: int, Q: int, d: int) -> int:
     return (A + (r if B > 0 else -r - 1)) // Q
 
 
-# -- unreduced triples: many sums and products, one gcd at the end
+# -- unreduced triples: compared without a gcd
 
 
 def triple(x, d: int) -> tuple:
     """An int, a Fraction or an element of Q(sqrt(d)) as its triple
-    ``(A, B, Q)``, for :func:`triple_add` and :func:`triple_mul`."""
+    ``(A, B, Q)``, for :func:`triple_compare`."""
     if isinstance(x, QuadraticReal):
         if x.B and x.d != d:
             raise DomainMismatch(f"cannot mix sqrt({x.d}) with sqrt({d})")
@@ -274,33 +289,12 @@ def triple(x, d: int) -> tuple:
     return x.numerator, 0, x.denominator
 
 
-def triple_add(x: tuple, y: tuple) -> tuple:
-    """``x + y`` over the product of the denominators, not reduced."""
-    return (x[0] * y[2] + y[0] * x[2], x[1] * y[2] + y[1] * x[2],
-            x[2] * y[2])
-
-
-def triple_mul(x: tuple, y: tuple, d: int) -> tuple:
-    """``x * y`` in Q(sqrt(d)), not reduced."""
-    return (x[0] * y[0] + x[1] * y[1] * d, x[0] * y[1] + x[1] * y[0],
-            x[2] * y[2])
-
-
 def triple_compare(x: tuple, y: tuple, d: int) -> int:
     """Sign of ``x - y`` for triples of Q(sqrt(d)), as
     :meth:`QuadraticReal.compare` reads it off the cross-multiplied
     integers; neither need be reduced, but both denominators must be
     positive (a negative one flips the sign)."""
-    return _sign(x[0] * y[2] - y[0] * x[2], x[1] * y[2] - y[1] * x[2], d)
-
-
-def triple_sum(terms, d: int) -> QuadraticReal:
-    """The sum of unreduced triples, over one common denominator and reduced
-    once."""
-    total = (0, 0, 1)
-    for t in terms:
-        total = triple_add(total, t)
-    return QuadraticReal._make(*total, d)
+    return sign(x[0] * y[2] - y[0] * x[2], x[1] * y[2] - y[1] * x[2], d)
 
 
 def sqrt2_minus_1() -> QuadraticReal:

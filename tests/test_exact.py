@@ -15,8 +15,8 @@ from ergolab.errors import (CapExceeded, DomainMismatch, ExceptionalPoint,
 from ergolab.intervals import Interval, IntervalSet, dyadic_set
 from ergolab.rotation import Rotation, build_tower
 from ergolab.surd import (QuadraticReal, cf_convergents, floor_raw,
-                          golden_conjugate, sqrt2_minus_1, triple,
-                          triple_add, triple_compare, triple_mul, triple_sum)
+                          golden_conjugate, sqrt2_minus_1, to_float, triple,
+                          triple_compare)
 
 
 class TestDyadicBoundary:
@@ -354,6 +354,31 @@ class TestRationalDivisor:
                     x / zero
 
 
+# sums and products of unreduced triples, kept as the reference that
+# triple_compare and the triples of `triple` are checked against
+
+
+def triple_add(x: tuple, y: tuple) -> tuple:
+    """``x + y`` over the product of the denominators, not reduced."""
+    return (x[0] * y[2] + y[0] * x[2], x[1] * y[2] + y[1] * x[2],
+            x[2] * y[2])
+
+
+def triple_mul(x: tuple, y: tuple, d: int) -> tuple:
+    """``x * y`` in Q(sqrt(d)), not reduced."""
+    return (x[0] * y[0] + x[1] * y[1] * d, x[0] * y[1] + x[1] * y[0],
+            x[2] * y[2])
+
+
+def triple_sum(terms, d: int) -> QuadraticReal:
+    """The sum of unreduced triples, over one common denominator and reduced
+    once."""
+    total = (0, 0, 1)
+    for t in terms:
+        total = triple_add(total, t)
+    return QuadraticReal._make(*total, d)
+
+
 class TestUnreducedTriples:
     """Sums and products carried as bare triples and reduced once equal the
     field operations, which reduce at every step."""
@@ -392,6 +417,19 @@ class TestUnreducedTriples:
         with pytest.raises(TypeError):
             triple(0.5, 2)
         assert triple_sum((), 5) == 0
+
+    @settings(max_examples=400, deadline=None)
+    @given(x=field_elements(), k=st.integers(1, 2 ** 200))
+    def test_float_of_a_scaled_triple(self, x, k):
+        # the float of (kA + kB*sqrt(d)) / kQ is the reduced element's: the
+        # thm4 CSV writes floats of unreduced sums by this rule
+        reduced = QuadraticReal._make(x.A, x.B, x.Q, x.d)
+        assert to_float(k * x.A, k * x.B, k * x.Q, x.d) == float(reduced) \
+            == float(x)
+        scale = k * x.Q
+        assert x.over(scale) == (k * x.A, k * x.B)
+        with pytest.raises(ValueError):
+            x.over(scale * 2 + 1 if x.Q > 1 else -scale)
 
 
 class TestContinuedFractions:

@@ -25,7 +25,7 @@ from ergolab.intervals import IntervalSet
 from ergolab.harness import (ExperimentConfig, Report, format_nlist,
                              parse_nlist, persist, run)
 from ergolab.partitions import Partition, split_grid_partition
-from ergolab.surd import triple, triple_sum
+from ergolab.surd import QuadraticReal
 
 
 class TestConfig:
@@ -197,17 +197,17 @@ class TestRunners:
 
     def test_thm4_trial_error_names_its_trial(self, monkeypatch):
         # a cap hit inside a thm4 trial is tagged with the trial, as in thm3
-        def excess_raw(error, c):
+        def excess(error, a, b, k, read_sum):
             raise CapExceeded("boom")
-        monkeypatch.setattr(rot.CellError, "excess_raw", excess_raw)
+        monkeypatch.setattr(rot.CellError, "excess", excess)
         cfg = ExperimentConfig(experiment="thm4", trials=5, seed=0)
         with pytest.raises(CapExceeded, match="trial 0: boom"):
             run(cfg)
 
     def test_thm4_floor_invariant_is_checked(self, monkeypatch):
         # a cell error below the one it must be breaks a B-trial's L1 floor
-        monkeypatch.setattr(rot.CellError, "excess_raw",
-                            lambda error, c: (-1, 0, 1))
+        monkeypatch.setattr(rot.CellError, "excess",
+                            lambda error, *args: (-error.scale, 0))
         cfg = ExperimentConfig(experiment="thm4", trials=50, seed=0)
         with pytest.raises(InvariantViolation, match="floor"):
             run(cfg)
@@ -282,6 +282,19 @@ class TestRunners:
                                  nlist=(4, 16), q_schedule="table:4=2,16=4")
         assert run(table).summary == {"estimator_regular": "trend"}
 
+    def test_short_table_is_untested(self):
+        # one n, or a range under a factor of four, cannot witness cells
+        # that shrink, so a table on it is neither a trend nor refuted
+        for fields in (dict(experiment="thm4", trials=5,
+                            q_schedule="table:8=1"),
+                       dict(experiment="thm3", trials=5, nlist=(3, 4, 5),
+                            q_schedule="table:3=1,4=1,5=1")):
+            report = run(ExperimentConfig(**fields).validate())
+            assert report.summary["estimator_regular"] == "untested"
+        table = ExperimentConfig(experiment="check-partitions", trials=1,
+                                 nlist=(4, 15), q_schedule="table:4=2,15=4")
+        assert run(table).summary == {"estimator_regular": "untested"}
+
     def test_regular_schedule_on_a_short_nlist_runs(self):
         # sqrt:1 is proven regular, though 2:8 is too short for q(n) to
         # show a trend
@@ -351,22 +364,24 @@ class TestProvenLowerBound:
 def per_point_rotation(config):
     """The thm4 rows and summary by the per-point route: every orbit point
     by `Rotation.step`, the cells by `CellCounts` (one `Partition.locate`
-    per predictor), membership in B by `IntervalSet.contains`, each cell's
-    error by `CellError` at its reduced field mean, summed by
-    `triple_sum`."""
+    per predictor), membership in B by `IntervalSet.contains`, and the L1
+    error by `l1_error_exact`, integrating over every non-empty piece of
+    the partition at its cell's reduced mean (0 for an empty cell)."""
     n = config.nlist[0]
     rotation = config.rotation()
-    d = rotation.d
     tower = rot.build_tower(rotation, 4 * n, Fraction(1, 2))
     b_set, c_set = tower.starving_pair(n)
     schedule = config.schedule()
     partition = split_grid_partition(n, schedule, c_set)
-    errors = {label: rot.CellError(cell, rotation)
-              for label, cell in partition}
     zero = rotation.scalar(0)
-    all_zero = sum((e.at_zero for e in errors.values()), zero)
-    floor = sum((e.at_zero for (_, inside), e in errors.items()
-                 if not inside), zero)
+
+    def l1_error(pieces):
+        pieces = [(cell, c) for cell, c in pieces if not cell.is_empty()]
+        return rot.l1_error_exact(pieces, "rotation", rotation) \
+            if pieces else zero
+
+    floor = l1_error((cell, 0) for (_, inside), cell in partition
+                     if not inside)
     rng = random.Random(harness.derived_seed(config.seed, 0))
     rows, hits, in_b_hits = [], 0, 0
     for trial in range(config.trials):
@@ -374,9 +389,8 @@ def per_point_rotation(config):
         past = [rotation.step(omega, k) for k in range(1 - n, 1)]
         counts = predictors.CellCounts.from_pairs(
             predictors.autoregression_pairs(past), partition)
-        l1 = triple_sum([triple(all_zero, d)] + [
-            errors[label].excess_raw(triple(counts.estimate(label), d))
-            for label in counts.cells], d)
+        l1 = l1_error((cell, counts.estimate(label))
+                      for label, cell in partition)
         in_b = b_set.contains(omega)
         hits += l1 >= Fraction(1, 16)
         in_b_hits += in_b
@@ -426,6 +440,45 @@ class TestRotationOracle:
         rows, summary = per_point_rotation(cfg)
         assert typed(report.rows) == typed(rows)
         assert report.summary == summary
+
+    @pytest.mark.parametrize("name", ["thm4", "thm4-golden", "thm4-sqrt3"])
+    def test_no_field_element_per_trial(self, monkeypatch, tmp_path, name):
+        # inside the trial loop no field element is reduced and no
+        # breakpoint is compared exactly at the pinned runs, which hit no
+        # table key and no breakpoint read next to a cell mean's; the
+        # outputs are unchanged
+        calls = {"make": 0, "compare": 0}
+        in_trial = [False]
+        make, compare = QuadraticReal._make.__func__, rot.triple_compare
+        static_report = harness._static_report
+
+        def counted(key, fn):
+            def wrapper(*args):
+                calls[key] += in_trial[0]
+                return fn(*args)
+            return wrapper
+
+        def report(config, ns, headline, trial_body, proof):
+            def body(trial, rows):
+                in_trial[0] = True
+                try:
+                    return trial_body(trial, rows)
+                finally:
+                    in_trial[0] = False
+            return static_report(config, ns, headline, body, proof)
+
+        monkeypatch.setattr(QuadraticReal, "_make",
+                            classmethod(counted("make", make)))
+        monkeypatch.setattr(rot, "triple_compare",
+                            counted("compare", compare))
+        monkeypatch.setattr(harness, "_static_report", report)
+        fields, csv_sha, plot_sha = PINNED_OUTPUTS[name]
+        cfg = ExperimentConfig(**fields)
+        paths = persist(cfg, run(cfg), tmp_path)
+        assert calls == {"make": 0, "compare": 0}
+        assert hashlib.sha256(paths["csv"].read_bytes()).hexdigest() == csv_sha
+        assert hashlib.sha256(paths["plot"].read_bytes()).hexdigest() \
+            == plot_sha
 
 
 def per_point_starvation(config):

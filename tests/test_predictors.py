@@ -456,5 +456,8 @@ class TestScheduleAndRegularity:
                            min_size=1, max_size=6))
     def test_table_verdict_is_the_trend(self, table):
         schedule = PartitionSchedule(table)
+        ns = sorted(table)
+        wide = ns[-1] >= 4 * ns[0]
         assert regularity(schedule, table) \
-            == ("trend" if trend_holds(schedule, table) else "refuted")
+            == ("refuted" if not trend_holds(schedule, table)
+                else "trend" if wide else "untested")

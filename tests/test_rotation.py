@@ -1,5 +1,6 @@
 """Rotation dynamics, tower construction, exact L1 integration."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -17,7 +18,7 @@ from ergolab.rotation import (CellError, DyadicOrbit, RohlinTower, Rotation,
                               integral_abs_error_on_interval, l1_error_exact,
                               tower_from_base)
 from ergolab.surd import (QuadraticReal, floor_raw, golden_conjugate,
-                         sqrt2_minus_1, triple_sum)
+                         sqrt2_minus_1)
 from ergolab.surd import triple as field_triple
 
 
@@ -389,9 +390,14 @@ class TestExactL1:
 
 
 def excess(error, c):
-    """``F(c) - F(0)`` of a CellError at a scalar `c`, reduced from its raw
-    triple."""
-    return triple_sum((error.excess_raw(field_triple(c, error.d)),), error.d)
+    """``F(c) - F(0)`` of a CellError at a scalar `c`, by
+    :meth:`CellError.excess` at the scale of c's own denominator, with c
+    as the one response, reduced."""
+    a, b, q = field_triple(c, error.d)
+    error.fix_scale(q, 1, error.unit)
+    read = floor_raw(a << READ_BITS, b << READ_BITS, q, error.d)
+    return QuadraticReal._make(*error.excess(a, b, 1, read), error.scale,
+                               error.d)
 
 
 class TestCellError:
@@ -400,7 +406,9 @@ class TestCellError:
         checked = 0
         for rotation, cell in THM4_CELLS:
             error = CellError(cell, rotation)
-            breaks = [triple_sum((t,), rotation.d) for t in error.breaks]
+            breaks = [QuadraticReal._make(*t, rotation.d)
+                      for t in error.breaks]
+            assert error.reads == [read_of(x) for x in breaks]
             assert len(breaks) == 2 * sum(
                 1 + (iv.lo < 1 - rotation.alpha < iv.hi) for iv in cell)
             assert all(a <= b for a, b in zip(breaks, breaks[1:]))
@@ -421,6 +429,31 @@ class TestCellError:
         error = CellError(cell, rotation)
         assert excess(error, c) + error.at_zero \
             == summed_integrals(cell, c, rotation)
+
+    def test_breakpoint_reads_next_to_the_mean_are_compared(self):
+        # means within 2**-70 of a breakpoint, each of three responses
+        # spread 2**-66 around it, at a scale for counts dividing 6: the
+        # breakpoint's read is m or m + 1 for m = (read sum) // 3, so only
+        # the exact comparison places the mean
+        checked = 0
+        for rotation, cell in THM4_CELLS:
+            error, d = CellError(cell, rotation), rotation.d
+            for t, read in zip(error.breaks, error.reads):
+                for shift in (-1, 0, 1):
+                    c = QuadraticReal._make(*t, d) + Fraction(shift, 2 ** 70)
+                    xs = [c + Fraction(j, 2 ** 66) for j in (-1, 0, 1)]
+                    den = math.lcm(*(x.Q for x in xs))
+                    a = sum(x.A * (den // x.Q) for x in xs)
+                    b = sum(x.B * (den // x.Q) for x in xs)
+                    read_sum = sum(read_of(x) for x in xs)
+                    assert read_sum // 3 in (read - 1, read)
+                    error.fix_scale(den, 6, error.unit)
+                    got = QuadraticReal._make(*error.excess(a, b, 3, read_sum),
+                                              error.scale, d)
+                    assert got + error.at_zero \
+                        == summed_integrals(cell, c, rotation)
+                    checked += 1
+        assert checked > 500
 
     def test_empty_cell_is_zero(self):
         rotation = default_rotation()
