@@ -30,9 +30,11 @@ from .errors import CapExceeded, ExceptionalPoint
 def dyadic_exponent(value) -> int:
     """The ``e`` with ``value == k / 2**e`` in lowest terms.
 
-    Raises :class:`ValueError` when `value` is not a dyadic rational.
+    Raises :class:`ValueError` when `value` is not a dyadic rational, and
+    TypeError for a float (:func:`~ergolab.surd.exact`).
     """
-    den = Fraction(value).denominator
+    from .surd import exact  # surd imports BinaryPoint from this module
+    den = exact(value).denominator
     exp = den.bit_length() - 1
     if den != 1 << exp:
         raise ValueError(f"{value} is not a dyadic rational")
@@ -156,8 +158,8 @@ class BinaryPoint:
         Raises :class:`ValueError` for a non-dyadic value and
         :class:`CapExceeded` when its exponent is beyond the point's cap.
         """
-        value = Fraction(value)
         exp = dyadic_exponent(value)
+        value = Fraction(value)
         if value < 0 or value >= 1:
             raise ValueError("binary points live in [0, 1)")
         point = cls(value.numerator, exp, _PeriodicSource((0,), exp + 1), cap)

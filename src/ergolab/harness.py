@@ -580,7 +580,7 @@ def run_rotation_l1(config: ExperimentConfig) -> Report:
     # F(c) - F(0)
     cell_errors = {label: rot.CellError(cell, rotation)
                    for label, cell in partition}
-    zero = rotation.scalar(0)
+    zero = QuadraticReal.rational(0, d)
     all_zero = sum((error.at_zero for error in cell_errors.values()), zero)
     floor = sum((error.at_zero for (_, inside), error in cell_errors.items()
                  if not inside), zero)

@@ -6,10 +6,10 @@ any supported kind -- ``int``, ``Fraction`` or :class:`QuadraticReal` --
 and may mix freely: the rationals lie in every Q(sqrt(d)), so a set with
 rational and field endpoints is as exact as either.
 
-Set algebra (union, intersection, complement in ``[0, 1)``) compares
-endpoints with :func:`_cmp`, the one place that decides whether two scalars
-compare: a float raises TypeError, and field elements over two different
-surd bases raise :class:`DomainMismatch`.
+Set algebra (union, intersection, complement in ``[0, 1)``) and membership
+order endpoints and points by :func:`~ergolab.surd.compare`, so they refuse
+what it refuses: TypeError for a float or any other non-scalar, and
+:class:`DomainMismatch` for field elements over two different surd bases.
 """
 
 from __future__ import annotations
@@ -17,29 +17,12 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cmp_to_key
 
-from .dyadic import BinaryPoint, dyadic_exponent
-from .surd import QuadraticReal
+from .dyadic import dyadic_exponent
+from .surd import compare, scaled_floor
 
-
-def _cmp(x, y) -> int:
-    """Exact three-way comparison of two scalars, each an ``int``, a
-    ``Fraction`` or a :class:`QuadraticReal`; `x` may also be a
-    :class:`BinaryPoint` against a rational.  Any other pair raises
-    TypeError."""
-    if isinstance(y, QuadraticReal):
-        if isinstance(x, (QuadraticReal, int, Fraction)):
-            return -y.compare(x)
-    elif isinstance(y, (int, Fraction)):
-        if isinstance(x, (QuadraticReal, BinaryPoint)):
-            return x.compare(y)
-        if isinstance(x, (int, Fraction)):
-            return (x > y) - (x < y)
-    raise TypeError(f"cannot compare a {type(x).__name__} with a "
-                    f"{type(y).__name__} exactly")
-
-
-# (lo, hi) pairs in lexicographic order under _cmp
-_PAIR_ORDER = cmp_to_key(lambda a, b: _cmp(a[0], b[0]) or _cmp(a[1], b[1]))
+# (lo, hi) pairs in lexicographic order
+_PAIR_ORDER = cmp_to_key(lambda a, b: compare(a[0], b[0])
+                         or compare(a[1], b[1]))
 
 
 class Interval:
@@ -48,7 +31,7 @@ class Interval:
     __slots__ = ("lo", "hi")
 
     def __init__(self, lo, hi):
-        if _cmp(lo, hi) >= 0:
+        if compare(lo, hi) >= 0:
             raise ValueError("interval needs lo < hi")
         self.lo = lo
         self.hi = hi
@@ -61,7 +44,8 @@ class Interval:
 
     def __eq__(self, other):
         return (isinstance(other, Interval)
-                and _cmp(self.lo, other.lo) == 0 and _cmp(self.hi, other.hi) == 0)
+                and compare(self.lo, other.lo) == 0
+                and compare(self.hi, other.hi) == 0)
 
     def __hash__(self):
         return hash((self.lo, self.hi))
@@ -79,7 +63,7 @@ class IntervalSet:
                 lo, hi = item.lo, item.hi
             else:
                 lo, hi = item
-            order = _cmp(lo, hi)
+            order = compare(lo, hi)
             if order > 0:
                 raise ValueError(f"reversed pair ({lo}, {hi})")
             if order == 0:
@@ -88,12 +72,12 @@ class IntervalSet:
         pairs.sort(key=_PAIR_ORDER)
         merged = []
         for lo, hi in pairs:
-            if merged and _cmp(lo, merged[-1][1]) <= 0:
-                if _cmp(hi, merged[-1][1]) > 0:
+            if merged and compare(lo, merged[-1][1]) <= 0:
+                if compare(hi, merged[-1][1]) > 0:
                     merged[-1] = (merged[-1][0], hi)
             else:
                 merged.append((lo, hi))
-        if merged and (_cmp(merged[0][0], 0) < 0 or _cmp(merged[-1][1], 1) > 0):
+        if merged and (compare(merged[0][0], 0) < 0 or compare(merged[-1][1], 1) > 0):
             raise ValueError("interval set reaches outside [0, 1)")
         self.intervals = tuple(Interval(lo, hi) for lo, hi in merged)
 
@@ -110,11 +94,11 @@ class IntervalSet:
         i = j = 0
         a, b = self.intervals, other.intervals
         while i < len(a) and j < len(b):
-            lo = a[i].lo if _cmp(a[i].lo, b[j].lo) >= 0 else b[j].lo
-            hi = a[i].hi if _cmp(a[i].hi, b[j].hi) <= 0 else b[j].hi
-            if _cmp(lo, hi) < 0:
+            lo = a[i].lo if compare(a[i].lo, b[j].lo) >= 0 else b[j].lo
+            hi = a[i].hi if compare(a[i].hi, b[j].hi) <= 0 else b[j].hi
+            if compare(lo, hi) < 0:
                 out.append((lo, hi))
-            if _cmp(a[i].hi, b[j].hi) <= 0:
+            if compare(a[i].hi, b[j].hi) <= 0:
                 i += 1
             else:
                 j += 1
@@ -125,10 +109,10 @@ class IntervalSet:
         out = []
         cursor = Fraction(0)
         for iv in self.intervals:
-            if _cmp(cursor, iv.lo) < 0:
+            if compare(cursor, iv.lo) < 0:
                 out.append((cursor, iv.lo))
             cursor = iv.hi
-        if _cmp(cursor, 1) < 0:
+        if compare(cursor, 1) < 0:
             out.append((cursor, Fraction(1)))
         return IntervalSet(out)
 
@@ -148,31 +132,25 @@ class IntervalSet:
         while lo < hi:
             mid = (lo + hi) // 2
             iv = self.intervals[mid]
-            if _cmp(x, iv.lo) < 0:
+            if compare(x, iv.lo) < 0:
                 hi = mid
-            elif _cmp(x, iv.hi) >= 0:
+            elif compare(x, iv.hi) >= 0:
                 lo = mid + 1
             else:
                 return True
         return False
 
     def translate_mod1(self, delta) -> "IntervalSet":
-        """Exact image under x -> x + delta (mod 1), split at the wrap;
-        a `delta` not ``int``, ``Fraction`` or field element is a TypeError."""
+        """Exact image under x -> x + delta (mod 1), split at the wrap."""
         one = Fraction(1)
-        if isinstance(delta, QuadraticReal):
-            delta = delta.mod1()
-        elif isinstance(delta, (int, Fraction)):
-            delta = delta % 1
-        else:
-            raise TypeError(f"cannot translate by a {type(delta).__name__}")
+        delta = delta - scaled_floor(delta, 1)
         out = []
         for iv in self.intervals:
             lo = iv.lo + delta
             hi = iv.hi + delta
-            if _cmp(lo, one) >= 0:
+            if compare(lo, one) >= 0:
                 out.append((lo - one, hi - one))
-            elif _cmp(hi, one) <= 0:
+            elif compare(hi, one) <= 0:
                 out.append((lo, hi))
             else:
                 out.append((lo, one))
@@ -215,12 +193,12 @@ class IntervalSet:
 def dyadic_set(*pairs) -> IntervalSet:
     """Interval set with dyadic-rational endpoints, e.g. dyadic_set((0, '1/2')).
 
-    Raises :class:`ValueError` when an endpoint is not dyadic.
+    Raises :class:`ValueError` when an endpoint is not dyadic, and TypeError
+    for a float.
     """
     out = []
     for lo, hi in pairs:
-        lo, hi = Fraction(lo), Fraction(hi)
         dyadic_exponent(lo)
         dyadic_exponent(hi)
-        out.append((lo, hi))
+        out.append((Fraction(lo), Fraction(hi)))
     return IntervalSet(out)

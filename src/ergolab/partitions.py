@@ -11,11 +11,11 @@ rationals or field elements, and the cells mix them exactly.
 
 :class:`Partition` is that split grid.  It labels a point from its 64-bit
 read by a breakpoint table (:meth:`Partition.read_label`), and locates a
-point exactly, with no scan of its cells (:meth:`Partition.locate`): field
-elements and rationals by their floor, binary points by comparison.  The
-reads come from the caller, which knows its system's orbit.
-:meth:`Partition.select` finds the points of a series of reads
-(:class:`SortedReads`) in its last point's cell.
+point exactly, with no scan of its cells (:meth:`Partition.locate`): an
+exact scalar by its floor (:func:`~ergolab.surd.scaled_floor`), a binary
+point by comparison.  The reads come from the caller, which knows its
+system's orbit.  :meth:`Partition.select` finds the points of a series of
+reads (:class:`SortedReads`) in its last point's cell.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from fractions import Fraction
 from .dyadic import BinaryPoint
 from .errors import CoverageError
 from .intervals import IntervalSet
-from .surd import QuadraticReal, floor_raw
+from .surd import scaled_floor
 
 # the bits of a point's read: its breakpoint-table key, and the response
 # bits a cell mean sums
@@ -118,9 +118,9 @@ class Partition:
 
     The partition holds a breakpoint table: ``keys`` holds
     the read ``floor(e * 2**READ_BITS)`` of every grid bound and split-set
-    endpoint ``e`` below 1 (one :func:`~ergolab.surd.floor_raw` for a field
-    element), and ``labels`` next to each key the label of the brackets
-    ``[p, p + 1) / 2**READ_BITS`` strictly between it and the next key.  So
+    endpoint ``e`` below 1 (:func:`~ergolab.surd.scaled_floor`), and
+    ``labels`` next to each key the label of the brackets ``[p, p + 1) /
+    2**READ_BITS`` strictly between it and the next key.  So
     a point whose read ``p`` is no key takes that label after one bisection
     (:meth:`read_label`), and ``runs`` holds per label the open intervals
     of reads between two keys that take it (:meth:`select`).  A point's
@@ -131,17 +131,16 @@ class Partition:
     ``j``, then membership from its inside piece ``inside_cells[j - 1]``,
     usually one or two intervals.
 
-    * a field element or a rational: ``j = floor(q*x) + 1`` from the exact
-      triple ``(q*A, q*B, Q)`` of ``x = (A + B*sqrt(d)) / Q`` (``B = 0``
-      for a rational), with one integer square root;
     * a :class:`BinaryPoint`: a bisection of the grid bounds with
       ``compare`` and a check of both ends of the cell; :class:`CapExceeded`
       comes from those comparisons.  Membership then compares it with the
       ends of the inside piece, and TypeError comes from an end that is a
-      field element.
+      field element;
+    * any other point is read as an exact scalar: ``j = floor(q*x) + 1``
+      by one :func:`~ergolab.surd.scaled_floor` of its triple, so a float
+      or any other non-scalar raises the reader's TypeError.
 
-    Any other point (a float) raises TypeError, and a point outside [0, 1)
-    CoverageError.  No cell is ever scanned.
+    A point outside [0, 1) raises CoverageError.  No cell is ever scanned.
     """
 
     def __init__(self, q: int, bounds, split_set: IntervalSet):
@@ -155,7 +154,7 @@ class Partition:
         self.inside_cells = [inside for _, inside in self.cells[::2]]
         breaks = bounds + [end for iv in split_set for end in (iv.lo, iv.hi)]
         top = 1 << READ_BITS
-        self.keys = sorted({_read_of(e) for e in breaks if e < 1})
+        self.keys = sorted({scaled_floor(e, top) for e in breaks if e < 1})
         self.key_set = frozenset(self.keys)
         self.labels, self.runs = [], {}
         for k, after in zip(self.keys, self.keys[1:] + [top]):
@@ -175,14 +174,10 @@ class Partition:
 
     def locate(self, x):
         """Label of the cell containing `x`, exactly; CoverageError if
-        none, and TypeError for a point no route reads exactly (a float, or
-        a binary point compared against a field element)."""
+        none, and TypeError for a point no route reads exactly (a
+        non-scalar, or a binary point compared against a field element)."""
         q = self.q
-        if isinstance(x, QuadraticReal):
-            j = floor_raw(q * x.A, q * x.B, x.Q, x.d) + 1
-        elif isinstance(x, (int, Fraction)):
-            j = q * x.numerator // x.denominator + 1
-        elif isinstance(x, BinaryPoint):
+        if isinstance(x, BinaryPoint):
             bounds = self.bounds
             j, hi = 1, q
             while j < hi:
@@ -194,7 +189,7 @@ class Partition:
             if x.compare(bounds[j - 1]) < 0 or x.compare(bounds[j]) >= 0:
                 j = 0  # outside [0, 1)
         else:
-            raise TypeError(f"cannot locate a {type(x).__name__} exactly")
+            j = scaled_floor(x, q) + 1
         if not 0 < j <= q:
             raise CoverageError(f"{x!r} outside [0, 1)")
         return (j, self.inside_cells[j - 1].contains(x))
@@ -229,13 +224,6 @@ class Partition:
 
     def __iter__(self):
         return iter(self.cells)
-
-
-def _read_of(e):
-    """``floor(e * 2**READ_BITS)`` of a rational or field element `e`."""
-    if isinstance(e, QuadraticReal):
-        return floor_raw(e.A << READ_BITS, e.B << READ_BITS, e.Q, e.d)
-    return (e.numerator << READ_BITS) // e.denominator
 
 
 class SortedReads:

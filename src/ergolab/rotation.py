@@ -21,8 +21,8 @@ from .errors import (HeightError, InvariantViolation, NotIrrational,
                      PrecisionError)
 from .intervals import IntervalSet
 from .partitions import READ_BITS
-from .surd import (QuadraticReal, cf_convergents, floor_raw, sqrt2_minus_1,
-                   triple, triple_compare)
+from .surd import (QuadraticReal, cf_convergents, compare, floor_raw,
+                   scaled_floor, sqrt2_minus_1, triple, triple_compare)
 
 
 class Rotation:
@@ -31,15 +31,13 @@ class Rotation:
     def __init__(self, alpha: QuadraticReal):
         if alpha.is_rational:
             raise NotIrrational("rotation angle must be irrational")
-        if not (QuadraticReal.rational(0, alpha.d) < alpha < QuadraticReal.rational(1, alpha.d)):
+        if not 0 < alpha < 1:
             alpha = alpha.mod1()
         self.alpha = alpha
         self.d = alpha.d
 
     def scalar(self, value) -> QuadraticReal:
-        if isinstance(value, QuadraticReal):
-            return value
-        return QuadraticReal.rational(value, self.d)
+        return QuadraticReal._make(*triple(value, self.d), self.d)
 
     def step(self, x, times: int = 1) -> QuadraticReal:
         """Exact ``x + times*alpha`` mod 1 (negative `times` walks back)."""
@@ -155,7 +153,7 @@ def _verify_tower(rotation: Rotation, base: IntervalSet, height: int) -> Quadrat
     """
     total = base.measure() * height  # rotation preserves measure exactly
     coverage = _union_of_levels(rotation, base, height).measure()
-    if rotation.scalar(coverage) != rotation.scalar(total):
+    if coverage != total:
         raise ValueError("tower levels overlap: construction is invalid")
     return rotation.scalar(coverage)
 
@@ -209,8 +207,7 @@ def build_tower(rotation: Rotation, height: int, epsilon) -> RohlinTower:
     tiled_measure = 0
     for col_base, h in columns:
         tiled_measure = col_base.measure() * h + tiled_measure
-    one = QuadraticReal.rational(1, rotation.d)
-    if tiling.measure() != one or rotation.scalar(tiled_measure) != one:
+    if tiling.measure() != 1 or tiled_measure != 1:
         raise ValueError("first-return skyscraper does not tile [0, 1)")
 
     # One tower level per block of `height` consecutive column levels; the
@@ -219,7 +216,7 @@ def build_tower(rotation: Rotation, height: int, epsilon) -> RohlinTower:
         [iv for col_base, h in columns for block in range(h // height)
          for iv in rotation.translate_set(col_base, (block + 1) * height - 1)])
     tower = tower_from_base(rotation, pieces, height)
-    if tower.coverage < one - epsilon:
+    if tower.coverage < 1 - epsilon:
         raise PrecisionError("tower coverage fell short of 1 - epsilon")
     return tower
 
@@ -247,17 +244,15 @@ def integral_abs_error_on_interval(u, v, constant, target, rotation=None):
     if target != "rotation":
         raise ValueError(f"unknown regression target {target!r}")
     alpha = rotation.alpha
-    one = QuadraticReal.rational(1, rotation.d)
-    wrap = one - alpha
-    c = rotation.scalar(constant)
-    total = rotation.scalar(0)
+    wrap = 1 - alpha
+    total = 0
     # below the wrap m(x) = x + alpha, above it m(x) = x + alpha - 1
     if u < wrap:
         hi = v if v <= wrap else wrap
-        total = total + _integral_abs_linear(u, hi, c - alpha)
+        total = total + _integral_abs_linear(u, hi, constant - alpha)
     if v > wrap:
         lo = u if u >= wrap else wrap
-        total = total + _integral_abs_linear(lo, v, c - alpha + one)
+        total = total + _integral_abs_linear(lo, v, constant - alpha + 1)
     return total
 
 
@@ -285,19 +280,18 @@ class CellError:
     def __init__(self, cell: IntervalSet, rotation: Rotation):
         alpha = rotation.alpha
         zero = rotation.scalar(0)
-        one = rotation.scalar(1)
-        wrap = one - alpha
+        wrap = 1 - alpha
         above, below = [], []
         for iv in cell:
-            u, v = rotation.scalar(iv.lo), rotation.scalar(iv.hi)
+            u, v = iv.lo, iv.hi
             if u < wrap:
                 below.append((u + alpha, (v if v <= wrap else wrap) + alpha))
             if v > wrap:
-                above.append(((u if u >= wrap else wrap) + alpha - one,
-                              v + alpha - one))
+                above.append(((u if u >= wrap else wrap) + alpha - 1,
+                              v + alpha - 1))
         pieces = above + below
         breaks = [end for piece in pieces for end in piece]
-        if any(a.compare(b) > 0 for a, b in zip(breaks, breaks[1:])):
+        if any(compare(a, b) > 0 for a, b in zip(breaks, breaks[1:])):
             raise InvariantViolation("image pieces of a cell are out of order")
         # with c past the first p pieces: those give c*len - sq, the rest
         # sq - c*len, where len = b - a and sq = (b*b - a*a)/2
@@ -315,8 +309,7 @@ class CellError:
                                k0 - sqs[p] + (a * a + b * b) / 2))
         self.d = d = rotation.d
         self.breaks = [triple(end, d) for end in breaks]
-        self.reads = [floor_raw(A << READ_BITS, B << READ_BITS, Q, d)
-                      for A, B, Q in self.breaks]
+        self.reads = [scaled_floor(end, 1 << READ_BITS) for end in breaks]
         self.at_zero = coeffs[0][2]
         self.coeffs = [(k2, k1, k0 - self.at_zero) for k2, k1, k0 in coeffs]
         self.unit = math.lcm(*(x.Q for _, k1, k0 in self.coeffs

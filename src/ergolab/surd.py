@@ -4,6 +4,11 @@ Values are stored as integer triples ``(A, B, Q)`` meaning
 ``(A + B*sqrt(d)) / Q`` with ``Q > 0`` and ``gcd(A, B, Q) == 1``.  Every
 operation -- including ordering, floor and reduction mod 1 -- is decided by
 integer arithmetic alone; no floating point is ever consulted for a result.
+
+This module alone decides how an int, a Fraction and a field element meet:
+:func:`triple` reads every scalar operand, :func:`compare` is the one
+order, and :func:`exact` reads a constructor's input.  A float is refused
+here and nowhere else.
 """
 
 from __future__ import annotations
@@ -11,6 +16,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from .dyadic import BinaryPoint
 from .errors import DomainMismatch, NotIrrational
 
 
@@ -37,10 +43,7 @@ class QuadraticReal:
             return
         if not _is_square_free(d):
             raise ValueError(f"surd base {d} must be square free and >= 2")
-        if isinstance(a, float) or isinstance(b, float):
-            raise TypeError("refusing to mix floats into exact arithmetic")
-        a = Fraction(a)
-        b = Fraction(b)
+        a, b = exact(a), exact(b)
         q = a.denominator * b.denominator // math.gcd(a.denominator, b.denominator)
         A = a.numerator * (q // a.denominator)
         B = b.numerator * (q // b.denominator)
@@ -73,26 +76,6 @@ class QuadraticReal:
     def is_rational(self) -> bool:
         return self.B == 0
 
-    # -- coercion
-
-    def _coerce(self, other):
-        if isinstance(other, QuadraticReal):
-            if other.d != self.d and not (other.B == 0 or self.B == 0):
-                raise DomainMismatch(
-                    f"cannot mix sqrt({self.d}) with sqrt({other.d})")
-            if other.d != self.d:
-                # one side is rational; re-express it over this field's base
-                if other.B == 0:
-                    return QuadraticReal._make(other.A, 0, other.Q, self.d)
-                return None  # handled by caller re-dispatch
-            return other
-        if isinstance(other, (int, Fraction)):
-            f = Fraction(other)
-            return QuadraticReal._make(f.numerator, 0, f.denominator, self.d)
-        if isinstance(other, float):
-            raise TypeError("refusing to mix floats into exact arithmetic")
-        return None
-
     # -- sign and order, exact
 
     def sign(self) -> int:
@@ -100,66 +83,48 @@ class QuadraticReal:
         return sign(self.A, self.B, self.d)
 
     def compare(self, other) -> int:
-        """Sign of ``self - other``, read off the cross-multiplied integers
-        ``(A1*Q2 - A2*Q1) + (B1*Q2 - B2*Q1)*sqrt(d)`` (both ``Q > 0``)."""
-        if isinstance(other, QuadraticReal):
-            if other.d != self.d and self.B != 0 and other.B != 0:
-                raise DomainMismatch(
-                    f"cannot mix sqrt({self.d}) with sqrt({other.d})")
-            a2, b2, q2 = other.A, other.B, other.Q
-            d = self.d if self.B != 0 else other.d
-        elif isinstance(other, (int, Fraction)):
-            a2, b2, q2 = other.numerator, 0, other.denominator
-            d = self.d
-        elif isinstance(other, float):
-            raise TypeError("refusing to mix floats into exact arithmetic")
-        else:
-            raise DomainMismatch("incomparable operands")
-        q1 = self.Q
-        return sign(self.A * q2 - a2 * q1, self.B * q2 - b2 * q1, d)
+        """Sign of ``self - other``, by :func:`compare`."""
+        return compare(self, other)
 
     def __eq__(self, other):
         try:
-            return self.compare(other) == 0
+            return compare(self, other) == 0
         except (DomainMismatch, TypeError):
             return NotImplemented
 
     def __lt__(self, other):
-        return self.compare(other) < 0
+        return compare(self, other) < 0
 
     def __le__(self, other):
-        return self.compare(other) <= 0
+        return compare(self, other) <= 0
 
     def __gt__(self, other):
-        return self.compare(other) > 0
+        return compare(self, other) > 0
 
     def __ge__(self, other):
-        return self.compare(other) >= 0
+        return compare(self, other) >= 0
 
     def __hash__(self):
         if self.B == 0:
             return hash(Fraction(self.A, self.Q))
         return hash((self.A, self.B, self.Q, self.d))
 
-    # -- field arithmetic
+    # -- field arithmetic: `other` is read by `triple` over this field's
+    # base, or over its own when this element is rational, in every field
 
     def __add__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        A = self.A * rhs.Q + rhs.A * self.Q
-        B = self.B * rhs.Q + rhs.B * self.Q
-        return QuadraticReal._make(A, B, self.Q * rhs.Q, self.d)
+        d = self.d if self.B else getattr(other, "d", self.d)
+        a, b, q = triple(other, d)
+        return QuadraticReal._make(self.A * q + a * self.Q,
+                                   self.B * q + b * self.Q, self.Q * q, d)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        A = self.A * rhs.Q - rhs.A * self.Q
-        B = self.B * rhs.Q - rhs.B * self.Q
-        return QuadraticReal._make(A, B, self.Q * rhs.Q, self.d)
+        d = self.d if self.B else getattr(other, "d", self.d)
+        a, b, q = triple(other, d)
+        return QuadraticReal._make(self.A * q - a * self.Q,
+                                   self.B * q - b * self.Q, self.Q * q, d)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -171,12 +136,10 @@ class QuadraticReal:
         return -self if self.sign() < 0 else self
 
     def __mul__(self, other):
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        A = self.A * rhs.A + self.B * rhs.B * self.d
-        B = self.A * rhs.B + self.B * rhs.A
-        return QuadraticReal._make(A, B, self.Q * rhs.Q, self.d)
+        d = self.d if self.B else getattr(other, "d", self.d)
+        a, b, q = triple(other, d)
+        return QuadraticReal._make(self.A * a + self.B * b * d,
+                                   self.A * b + self.B * a, self.Q * q, d)
 
     __rmul__ = __mul__
 
@@ -187,17 +150,15 @@ class QuadraticReal:
         return QuadraticReal._make(self.A * self.Q, -self.B * self.Q, norm, self.d)
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            # (A + B*sqrt(d))/Q divided by num/den, normalised once
-            num, den = other.numerator, other.denominator
-            if num == 0:
-                raise ZeroDivisionError("division by zero")
-            return QuadraticReal._make(self.A * den, self.B * den,
-                                       self.Q * num, self.d)
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return self * rhs.inverse()
+        # times q * (a - b*sqrt(d)) / (a*a - b*b*d), normalised once
+        d = self.d if self.B else getattr(other, "d", self.d)
+        a, b, q = triple(other, d)
+        norm = a * a - b * b * d
+        if norm == 0:
+            raise ZeroDivisionError("division by zero")
+        return QuadraticReal._make((self.A * a - self.B * b * d) * q,
+                                   (self.B * a - self.A * b) * q,
+                                   self.Q * norm, d)
 
     def __rtruediv__(self, other):
         return self.inverse() * other
@@ -206,11 +167,11 @@ class QuadraticReal:
 
     def floor(self) -> int:
         """Exact floor: the isqrt guess of :func:`floor_raw`, checked by
-        :meth:`compare` against both neighbouring integers."""
+        :func:`compare` against both neighbouring integers."""
         n = floor_raw(self.A, self.B, self.Q, self.d)
-        while self.compare(n) < 0:
+        while compare(self, n) < 0:
             n -= 1
-        while self.compare(n + 1) >= 0:
+        while compare(self, n + 1) >= 0:
             n += 1
         return n
 
@@ -273,27 +234,74 @@ def floor_raw(A: int, B: int, Q: int, d: int) -> int:
     return (A + (r if B > 0 else -r - 1)) // Q
 
 
-# -- unreduced triples: compared without a gcd
+# -- the one reader and the one order of exact scalars
+
+FLOATS = "refusing to mix floats into exact arithmetic"
+
+
+def exact(value) -> Fraction:
+    """A constructor's input as a Fraction, as ``Fraction()`` reads it (an
+    int, a Fraction, a Decimal, a string such as ``'1/2'``); a float is
+    refused, as its binary expansion is not the value it prints."""
+    if isinstance(value, float):
+        raise TypeError(FLOATS)
+    return Fraction(value)
 
 
 def triple(x, d: int) -> tuple:
-    """An int, a Fraction or an element of Q(sqrt(d)) as its triple
-    ``(A, B, Q)``, for :func:`triple_compare`."""
+    """The scalar operand `x` as the triple ``(A, B, Q)`` of ``(A +
+    B*sqrt(d)) / Q``, ``Q > 0``: ``(n, 0, den)`` for an int or a Fraction,
+    the stored triple for a field element (:class:`DomainMismatch` for an
+    irrational of another base).  Anything else raises TypeError, a float
+    with :data:`FLOATS`."""
     if isinstance(x, QuadraticReal):
         if x.B and x.d != d:
             raise DomainMismatch(f"cannot mix sqrt({x.d}) with sqrt({d})")
         return x.A, x.B, x.Q
+    if isinstance(x, (int, Fraction)):
+        return x.numerator, 0, x.denominator
     if isinstance(x, float):
-        raise TypeError("refusing to mix floats into exact arithmetic")
-    x = Fraction(x)
-    return x.numerator, 0, x.denominator
+        raise TypeError(FLOATS)
+    raise TypeError(f"cannot read a {type(x).__name__} as an exact scalar")
+
+
+def compare(x, y) -> int:
+    """Sign of ``x - y``, the one exact order of scalars: both are read by
+    :func:`triple` over the base of the irrational among them and compared
+    by the sign of the cross-multiplied integers ``(A1*Q2 - A2*Q1) +
+    (B1*Q2 - B2*Q1)*sqrt(d)``.  A :class:`BinaryPoint` `x` compares with a
+    rational `y` by :meth:`BinaryPoint.compare`."""
+    if isinstance(x, QuadraticReal):
+        if isinstance(y, QuadraticReal):  # the hot path, read inline
+            d = x.d if x.B else y.d
+            if y.B and y.d != d:
+                raise DomainMismatch(f"cannot mix sqrt({d}) with sqrt({y.d})")
+            a, b, q = y.A, y.B, y.Q
+        else:
+            d = x.d
+            a, b, q = triple(y, d)
+        return sign(x.A * q - a * x.Q, x.B * q - b * x.Q, d)
+    if isinstance(y, QuadraticReal):
+        return -compare(y, x)
+    a2, _, q2 = triple(y, 0)  # no field element here: any base reads y
+    if isinstance(x, BinaryPoint):
+        return x.compare(y)
+    a, _, q = triple(x, 0)
+    return sign(a * q2 - a2 * q, 0, 0)
+
+
+def scaled_floor(x, scale: int) -> int:
+    """``floor(scale * x)`` for an integer ``scale >= 1``: one
+    :func:`floor_raw` on the :func:`triple` of `x` over its own base."""
+    d = x.d if isinstance(x, QuadraticReal) else 0
+    a, b, q = triple(x, d)
+    return floor_raw(scale * a, scale * b, q, d)
 
 
 def triple_compare(x: tuple, y: tuple, d: int) -> int:
-    """Sign of ``x - y`` for triples of Q(sqrt(d)), as
-    :meth:`QuadraticReal.compare` reads it off the cross-multiplied
-    integers; neither need be reduced, but both denominators must be
-    positive (a negative one flips the sign)."""
+    """Sign of ``x - y`` for triples of Q(sqrt(d)), by the cross-multiplied
+    integers as in :func:`compare`; neither need be reduced, but both
+    denominators must be positive (a negative one flips the sign)."""
     return sign(x[0] * y[2] - y[0] * x[2], x[1] * y[2] - y[1] * x[2], d)
 
 

@@ -1,7 +1,9 @@
 """Exact substrate: dyadic values, binary points, surds, interval sets."""
 
 import math
+import operator
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -13,10 +15,11 @@ from ergolab.dyadic import BinaryPoint, _SeededSource, dyadic_exponent
 from ergolab.errors import (CapExceeded, DomainMismatch, ExceptionalPoint,
                             NotIrrational)
 from ergolab.intervals import Interval, IntervalSet, dyadic_set
+from ergolab.partitions import PartitionSchedule, split_grid_partition
 from ergolab.rotation import Rotation, build_tower
-from ergolab.surd import (QuadraticReal, cf_convergents, floor_raw,
-                          golden_conjugate, sqrt2_minus_1, to_float, triple,
-                          triple_compare)
+from ergolab.surd import (FLOATS, QuadraticReal, cf_convergents, compare,
+                          floor_raw, golden_conjugate, scaled_floor,
+                          sqrt2_minus_1, to_float, triple, triple_compare)
 
 
 class TestDyadicBoundary:
@@ -257,13 +260,7 @@ def subtraction_sign(x):
 
 def subtraction_compare(x, y):
     """The comparison route through a normalised difference object."""
-    if (isinstance(y, QuadraticReal) and y.d != x.d and x.B == 0
-            and y.B != 0):
-        return -subtraction_compare(y, x)
-    rhs = x._coerce(y)
-    if rhs is None:
-        raise DomainMismatch("incomparable operands")
-    return subtraction_sign(x - rhs)
+    return subtraction_sign(x - y)
 
 
 BASES = st.sampled_from((2, 3, 5, 7, 10))
@@ -313,7 +310,7 @@ class TestIntegerCompare:
                 subtraction_compare(x, y)
         with pytest.raises(TypeError):
             QuadraticReal(0, 1, 2).compare(0.5)
-        with pytest.raises(DomainMismatch):
+        with pytest.raises(TypeError):
             QuadraticReal(0, 1, 2).compare("1/2")
 
     @settings(max_examples=400, deadline=None)
@@ -329,6 +326,85 @@ class TestIntegerCompare:
         else:
             assert (x.A - r - 1) // x.Q <= n <= (x.A - r) // x.Q
         assert x.compare(n) >= 0 and x.compare(n + 1) < 0
+
+
+class TestOneReader:
+    """`triple` reads every scalar operand and `compare` orders every pair:
+    ints, Fractions, rational field elements of another base, field
+    elements of one base, and binary points against rationals."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data(), d=BASES)
+    def test_order_and_arithmetic(self, data, d):
+        scalar = st.one_of(
+            st.integers(-3, 3), small_fractions,
+            small_fractions.map(lambda v: QuadraticReal.rational(v, 11)),
+            field_elements(d))
+        if data.draw(st.integers(0, 4)) == 0:
+            e = data.draw(st.integers(0, 20))
+            value = Fraction(data.draw(st.integers(0, 2 ** e - 1)), 2 ** e)
+            y = data.draw(st.one_of(st.integers(-1, 2),
+                                    st.fractions(-1, 2, max_denominator=40)))
+            x = BinaryPoint.from_dyadic(value)
+            assert compare(x, y) == (value > y) - (value < y)
+            with pytest.raises(TypeError):
+                compare(x, QuadraticReal(0, 1, d).mod1())
+            return
+        x, y = data.draw(scalar), data.draw(scalar)
+        order = compare(x, y)
+        assert order == -compare(y, x)
+        field = isinstance(x, QuadraticReal) or isinstance(y, QuadraticReal)
+        if field:
+            assert order == subtraction_compare(x, y)
+        (ax, bx, qx), (ay, by, qy) = triple(x, d), triple(y, d)
+        if bx == by == 0:
+            fx, fy = Fraction(ax, qx), Fraction(ay, qy)
+            assert order == (fx > fy) - (fx < fy)
+            for op in (operator.add, operator.sub, operator.mul,
+                       operator.truediv):
+                if field and not (op is operator.truediv and fy == 0):
+                    want = op(fx, fy)
+                    assert triple(op(x, y), d) \
+                        == (want.numerator, 0, want.denominator)
+        if field:
+            assert compare((x + y) - y, x) == 0
+            if compare(y, 0):
+                assert compare((x * y) / y, x) == 0
+
+    def test_every_entry_point_refuses_a_non_scalar(self):
+        rotation = Rotation(sqrt2_minus_1())
+        root = rotation.alpha
+        cells = IntervalSet([(0, Fraction(1, 2)), (root, 1)])
+        part = split_grid_partition(1, PartitionSchedule.constant(4), cells)
+        entry_points = {
+            "compare": lambda v: compare(Fraction(1, 2), v),
+            "compare reversed": lambda v: compare(v, root),
+            "QuadraticReal.compare": root.compare,
+            "<": lambda v: root < v,
+            ">=": lambda v: v >= root,
+            "+": lambda v: root + v, "+ reflected": lambda v: v + root,
+            "-": lambda v: root - v, "- reflected": lambda v: v - root,
+            "*": lambda v: root * v, "* reflected": lambda v: v * root,
+            "/": lambda v: root / v, "/ reflected": lambda v: v / root,
+            "triple": lambda v: triple(v, 2),
+            "scaled_floor": lambda v: scaled_floor(v, 4),
+            "Interval": lambda v: Interval(0, v),
+            "IntervalSet": lambda v: IntervalSet([(0, v)]),
+            "contains": cells.contains,
+            "translate_mod1": cells.translate_mod1,
+            "locate": part.locate,
+            "Rotation.scalar": rotation.scalar,
+            "Rotation.step": rotation.step,
+        }
+        for value in (0.3, "1/2", Decimal("0.5"), None):
+            message = FLOATS if isinstance(value, float) \
+                else "as an exact scalar"
+            for name, entry in entry_points.items():
+                with pytest.raises(TypeError, match=message):
+                    entry(value)
+                    pytest.fail(f"{name} took {value!r}")
+            assert not root == value and not value == root
+            assert root != value
 
 
 class TestRationalDivisor:
@@ -588,11 +664,13 @@ class TestIntervalSets:
         with pytest.raises(TypeError, match="refusing to mix floats"):
             QuadraticReal.rational(0.3, 2)
         rotation = Rotation(sqrt2_minus_1())
-        for refused in (rotation.scalar, rotation.step):
+        for refused in (rotation.scalar, rotation.step,
+                        IntervalSet([(0, Fraction(1, 2))]).translate_mod1,
+                        dyadic_exponent, BinaryPoint.from_dyadic):
             with pytest.raises(TypeError, match="refusing to mix floats"):
                 refused(0.3)
-        with pytest.raises(TypeError, match="cannot translate by a float"):
-            IntervalSet([(0, Fraction(1, 2))]).translate_mod1(0.3)
+        with pytest.raises(TypeError, match="refusing to mix floats"):
+            dyadic_set((0, 0.1))
         # exact values still pass
         assert rotation.scalar(Fraction(3, 10)) \
             == QuadraticReal(Fraction(3, 10), 0, 2)

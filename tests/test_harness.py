@@ -2,6 +2,7 @@
 
 import argparse
 import hashlib
+import json
 import math
 import os
 import random
@@ -915,15 +916,49 @@ class TestDerivedSeed:
             harness.derived_seed(master, index)
 
 
-def _fresh_python(code: str):
-    """Run `code` in a new interpreter that imports the package sources."""
+def _fresh_python(code: str, *flags, **environ):
+    """Run `code` in a new interpreter that imports the package sources,
+    with interpreter `flags` and the `environ` variables set."""
     root = Path(__file__).resolve().parent.parent
-    env = dict(os.environ)
+    env = dict(os.environ, **environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-c", textwrap.dedent(code)],
+    return subprocess.run([sys.executable, *flags, "-c", textwrap.dedent(code)],
                           cwd=root, env=env, capture_output=True, text=True,
                           timeout=300)
+
+
+class TestReproducibility:
+    def test_pinned_outputs_under_hash_seeds_and_optimize(self, tmp_path):
+        # the pinned thm3 and thm4 runs write the pinned bytes whatever the
+        # str hash seed (labels and frozensets hash field elements) and with
+        # asserts stripped; each child also reports its hash of a str, so
+        # the two seeds are seen to differ
+        fields = {name: PINNED_OUTPUTS[name][0] for name in ("thm3", "thm4")}
+        want = {name: list(PINNED_OUTPUTS[name][1:]) for name in fields}
+        seen = {}
+        for label, flags, environ in (("seed 0", (), {"PYTHONHASHSEED": "0"}),
+                                      ("seed 1", (), {"PYTHONHASHSEED": "1"}),
+                                      ("-O", ("-O",), {})):
+            result = _fresh_python(f"""
+                import hashlib, json, sys
+                from ergolab.harness import ExperimentConfig, persist, run
+                digests = {{}}
+                for name, fields in {fields!r}.items():
+                    cfg = ExperimentConfig(**fields)
+                    paths = persist(cfg, run(cfg), {str(tmp_path / label)!r}
+                                    + "/" + name)
+                    digests[name] = [
+                        hashlib.sha256(paths[kind].read_bytes()).hexdigest()
+                        for kind in ("csv", "plot")]
+                print(json.dumps([digests, hash("ergolab"),
+                                  sys.flags.optimize]))
+            """, *flags, **environ)
+            assert result.returncode == 0, result.stderr[-2000:]
+            digests, seen[label], optimize = json.loads(result.stdout)
+            assert digests == want, label
+            assert optimize == (label == "-O")
+        assert seen["seed 0"] != seen["seed 1"]
 
 
 class TestNumpyImport:

@@ -14,11 +14,11 @@ from hypothesis import strategies as st
 from ergolab import odometer
 from ergolab.dyadic import BinaryPoint
 from ergolab.errors import CapExceeded, CoverageError
-from ergolab.intervals import IntervalSet, _cmp
+from ergolab.intervals import IntervalSet
 from ergolab.partitions import (READ_BITS, PartitionSchedule, SortedReads,
                                 split_grid_partition)
 from ergolab.rotation import Rotation, build_tower, default_rotation
-from ergolab.surd import QuadraticReal, floor_raw, golden_conjugate
+from ergolab.surd import QuadraticReal, compare, floor_raw, golden_conjugate
 
 NON_DYADIC = IntervalSet([(Fraction(1, 3), Fraction(2, 5)),
                           (Fraction(1, 2), Fraction(5, 7)),
@@ -32,11 +32,11 @@ def compare_locate(x, q, split_set):
     lo, hi = 1, q
     while lo < hi:
         mid = (lo + hi) // 2
-        if _cmp(x, bounds[mid]) < 0:
+        if compare(x, bounds[mid]) < 0:
             hi = mid
         else:
             lo = mid + 1
-    if _cmp(x, bounds[lo - 1]) < 0 or _cmp(x, bounds[lo]) >= 0:
+    if compare(x, bounds[lo - 1]) < 0 or compare(x, bounds[lo]) >= 0:
         raise CoverageError(f"{x!r} outside [0, 1)")
     return (lo, split_set.contains(x))
 
