@@ -42,43 +42,15 @@ def transition_prob(i: int, j: int) -> Fraction:
     return sum((tp for succ, tp in _successors(i) if succ == j), Fraction(0))
 
 
-def _draw_stationary(rng) -> int:
-    if not rng.getrandbits(1):
-        return rng.getrandbits(1)  # states 0 and 1, 1/4 each
-    s = 2
-    while rng.getrandbits(1):
-        s += 1
-    return s
-
-
-def sample_path(length: int, seed=None, init="stationary", rng=None):
-    """A chain path of the given length; deterministic given the seed."""
-    if length < 1:
-        raise ValueError("length must be >= 1")
-    if rng is None:
-        rng = random.Random(seed)
-    state = _draw_stationary(rng) if init == "stationary" else int(init)
-    path = [state]
-    for _ in range(length - 1):
-        state = _next_state(state, rng)
-        path.append(state)
-    return path
-
-
-def _next_state(state: int, rng) -> int:
-    if state == 0:
-        return 1
-    if state == 1:
-        return 2
-    return state + 1 if rng.getrandbits(1) else 0
-
-
 def sample_until(level: int, rng) -> list:
-    """Path from state 0 up to (and including) the first visit of `level`."""
+    """Path from state 0 up to (and including) the first visit of `level`:
+    0 and 1 climb, and from state 2 on each step reads one
+    ``rng.getrandbits(1)`` (1 climbs, 0 resets to state 0)."""
+    bit = rng.getrandbits
     state = 0
     path = [0]
     while state != level:
-        state = _next_state(state, rng)
+        state = state + 1 if state < 2 or bit(1) else 0
         path.append(state)
     return path
 
@@ -93,7 +65,10 @@ class OddLabelTable:
 
     def __init__(self, odd_bits: dict | None = None):
         self._odd = {int(k): int(v) & 1 for k, v in (odd_bits or {}).items()}
+        # every label up to the frontier, so `observe` reads each state once
         self._labels = {0: 0, 1: 0}
+        for k in range(1, max(self._odd, default=0) + 2):
+            self._labels[2 * k] = 1
         for k, bit in self._odd.items():
             self._labels[2 * k + 1] = bit
 
@@ -129,18 +104,13 @@ class OddLabelTable:
         return out
 
     def observe(self, path) -> tuple:
+        """The labels of a sequence of states, one dict read each; past the
+        frontier `path` is read again through :meth:`label`."""
         labels = self._labels
-        out = []
-        for s in path:
-            if s >= 2 and not s % 2:
-                out.append(1)
-            else:
-                bit = labels.get(s)
-                if bit is None:
-                    raise FrontierError(
-                        f"odd label for state {s} not chosen yet")
-                out.append(bit)
-        return tuple(out)
+        try:
+            return tuple([labels[s] for s in path])
+        except KeyError:
+            return tuple([self.label(s) for s in path])
 
 
 class ShiftLabelTable:
@@ -192,7 +162,7 @@ class ShiftLabelTable:
     def observe(self, path) -> tuple:
         labels = self._labels
         try:
-            return tuple(labels[s] for s in path)
+            return tuple([labels[s] for s in path])
         except KeyError as exc:
             raise FrontierError(
                 f"shift bit for state {exc.args[0]} not chosen yet") from None

@@ -45,6 +45,9 @@ def dynamic_count(data, context_len: int, context=None):
     return _ratio(num, den)
 
 
+_UNDECIDED = object()  # in no `data`, so no identity test hits it
+
+
 def pair_counts(data, context):
     """Context-1 pair counts: ``(num, den)`` over the consecutive pairs
     ``(a, b)`` of `data` with ``a == context``, where `num` sums the `b` and
@@ -53,13 +56,30 @@ def pair_counts(data, context):
     A context-1 count forecast is exactly ``num / den`` (0 when ``den`` is
     0) with the trailing value as context, and the counts add up over
     pieces of `data` that overlap in exactly one value.
+
+    ``a == context`` is decided once per distinct object of `data`, keyed
+    by ``id(a)`` (sound, as `data` holds every object for the whole call),
+    with the last objects decided each way tried by identity first; the
+    `b` are summed in index order.
     """
     num = 0
     den = 0
+    decided = {}
+    equal = unequal = _UNDECIDED
     for a, b in zip(data, data[1:]):
-        if a == context:
+        if a is equal:
             num += b
             den += 1
+        elif a is not unequal:
+            hit = decided.get(id(a))
+            if hit is None:
+                hit = decided[id(a)] = bool(a == context)
+            if hit:
+                equal = a
+                num += b
+                den += 1
+            else:
+                unequal = a
     return num, den
 
 

@@ -127,7 +127,10 @@ class QuadraticReal:
                                    self.B * q - b * self.Q, self.Q * q, d)
 
     def __rsub__(self, other):
-        return (-self) + other
+        d = self.d if self.B else getattr(other, "d", self.d)
+        a, b, q = triple(other, d)
+        return QuadraticReal._make(a * self.Q - self.A * q,
+                                   b * self.Q - self.B * q, self.Q * q, d)
 
     def __neg__(self):
         return QuadraticReal._make(-self.A, -self.B, self.Q, self.d)
@@ -161,7 +164,15 @@ class QuadraticReal:
                                    self.Q * norm, d)
 
     def __rtruediv__(self, other):
-        return self.inverse() * other
+        # `other` times Q * (A - B*sqrt(d)) / (A*A - B*B*d), normalised once
+        d = self.d if self.B else getattr(other, "d", self.d)
+        a, b, q = triple(other, d)
+        norm = self.A * self.A - self.B * self.B * d
+        if norm == 0:
+            raise ZeroDivisionError("division by zero")
+        return QuadraticReal._make((a * self.A - b * self.B * d) * self.Q,
+                                   (b * self.A - a * self.B) * self.Q,
+                                   q * norm, d)
 
     # -- floor / mod, exact
 

@@ -24,8 +24,6 @@ TEST_ONLY = {
     "stationary_pmf": "oracle: the closed-form stationary law of the chain",
     "transition_prob": "oracle: the chain's transition kernel, for the "
                        "stationarity check",
-    "sample_path": "oracle: a plain forward sample of the chain, for the "
-                   "empirical checks of its law",
     "expected_next_filtered": "oracle: the exact conditional expectation "
                               "by forward filtering",
     "expected_next_at_hit": "oracle: the conditional expectation at a "

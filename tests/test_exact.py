@@ -370,6 +370,18 @@ class TestOneReader:
             assert compare((x + y) - y, x) == 0
             if compare(y, 0):
                 assert compare((x * y) / y, x) == 0
+        if field and not isinstance(x, QuadraticReal):
+            # an int or Fraction left of - and /: the element the field's
+            # own operation gives, to the stored triple
+            left = QuadraticReal.rational(x, y.d)
+            for op in (operator.sub, operator.truediv):
+                if op is operator.truediv and not compare(y, 0):
+                    with pytest.raises(ZeroDivisionError):
+                        op(x, y)
+                    continue
+                got, want = op(x, y), op(left, y)
+                assert (got.A, got.B, got.Q, got.d) \
+                    == (want.A, want.B, want.Q, want.d)
 
     def test_every_entry_point_refuses_a_non_scalar(self):
         rotation = Rotation(sqrt2_minus_1())

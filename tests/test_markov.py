@@ -12,6 +12,39 @@ from ergolab.errors import (FrontierError, InconsistentObservation,
 from ergolab.markov import sample_sqrt_ar
 
 
+# the forward sampler: the oracle for the chain's law and for the step of
+# `markov.sample_until`
+def _draw_stationary(rng) -> int:
+    if not rng.getrandbits(1):
+        return rng.getrandbits(1)  # states 0 and 1, 1/4 each
+    s = 2
+    while rng.getrandbits(1):
+        s += 1
+    return s
+
+
+def sample_path(length: int, seed=None, init="stationary", rng=None):
+    """A chain path of the given length; deterministic given the seed."""
+    if length < 1:
+        raise ValueError("length must be >= 1")
+    if rng is None:
+        rng = random.Random(seed)
+    state = _draw_stationary(rng) if init == "stationary" else int(init)
+    path = [state]
+    for _ in range(length - 1):
+        state = _next_state(state, rng)
+        path.append(state)
+    return path
+
+
+def _next_state(state: int, rng) -> int:
+    if state == 0:
+        return 1
+    if state == 1:
+        return 2
+    return state + 1 if rng.getrandbits(1) else 0
+
+
 class TestStationaryLaw:
     def test_values(self):
         assert markov.stationary_pmf(0) == Fraction(1, 4)
@@ -37,7 +70,7 @@ class TestStationaryLaw:
 
 class TestSampling:
     def test_zero_starts_deterministically(self):
-        path = markov.sample_path(3, seed=1, init=0)
+        path = sample_path(3, seed=1, init=0)
         assert path == [0, 1, 2]
 
     def test_branch_frequency_from_two(self):
@@ -45,7 +78,7 @@ class TestSampling:
         ups = 0
         n = 10_000
         for _ in range(n):
-            path = markov.sample_path(2, rng=rng, init=2)
+            path = sample_path(2, rng=rng, init=2)
             ups += path[1] == 3
         assert abs(ups / n - 0.5) <= 0.02
 
@@ -54,11 +87,24 @@ class TestSampling:
         n = 100_000
         counts = {}
         for _ in range(n):
-            s = markov.sample_path(1, rng=rng)[0]
+            s = sample_path(1, rng=rng)[0]
             counts[s] = counts.get(s, 0) + 1
         tv = sum(abs(counts.get(j, 0) / n - float(markov.stationary_pmf(j)))
                  for j in range(25)) / 2
         assert tv <= 0.02
+
+    def test_sample_until_matches_the_stepwise_stream(self):
+        # same path and same generator state as stepping the oracle
+        for level in range(13):
+            for seed in range(200):
+                rng, oracle = random.Random(seed), random.Random(seed)
+                path = markov.sample_until(level, rng)
+                state, want = 0, [0]
+                while state != level:
+                    state = _next_state(state, oracle)
+                    want.append(state)
+                assert path == want, (level, seed)
+                assert rng.getstate() == oracle.getstate(), (level, seed)
 
 
 class TestLabelings:
@@ -74,6 +120,20 @@ class TestLabelings:
             table.label(5)
         with pytest.raises(FrontierError):
             table.observe([0, 1, 2, 3, 4, 5])
+
+    def test_binary_observe_past_the_frontier(self):
+        # labels are stored up to state 4; past it `observe` reads `label`
+        table = markov.OddLabelTable({1: 1})
+        assert table.observe([0, 1, 2, 3, 4, 0, 6, 8]) \
+            == (0, 0, 1, 1, 1, 0, 1, 1)
+        for path, unchosen in (([0, 1, 2, 3, 4, 5], 5), ([7], 7),
+                               ([6, 9, 4], 9)):
+            with pytest.raises(FrontierError) as got:
+                table.observe(path)
+            with pytest.raises(FrontierError) as want:
+                table.label(unchosen)
+            assert str(got.value) == str(want.value) \
+                == f"odd label for state {unchosen} not chosen yet"
 
     def test_shift_observation(self):
         table = markov.ShiftLabelTable()
@@ -102,7 +162,7 @@ class TestLabelings:
         table = markov.ShiftLabelTable({s: (s * 7) % 2 for s in range(3, 30)})
         rng = random.Random(4)
         for _ in range(1000):
-            path = markov.sample_path(20, rng=rng, init=0)
+            path = sample_path(20, rng=rng, init=0)
             obs = table.observe(path)
             assert [table.decode(v) for v in obs] == path
 
@@ -112,7 +172,7 @@ class TestAnchorProperty:
         table = markov.OddLabelTable({k: (k % 2) for k in range(1, 40)})
         rng = random.Random(5)
         for _ in range(1000):
-            path = markov.sample_path(30, rng=rng, init=0)
+            path = sample_path(30, rng=rng, init=0)
             obs = table.observe(path)
             for i in range(len(obs) - 2):
                 anchored = obs[i:i + 3] == (0, 0, 1)

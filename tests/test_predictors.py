@@ -17,7 +17,7 @@ from ergolab.partitions import (READ_BITS, PartitionSchedule, SortedReads,
                                 regularity, split_grid_partition)
 from ergolab.markov import sample_sqrt_ar
 from ergolab.predictors import (CellCounts, CountPredictor, dynamic_count,
-                                fit_linear_ar, make_predictor,
+                                fit_linear_ar, make_predictor, pair_counts,
                                 partitioning_autoregression)
 
 
@@ -103,6 +103,66 @@ class TestCountForecasters:
         assert make_predictor("static-count").context_len == 1
         with pytest.raises(KeyError):
             make_predictor("oracle")
+
+
+def scanned_pair_counts(data, context):
+    """The plain in-order scan: one ``a == context`` per pair."""
+    num = 0
+    den = 0
+    for a, b in zip(data, data[1:]):
+        if a == context:
+            num += b
+            den += 1
+    return num, den
+
+
+class CountingFraction(Fraction):
+    """A Fraction that counts its `__eq__` calls."""
+
+    calls = 0
+
+    def __eq__(self, other):
+        CountingFraction.calls += 1
+        return super().__eq__(other)
+
+    __hash__ = Fraction.__hash__
+
+
+# equal but distinct objects: two Fraction(1, 2), and 1, Fraction(1), True
+PAIR_ALPHABETS = st.sampled_from((
+    (0, 1, 2),
+    (Fraction(0), Fraction(1, 2), Fraction(1, 2), Fraction(1, 4), Fraction(1)),
+    (0, 1, True, False, Fraction(1), Fraction(1, 2), Fraction(1, 2), 0.5, 1.0,
+     float("nan")),
+))
+
+
+class TestPairCounts:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_equals_the_plain_scan(self, data):
+        alphabet = data.draw(PAIR_ALPHABETS)
+        series = data.draw(st.lists(st.sampled_from(alphabet), max_size=30))
+        context = data.draw(st.sampled_from(alphabet + (float("nan"),)))
+        (num, den), (want_num, want_den) = \
+            pair_counts(series, context), scanned_pair_counts(series, context)
+        # repr tells a float from an int and reads a NaN sum as "nan"
+        assert (type(num), repr(num), den) \
+            == (type(want_num), repr(want_num), want_den)
+
+    def test_nan_context_counts_nothing(self):
+        nan = float("nan")
+        assert pair_counts([nan, 1, nan, nan, 2], nan) == (0, 0)
+
+    def test_one_comparison_per_distinct_object(self):
+        labels = [CountingFraction(k, 7) for k in range(5)]
+        rng = random.Random(0)
+        series = [rng.choice(labels) for _ in range(200)]
+        for context in (labels[2], Fraction(2, 7), Fraction(9, 7)):
+            CountingFraction.calls = 0
+            got = pair_counts(series, context)
+            assert CountingFraction.calls <= 5
+            assert got == scanned_pair_counts(series, context)
 
 
 class TestPartitioningEstimate:
