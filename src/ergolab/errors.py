@@ -41,18 +41,6 @@ class FrontierError(ErgolabError):
     """A label was requested beyond the portion of the table built so far."""
 
 
-class InconsistentObservation(ErgolabError):
-    """No state path of the hidden chain can produce the observed string."""
-
-
-class InvalidLabel(ErgolabError):
-    """An observed value is not in the image of the labeling function."""
-
-
-class InvalidObservation(ErgolabError):
-    """An observation string cannot be parsed back into a state path."""
-
-
 class CoverageError(ErgolabError):
     """A query point falls outside every cell of a partition."""
 

@@ -8,13 +8,16 @@ one half each.  Its stationary law puts mass 1/4 on states 0 and 1 and
 Two labelings turn the chain into the processes under attack:
 
 * a binary labeling that fixes ``f(0) = f(1) = 0`` and ``f(even) = 1`` while
-  leaving every odd label free for an adversary to choose;
+  leaving every odd label from state 3 on free for an adversary to choose;
 * an injective labeling ``f(s) = L_s + 2**-s`` (with ``f(0) = 0``) whose free
   bits ``L_s`` likewise get chosen adversarially, but which keeps the state
   readable off the observation.
 
-The module also samples the square-root autoregression on which the linear
-baseline is fitted (:func:`sample_sqrt_ar`).
+The module samples the chain from state 0 up to a first visit
+(:func:`sample_until`) and the square-root autoregression on which the
+linear baseline is fitted (:func:`sample_sqrt_ar`).  The chain's stationary
+law, its filtering and the decoding of observations are test oracles; they
+live in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -23,23 +26,9 @@ import math
 import random
 from fractions import Fraction
 
-from .errors import (FrontierError, InconsistentObservation, InvalidLabel,
-                     InvalidObservation)
+from .errors import FrontierError
 
 HALF = Fraction(1, 2)
-
-
-def stationary_pmf(j: int) -> Fraction:
-    """Stationary probability of state j."""
-    if j < 0:
-        raise ValueError("states are nonnegative")
-    if j <= 1:
-        return Fraction(1, 4)
-    return Fraction(1, 2 ** j)
-
-
-def transition_prob(i: int, j: int) -> Fraction:
-    return sum((tp for succ, tp in _successors(i) if succ == j), Fraction(0))
 
 
 def sample_until(level: int, rng) -> list:
@@ -65,6 +54,8 @@ class OddLabelTable:
 
     def __init__(self, odd_bits: dict | None = None):
         self._odd = {int(k): int(v) & 1 for k, v in (odd_bits or {}).items()}
+        if min(self._odd, default=1) < 1:
+            raise ValueError("odd labels are chosen for states 2k+1 >= 3 only")
         # every label up to the frontier, so `observe` reads each state once
         self._labels = {0: 0, 1: 0}
         for k in range(1, max(self._odd, default=0) + 2):
@@ -87,11 +78,6 @@ class OddLabelTable:
     def chosen_bits(self) -> dict:
         """The adversary's choices, ``{"odd": {k: label of state 2k+1}}``."""
         return {"odd": self.odd_bits}
-
-    def defined_for(self, state: int) -> bool:
-        if state % 2 == 0 or state == 1:
-            return True
-        return (state - 1) // 2 in self._odd
 
     def label(self, state: int) -> int:
         if state < 0:
@@ -124,6 +110,8 @@ class ShiftLabelTable:
     def __init__(self, shift_bits: dict | None = None):
         bits = {1: 0, 2: 0}
         bits.update({int(s): int(v) & 1 for s, v in (shift_bits or {}).items()})
+        if min(bits) < 1:
+            raise ValueError("shift bits are chosen for states s >= 1 only")
         if bits[1] != 0 or bits[2] != 0:
             raise ValueError("the first two shift bits are fixed to zero")
         self._bits = bits
@@ -148,9 +136,6 @@ class ShiftLabelTable:
         first two bits are fixed, not chosen."""
         return {"L": {s: b for s, b in self._bits.items() if s > 2}}
 
-    def defined_for(self, state: int) -> bool:
-        return state == 0 or state in self._bits
-
     def label(self, state: int) -> Fraction:
         if state < 0:
             raise ValueError("states are nonnegative")
@@ -166,129 +151,6 @@ class ShiftLabelTable:
         except KeyError as exc:
             raise FrontierError(
                 f"shift bit for state {exc.args[0]} not chosen yet") from None
-
-    def decode(self, value) -> int:
-        """The unique state with this label; InvalidLabel otherwise."""
-        value = Fraction(value)
-        if value == 0:
-            return 0
-        bit, frac = (1, value - 1) if value > 1 else (0, value)
-        if frac.numerator != 1:
-            raise InvalidLabel(f"{value} is not of the form L + 2**-s")
-        s = frac.denominator.bit_length() - 1
-        if (1 << s) != frac.denominator or s < 1:
-            raise InvalidLabel(f"{value} is not of the form L + 2**-s")
-        if s in self._bits and self._bits[s] != bit:
-            raise InvalidLabel(f"{value} conflicts with the chosen bit L_{s}")
-        if s not in self._bits:
-            raise InvalidLabel(f"no state labelled {value} yet")
-        return s
-
-
-def decode_states(obs, table: OddLabelTable) -> tuple:
-    """Invert a binary observation back to its unique anchored state path.
-
-    The observation must start with the anchor ``0, 0, 1`` (which pins the
-    chain to state 0) and every later ``0, 0, 1`` likewise marks a restart;
-    between anchors the chain can only climb, so segment lengths determine
-    states.  Raises :class:`InvalidObservation` when the string cannot have
-    been produced under `table`.
-    """
-    obs = tuple(obs)
-    if len(obs) < 3 or obs[:3] != (0, 0, 1):
-        raise InvalidObservation("observation must start with the 0,0,1 anchor")
-    starts = [0]
-    for i in range(1, len(obs) - 2):
-        if obs[i:i + 3] == (0, 0, 1):
-            starts.append(i)
-    starts.append(len(obs))
-    states = []
-    for seg_idx in range(len(starts) - 1):
-        begin, end = starts[seg_idx], starts[seg_idx + 1]
-        for offset, symbol in enumerate(obs[begin:end]):
-            state = offset
-            if not table.defined_for(state):
-                raise FrontierError(f"state {state} has no label yet")
-            if table.label(state) != symbol:
-                raise InvalidObservation(
-                    f"symbol {symbol} at position {begin + offset} cannot "
-                    f"come from the forced climb state {state}")
-            states.append(state)
-    return tuple(states)
-
-
-def anchored_filter(obs, table: OddLabelTable) -> dict:
-    """Exact posterior over the current state given an anchored observation.
-
-    Starts from state 0 (the anchor forces it) and pushes the distribution
-    through the chain, keeping only states consistent with each symbol.
-    Probabilities are exact rationals.
-    """
-    obs = tuple(obs)
-    if len(obs) < 3 or obs[:3] != (0, 0, 1):
-        raise InvalidObservation("observation must start with the 0,0,1 anchor")
-    dist = {0: Fraction(1)}
-    for symbol in obs[1:]:
-        nxt = {}
-        for state, p in dist.items():
-            for succ, tp in _successors(state):
-                if not table.defined_for(succ):
-                    raise FrontierError(f"state {succ} has no label yet")
-                if table.label(succ) == symbol:
-                    nxt[succ] = nxt.get(succ, Fraction(0)) + p * tp
-        total = sum(nxt.values())
-        if total == 0:
-            raise InconsistentObservation(
-                "no state path can produce this observation")
-        dist = {s: p / total for s, p in nxt.items()}
-    return dist
-
-
-def _successors(state: int):
-    if state == 0:
-        return ((1, Fraction(1)),)
-    if state == 1:
-        return ((2, Fraction(1)),)
-    return ((0, HALF), (state + 1, HALF))
-
-
-def expected_next_filtered(obs, table: OddLabelTable) -> Fraction:
-    """Exact conditional expectation of the next observed value."""
-    dist = anchored_filter(obs, table)
-    out = Fraction(0)
-    for state, p in dist.items():
-        for succ, tp in _successors(state):
-            if not table.defined_for(succ):
-                raise FrontierError(f"state {succ} has no label yet")
-            out += p * tp * table.label(succ)
-    return out
-
-
-def expected_next_at_hit(obs, table: OddLabelTable) -> Fraction:
-    """Conditional expectation when the observation ends at a first visit
-    of an even level 2k: exactly half the odd label above it."""
-    states = decode_states(obs, table)
-    final = states[-1]
-    if final < 2 or final % 2:
-        raise InvalidObservation(
-            f"observation ends at state {final}, not at an even level")
-    if final in states[:-1]:
-        raise InvalidObservation("not the first visit of the final level")
-    return HALF * table.label(final + 1)
-
-
-def expected_next_relabeled(value, table: ShiftLabelTable) -> Fraction:
-    """Exact conditional expectation for the injective labeling.
-
-    The observation determines the state, so the expectation is the
-    deterministic successor label below state 2 and half the successor label
-    from state 2 on.
-    """
-    state = table.decode(value)
-    if state <= 1:
-        return table.label(state + 1)
-    return HALF * table.label(state + 1)
-
 
 def sample_sqrt_ar(x0: float, length: int, noise=(-0.25, 0.25), seed=None):
     """The nonlinear autoregression ``X_n = sqrt(|X_{n-1}|) + eps_n``, as a

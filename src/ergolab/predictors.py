@@ -195,16 +195,6 @@ class CellCounts:
         """Cell average; exactly 0 on empty cells."""
         return _cell_mean(self.cells.get(label))
 
-    def estimate_at(self, z):
-        """The partitioning estimate: the mean response in z's cell."""
-        return self.estimate(self.partition.locate(z))
-
-
-def autoregression_pairs(series):
-    """(predictor, response) pairs ``(X_{i-1}, X_i)`` from a past segment."""
-    series = list(series)
-    return [(series[i - 1], series[i]) for i in range(1, len(series))]
-
 
 def partitioning_autoregression(series, partition: Partition):
     """One-step forecaster: the partitioning estimate on lagged pairs.

@@ -347,21 +347,3 @@ class CellError:
         a, b = a * f, b * f
         return (k2 * (a * a + d * b * b) + k1a * a + d * k1b * b + k0a,
                 2 * k2 * a * b + k1a * b + k1b * a + k0b)
-
-
-def l1_error_exact(pieces, target: str, rotation: Rotation | None = None):
-    """Exact L1 distance of a piecewise-constant estimate from the regression.
-
-    `pieces` is an iterable of ``(IntervalSet, constant)`` covering [0, 1).
-    """
-    if target == "rotation" and rotation is None:
-        raise ValueError("rotation target needs the rotation system")
-    total = None
-    for cell, constant in pieces:
-        for iv in cell:
-            part = integral_abs_error_on_interval(
-                iv.lo, iv.hi, constant, target, rotation)
-            total = part if total is None else total + part
-    if total is None:
-        raise ValueError("estimate covers nothing")
-    return total

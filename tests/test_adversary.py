@@ -16,6 +16,8 @@ from ergolab.errors import CapExceeded
 from ergolab.predictors import (ConstantPredictor, CountPredictor,
                                 make_predictor)
 
+import oracles
+
 
 class TestHittingPaths:
     def test_level_two_single_atom(self):
@@ -292,7 +294,7 @@ class TestConfoundBinary:
             for k in (1, 2, 3):
                 tau = path.index(2 * k)
                 value = pred(obs[:tau + 1])
-                truth = float(markov.expected_next_at_hit(obs[:tau + 1], table))
+                truth = float(oracles.expected_next_at_hit(obs[:tau + 1], table))
                 side_plus = value >= 0.25
                 chosen_plus = not report[k - 1]["split"].minus_wins
                 if side_plus == chosen_plus:
@@ -341,7 +343,7 @@ class TestConfoundInjective:
             for s in (2, 3, 4):
                 tau = path.index(s)
                 value = pred(obs[:tau + 1])
-                truth = float(markov.expected_next_relabeled(obs[tau], table))
+                truth = float(oracles.expected_next_relabeled(obs[tau], table))
                 side_plus = value >= 0.25
                 chosen_plus = not report[s - 2]["split"].minus_wins
                 if side_plus == chosen_plus:

@@ -8,7 +8,10 @@ it is read as a variable, an attribute or an import, or appears as a whole
 string constant (``perfbench/tracing.py`` patches functions by their name);
 a method counts by its attribute name.  The few names only the tests use
 are listed in TEST_ONLY, a method as ``Class.method``, with the reason they
-stay.
+stay; the oracles themselves live in ``tests/oracles.py``.  The names whose
+only callers are in ``perfbench/`` are listed in BENCH_ONLY, with the
+reason; the check fails when such a name is unlisted, and when a listed
+name gains another caller or loses its ``perfbench/`` one.
 """
 
 import ast
@@ -21,25 +24,18 @@ CALLERS = MODULES + sorted((ROOT / "demos").glob("*.py")) \
     + sorted((ROOT / "perfbench").glob("*.py"))
 
 TEST_ONLY = {
-    "stationary_pmf": "oracle: the closed-form stationary law of the chain",
-    "transition_prob": "oracle: the chain's transition kernel, for the "
-                       "stationarity check",
-    "expected_next_filtered": "oracle: the exact conditional expectation "
-                              "by forward filtering",
-    "expected_next_at_hit": "oracle: the conditional expectation at a "
-                            "first visit, in closed form",
-    "expected_next_relabeled": "oracle: the conditional expectation under "
-                               "the injective labeling",
-    "l1_error_exact": "oracle: the exact L1 error by integration over "
-                      "pieces, against the runner's per-cell closed form",
-    "golden_conjugate": "a second rotation angle, so the tests do not only "
-                        "see sqrt(2) - 1",
     "BinaryPoint.periodic": "oracle: builds periodic and eventually "
-                            "constant expansions",
-    "autoregression_pairs": "oracle: the lagged pairs of a series, for the "
-                            "per-point partitioning estimate and thm4 route",
-    "CellCounts.estimate_at": "oracle: the estimate at a point located on "
-                              "its own, for the per-point thm4 route",
+                            "constant expansions; its _PeriodicSource is "
+                            "also the zero tail of BinaryPoint.from_dyadic",
+}
+
+BENCH_ONLY = {
+    "CellCounts": "the tracer patches its from_pairs by name",
+    "CellCounts.from_pairs": "the tracer patches it by name",
+    "hitting_paths": "perfbench/gate.py checks the exact route's atoms "
+                     "with it",
+    "integral_abs_error_on_interval": "the tracer patches it by name; the "
+                                      "thm4 runner integrates by CellError",
 }
 
 
@@ -111,3 +107,16 @@ def test_test_only_names_exist_and_have_no_caller():
     for name in TEST_ONLY:
         assert name in callers, f"{name} is no longer defined"
         assert not callers[name], f"{name} is called by {callers[name]}"
+
+
+def test_bench_only_names_are_those_only_perfbench_names():
+    callers = _callers()
+    bench_only = {name for name, users in callers.items()
+                  if users and all(user.startswith("perfbench/")
+                                   for user in users)}
+    unlisted = sorted(bench_only - set(BENCH_ONLY))
+    assert not unlisted, f"only perfbench/ calls {unlisted}"
+    for name in BENCH_ONLY:
+        assert name in callers, f"{name} is no longer defined"
+        assert name in bench_only, \
+            f"{name} is called by {callers[name] or 'nothing'}"

@@ -18,8 +18,10 @@ from ergolab.intervals import Interval, IntervalSet, dyadic_set
 from ergolab.partitions import PartitionSchedule, split_grid_partition
 from ergolab.rotation import Rotation, build_tower
 from ergolab.surd import (FLOATS, QuadraticReal, cf_convergents, compare,
-                          floor_raw, golden_conjugate, scaled_floor,
-                          sqrt2_minus_1, to_float, triple, triple_compare)
+                          floor_raw, scaled_floor, sqrt2_minus_1, to_float,
+                          triple, triple_compare)
+
+from oracles import golden_conjugate
 
 
 class TestDyadicBoundary:

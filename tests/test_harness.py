@@ -28,6 +28,8 @@ from ergolab.harness import (ExperimentConfig, Report, format_nlist,
 from ergolab.partitions import Partition, split_grid_partition
 from ergolab.surd import QuadraticReal
 
+import oracles
+
 
 class TestConfig:
     def test_validation(self):
@@ -378,7 +380,7 @@ def per_point_rotation(config):
 
     def l1_error(pieces):
         pieces = [(cell, c) for cell, c in pieces if not cell.is_empty()]
-        return rot.l1_error_exact(pieces, "rotation", rotation) \
+        return oracles.l1_error_exact(pieces, "rotation", rotation) \
             if pieces else zero
 
     floor = l1_error((cell, 0) for (_, inside), cell in partition
@@ -389,13 +391,13 @@ def per_point_rotation(config):
         omega = rotation.scalar(Fraction(rng.getrandbits(64), 1 << 64))
         past = [rotation.step(omega, k) for k in range(1 - n, 1)]
         counts = predictors.CellCounts.from_pairs(
-            predictors.autoregression_pairs(past), partition)
+            oracles.autoregression_pairs(past), partition)
         l1 = l1_error((cell, counts.estimate(label))
                       for label, cell in partition)
         in_b = b_set.contains(omega)
         hits += l1 >= Fraction(1, 16)
         in_b_hits += in_b
-        est = float(counts.estimate_at(omega))
+        est = float(oracles.estimate_at(counts, omega))
         truth = float(rotation.step(omega, 1))
         rows.append((n, trial, in_b, est, truth, abs(est - truth), float(l1)))
     mu_b = b_set.measure()

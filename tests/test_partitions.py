@@ -18,7 +18,9 @@ from ergolab.intervals import IntervalSet
 from ergolab.partitions import (READ_BITS, PartitionSchedule, SortedReads,
                                 split_grid_partition)
 from ergolab.rotation import Rotation, build_tower, default_rotation
-from ergolab.surd import QuadraticReal, compare, floor_raw, golden_conjugate
+from ergolab.surd import QuadraticReal, compare, floor_raw
+
+from oracles import golden_conjugate
 
 NON_DYADIC = IntervalSet([(Fraction(1, 3), Fraction(2, 5)),
                           (Fraction(1, 2), Fraction(5, 7)),

@@ -15,11 +15,11 @@ from ergolab.partitions import (READ_BITS, PartitionSchedule,
                                 split_grid_partition)
 from ergolab.rotation import (CellError, DyadicOrbit, RohlinTower, Rotation,
                               build_tower, default_rotation,
-                              integral_abs_error_on_interval, l1_error_exact,
-                              tower_from_base)
-from ergolab.surd import (QuadraticReal, floor_raw, golden_conjugate,
-                         sqrt2_minus_1)
+                              integral_abs_error_on_interval, tower_from_base)
+from ergolab.surd import QuadraticReal, floor_raw, sqrt2_minus_1
 from ergolab.surd import triple as field_triple
+
+from oracles import golden_conjugate, l1_error_exact
 
 
 def unit_set():
