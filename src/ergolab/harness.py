@@ -1,6 +1,6 @@
 """Experiment orchestration: configs, runners, reports, persistence.
 
-Seven experiments share one configuration shape and one persistence format:
+Six experiments share one configuration shape and one persistence format:
 
 * ``thm1`` / ``thm2`` -- adversarial labelings against a named predictor,
   reported as per-checkpoint exceedance probabilities;
@@ -9,10 +9,7 @@ Seven experiments share one configuration shape and one persistence format:
 * ``consistency`` / ``linear`` -- the positive count-estimator baseline and
   the linear-predictor suboptimality demo; their chain transitions, context
   errors and least-squares fits are exact, their reported errors and z-score
-  floats;
-* ``check-partitions`` -- the partitions' largest cell diameter and cell
-  count over n, per n, and the schedule's verdict on the consistency
-  premise (:func:`~ergolab.partitions.regularity`).
+  floats.
 
 Every run is deterministic given its config: per-trial seeds are derived
 from the master seed with numpy's SeedSequence hash, computed here in pure
@@ -213,12 +210,10 @@ EXPERIMENT, FLAGS = FIELDS[0], FIELDS[1:]
 _BY_KEY = {f.key: f for f in FIELDS}
 
 # what an empty nlist / q-schedule means, per experiment
-_DEFAULT_NLIST = {"thm3": tuple(range(3, 65)), "thm4": (8,),
+_DEFAULT_NLIST = {"thm3": tuple(range(3, 65)),
                   "consistency": (1000, 10_000, 100_000),
-                  "linear": (10_000,),
-                  "check-partitions": (4, 16, 64, 256)}
-_DEFAULT_SCHEDULE = {"thm3": "sqrt:1", "thm4": "sqrt:72",
-                     "check-partitions": "sqrt:1"}
+                  "linear": (10_000,)}
+_DEFAULT_SCHEDULE = {"thm4": "sqrt:72"}
 
 
 def _with_fields(cls):
@@ -321,7 +316,7 @@ class ExperimentConfig:
 class Report:
     """Rows ready for CSV plus a free-form summary and plot data."""
 
-    schema: str                 # attack | static | baseline | partitions
+    schema: str                 # attack | static | baseline
     columns: tuple
     rows: list
     summary: dict = field(default_factory=dict)
@@ -387,8 +382,10 @@ def run_attack(config: ExperimentConfig) -> Report:
     top_level = checkpoints[-1][1]
     truths = [markov.HALF * table.label(level + 1) for _, level in checkpoints]
 
-    # exceedance |forecast - E[next | past]| >= gap, decided in exact
-    # arithmetic even for a predictor that returns floats
+    # exceedance |forecast - E[next | past]| >= gap: the forecast lies on
+    # or past a cut truth -/+ gap.  Registry predictors return an int or a
+    # Fraction, so each comparison is exact
+    cuts = [(truth - gap, truth + gap) for truth in truths]
     exceed = {checkpoint: 0 for checkpoint, _ in checkpoints}
     rng = random.Random(derived_seed(config.seed, 1))
     for _ in range(config.trials):
@@ -396,8 +393,8 @@ def run_attack(config: ExperimentConfig) -> Report:
         obs = table.observe(path)
         prefixes = [obs[:path.index(level) + 1] for _, level in checkpoints]
         values = predictors.evaluate_many(predictor, prefixes)
-        for (checkpoint, _), truth, value in zip(checkpoints, truths, values):
-            if abs(Fraction(value) - truth) >= gap:
+        for (checkpoint, _), (lo, hi), value in zip(checkpoints, cuts, values):
+            if value <= lo or value >= hi:
                 exceed[checkpoint] += 1
 
     rows = []
@@ -728,29 +725,6 @@ def run_linear(config: ExperimentConfig) -> Report:
     )
 
 
-def run_check_partitions(config: ExperimentConfig) -> Report:
-    """Per n, the largest diameter of the starving partition's non-empty
-    cells and their count over n, and the schedule's :func:`regularity`
-    over the nlist; the statistic is 0 when that is refuted, else 1."""
-    schedule = config.schedule()
-    rows = []
-    for n in config.nlist:
-        cells = [cell for _, cell in odometer.starving_partition(n, schedule)
-                 if not cell.is_empty()]
-        diameter = max((cell.diameter() for cell in cells), default=0)
-        rows.append((n, 0, float(diameter), len(cells) / n))
-    verdict = regularity(schedule, config.nlist)
-    return Report(
-        schema="partitions",
-        columns=("n", "window", "max_diameter", "cells_over_n"),
-        rows=rows,
-        summary={"estimator_regular": verdict},
-        plot=[(n, diameter) for n, _, diameter, _ in rows],
-        stat=0.0 if verdict == "refuted" else 1.0,
-        stat_direction="ge",
-    )
-
-
 RUNNERS = {
     "thm1": run_attack,
     "thm2": run_attack,
@@ -758,7 +732,6 @@ RUNNERS = {
     "thm4": run_rotation_l1,
     "consistency": run_consistency,
     "linear": run_linear,
-    "check-partitions": run_check_partitions,
 }
 EXPERIMENTS = tuple(RUNNERS)
 

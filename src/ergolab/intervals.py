@@ -81,9 +81,6 @@ class IntervalSet:
             raise ValueError("interval set reaches outside [0, 1)")
         self.intervals = tuple(Interval(lo, hi) for lo, hi in merged)
 
-    def is_empty(self) -> bool:
-        return not self.intervals
-
     # -- algebra (operands canonical; results canonical)
 
     def union(self, other: "IntervalSet") -> "IntervalSet":
@@ -156,22 +153,6 @@ class IntervalSet:
                 out.append((lo, one))
                 out.append((Fraction(0), hi - one))
         return IntervalSet(out)
-
-    def sup(self):
-        if not self.intervals:
-            raise ValueError("empty set has no sup")
-        return self.intervals[-1].hi
-
-    def inf(self):
-        if not self.intervals:
-            raise ValueError("empty set has no inf")
-        return self.intervals[0].lo
-
-    def diameter(self):
-        """sup - inf, or 0 for the empty set."""
-        if not self.intervals:
-            return 0
-        return self.sup() - self.inf()
 
     def __eq__(self, other):
         return isinstance(other, IntervalSet) and self.intervals == other.intervals

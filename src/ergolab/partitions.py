@@ -2,9 +2,10 @@
 
 The estimators under study work over a sequence of partitions: an equal-width
 grid of ``q(n)`` intervals, each cell split into its intersection with a
-distinguished set and with that set's complement.  Cell diameters are at most
-``1/q(n)`` and there are at most ``2*q(n)`` cells, so the usual
-consistency conditions on a partition sequence come down to its schedule:
+distinguished set and with that set's complement.  Every cell lies inside one
+grid interval, so its diameter is at most ``1/q(n)`` by construction, and
+there are at most ``2*q(n)`` cells; the usual consistency conditions on a
+partition sequence thus come down to its schedule alone:
 ``h(n) = 1/q(n) -> 0`` and ``n*h(n) -> oo`` (:func:`regularity`).  The grid
 bounds are the Fractions ``j/q``; the distinguished set's endpoints may be
 rationals or field elements, and the cells mix them exactly.

@@ -6,7 +6,8 @@ No experiment or demo runs these, so they live beside the tests:
 * its exact conditional expectations E[next | past] by three routes:
   forward filtering of a binary observation, the closed form at a first
   visit, and decoding of the injective labels;
-* the lagged pairs of a series and the partitioning estimate at a point;
+* the lagged pairs of a series, the partitioning estimate at a point and
+  the diameter of a cell;
 * the exact L1 error of a piecewise-constant estimate by integration over
   its pieces, and a second rotation angle, the golden mean's conjugate.
 
@@ -193,6 +194,11 @@ def estimate_at(counts, z):
     """The partitioning estimate of a ``CellCounts``: the mean response in
     z's cell."""
     return counts.estimate(counts.partition.locate(z))
+
+
+def diameter(cell):
+    """sup - inf of a non-empty ``IntervalSet``."""
+    return cell.intervals[-1].hi - cell.intervals[0].lo
 
 
 # -- the rotation

@@ -335,7 +335,8 @@ def test_criterion_8_oracle_equivalences():
             exact = float(oracles.l1_error_exact(pieces, "rotation", rotation))
             numeric = 0.0
             for cell, c in pieces:
-                lo, hi = float(cell.inf()), float(cell.sup())
+                lo = float(cell.intervals[0].lo)
+                hi = float(cell.intervals[-1].hi)
                 f = lambda x, c=float(c): abs(c - ((x + alpha) % 1.0))
                 interior = [p for p in (1 - alpha, float(c) - alpha,
                                         float(c) - alpha + 1) if lo < p < hi]

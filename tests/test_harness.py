@@ -25,7 +25,7 @@ from ergolab.errors import (CapExceeded, ConfigError, ErgolabError,
 from ergolab.intervals import IntervalSet
 from ergolab.harness import (ExperimentConfig, Report, format_nlist,
                              parse_nlist, persist, run)
-from ergolab.partitions import Partition, split_grid_partition
+from ergolab.partitions import Partition, regularity, split_grid_partition
 from ergolab.surd import QuadraticReal
 
 import oracles
@@ -130,7 +130,8 @@ class TestConfig:
             with pytest.raises(ConfigError):
                 ExperimentConfig(experiment="thm3", **bad).validate()
         # a schedule whose regularity is refuted is refused by validate
-        # for thm3 and thm4, and builds for check-partitions
+        # for thm3 and thm4, and builds for an experiment that never reads
+        # it
         flat = ExperimentConfig(experiment="thm3", q_schedule="const:4",
                                 nlist=(3, 4))
         with pytest.raises(ConfigError, match="not regular"):
@@ -140,9 +141,10 @@ class TestConfig:
                                      q_schedule="table:3=4,4=2")
         with pytest.raises(ConfigError, match="not regular"):
             shrinking.validate()
-        checked = ExperimentConfig(experiment="check-partitions", nlist=(3, 4),
-                                   q_schedule="table:3=4,4=2").validate()
-        assert checked.schedule().q(4) == 2
+        unread = ExperimentConfig(experiment="thm1", nlist=(3, 4),
+                                  q_schedule="table:3=4,4=2").validate()
+        assert regularity(unread.schedule(), unread.nlist) == "refuted"
+        assert unread.schedule().q(4) == 2
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "config.txt"
@@ -269,21 +271,12 @@ class TestRunners:
         report = run(cfg)
         assert report.summary["z_score"] >= 3
 
-    def test_check_partitions_run(self):
-        cfg = ExperimentConfig(experiment="check-partitions", trials=1, seed=0)
-        report = run(cfg)
-        assert report.summary == {"estimator_regular": "proven"}
-        assert report.stat == 1.0
-        flat = ExperimentConfig(experiment="check-partitions", trials=1,
-                                seed=0, q_schedule="const:4")
-        report = run(flat)
-        assert report.summary == {"estimator_regular": "refuted"}
-        assert report.stat == 0.0
-        diameters = [row[2] for row in report.rows]
-        assert diameters == [diameters[0]] * len(diameters)
-        table = ExperimentConfig(experiment="check-partitions", trials=1,
+    def test_table_with_a_trend_runs(self):
+        # over a factor of four in n the table's cells shrink while n*h(n)
+        # grows: a trend, which validate lets thm3 run on
+        table = ExperimentConfig(experiment="thm3", trials=2, seed=0,
                                  nlist=(4, 16), q_schedule="table:4=2,16=4")
-        assert run(table).summary == {"estimator_regular": "trend"}
+        assert run(table).summary["estimator_regular"] == "trend"
 
     def test_short_table_is_untested(self):
         # one n, or a range under a factor of four, cannot witness cells
@@ -291,12 +284,11 @@ class TestRunners:
         for fields in (dict(experiment="thm4", trials=5,
                             q_schedule="table:8=1"),
                        dict(experiment="thm3", trials=5, nlist=(3, 4, 5),
-                            q_schedule="table:3=1,4=1,5=1")):
+                            q_schedule="table:3=1,4=1,5=1"),
+                       dict(experiment="thm3", trials=2, nlist=(4, 15),
+                            q_schedule="table:4=2,15=4")):
             report = run(ExperimentConfig(**fields).validate())
             assert report.summary["estimator_regular"] == "untested"
-        table = ExperimentConfig(experiment="check-partitions", trials=1,
-                                 nlist=(4, 15), q_schedule="table:4=2,15=4")
-        assert run(table).summary == {"estimator_regular": "untested"}
 
     def test_regular_schedule_on_a_short_nlist_runs(self):
         # sqrt:1 is proven regular, though 2:8 is too short for q(n) to
@@ -379,7 +371,7 @@ def per_point_rotation(config):
     zero = rotation.scalar(0)
 
     def l1_error(pieces):
-        pieces = [(cell, c) for cell, c in pieces if not cell.is_empty()]
+        pieces = [(cell, c) for cell, c in pieces if cell]
         return oracles.l1_error_exact(pieces, "rotation", rotation) \
             if pieces else zero
 
@@ -624,8 +616,8 @@ class TestStarvationOracle:
             == plot_sha
 
 
-# SHA-256 of the CSV and plot.dat each configuration writes.  The thm3 and
-# check-partitions runs go through the odometer, interval and dyadic code,
+# SHA-256 of the CSV and plot.dat each configuration writes.  The thm3 runs
+# go through the odometer, interval and dyadic code,
 # the thm1 and thm2 runs through the adversary and the count forecasts, the
 # thm4 runs (sqrt 2, golden-mean and sqrt 3 angles) through the surd
 # triples, the dyadic orbit reads, the tower build, the breakpoint table on
@@ -642,10 +634,6 @@ PINNED_OUTPUTS = {
              q_schedule="sqrt:4"),
         "21192bf4318b65eeb98b24b469ebfd46debe427240685b1b5c9c49c05a20167c",
         "9a007911077f36a644907cffe356b43b0e334ab4a301b3ddc4caef12fcb45854"),
-    "check-partitions": (
-        dict(experiment="check-partitions"),
-        "801ecce071ef26e6191c7134b571fba5c8e004bcc566aa8a4a1faa87d3bd8aa0",
-        "f548ee5a23a4d119a35c7713077e8bf8caabf239506de68014d4f73682c77ab3"),
     "thm1": (
         dict(experiment="thm1", trials=500, seed=30, kmax=4),
         "914c360b2a24ef271c249fe848e9f0a71bddcccf0db7a7c1d80c73e799c35caf",
@@ -773,10 +761,6 @@ class TestCli:
         assert err.startswith("config error: partition schedule") \
             and "not regular" in err
 
-    def test_check_partitions_reports_a_refuted_schedule(self, capsys):
-        assert cli.main(["check-partitions", "--q-schedule", "const:4"]) == 0
-        assert '"estimator_regular": "refuted"' in capsys.readouterr().out
-
     def test_bad_config_exit_code(self):
         assert cli.main(["thm1", "--trials", "0"]) == 2
 
@@ -799,7 +783,7 @@ class TestCli:
         ["thm4", "--q-schedule", "const:0"],
         ["thm4", "--q-schedule", "sqrt:-1"],
         ["thm3", "--nlist", "3:5", "--q-schedule", "const:0"],
-        ["check-partitions", "--q-schedule", "const:-2"],
+        ["thm1", "--q-schedule", "const:-2"],
         ["consistency", "--nlist", "1"],
         ["linear", "--nlist", "1"],
         ["thm3", "--threshold", "nan"],
@@ -888,6 +872,20 @@ class TestCli:
         code = cli.main(["consistency", "--nlist", "1000,5000",
                          "--threshold", "0.05"])
         assert code == 0
+
+    def test_readme_table_lists_the_experiments(self, capsys):
+        # the README's experiment table names exactly the subcommands, the
+        # paper's four negative results and two baselines
+        readme = Path(__file__).resolve().parent.parent / "README.md"
+        listed = tuple(line.split("`")[1] for line
+                       in readme.read_text(encoding="utf-8").splitlines()
+                       if line.startswith("| `"))
+        assert listed == harness.EXPERIMENTS == (
+            "thm1", "thm2", "thm3", "thm4", "consistency", "linear")
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["check-partitions"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'check-partitions'" in capsys.readouterr().err
 
 
 class TestDerivedSeed:
@@ -984,7 +982,7 @@ class TestNumpyImport:
             runs = {"thm1": ["--kmax", "2"], "thm2": ["--smax", "4"],
                     "thm3": ["--nlist", "3:6"], "thm4": ["--nlist", "4"],
                     "consistency": ["--nlist", "100,1000"],
-                    "linear": ["--nlist", "100"], "check-partitions": []}
+                    "linear": ["--nlist", "100"]}
             assert set(runs) == set(ergolab.harness.EXPERIMENTS)
             for name, argv in runs.items():
                 argv = [name, *argv, "--trials", "5"]

@@ -483,9 +483,9 @@ class TestScheduleAndRegularity:
         ns = [4, 16, 64, 256]
 
         def diameters(schedule):
-            return [max(cell.diameter() for _, cell
-                        in starving_partition(n, schedule)
-                        if not cell.is_empty()) for n in ns]
+            return [max(oracles.diameter(cell) for _, cell
+                        in starving_partition(n, schedule) if cell)
+                    for n in ns]
 
         good = PartitionSchedule.sqrt()
         assert regularity(good, ns) == "proven"
