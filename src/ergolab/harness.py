@@ -22,6 +22,8 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
+from operator import add
 from pathlib import Path
 from typing import Callable
 
@@ -30,7 +32,7 @@ from .dyadic import BinaryPoint
 from .errors import (CapExceeded, ConfigError, ErgolabError, ExceptionalPoint,
                      InvariantViolation)
 from .intervals import IntervalSet
-from .partitions import (READ_BITS, PartitionSchedule, SortedReads,
+from .partitions import (READ_BITS, PartitionSchedule, PartitionSweep,
                          regularity, split_grid_partition)
 from .surd import QuadraticReal, sign, to_float
 
@@ -335,17 +337,47 @@ class Report:
         return self.stat <= threshold
 
     def csv_lines(self):
-        """The CSV, one line at a time.  A nonzero float is formatted once
-        while in a memo emptied past 1024 values, as repeats sit close
-        together; 0.0 and -0.0 are equal keys, so never memoised."""
+        """The CSV, one line at a time, formatted column by column
+        (:func:`_column`) over blocks of rows."""
         yield ",".join(self.columns) + "\n"
-        floats = {}
-        for row in self.rows:
-            if len(floats) > 1024:
-                floats.clear()
-            yield ",".join([floats.get(v) or floats.setdefault(v, repr(v))
-                            if type(v) is float and v else _fmt(v)
-                            for v in row]) + "\n"
+        rows = self.rows
+        for lo in range(0, len(rows), _CSV_BLOCK):
+            cells = [_column(values)
+                     for values in zip(*rows[lo:lo + _CSV_BLOCK])]
+            yield from map(add, map(",".join, zip(*cells)), repeat("\n"))
+
+
+# rows formatted at a time: repeats sit close together (a thm3 trial's 62
+# rows share its truth), and a block's cells are held until its lines are
+# written; 1024 rows of distinct floats raised the peak RSS of a thm4 run
+# by 0.5 MB, 256 rows by nothing measurable
+_CSV_BLOCK = 256
+
+# the types whose cells one builtin formats as _fmt does
+_FORMATS = {float: repr, int: str}
+
+
+def _column(values) -> list:
+    """The cells of one CSV column, each as :func:`_fmt` formats it.
+
+    A column of one type with repeats formats each distinct value once,
+    except 0.0 and -0.0, which are equal keys but print apart.  A column
+    of mixed types, where True, 1 and 1.0 are equal keys, or with few
+    repeats is formatted cell by cell.
+    """
+    kinds = set(map(type, values))
+    if len(kinds) > 1:
+        return list(map(_fmt, values))
+    kind = kinds.pop()
+    fmt = _FORMATS.get(kind, _fmt)
+    distinct = set(values)
+    if 2 * len(distinct) > len(values):
+        return list(map(fmt, values))
+    memo = {v: fmt(v) for v in distinct}
+    if kind is float and 0.0 in memo:
+        del memo[0.0]
+        return [memo[v] if v else repr(v) for v in values]
+    return list(map(memo.__getitem__, values))
 
 
 def _fmt(value) -> str:
@@ -479,26 +511,27 @@ def _static_report(config: ExperimentConfig, ns, headline: str, trial_body,
 
 def run_starvation(config: ExperimentConfig) -> Report:
     """The ``thm3`` experiment.  Each trial reads its past from omega's
-    first 64 bits alone (:func:`~ergolab.odometer.past_reads`), and each
-    partition finds the query cell's points from those reads
-    (:meth:`~ergolab.partitions.Partition.select`); only a read on a table
-    key builds its point, by ``odometer.iterate``.  B_n is tested on
-    omega's read, and omega stays a binary point for its successor.  On
-    B_n the query cell is empty, so the estimate is exactly 0, and the
-    truth is at least 1/2: checked on every trial, and proven for every
-    omega of B_n when its backward images are disjoint and bit 1 is 0.
+    first 64 bits alone (:func:`~ergolab.odometer.past_reads`), and every
+    n's query cell is tallied from those reads in one window that grows
+    with n (:meth:`~ergolab.partitions.PartitionSweep.tallies`); only a
+    read on a table key builds its point, by ``odometer.iterate``.  B_n is
+    tested on omega's read, and omega stays a binary point for its
+    successor.  On B_n the query cell is empty, so the estimate is exactly
+    0, and the truth is at least 1/2: checked on every trial, and proven
+    for every omega of B_n when its backward images are disjoint and bit 1
+    is 0.
     """
     schedule = config.schedule()
     ns = list(config.nlist)
-    parts = {n: odometer.starving_partition(n, schedule) for n in ns}
+    sweep = PartitionSweep(
+        {n: odometer.starving_partition(n, schedule) for n in ns})
     prefixes = {n: odometer.starving_prefix(n) for n in ns}
     max_n = max(ns)
 
     def trial_body(trial, rows):
         omega = BinaryPoint.seeded(derived_seed(config.seed, trial))
         # every past point is read once; omega, the query, is the last
-        reads = SortedReads(odometer.past_reads(omega, max_n))
-        values = reads.reads
+        values = odometer.past_reads(omega, max_n)
 
         def point(i):
             return odometer.iterate(omega, i + 1 - max_n)
@@ -506,12 +539,12 @@ def run_starvation(config: ExperimentConfig) -> Report:
         x_next = odometer.step(omega)
         truth_high = x_next.bit(1) == 1
         truth = float(x_next)
+        cells = sweep.tallies(values, point)
         events = []
         in_b_somewhere = False
         w = values[-1]
         for n in ns:
-            picked = parts[n].select(reads, max_n - n, point)
-            total = sum([values[i + 1] for i in picked])
+            count, total = cells[n]
             est_zero = total == 0
             level, bits = prefixes[n]
             in_b = w >> (READ_BITS - level) == bits
@@ -523,7 +556,7 @@ def run_starvation(config: ExperimentConfig) -> Report:
                         f"an exactly-empty cell under a truth >= 1/2")
             if est_zero and truth_high:
                 events.append(n)
-            est_f = 0.0 if est_zero else total / (len(picked) << READ_BITS)
+            est_f = 0.0 if est_zero else total / (count << READ_BITS)
             rows.append((n, trial, in_b, est_f, truth,
                          abs(est_f - truth), None))
         return events, in_b_somewhere

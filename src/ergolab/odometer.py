@@ -72,11 +72,31 @@ def past_reads(omega: BinaryPoint, n: int):
     :func:`sample_past`, oldest first, from omega's read alone: read with
     bit 1 least significant, ``T^-j`` adds ``j`` on the 2-adic integers,
     and the low ``READ_BITS`` digits of a sum depend on those of its terms
-    only.  Exact for every omega, a carry out of the read included."""
+    only.  Exact for every omega, a carry out of the read included.
+
+    With ``j < 2**w``, the low w digits of each sum are reversed through a
+    table of ``2**w`` entries, and the high digits are omega's, plus one
+    where the low digits carry: reversed once, or twice with a carry.
+    """
     if n < 1:
         raise ValueError("empty index range")
+    w = (n - 1).bit_length()
+    mask = (1 << w) - 1
     r = _reversed_bits(omega.prefix_int(READ_BITS), READ_BITS)
-    return [_reversed_bits(r + j, READ_BITS) for j in range(n - 1, -1, -1)]
+    low, high = r & mask, r >> w
+    tops = [_reversed_bits(high, READ_BITS - w)]
+    if low + n > 1 << w:
+        tops.append(_reversed_bits(high + 1, READ_BITS - w))
+    bottoms = _reversed_lows(w)
+    return [tops[s >> w] | bottoms[s & mask]
+            for s in range(low + n - 1, low - 1, -1)]
+
+
+@functools.cache
+def _reversed_lows(w: int) -> tuple:
+    """Each w-bit value reversed and moved to the top of a read."""
+    return tuple(_reversed_bits(v, w) << (READ_BITS - w)
+                 for v in range(1 << w))
 
 
 def bit_prefix_interval(level: int, index: int) -> Interval:

@@ -15,8 +15,9 @@ read by a breakpoint table (:meth:`Partition.read_label`), and locates a
 point exactly, with no scan of its cells (:meth:`Partition.locate`): an
 exact scalar by its floor (:func:`~ergolab.surd.scaled_floor`), a binary
 point by comparison.  The reads come from the caller, which knows its
-system's orbit.  :meth:`Partition.select` finds the points of a series of
-reads (:class:`SortedReads`) in its last point's cell.
+system's orbit.  :class:`PartitionSweep` tallies the query cell of every n
+of a sweep from one series of reads, in one window that grows with n
+(:meth:`Partition.tally`).
 """
 
 from __future__ import annotations
@@ -124,7 +125,7 @@ class Partition:
     2**READ_BITS`` strictly between it and the next key.  So
     a point whose read ``p`` is no key takes that label after one bisection
     (:meth:`read_label`), and ``runs`` holds per label the open intervals
-    of reads between two keys that take it (:meth:`select`).  A point's
+    of reads between two keys that take it (:meth:`tally`).  A point's
     read comes from its caller: the odometer's 2-adic reads for ``thm3``,
     :class:`~ergolab.rotation.DyadicOrbit` for ``thm4``.
 
@@ -195,30 +196,24 @@ class Partition:
             raise CoverageError(f"{x!r} outside [0, 1)")
         return (j, self.inside_cells[j - 1].contains(x))
 
-    def select(self, reads: "SortedReads", start: int, point):
-        """The indices ``start <= i < last`` of the points read by `reads`
-        in the cell of the last one (the query), in increasing order.
+    def tally(self, reads, successors, label):
+        """``(count, sum)`` over the points of a window in the cell
+        `label`, from their reads alone: `reads` sorted, and `successors`
+        the read of the point after each, in the same order.
 
         The reads strictly between two table keys form a run of one cell,
-        so the points in the query's cell are found by bisecting the sorted
-        reads at that cell's runs.  Only a point whose read is a table key
-        is built, as ``point(i)``, and located exactly: the query first,
-        then the others in index order, so the first :class:`CapExceeded`
-        or TypeError is the one a point-by-point scan raises.
+        so the window is bisected at that cell's runs; a point whose read
+        is a table key lies in no run and is not counted here
+        (:meth:`PartitionSweep.tallies` locates it).
         """
-        values, order, ranked = reads.reads, reads.order, reads.sorted
-        stop = len(values) - 1
-        label = self.read_label(values[stop]) or self.locate(point(stop))
-        found = [i for lo, hi in self.runs.get(label, ())
-                 for i in order[bisect_right(ranked, lo):
-                                bisect_left(ranked, hi)]
-                 if start <= i < stop]
-        if not self.key_set.isdisjoint(reads.set):
-            found += [i for i in range(start, stop)
-                      if values[i] in self.key_set
-                      and self.locate(point(i)) == label]
-        found.sort()
-        return found
+        count = total = 0
+        for lo, hi in self.runs.get(label, ()):
+            a = bisect_right(reads, lo)
+            b = bisect_left(reads, hi, a)
+            if a < b:
+                count += b - a
+                total += sum(successors[a:b])
+        return count, total
 
     def __len__(self):
         return len(self.cells)
@@ -227,20 +222,58 @@ class Partition:
         return iter(self.cells)
 
 
-class SortedReads:
-    """The reads of a series of points, ``reads[i]`` of point i, computed
-    once per series: ``order``, its indices sorted by read, and ``sorted``,
-    the reads in that order, so that :meth:`Partition.select` finds a
-    cell's points by bisection, and ``set``, so that it tests the table
-    keys against all reads at once."""
+class PartitionSweep:
+    """The partitions of a sweep over n, ``{n: Partition}`` in the order
+    the rows of n are reported, serving every n of one series of reads
+    from a single window (:meth:`tallies`); ``keys`` is the union of their
+    table keys."""
 
-    __slots__ = ("reads", "order", "sorted", "set")
+    def __init__(self, parts: dict):
+        self.parts = parts
+        self.keys = frozenset().union(*(p.key_set for p in parts.values()))
 
-    def __init__(self, reads):
-        self.reads = reads = list(reads)
-        self.order = sorted(range(len(reads)), key=reads.__getitem__)
-        self.sorted = [reads[i] for i in self.order]
-        self.set = frozenset(reads)
+    def tallies(self, reads, point) -> dict:
+        """``{n: (count, sum)}``: for each n, the points among the last n
+        of the series read by `reads` (point i reads ``reads[i]``) that
+        share the cell of the last one, the query, with ``sum`` the read
+        of the point after each; the query itself is not counted.
+
+        The reads are tested against the table keys once.  Only a point
+        whose read is a key of n's partition is built, as ``point(i)``,
+        and located exactly: per n in order, the query first, then those
+        points in index order, so the first :class:`CapExceeded` or
+        TypeError is the one a point-by-point scan raises.  Then a window
+        grows from the query back, adding each past point once by a bisect
+        insort as the ns increase, so that it holds exactly n's points when
+        n's partition tallies it (:meth:`Partition.tally`).
+        """
+        stop = len(reads) - 1
+        query = reads[stop]
+        on_keys = [] if self.keys.isdisjoint(reads) else \
+            [i for i in range(stop) if reads[i] in self.keys]
+        labels, keyed = {}, {}
+        for n, part in self.parts.items():
+            label = labels[n] = part.read_label(query) \
+                or part.locate(point(stop))
+            if on_keys:
+                picked = [i for i in on_keys if i > stop - n
+                          and reads[i] in part.key_set
+                          and part.locate(point(i)) == label]
+                keyed[n] = len(picked), sum([reads[i + 1] for i in picked])
+        out = {}
+        window, successors = [], []
+        start = stop
+        for n in sorted(self.parts):
+            for i in range(start - 1, stop - n, -1):
+                at = bisect_right(window, reads[i])
+                window.insert(at, reads[i])
+                successors.insert(at, reads[i + 1])
+            start = stop + 1 - n
+            count, total = self.parts[n].tally(window, successors, labels[n])
+            if n in keyed:
+                count, total = count + keyed[n][0], total + keyed[n][1]
+            out[n] = count, total
+        return out
 
 
 def split_grid_partition(n: int, schedule: PartitionSchedule,

@@ -181,9 +181,10 @@ class TestRunners:
     def test_thm3_starving_invariant_is_checked(self, monkeypatch):
         # a starving trial must see an exactly-empty cell; an estimator that
         # reads anything there breaks the run, also under python -O.  The
-        # runner sums the responses' reads of the points `select` picks.
-        monkeypatch.setattr(Partition, "select",
-                            lambda partition, reads, start, point: [start])
+        # runner reads the query cell's tally of successor reads.
+        monkeypatch.setattr(Partition, "tally",
+                            lambda partition, reads, successors, label:
+                            (1, 1 << 63))
         cfg = ExperimentConfig(experiment="thm3", trials=10, seed=2,
                                nlist=tuple(range(3, 9)))
         with pytest.raises(InvariantViolation, match="exactly-empty cell"):
@@ -547,6 +548,19 @@ class TestStarvationOracle:
         assert report.plot == plot
         assert 0 < summary["in_set_frequency"] < 1
 
+    def test_unsorted_nlist_keeps_its_rows(self):
+        # an nlist neither sorted nor contiguous: the window grows over the
+        # sorted ns, and the rows, summary and plot keep the config's order
+        cfg = ExperimentConfig(experiment="thm3", trials=40, seed=20,
+                               nlist=(16, 4, 9),
+                               q_schedule="sqrt:1").validate()
+        report = run(cfg)
+        rows, summary, plot = per_point_starvation(cfg)
+        assert [row[0] for row in report.rows[:3]] == [16, 4, 9]
+        assert typed(report.rows) == typed(rows)
+        assert report.summary == summary
+        assert report.plot == plot
+
     @settings(max_examples=300, deadline=None)
     @given(seed=st.integers(0, 10 ** 6), n=st.integers(1, 130),
            kind=st.sampled_from(["seeded", "ones", "zeros", "carry"]),
@@ -667,6 +681,50 @@ PINNED_OUTPUTS = {
 }
 
 
+def cell_text(value):
+    """One CSV cell, formatted on its own."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(value)
+    return "" if value is None else str(value)
+
+
+def joined_csv(report):
+    """The CSV text of `report`, joined whole from one format per cell."""
+    return "\n".join([",".join(report.columns)]
+                     + [",".join(map(cell_text, row))
+                        for row in report.rows]) + "\n"
+
+
+def first_difference(text, want):
+    """None when the texts are equal, else the first line where they
+    differ, numbered, with both versions: a short failure message where a
+    diff of whole CSVs would take minutes."""
+    if text == want:
+        return None
+    got, lines = text.split("\n"), want.split("\n")
+    return next(((i, a, b) for i, (a, b) in enumerate(zip(got, lines))
+                 if a != b), (len(got), len(lines)))
+
+
+# the values one CSV column draws its cells from: floats (signed zeros, nan
+# and infinities among them), ints, bools, None or text alone, or a mix of
+# values equal to one another across types
+CSV_POOLS = st.one_of(
+    st.lists(st.floats() | st.sampled_from([0.0, -0.0, math.nan]),
+             min_size=1, max_size=6),
+    st.lists(st.floats(), min_size=50, max_size=200),
+    st.lists(st.integers(-3, 3), min_size=1, max_size=4),
+    st.lists(st.booleans(), min_size=1, max_size=2),
+    st.just([None]),
+    st.lists(st.text("ab", max_size=3), min_size=1, max_size=3),
+    st.lists(st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, True,
+                              False, 1, 0, 1.0, None, "", "x",
+                              Fraction(1, 3)]), min_size=2, max_size=8),
+)
+
+
 class TestPersistence:
     @pytest.mark.parametrize("name", list(PINNED_OUTPUTS))
     def test_persist_and_determinism(self, tmp_path, name):
@@ -683,18 +741,11 @@ class TestPersistence:
         assert hashlib.sha256(first["plot"].read_bytes()).hexdigest() == plot_sha
 
     def test_streamed_csv_matches_joined_text(self, tmp_path):
-        # the streamed CSV, each nonzero float formatted once, against the
-        # text joined whole from one format per cell: signed zeros, nan,
+        # the streamed CSV, formatted column by column, against the text
+        # joined whole from one format per cell: signed zeros, nan,
         # infinities, the least subnormal, a float repeated across rows,
         # values equal to one another but of other types, non-floats, and
-        # enough distinct floats to fill the memo and empty it
-        def fmt(value):
-            if isinstance(value, bool):
-                return "true" if value else "false"
-            if isinstance(value, float):
-                return repr(value)
-            return "" if value is None else str(value)
-
+        # enough rows for several blocks
         rows = [(0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324),
                 (-0.0, 0.0, 0.1, True, 1, 1.0),
                 (1.0, True, 1, 0.1, Fraction(1, 3), None),
@@ -702,12 +753,34 @@ class TestPersistence:
                 (math.nan, 1.0, 0.30000000000000004, 0.1 + 0.2, None, "")]
         rows += [(i / 7, 0.1, -i / 7, i, 1.0, (i % 5) / 3) for i in range(3000)]
         report = Report(schema="static", columns=tuple("abcdef"), rows=rows)
-        want = "\n".join([",".join(report.columns)]
-                         + [",".join(fmt(v) for v in row) for row in rows])
         cfg = ExperimentConfig(experiment="thm3", trials=1, seed=0)
         paths = persist(cfg, report, tmp_path)
-        assert paths["csv"].read_text(encoding="utf-8") == want + "\n"
-        assert "".join(report.csv_lines()) == want + "\n"
+        want = joined_csv(report)
+        assert first_difference(paths["csv"].read_text(encoding="utf-8"),
+                                want) is None
+        assert first_difference("".join(report.csv_lines()), want) is None
+
+    @settings(max_examples=200, deadline=None)
+    @given(pools=st.lists(CSV_POOLS, min_size=1, max_size=5),
+           size=st.sampled_from([0, 1, 2, 7, 1023, 1024, 1025, 2100]),
+           seed=st.integers(0, 2 ** 32))
+    def test_csv_lines_match_per_cell_format(self, pools, size, seed):
+        # columns of one type, with repeats or without, and columns that
+        # mix 0.0, -0.0, nan, infinities, True, 1, 1.0, None and text, over
+        # row counts around the block size, none included: each cell as
+        # one format per cell writes it
+        rng = random.Random(seed)
+        rows = [tuple(rng.choice(pool) for pool in pools)
+                for _ in range(size)]
+        report = Report(schema="static",
+                        columns=tuple(f"c{i}" for i in range(len(pools))),
+                        rows=rows)
+        assert first_difference("".join(report.csv_lines()),
+                                joined_csv(report)) is None
+
+    def test_csv_without_rows_is_its_header(self):
+        report = Report(schema="static", columns=("n", "trial"), rows=[])
+        assert list(report.csv_lines()) == ["n,trial\n"]
 
     def test_csv_schema_headers(self, tmp_path):
         cfg = ExperimentConfig(experiment="linear", trials=1, seed=0)

@@ -1,8 +1,9 @@
-"""The split grid's table, its one exact locate and its one select, against
-a bisection of the grid bounds with exact comparisons and a point-by-point
-scan: binary points by comparisons, field elements and rationals by their
-floor, and every point with a 64-bit read by the breakpoint table, on split
-sets with rational and with field-element endpoints."""
+"""The split grid's table, its one exact locate and the tallies of a sweep
+over n, against a bisection of the grid bounds with exact comparisons and a
+point-by-point scan: binary points by comparisons, field elements and
+rationals by their floor, and every point with a 64-bit read by the
+breakpoint table, on split sets with rational and with field-element
+endpoints."""
 
 import functools
 from fractions import Fraction
@@ -15,7 +16,7 @@ from ergolab import odometer
 from ergolab.dyadic import BinaryPoint
 from ergolab.errors import CapExceeded, CoverageError
 from ergolab.intervals import IntervalSet
-from ergolab.partitions import (READ_BITS, PartitionSchedule, SortedReads,
+from ergolab.partitions import (READ_BITS, PartitionSchedule, PartitionSweep,
                                 split_grid_partition)
 from ergolab.rotation import Rotation, build_tower, default_rotation
 from ergolab.surd import QuadraticReal, compare, floor_raw
@@ -54,7 +55,7 @@ def raised(fn, *args):
     """`fn`'s result, or the type and message of what it raised."""
     try:
         return fn(*args)
-    except (CapExceeded, CoverageError) as exc:
+    except (CapExceeded, CoverageError, TypeError) as exc:
         return type(exc), str(exc)
 
 
@@ -70,17 +71,28 @@ def read_of(x):
     return read if 0 <= read < 1 << READ_BITS else None
 
 
-def select_reads(part, xs, start):
-    """`Partition.select` on the reads of `xs`, building point i as
-    ``xs[i]``."""
-    return part.select(SortedReads(map(read_of, xs)), start, xs.__getitem__)
+def sweep_tallies(parts, xs):
+    """`PartitionSweep.tallies` of the partitions ``{n: part}`` on the
+    reads of `xs`, building point i as ``xs[i]``."""
+    return PartitionSweep(parts).tallies([read_of(x) for x in xs],
+                                         xs.__getitem__)
 
 
-def select_point_by_point(part, xs, start):
-    """The points of ``xs[start:-1]`` in the cell of the last one, located
-    one by one, the last one first."""
-    label = part.locate(xs[-1])
-    return [i for i in range(start, len(xs) - 1) if part.locate(xs[i]) == label]
+def tallies_point_by_point(parts, xs):
+    """Per n in order, the count of the last n points but the last one
+    that share its cell, and the sum of the reads of the points after
+    them: the last point located first, then the others in index order."""
+    out = {}
+    for n, part in parts.items():
+        label = part.locate(xs[-1])
+        out[n] = tally_of(xs, [i for i in range(len(xs) - n, len(xs) - 1)
+                               if part.locate(xs[i]) == label])
+    return out
+
+
+def tally_of(xs, picked):
+    """The (count, sum) of the points `picked` of `xs`."""
+    return len(picked), sum(read_of(xs[i + 1]) for i in picked)
 
 
 def expansion(value, width):
@@ -97,11 +109,11 @@ def assert_same(x, q, split_set, part=None):
     read = read_of(x)
     if read is not None:
         # the table's label off a key; and the same point as query and
-        # predictor, selected from its read
+        # predictor, tallied from its read
         label = part.read_label(read)
         assert label == (None if read in part.key_set else fresh)
-        assert outcome(select_reads, part, [x, x], 0) \
-            == ([0] if isinstance(fresh, tuple) else fresh)
+        assert outcome(sweep_tallies, {2: part}, [x, x]) \
+            == ({2: (1, read)} if isinstance(fresh, tuple) else fresh)
     return fresh
 
 
@@ -234,7 +246,7 @@ class TestBracketLocator:
                         label = assert_same(x, q, split_set, part)
                         if isinstance(label, tuple) and x.cap >= READ_BITS:
                             decided[x] = label
-            # every cell's read points picked from all of these at once,
+            # every cell's read points tallied from all of these at once,
             # with a query of that cell on the table route and one on the
             # exact route (a key of the table), against their labels by the
             # comparison route
@@ -243,8 +255,11 @@ class TestBracketLocator:
             for x, label in decided.items():
                 queries.setdefault((label, read_of(x) in part.key_set), x)
             for (label, _), query in queries.items():
-                assert select_reads(part, xs + [query], 0) \
-                    == [i for i, other in enumerate(labels) if other == label]
+                window = xs + [query]
+                assert sweep_tallies({len(window): part}, window) \
+                    == {len(window): tally_of(window, [
+                        i for i, other in enumerate(labels)
+                        if other == label])}
             # all zeros at bound 0: CapExceeded when seeded, cell 1 when
             # provably zero
             for x in (BinaryPoint.seeded(q, prefix=(0,) * BinaryPoint.default_cap),
@@ -276,22 +291,29 @@ class TestBracketLocator:
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
-    def test_select_matches_point_by_point(self, data):
-        # the points in the last point's cell picked by bisecting sorted
-        # reads, against locating the last point and then every point of
-        # the window in turn, CapExceeded included; the last point is drawn
-        # like the others or is one of them.  Every point has a read.
-        part, q, split_set = data.draw(st.sampled_from(table_partition_list()))
+    def test_sweep_matches_point_by_point(self, data):
+        # nested windows, the ns in the drawn order, sorted or not: every
+        # n's query cell tallied from one growing window of sorted reads,
+        # against locating the last point and then every point of n's
+        # window in turn, n by n, CapExceeded included; the last point is
+        # drawn like the others or is one of them, and points sit on or
+        # next to the table keys of the sweep's partitions.  Every point
+        # has a read.
+        size = data.draw(st.integers(1, 12))
+        ns = data.draw(st.lists(st.integers(1, size + 1), min_size=1,
+                                max_size=4, unique=True))
+        entries = [data.draw(st.sampled_from(table_partition_list()))
+                   for _ in ns]
         point = st.one_of(
             points(st.one_of(st.none(), st.integers(READ_BITS, 140))),
-            st.sampled_from([64, 65, 128]).flatmap(
-                lambda cap: near_keys(q, split_set, cap)))
-        xs = data.draw(st.lists(point, min_size=1, max_size=12))
+            st.sampled_from(entries).flatmap(
+                lambda entry: st.sampled_from([64, 65, 128]).flatmap(
+                    lambda cap: near_keys(entry[1], entry[2], cap))))
+        xs = data.draw(st.lists(point, min_size=size, max_size=size))
         xs.append(data.draw(st.one_of(point, st.sampled_from(xs))))
-        start = data.draw(st.integers(0, len(xs)))
-
-        assert raised(select_reads, part, xs, start) \
-            == raised(select_point_by_point, part, xs, start)
+        parts = {n: part for n, (part, _, _) in zip(ns, entries)}
+        assert raised(sweep_tallies, parts, xs) \
+            == raised(tallies_point_by_point, parts, xs)
 
     def test_query_cap_error_comes_first(self):
         # all zeros to the cap read 0, the key of bound 0, and are
@@ -301,8 +323,26 @@ class TestBracketLocator:
         xs = [BinaryPoint.seeded(i, prefix=(0,) * cap, cap=cap)
               for i, cap in enumerate((100, 100, 80))]
         want = (CapExceeded, "no bit equal to 1 within cap 80")
-        assert raised(select_reads, part, xs, 0) == want
-        assert raised(select_point_by_point, part, xs, 0) == want
+        assert raised(sweep_tallies, {3: part}, xs) == want
+        assert raised(tallies_point_by_point, {3: part}, xs) == want
+
+    def test_errors_come_in_the_order_of_n(self):
+        # the query reads 2**63, the key of bound 1/2 at n = 5 (q = 2) and
+        # no key at n = 9 (q = 3), and meets its cap when located there; the
+        # predictor before it reads 0, the key of bound 0 in both, and meets
+        # its own cap.  The sweep raises the error of the n that comes
+        # first.
+        schedule = PartitionSchedule.sqrt()
+        parts = {n: odometer.starving_partition(n, schedule) for n in (9, 5)}
+        half = BinaryPoint.seeded(1, prefix=(1,) + (0,) * 69, cap=70)
+        zeros = BinaryPoint.seeded(2, prefix=(0,) * 90, cap=90)
+        xs = [BinaryPoint.seeded(i) for i in range(7)] + [zeros, half]
+        assert read_of(half) in parts[5].key_set - parts[9].key_set
+        for order, cap in (((9, 5), 90), ((5, 9), 70)):
+            ordered = {n: parts[n] for n in order}
+            want = (CapExceeded, f"no bit equal to 1 within cap {cap}")
+            assert raised(sweep_tallies, ordered, xs) == want
+            assert raised(tallies_point_by_point, ordered, xs) == want
 
     def test_fraction_queries_keep_the_comparison_route(self):
         part = split_grid_partition(1, PartitionSchedule.constant(5), NON_DYADIC)
@@ -316,19 +356,21 @@ class TestBracketLocator:
             == [True, False, True, False]
         for query in xs:
             label = part.locate(query)
-            assert select_reads(part, xs + [query], 0) \
-                == [i for i, x in enumerate(xs) if part.locate(x) == label]
+            window = xs + [query]
+            assert sweep_tallies({len(window): part}, window) \
+                == {len(window): tally_of(window, [
+                    i for i, x in enumerate(xs) if part.locate(x) == label])}
 
     def test_float_queries_are_refused(self):
         # no cell scan: a float is no exact point, located by no route,
-        # also where a select builds it for a read on a table key
+        # also where a sweep builds it for a read on a table key
         part = split_grid_partition(1, PartitionSchedule.constant(5), NON_DYADIC)
         with pytest.raises(TypeError):
             part.locate(0.5)
         xs = [BinaryPoint.seeded(1), 0.5]
         with pytest.raises(TypeError):
-            part.select(SortedReads([read_of(xs[0]), part.keys[1]]), 0,
-                        xs.__getitem__)
+            PartitionSweep({2: part}).tallies(
+                [read_of(xs[0]), part.keys[1]], xs.__getitem__)
 
 
 def cover_set(rotation, n):
@@ -412,25 +454,29 @@ class TestFloorLocator:
                 assert fallbacks >= len(part.keys)
 
     @settings(max_examples=300, deadline=None)
-    @given(data=st.data(), index=st.integers(0, len(COVER_SETS) - 1),
-           q=st.integers(2, 40))
-    def test_select_matches_point_by_point(self, data, index, q):
-        # select by read runs on a surd cover set, against locating
-        # the last point and then every point of the window in turn; the
-        # last point is drawn like the others or is one of them, and one
-        # point in four is a grid bound or a cover-set endpoint, whose read
-        # is a table key
+    @given(data=st.data(), index=st.integers(0, len(COVER_SETS) - 1))
+    def test_sweep_matches_point_by_point(self, data, index):
+        # nested windows on a surd cover set, each n on its own grid, the ns
+        # in the drawn order, sorted or not, against locating the last point
+        # and then every point of n's window in turn, n by n; the last point
+        # is drawn like the others or is one of them, and one point in four
+        # is a grid bound or a cover-set endpoint, whose read is a table key
+        # of some grid
         d, split_set = COVER_SETS[index]
-        edges = [QuadraticReal.rational(Fraction(j, q), d) for j in range(q)]
+        size = data.draw(st.integers(1, 12))
+        ns = data.draw(st.lists(st.integers(1, size + 1), min_size=1,
+                                max_size=4, unique=True))
+        qs = [data.draw(st.integers(2, 40)) for _ in ns]
+        edges = [QuadraticReal.rational(Fraction(j, q), d)
+                 for q in qs for j in range(q)]
         edges += [end for iv in split_set for end in (iv.lo, iv.hi) if end < 1]
         point = st.one_of(*[field_points(d, anywhere=False)] * 3,
                           st.sampled_from(edges))
-        xs = data.draw(st.lists(point, min_size=1, max_size=12))
+        xs = data.draw(st.lists(point, min_size=size, max_size=size))
         xs.append(data.draw(st.one_of(point, st.sampled_from(xs))))
-        start = data.draw(st.integers(0, len(xs)))
-        part = cover_partition(index, q)
-        assert raised(select_reads, part, xs, start) \
-            == raised(select_point_by_point, part, xs, start)
+        parts = {n: cover_partition(index, q) for n, q in zip(ns, qs)}
+        assert raised(sweep_tallies, parts, xs) \
+            == raised(tallies_point_by_point, parts, xs)
 
     def test_other_query_types_are_refused(self):
         part = cover_partition(0, 4)
@@ -443,7 +489,7 @@ class TestFloorLocator:
               BinaryPoint.from_dyadic(Fraction(1, 2))]
         assert read_of(xs[1]) in part.key_set
         with pytest.raises(TypeError):
-            select_reads(part, xs, 0)
+            sweep_tallies({2: part}, xs)
 
     def test_binary_points_meet_field_elements_only_in_membership(self):
         # split set [0, sqrt(2) - 1) on a grid of 4: the grid bounds are

@@ -13,7 +13,7 @@ from ergolab import markov, odometer
 from ergolab.dyadic import BinaryPoint
 from ergolab.errors import CapExceeded, CoverageError, SingularFit
 from ergolab.intervals import IntervalSet
-from ergolab.partitions import (READ_BITS, PartitionSchedule, SortedReads,
+from ergolab.partitions import (READ_BITS, PartitionSchedule, PartitionSweep,
                                 regularity, split_grid_partition)
 from ergolab.markov import sample_sqrt_ar
 from ergolab.predictors import (CellCounts, CountPredictor, dynamic_count,
@@ -252,14 +252,12 @@ def lazy_autoregression(series, partition):
     return Fraction(num, den << 64) if den else 0
 
 
-def select_mean(reads, partition, start, point):
-    """The exact mean of the reads of the responses that follow the points
-    :meth:`Partition.select` picks, as the runner sums them, typed as the
-    per-point estimator types it: an integer 0 for an empty cell, else a
-    Fraction."""
-    picked = partition.select(reads, start, point)
-    total = sum(reads.reads[i + 1] for i in picked)
-    return Fraction(total, len(picked) << READ_BITS) if picked else 0
+def cell_mean(tally):
+    """The exact mean of a query cell's successor reads from its tally
+    ``(count, sum)``, as the runner reads it, typed as the per-point
+    estimator types it: an integer 0 for an empty cell, else a Fraction."""
+    count, total = tally
+    return Fraction(total, count << READ_BITS) if count else 0
 
 
 def outcome(fn, *args):
@@ -296,14 +294,15 @@ class TestReadOnceRoute:
         schedule = PartitionSchedule.sqrt()
         parts = {n: odometer.starving_partition(n, schedule)
                  for n in range(3, 65)}
+        sweep = PartitionSweep(parts)
         for trial in range(200):
             omega = BinaryPoint.seeded(1000 + trial)
             series = odometer.sample_past(omega, 64)
             reads = odometer.past_reads(omega, 64)
             assert reads == [z.prefix_int(READ_BITS) for z in series]
-            reads = SortedReads(reads)
+            cells = sweep.tallies(reads, series.__getitem__)
             for n, part in parts.items():
-                got = select_mean(reads, part, 64 - n, series.__getitem__)
+                got = cell_mean(cells[n])
                 want = partitioning_autoregression(series[-n:], part)
                 assert got == want and type(got) is type(want)
 
@@ -324,8 +323,8 @@ class TestReadOnceRoute:
                 def point(i):
                     return odometer.iterate(omega, i + 1 - m)
 
-                got = select_mean(SortedReads(odometer.past_reads(omega, m)),
-                                  part, 0, point)
+                got = cell_mean(PartitionSweep({m: part}).tallies(
+                    odometer.past_reads(omega, m), point)[m])
                 want = partitioning_autoregression(series, part)
                 assert got == want and type(got) is type(want)
                 estimates.add(got == 0)
