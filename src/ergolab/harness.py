@@ -11,15 +11,20 @@ Six experiments share one configuration shape and one persistence format:
   errors and least-squares fits are exact, their reported errors and z-score
   floats.
 
-Every run is deterministic given its config: per-trial seeds are derived
-from the master seed with numpy's SeedSequence hash, computed here in pure
-Python (:func:`derived_seed`), and reports serialize to byte-identical CSV.
+Every run is deterministic given its config, and reports serialize to
+byte-identical CSV.  Seeds are derived from the master seed with numpy's
+SeedSequence hash, computed here in pure Python (:func:`derived_seed`):
+``thm3`` derives one per trial, for that trial's omega; ``thm4`` and the
+attacks' sampled paths draw every trial from one stream seeded by one
+derived seed, as do the attacks' label construction, each of the five
+``consistency`` series and the ``linear`` series.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
@@ -581,14 +586,21 @@ def run_starvation(config: ExperimentConfig) -> Report:
 
 def run_rotation_l1(config: ExperimentConfig) -> Report:
     """The ``thm4`` experiment: each trial draws ``omega = N / 2**64`` and
-    reads its orbit (:class:`~ergolab.rotation.DyadicOrbit`), so every
-    point's cell, and omega's membership in B (a one-cell partition over
-    B), comes from its read through a breakpoint table
-    (:meth:`~ergolab.partitions.Partition.read_label`); only a read on a
-    table key takes the exact locate.  A trial's L1 error is the sum of
-    F(0) plus one :meth:`~ergolab.rotation.CellError.excess` per non-empty
-    cell, integers ``(A, B)`` over one ``scale`` per run, and its event and
-    floor check are integer signs.
+    reads its orbit (:class:`~ergolab.rotation.DyadicOrbit`): ``x_k`` reads
+    ``N + s_k``, less ``2**64`` where the orbit wraps.  A point's cell, and
+    omega's membership in B (a one-cell partition over B), come from its
+    read through a breakpoint table
+    (:meth:`~ergolab.partitions.Partition.read_label`), and change only
+    where some read meets a table key: at the cuts ``N = (key - s_k) mod
+    2**64``.  So a trial is labelled by one bisection of the cuts.  All
+    that depends only on the interval between two cuts -- every label,
+    B-membership, wrap and each cell's members -- is built once, from the
+    first trial that falls in it, point by point; a read on a cut is built
+    the same way on its own, and a point read on a key takes the exact
+    locate.  A trial's L1 error is the sum of F(0) plus one
+    :meth:`~ergolab.rotation.CellError.excess` per non-empty cell, integers
+    ``(A, B)`` over one ``scale`` per run, and its event and floor check
+    are integer signs.
 
     On B every predictor ``T^-j omega``, ``j < n``, lies in C, so every
     outside cell is empty and predicts 0, and L1 is at least ``floor``, the
@@ -627,34 +639,82 @@ def run_rotation_l1(config: ExperimentConfig) -> Report:
     scale = unit * (den * counts) ** 2
     base, floor_at = all_zero.over(scale), floor.over(scale)
 
-    # labelled point by point: L1 needs every predictor's cell
+    # the cuts: the reads N at which some labelled point's read is a table
+    # key, omega's is a key of B's table, or the next value wraps (a
+    # labelled point wraps where its read is key 0, a grid bound), and 0,
+    # so that every read lies on or after a cut
+    top = 1 << READ_BITS
+    shifts = [s for s, _, _ in orbit.offsets]
+    cuts = sorted({(key - s) % top for s in shifts[:-1]
+                   for key in partition.keys}
+                  | {(key - shifts[-2]) % top for key in b_part.keys}
+                  | {(top - shifts[-1]) % top, 0})
+    q = orbit.alpha_q
+
     def label(part, point):
         r, a, b = point
         return part.read_label(r) or part.locate(orbit.point(a, b))
 
+    # one (CellError, count, A0, B0, S0) per cell, its responses and their
+    # wraps, shared by every interval with that cell: on an interval the
+    # cell's numerators sum to (count*N*q + A0, B0) and its reads to
+    # count*N + S0
+    sums = {}
+
+    def pattern(read):
+        """What a trial at `read` shares with its interval: its non-empty
+        cells' sums, the query cell's, omega's membership in B, whether
+        every predictor lies inside C, and the next value's numerators less
+        ``N*q``, from the points labelled one by one."""
+        points = orbit.points(read)
+        labels = [label(partition, point) for point in points[:-1]]
+        members = {}
+        for i, cell in enumerate(labels[:-1], 1):
+            members.setdefault(cell, []).append(i)
+        nq = read * q
+        cells = {}
+        for cell, indices in members.items():
+            key = (cell, tuple(indices),
+                   tuple(i for i in indices if read + shifts[i] >= top))
+            shared = sums.get(key)
+            if shared is None:
+                count = len(indices)
+                shared = sums[key] = (
+                    cell_errors[cell], count,
+                    sum(points[i][1] for i in indices) - count * nq,
+                    sum(points[i][2] for i in indices),
+                    sum(points[i][0] for i in indices) - count * read)
+            cells[cell] = shared
+        _, truth_a, truth_b = points[-1]
+        return (tuple(cells.values()), cells.get(labels[-1]),
+                label(b_part, points[-2])[1],
+                all(inside for _, inside in labels[:-1]),
+                truth_a - nq, truth_b)
+
+    patterns = {}
     sixteenth = Fraction(1, 16)
     rng = random.Random(derived_seed(config.seed, 0))
 
     def trial_body(trial, rows):
-        points = orbit.points(rng.getrandbits(64))
-        labels = [label(partition, point) for point in points[:-1]]
-        # per non-empty cell: the responses' numerators, count and reads
-        sums = {}
-        for cell, (r, a, b) in zip(labels[:-1], points[1:-1]):
-            acc = sums.setdefault(cell, [0, 0, 0, 0])
-            acc[0] += a
-            acc[1] += b
-            acc[2] += 1
-            acc[3] += r
+        read = rng.getrandbits(64)
+        at = bisect_right(cuts, read) - 1
+        if cuts[at] == read:
+            built = pattern(read)
+        else:
+            built = patterns.get(at)
+            if built is None:
+                built = patterns[at] = pattern(read)
+        cells, query, in_b, inside_c, truth_a, truth_b = built
+        nq = read * q
         l1_a, l1_b = base
-        for cell, acc in sums.items():
-            part_a, part_b = cell_errors[cell].excess(*acc)
+        for error, count, a0, b0, s0 in cells:
+            part_a, part_b = error.excess(count * nq + a0, b0, count,
+                                          count * read + s0)
             l1_a += part_a
             l1_b += part_b
-        in_b = label(b_part, points[-2])[1]
         if in_b:
             # a label (j, inside) reads membership in C from cell j's piece
-            if not all(inside for _, inside in labels[:-1]):
+            if not inside_c:
                 raise InvariantViolation(
                     f"trial {trial}: recent data must sit inside the cover "
                     f"set, and outside-cells be exactly empty, on the "
@@ -664,10 +724,12 @@ def run_rotation_l1(config: ExperimentConfig) -> Report:
                     f"trial {trial}: L1 error ({l1_a} + {l1_b}*sqrt({d}))/"
                     f"{scale} below the outside cells' floor {floor} on the "
                     f"starving event")
-        query = sums.get(labels[-1])
-        est_f = 0.0 if query is None else to_float(
-            query[0], query[1], den * query[2], d)
-        truth = to_float(*points[-1][1:], den, d)
+        if query is None:
+            est_f = 0.0
+        else:
+            _, count, a0, b0, _ = query
+            est_f = to_float(count * nq + a0, b0, den * count, d)
+        truth = to_float(nq + truth_a, truth_b, den, d)
         rows.append((n, trial, in_b, est_f, truth,
                      abs(est_f - truth), to_float(l1_a, l1_b, scale, d)))
         return (n,) if sign(16 * l1_a - scale, 16 * l1_b, d) >= 0 else (), in_b

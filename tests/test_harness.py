@@ -1,6 +1,7 @@
 """Harness: config round trips, runners, persistence, CLI, determinism."""
 
 import argparse
+import bisect
 import hashlib
 import json
 import math
@@ -25,8 +26,9 @@ from ergolab.errors import (CapExceeded, ConfigError, ErgolabError,
 from ergolab.intervals import IntervalSet
 from ergolab.harness import (ExperimentConfig, Report, format_nlist,
                              parse_nlist, persist, run)
-from ergolab.partitions import Partition, regularity, split_grid_partition
-from ergolab.surd import QuadraticReal
+from ergolab.partitions import (Partition, PartitionSchedule, regularity,
+                                split_grid_partition)
+from ergolab.surd import QuadraticReal, scaled_floor
 
 import oracles
 
@@ -197,8 +199,14 @@ class TestRunners:
         starving_pair = rot.RohlinTower.starving_pair
         monkeypatch.setattr(rot.RohlinTower, "starving_pair",
                             lambda tower, n: (starving_pair(tower, n)[0],) * 2)
-        cfg = ExperimentConfig(experiment="thm4", trials=50, seed=0)
-        with pytest.raises(InvariantViolation, match="inside the cover set"):
+        cfg = ExperimentConfig(experiment="thm4", trials=50,
+                               seed=0).validate()
+        # the first B-trial with a predictor outside C, point by point
+        _, trials = per_point_cells(cfg)
+        first = next(trial for trial, (in_b, cells) in enumerate(trials)
+                     if in_b and not all(inside for _, inside in cells))
+        with pytest.raises(InvariantViolation,
+                           match=f"^trial {first}: .*inside the cover set"):
             run(cfg)
 
     def test_thm4_trial_error_names_its_trial(self, monkeypatch):
@@ -214,8 +222,23 @@ class TestRunners:
         # a cell error below the one it must be breaks a B-trial's L1 floor
         monkeypatch.setattr(rot.CellError, "excess",
                             lambda error, *args: (-error.scale, 0))
-        cfg = ExperimentConfig(experiment="thm4", trials=50, seed=0)
-        with pytest.raises(InvariantViolation, match="floor"):
+        cfg = ExperimentConfig(experiment="thm4", trials=50,
+                               seed=0).validate()
+        # each non-empty cell then takes 1 off the L1 error of the zero
+        # estimate: the first B-trial that falls below the floor, point by
+        # point
+        partition, trials = per_point_cells(cfg)
+        rotation = cfg.rotation()
+        all_zero = oracles.l1_error_exact(
+            ((cell, 0) for _, cell in partition if cell), "rotation",
+            rotation)
+        floor = oracles.l1_error_exact(
+            ((cell, 0) for (_, inside), cell in partition
+             if cell and not inside), "rotation", rotation)
+        first = next(trial for trial, (in_b, cells) in enumerate(trials)
+                     if in_b and all_zero - len(cells) < floor)
+        with pytest.raises(InvariantViolation,
+                           match=f"^trial {first}: .*floor"):
             run(cfg)
 
     def test_thm4_low_floor_proves_nothing(self, monkeypatch):
@@ -357,6 +380,25 @@ class TestProvenLowerBound:
             == max(getattr(exact, side), getattr(walk, side))
 
 
+def per_point_cells(config):
+    """The partition of `config`'s thm4 run, and per trial whether omega
+    lies in B (`IntervalSet.contains`) and the set of its predictors' cells
+    (`Partition.locate` on every `Rotation.step`)."""
+    n = config.nlist[0]
+    rotation = config.rotation()
+    tower = rot.build_tower(rotation, 4 * n, Fraction(1, 2))
+    b_set, c_set = tower.starving_pair(n)
+    partition = split_grid_partition(n, config.schedule(), c_set)
+    rng = random.Random(harness.derived_seed(config.seed, 0))
+    trials = []
+    for _ in range(config.trials):
+        omega = rotation.scalar(Fraction(rng.getrandbits(64), 1 << 64))
+        trials.append((b_set.contains(omega),
+                       {partition.locate(rotation.step(omega, k))
+                        for k in range(1 - n, 0)}))
+    return partition, trials
+
+
 def per_point_rotation(config):
     """The thm4 rows and summary by the per-point route: every orbit point
     by `Rotation.step`, the cells by `CellCounts` (one `Partition.locate`
@@ -420,14 +462,53 @@ def typed(rows):
     return [[(type(v), v) for v in row] for row in rows]
 
 
+def rotation_cuts(config) -> dict:
+    """The cuts of `config`'s thm4 run by their definition, as sets: per
+    labelled offset k, ``1 - n <= k <= 0``, the reads N for which ``N +
+    s_k mod 2**64`` is a key of C's table, with ``s_k`` the read of
+    ``frac(k*alpha)``; under "B" the keys of B's table, omega's own reads;
+    and under "wrap" the read past which the next value ``x_1`` wraps."""
+    n = config.nlist[0]
+    rotation = config.rotation()
+    tower = rot.build_tower(rotation, 4 * n, Fraction(1, 2))
+    b_set, c_set = tower.starving_pair(n)
+    keys = split_grid_partition(n, config.schedule(), c_set).keys
+    b_keys = split_grid_partition(n, PartitionSchedule.constant(1),
+                                  b_set).keys
+    top = 1 << 64
+
+    def shift(k):
+        return scaled_floor(rotation.step(0, k), top)
+
+    cuts = {k: {(key - shift(k)) % top for key in keys}
+            for k in range(1 - n, 1)}
+    cuts["B"], cuts["wrap"] = set(b_keys), {(top - shift(1)) % top}
+    return cuts
+
+
+class ScriptedReads:
+    """A stand-in for `random.Random` that draws the given 64-bit reads in
+    order."""
+
+    def __init__(self, reads):
+        self.reads = iter(reads)
+
+    def getrandbits(self, bits):
+        assert bits == 64
+        return next(self.reads)
+
+
+ORACLE_FIELDS = [
+    dict(trials=200, seed=40),
+    dict(trials=200, seed=40, nlist=(6,), alpha="5,-1/2,1/2"),
+    dict(trials=200, seed=40, nlist=(10,), alpha="3,0,1",
+         q_schedule="sqrt:200"),
+    dict(trials=200, seed=41, nlist=(16,)),
+]
+
+
 class TestRotationOracle:
-    @pytest.mark.parametrize("fields", [
-        dict(trials=200, seed=40),
-        dict(trials=200, seed=40, nlist=(6,), alpha="5,-1/2,1/2"),
-        dict(trials=200, seed=40, nlist=(10,), alpha="3,0,1",
-             q_schedule="sqrt:200"),
-        dict(trials=200, seed=41, nlist=(16,)),
-    ])
+    @pytest.mark.parametrize("fields", ORACLE_FIELDS)
     def test_orbit_reads_match_per_point_route(self, fields):
         # every row and the whole summary, at the three pinned angles and at
         # n = 16
@@ -436,6 +517,74 @@ class TestRotationOracle:
         rows, summary = per_point_rotation(cfg)
         assert typed(report.rows) == typed(rows)
         assert report.summary == summary
+
+    # the oracle configs, and four cells at n = 8, wide enough that the
+    # query cell often holds a predictor, so the query's label shows in
+    # the estimate
+    @pytest.mark.parametrize("fields", ORACLE_FIELDS + [
+        dict(trials=200, seed=40, q_schedule="sqrt:2")])
+    def test_reads_on_and_next_to_cuts_match_per_point_route(self, monkeypatch,
+                                                             fields):
+        # reads on a twelfth of the cuts of each offset and one either
+        # side, where a label, a membership or a wrap changes.  The
+        # intervals between cuts next to them are visited at their middles
+        # first, so the reads next to a cut take an earlier trial's pattern
+        cfg = ExperimentConfig(experiment="thm4", **fields).validate()
+        cuts = rotation_cuts(cfg)
+        top = 1 << 64
+        picked = {c for group in cuts.values()
+                  for c in sorted(group)[::max(1, len(group) // 12)]}
+        bounds = sorted(set().union(*cuts.values()) | {0}) + [top]
+        reads = [(lo + hi) // 2 for lo, hi in zip(bounds, bounds[1:])
+                 if lo in picked or hi % top in picked]
+        reads += [(c + step) % top for c in sorted(picked)
+                  for step in (-1, 0, 1)]
+        monkeypatch.setattr(random, "Random",
+                            lambda seed: ScriptedReads(reads))
+        cfg = ExperimentConfig(experiment="thm4",
+                               **{**fields, "trials": len(reads)}).validate()
+        report = run(cfg)
+        rows, summary = per_point_rotation(cfg)
+        assert typed(report.rows) == typed(rows)
+        assert report.summary == summary
+
+    def test_points_are_labelled_once_per_interval(self, monkeypatch):
+        # at the pinned thm4 run with the rotation workload's 6000 trials,
+        # a trial's n points and omega's membership in B are labelled
+        # through the tables only on the first visit of an interval between
+        # cuts and on a read that is a cut: far fewer calls than n + 1 per
+        # trial
+        cfg = ExperimentConfig(**{**PINNED_OUTPUTS["thm4"][0],
+                                  "trials": 6000}).validate()
+        n = cfg.nlist[0]
+        cuts = sorted(set().union(*rotation_cuts(cfg).values()) | {0})
+        rng = random.Random(harness.derived_seed(cfg.seed, 0))
+        reads = [rng.getrandbits(64) for _ in range(cfg.trials)]
+        on_cut = sum(read in cuts for read in reads)
+        visited = {bisect.bisect_right(cuts, read) for read in reads
+                   if read not in cuts}
+        calls, in_trial = [0], [False]
+        read_label = Partition.read_label
+        static_report = harness._static_report
+
+        def counted(part, read):
+            calls[0] += in_trial[0]
+            return read_label(part, read)
+
+        def report(config, ns, headline, trial_body, proof):
+            def body(trial, rows):
+                in_trial[0] = True
+                try:
+                    return trial_body(trial, rows)
+                finally:
+                    in_trial[0] = False
+            return static_report(config, ns, headline, body, proof)
+
+        monkeypatch.setattr(Partition, "read_label", counted)
+        monkeypatch.setattr(harness, "_static_report", report)
+        run(cfg)
+        assert 0 < calls[0] <= (n + 1) * (len(visited) + on_cut)
+        assert 10 * calls[0] < (n + 1) * cfg.trials
 
     @pytest.mark.parametrize("name", ["thm4", "thm4-golden", "thm4-sqrt3"])
     def test_no_field_element_per_trial(self, monkeypatch, tmp_path, name):
