@@ -199,15 +199,25 @@ class TestRunners:
         starving_pair = rot.RohlinTower.starving_pair
         monkeypatch.setattr(rot.RohlinTower, "starving_pair",
                             lambda tower, n: (starving_pair(tower, n)[0],) * 2)
-        cfg = ExperimentConfig(experiment="thm4", trials=50,
-                               seed=0).validate()
-        # the first B-trial with a predictor outside C, point by point
-        _, trials = per_point_cells(cfg)
-        first = next(trial for trial, (in_b, cells) in enumerate(trials)
-                     if in_b and not all(inside for _, inside in cells))
-        with pytest.raises(InvariantViolation,
-                           match=f"^trial {first}: .*inside the cover set"):
-            run(cfg)
+        assert_cover_check_fails_first(50)
+
+    @pytest.mark.parametrize("predictor", ["newest", "oldest"])
+    def test_thm4_cover_check_reads_every_predictor(self, monkeypatch,
+                                                    predictor):
+        # C without the one level that only the newest predictor of omega
+        # in B's level 0 reaches (level 1), or only the oldest predictor of
+        # omega in B's level n - 1 (level 2n - 2): the check stops on the
+        # first trial with omega there, and only if it reads that predictor
+        starving_pair = rot.RohlinTower.starving_pair
+
+        def cover_pair(tower, n):
+            b_set, c_set = starving_pair(tower, n)
+            level = 1 if predictor == "newest" else 2 * n - 2
+            return b_set, c_set.difference(
+                tower.rotation.translate_set(tower.base, -level))
+
+        monkeypatch.setattr(rot.RohlinTower, "starving_pair", cover_pair)
+        assert_cover_check_fails_first(300)
 
     def test_thm4_trial_error_names_its_trial(self, monkeypatch):
         # a cap hit inside a thm4 trial is tagged with the trial, as in thm3
@@ -380,15 +390,36 @@ class TestProvenLowerBound:
             == max(getattr(exact, side), getattr(walk, side))
 
 
-def per_point_cells(config):
-    """The partition of `config`'s thm4 run, and per trial whether omega
-    lies in B (`IntervalSet.contains`) and the set of its predictors' cells
-    (`Partition.locate` on every `Rotation.step`)."""
+def assert_cover_check_fails_first(trials):
+    """The default thm4 run over `trials` stops with the cover check's
+    error tagged with the first B-trial that has a predictor outside C,
+    found point by point."""
+    cfg = ExperimentConfig(experiment="thm4", trials=trials,
+                           seed=0).validate()
+    _, cells = per_point_cells(cfg)
+    first = next(trial for trial, (in_b, labels) in enumerate(cells)
+                 if in_b and not all(inside for _, inside in labels))
+    with pytest.raises(InvariantViolation,
+                       match=f"^trial {first}: .*inside the cover set"):
+        run(cfg)
+
+
+def thm4_sets(config):
+    """n, the rotation, the tower, B and C's partition of `config`'s thm4
+    run, built as the runner builds them."""
     n = config.nlist[0]
     rotation = config.rotation()
     tower = rot.build_tower(rotation, 4 * n, Fraction(1, 2))
     b_set, c_set = tower.starving_pair(n)
-    partition = split_grid_partition(n, config.schedule(), c_set)
+    return (n, rotation, tower, b_set,
+            split_grid_partition(n, config.schedule(), c_set))
+
+
+def per_point_cells(config):
+    """The partition of `config`'s thm4 run, and per trial whether omega
+    lies in B (`IntervalSet.contains`) and the set of its predictors' cells
+    (`Partition.locate` on every `Rotation.step`)."""
+    n, rotation, _, b_set, partition = thm4_sets(config)
     rng = random.Random(harness.derived_seed(config.seed, 0))
     trials = []
     for _ in range(config.trials):
@@ -405,12 +436,7 @@ def per_point_rotation(config):
     per predictor), membership in B by `IntervalSet.contains`, and the L1
     error by `l1_error_exact`, integrating over every non-empty piece of
     the partition at its cell's reduced mean (0 for an empty cell)."""
-    n = config.nlist[0]
-    rotation = config.rotation()
-    tower = rot.build_tower(rotation, 4 * n, Fraction(1, 2))
-    b_set, c_set = tower.starving_pair(n)
-    schedule = config.schedule()
-    partition = split_grid_partition(n, schedule, c_set)
+    n, rotation, tower, b_set, partition = thm4_sets(config)
     zero = rotation.scalar(0)
 
     def l1_error(pieces):
@@ -444,7 +470,7 @@ def per_point_rotation(config):
         "tower_coverage": float(tower.coverage),
         "mu_B": float(mu_b),
         "mu_B_at_least_eighth": mu_b >= Fraction(1, 8),
-        "cell_width": str(schedule.h(n)),
+        "cell_width": str(config.schedule().h(n)),
         "mc_floor": float(mu_b) - 3 * math.sqrt(
             float(mu_b) * (1 - float(mu_b)) / config.trials),
         "l1_floor_on_B": float(floor),
@@ -468,11 +494,8 @@ def rotation_cuts(config) -> dict:
     s_k mod 2**64`` is a key of C's table, with ``s_k`` the read of
     ``frac(k*alpha)``; under "B" the keys of B's table, omega's own reads;
     and under "wrap" the read past which the next value ``x_1`` wraps."""
-    n = config.nlist[0]
-    rotation = config.rotation()
-    tower = rot.build_tower(rotation, 4 * n, Fraction(1, 2))
-    b_set, c_set = tower.starving_pair(n)
-    keys = split_grid_partition(n, config.schedule(), c_set).keys
+    n, rotation, _, b_set, partition = thm4_sets(config)
+    keys = partition.keys
     b_keys = split_grid_partition(n, PartitionSchedule.constant(1),
                                   b_set).keys
     top = 1 << 64
