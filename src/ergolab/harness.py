@@ -696,7 +696,7 @@ def run_rotation_l1(config: ExperimentConfig) -> Report:
     rng = random.Random(derived_seed(config.seed, 0))
 
     def trial_body(trial, rows):
-        read = rng.getrandbits(64)
+        read = rng.getrandbits(READ_BITS)
         at = bisect_right(cuts, read) - 1
         if cuts[at] == read:
             built = pattern(read)

@@ -17,12 +17,11 @@ import math
 from bisect import bisect_left
 from fractions import Fraction
 
-from .errors import (HeightError, InvariantViolation, NotIrrational,
-                     PrecisionError)
+from .errors import HeightError, NotIrrational, PrecisionError
 from .intervals import IntervalSet
 from .partitions import READ_BITS
-from .surd import (QuadraticReal, cf_convergents, compare, floor_raw,
-                   scaled_floor, sqrt2_minus_1, triple, triple_compare)
+from .surd import (QuadraticReal, cf_convergents, floor_raw, scaled_floor,
+                   sqrt2_minus_1, triple, triple_compare)
 
 
 class Rotation:
@@ -105,24 +104,33 @@ class DyadicOrbit:
 
 
 class RohlinTower:
-    """A base set with `height` pairwise-disjoint backward images.
+    """A tower of `height` pairwise-disjoint levels, verified exactly.
 
-    ``coverage`` is the exact measure of the union of all levels; level ``i``
-    is the image of the base under ``i`` backward rotation steps.
+    ``levels[i]`` is the base ``levels[0]`` moved back ``i`` rotation
+    steps; the constructor takes them as given and proves them pairwise
+    disjoint: the measure of their union equals ``height * mu(base)``
+    (rotation preserves measure, and half-open exact intervals cannot
+    overlap on a null set).  ``coverage`` is that union's exact measure.
     """
 
-    def __init__(self, rotation: Rotation, base: IntervalSet, height: int,
-                 verified_coverage: QuadraticReal):
+    def __init__(self, rotation: Rotation, levels: list):
         self.rotation = rotation
-        self.base = base
-        self.height = height
-        self.coverage = verified_coverage
+        self.levels = levels
+        self.base = levels[0]
+        self.height = len(levels)
+        coverage = self.backward_union(self.height).measure()
+        if coverage != self.base.measure() * self.height:
+            raise ValueError("tower levels overlap: construction is invalid")
+        self.coverage = rotation.scalar(coverage)
 
     def backward_union(self, count: int) -> IntervalSet:
+        """The first `count` levels as one set: all their pieces go to one
+        constructor call, which sorts and merges them once."""
         if not 1 <= count <= self.height:
             raise HeightError(
                 f"cannot union {count} levels of a height-{self.height} tower")
-        return _union_of_levels(self.rotation, self.base, count)
+        return IntervalSet([iv for level in self.levels[:count]
+                            for iv in level])
 
     def starving_pair(self, n: int):
         """The sets (union of first n levels, union of first 2n levels).
@@ -135,44 +143,18 @@ class RohlinTower:
         return self.backward_union(n), self.backward_union(2 * n)
 
 
-def _union_of_levels(rotation: Rotation, base: IntervalSet,
-                     count: int) -> IntervalSet:
-    """The base and its first ``count - 1`` backward images as one set: all
-    pieces go to one constructor call, which sorts and merges them once."""
-    return IntervalSet(
-        list(base) + [iv for i in range(1, count)
-                      for iv in rotation.translate_set(base, -i)])
-
-
-def _verify_tower(rotation: Rotation, base: IntervalSet, height: int) -> QuadraticReal:
-    """Exact disjointness proof; returns the coverage.
-
-    Levels are pairwise disjoint iff the measure of their union equals the
-    sum of their measures (half-open exact intervals cannot overlap on a
-    null set).
-    """
-    total = base.measure() * height  # rotation preserves measure exactly
-    coverage = _union_of_levels(rotation, base, height).measure()
-    if coverage != total:
-        raise ValueError("tower levels overlap: construction is invalid")
-    return rotation.scalar(coverage)
-
-
-def tower_from_base(rotation: Rotation, base: IntervalSet, height: int) -> RohlinTower:
-    """Tower over an explicitly supplied base, with exact verification."""
-    coverage = _verify_tower(rotation, base, height)
-    return RohlinTower(rotation, base, height, coverage)
-
-
 def build_tower(rotation: Rotation, height: int, epsilon) -> RohlinTower:
     """Constructive tower of the given height with coverage >= 1 - epsilon.
 
     Chooses the first continued-fraction index ``m`` with
     ``q_{m+1} >= 2*height/epsilon``, takes the return interval
     ``Y = [0, |q_m*alpha - p_m|)``, splits it into the two first-return
-    columns, slices each column into blocks of `height` consecutive levels
-    (remainders discarded) and collects one level per block.  The two-column
-    tiling of [0, 1) and the final tower are both verified exactly.
+    columns and translates each column's base to its levels, which must
+    tile [0, 1) exactly.  Each column is sliced into blocks of `height`
+    consecutive levels (remainders discarded); tower level ``i`` is the
+    union of one column level per block, the one ``i`` below the block's
+    top, so every column level is translated once.  The tower verifies its
+    own disjointness, and its coverage is checked against ``1 - epsilon``.
     """
     if height < 1:
         raise ValueError("height must be positive")
@@ -202,20 +184,23 @@ def build_tower(rotation: Rotation, height: int, epsilon) -> RohlinTower:
     fast = base_y.intersection(rotation.translate_set(base_y, -q_m1))
     slow = base_y.difference(fast)
     columns = [(fast, q_m1), (slow, q_m1 + q_m)]
-    tiling = IntervalSet([iv for col_base, h in columns for j in range(h)
-                          for iv in rotation.translate_set(col_base, j)])
+    column_levels = [[rotation.translate_set(col_base, j) for j in range(h)]
+                     for col_base, h in columns]
+    tiling = IntervalSet([iv for col in column_levels for level in col
+                          for iv in level])
     tiled_measure = 0
     for col_base, h in columns:
         tiled_measure = col_base.measure() * h + tiled_measure
     if tiling.measure() != 1 or tiled_measure != 1:
         raise ValueError("first-return skyscraper does not tile [0, 1)")
 
-    # One tower level per block of `height` consecutive column levels; the
-    # chosen level is the block's top so the backward images sweep the block.
-    pieces = IntervalSet(
-        [iv for col_base, h in columns for block in range(h // height)
-         for iv in rotation.translate_set(col_base, (block + 1) * height - 1)])
-    tower = tower_from_base(rotation, pieces, height)
+    # block b of a column holds its levels b*height .. top = (b+1)*height - 1;
+    # the base is the blocks' tops, so level i takes index top - i
+    tops = [(col, block * height + height - 1) for col in column_levels
+            for block in range(len(col) // height)]
+    tower = RohlinTower(rotation, [
+        IntervalSet([iv for col, top in tops for iv in col[top - i]])
+        for i in range(height)])
     if tower.coverage < 1 - epsilon:
         raise PrecisionError("tower coverage fell short of 1 - epsilon")
     return tower
@@ -260,11 +245,10 @@ class CellError:
     """``F(c) = integral over cell of |c - m(x)| dx`` for the rotation
     regression, in closed form.
 
-    ``m`` translates the cell's part below the wrap point ``1 - alpha`` by
-    ``alpha`` into ``[alpha, 1)`` and the part above it by ``alpha - 1`` into
-    ``[0, alpha)``, so ``F(c)`` is the integral of ``|c - y|`` over those
-    image pieces, already sorted: the shifted pieces above the wrap, then
-    those below it, each in x order.  Their ends are the breakpoints; on the
+    ``m`` is ``x + alpha`` mod 1, so ``F(c)`` is the integral of ``|c - y|``
+    over the cell's image ``cell.translate_mod1(alpha)``.  The breakpoints
+    are the ends of its pieces, sorted as in every canonical set (two
+    images that meet at ``alpha`` are one piece; F is the same).  On the
     segment before breakpoint ``s`` (after the last one for ``s = len``)
     ``F(c) = k2*c**2 + k1*c + k0``, with ``k2 = 1`` inside a piece and 0
     between pieces.  ``at_zero`` is ``F(0)``, ``coeffs`` holds per segment
@@ -278,21 +262,9 @@ class CellError:
                  "counts", "scale", "scaled")
 
     def __init__(self, cell: IntervalSet, rotation: Rotation):
-        alpha = rotation.alpha
         zero = rotation.scalar(0)
-        wrap = 1 - alpha
-        above, below = [], []
-        for iv in cell:
-            u, v = iv.lo, iv.hi
-            if u < wrap:
-                below.append((u + alpha, (v if v <= wrap else wrap) + alpha))
-            if v > wrap:
-                above.append(((u if u >= wrap else wrap) + alpha - 1,
-                              v + alpha - 1))
-        pieces = above + below
+        pieces = [(iv.lo, iv.hi) for iv in cell.translate_mod1(rotation.alpha)]
         breaks = [end for piece in pieces for end in piece]
-        if any(compare(a, b) > 0 for a, b in zip(breaks, breaks[1:])):
-            raise InvariantViolation("image pieces of a cell are out of order")
         # with c past the first p pieces: those give c*len - sq, the rest
         # sq - c*len, where len = b - a and sq = (b*b - a*a)/2
         lens = [b - a for a, b in pieces]

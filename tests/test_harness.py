@@ -477,8 +477,7 @@ def per_point_rotation(config):
         "l1_floor_on_B_exact": str(floor),
         "proven_event_lower_bound": float(proven),
         "proven_event_lower_bound_exact": str(proven),
-        # every config here is sqrt:s with s >= 1, whose limits are proven
-        "estimator_regular": "proven",
+        "estimator_regular": regularity(config.schedule(), (n,)),
     }
     return rows, summary
 
@@ -527,14 +526,18 @@ ORACLE_FIELDS = [
     dict(trials=200, seed=40, nlist=(10,), alpha="3,0,1",
          q_schedule="sqrt:200"),
     dict(trials=200, seed=41, nlist=(16,)),
+    # one cell on each side of C: the outside cell's 48 intervals have 47
+    # image pieces, as two of its images meet at alpha
+    dict(trials=200, seed=41, nlist=(6,), alpha="5,-1/2,1/2",
+         q_schedule="table:6=1"),
 ]
 
 
 class TestRotationOracle:
     @pytest.mark.parametrize("fields", ORACLE_FIELDS)
     def test_orbit_reads_match_per_point_route(self, fields):
-        # every row and the whole summary, at the three pinned angles and at
-        # n = 16
+        # every row and the whole summary, at the three pinned angles, at
+        # n = 16 and where a cell's image pieces merge
         cfg = ExperimentConfig(experiment="thm4", **fields).validate()
         report = run(cfg)
         rows, summary = per_point_rotation(cfg)

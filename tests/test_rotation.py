@@ -15,7 +15,7 @@ from ergolab.partitions import (READ_BITS, PartitionSchedule,
                                 split_grid_partition)
 from ergolab.rotation import (CellError, DyadicOrbit, RohlinTower, Rotation,
                               build_tower, default_rotation,
-                              integral_abs_error_on_interval, tower_from_base)
+                              integral_abs_error_on_interval)
 from ergolab.surd import QuadraticReal, floor_raw, sqrt2_minus_1
 from ergolab.surd import triple as field_triple
 
@@ -200,6 +200,7 @@ def incremental_union(rotation, base, count):
 
 
 def incremental_build_tower(rotation, height, epsilon):
+    """The base and the exact coverage of the tower `build_tower` makes."""
     epsilon = Fraction(epsilon)
     need = Fraction(2 * height) / epsilon
     convergents = rotation.convergents(12)
@@ -223,7 +224,7 @@ def incremental_build_tower(rotation, height, epsilon):
             pieces = pieces.union(rotation.translate_set(col_base, top))
     union = incremental_union(rotation, pieces, height)
     assert union.measure() == pieces.measure() * height
-    return RohlinTower(rotation, pieces, height, rotation.scalar(union.measure()))
+    return pieces, rotation.scalar(union.measure())
 
 
 @st.composite
@@ -269,13 +270,27 @@ class TestOneSortBuild:
     def test_tower_matches_incremental_build(self, angle, height):
         rotation = Rotation(angle)
         tower = build_tower(rotation, height, Fraction(1, 2))
-        oracle = incremental_build_tower(rotation, height, Fraction(1, 2))
-        assert set_key(tower.base) == set_key(oracle.base)
-        assert triple(tower.coverage) == triple(oracle.coverage)
+        base, coverage = incremental_build_tower(rotation, height,
+                                                 Fraction(1, 2))
+        assert set_key(tower.base) == set_key(base)
+        assert triple(tower.coverage) == triple(coverage)
+        # the stored levels are the base's backward images, as exact sets: a
+        # piece that ends at 0 or 1 may store that end as a field element by
+        # one route and as a Fraction by the other (golden angle, level 23)
+        assert len(tower.levels) == height
+        for i, level in enumerate(tower.levels):
+            assert level == rotation.translate_set(base, -i)
         n = height // 4
         for count, got in zip((n, 2 * n), tower.starving_pair(n)):
             assert set_key(got) == set_key(
-                incremental_union(rotation, oracle.base, count))
+                incremental_union(rotation, base, count))
+
+
+def tower_over(rotation, base, height):
+    """The tower whose levels are `base` and its first `height - 1`
+    backward images."""
+    return RohlinTower(rotation, [rotation.translate_set(base, -i)
+                                  for i in range(height)])
 
 
 class TestTowerFromBase:
@@ -284,14 +299,14 @@ class TestTowerFromBase:
         # and cover exactly 9 - 6*sqrt(2) of the interval
         rotn = default_rotation()
         eta = abs(rotn.alpha * 2 - 1)
-        tower = tower_from_base(rotn, IntervalSet([(0, eta)]), 3)
+        tower = tower_over(rotn, IntervalSet([(0, eta)]), 3)
         assert tower.coverage == QuadraticReal(9, -6, 2)
         assert tower.coverage.compare(Fraction(1, 2)) >= 0
 
     def test_overlapping_base_rejected(self):
         rotn = default_rotation()
         with pytest.raises(ValueError):
-            tower_from_base(rotn, IntervalSet([(0, Fraction(1, 2))]), 3)
+            tower_over(rotn, IntervalSet([(0, Fraction(1, 2))]), 3)
 
 
 class TestBuildTower:
