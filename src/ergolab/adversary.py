@@ -223,6 +223,17 @@ def exact_split(predictor, table, level: int, mass_tol,
     )
 
 
+def climb_counts(statistic, table, level: int) -> list:
+    """The pair counts ``(num, den)`` at `level`'s label of each climb of
+    an anchored path to `level`, by height h: a failed climb (h < level)
+    counts the pair into its reset to state 0 too; the successful climb has
+    h = level, and heights 0 and 1, never climbed, count ``(0, 0)``."""
+    context = table.observe((level,))[0]
+    climbs = [(*range(h + 1), 0) for h in range(2, level)]
+    return [(0, 0)] * 2 + [statistic(table.observe(states), context)
+                           for states in climbs + [range(level + 1)]]
+
+
 def walk_split(predictor, table, level: int, mass_tol,
                max_steps: int = MAX_WALK_STEPS) -> EventSplit | None:
     """Exact split from the excursion walk; None unless the predictor
@@ -247,21 +258,13 @@ def walk_split(predictor, table, level: int, mass_tol,
     if level < 2:
         raise ValueError("target level must be >= 2")
     mass_tol = Fraction(mass_tol)
-    context = table.observe((level,))[0]
-
-    def increment(states):
-        num, den = statistic(table.observe(states), context)
-        return Fraction(num) - THRESHOLD * den, den
-
+    counts = climb_counts(statistic, table, level)
+    margins = [Fraction(num) - THRESHOLD * den for num, den in counts]
+    final_margin, final_den = margins[level], counts[level][1]
     # climb weights in units of the successful climb's 2**-(level-2)
-    moves = []
-    for h in range(2, level):
-        margin, den = increment(tuple(range(h + 1)) + (0,))
-        if den:
-            moves.append((margin, 1 << (level - 1 - h)))
-    final_margin, final_den = increment(tuple(range(level + 1)))
-    scale = lcm(final_margin.denominator,
-                *(margin.denominator for margin, _ in moves))
+    moves = [(margins[h], 1 << (level - 1 - h)) for h in range(2, level)
+             if counts[h][1]]
+    scale = lcm(*(margin.denominator for margin in margins))
     steps = {}
     for margin, weight in moves:
         dm = int(margin * scale)

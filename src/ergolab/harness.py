@@ -28,7 +28,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
-from operator import add
+from operator import add, mul
 from pathlib import Path
 from typing import Callable
 
@@ -413,35 +413,56 @@ def run_attack(config: ExperimentConfig) -> Report:
     else:
         table, build_report = adversary.confound_injective(
             predictor, config.smax, method, seed=derived_seed(config.seed, 0))
-    gap = table.gap
-    checkpoints = [(entry["checkpoint"], entry["level"])
-                   for entry in build_report]
-    top_level = checkpoints[-1][1]
-    truths = [markov.HALF * table.label(level + 1) for _, level in checkpoints]
+    checkpoints = [entry["checkpoint"] for entry in build_report]
+    levels = [entry["level"] for entry in build_report]
+    top_level = levels[-1]
+    truths = [markov.HALF * table.label(level + 1) for level in levels]
 
     # exceedance |forecast - E[next | past]| >= gap: the forecast lies on
     # or past a cut truth -/+ gap.  Registry predictors return an int or a
     # Fraction, so each comparison is exact
-    cuts = [(truth - gap, truth + gap) for truth in truths]
-    exceed = {checkpoint: 0 for checkpoint, _ in checkpoints}
+    cuts = [(truth - table.gap, truth + table.gap) for truth in truths]
+    exceed = [0] * len(levels)
     rng = random.Random(derived_seed(config.seed, 1))
-    for _ in range(config.trials):
-        path = markov.sample_until(top_level, rng)
-        obs = table.observe(path)
-        prefixes = [obs[:path.index(level) + 1] for _, level in checkpoints]
-        values = predictors.evaluate_many(predictor, prefixes)
-        for (checkpoint, _), (lo, hi), value in zip(checkpoints, cuts, values):
-            if value <= lo or value >= hi:
-                exceed[checkpoint] += 1
+    statistic = getattr(predictor, "pair_statistic", None)
+    if statistic is None:
+        for _ in range(config.trials):
+            path = markov.sample_until(top_level, rng)
+            obs = table.observe(path)
+            prefixes = [obs[:path.index(level) + 1] for level in levels]
+            values = predictors.evaluate_many(predictor, prefixes)
+            for i, (value, (lo, hi)) in enumerate(zip(values, cuts)):
+                exceed[i] += value <= lo or value >= hi
+    else:
+        # the forecast at level L is num/den (0/0 = 0) of the pair counts of
+        # the successful climb and of the failed climbs before the first one
+        # of height >= L, which `seen` counts by height; `climbs` ends with
+        # the successful one.  Each checkpoint decides a (num, den) once
+        routes = [(level, *zip(*adversary.climb_counts(statistic, table,
+                                                       level)), cut, {})
+                  for level, cut in zip(levels, cuts)]
+        for _ in range(config.trials):
+            climbs = iter(markov.climb_heights(top_level, rng))
+            height = next(climbs, top_level)
+            seen = [0] * top_level
+            for i, (level, nums, dens, (lo, hi), decided) in enumerate(routes):
+                while height < level:
+                    seen[height] += 1
+                    height = next(climbs, top_level)
+                key = (nums[level] + sum(map(mul, seen, nums)),
+                       dens[level] + sum(map(mul, seen, dens)))
+                if key not in decided:
+                    value = Fraction(*key) if key[1] else 0
+                    decided[key] = value <= lo or value >= hi
+                exceed[i] += decided[key]
 
-    rows = []
-    plot = []
-    worst = min(exceed.values())
-    for checkpoint, _ in checkpoints:
-        p_hat = exceed[checkpoint] / config.trials
-        rows.append((checkpoint, config.trials, exceed[checkpoint],
+    rows, plot = [], []
+    worst = min(exceed)
+    for checkpoint, count in zip(checkpoints, exceed):
+        p_hat = count / config.trials
+        rows.append((checkpoint, config.trials, count,
                      p_hat, _half_width(p_hat, config.trials), True))
-        rows.append((checkpoint, config.trials, exceed[checkpoint],
+        rows.append((checkpoint, config.trials, count,
                      p_hat / 4, _half_width(p_hat, config.trials) / 4, False))
         plot.append((checkpoint, p_hat))
 
@@ -458,6 +479,9 @@ def run_attack(config: ExperimentConfig) -> Report:
             "uncertainty": float(split.uncertainty),
             "chosen_lower_bound": float(split.chosen_lower_bound),
             "proven_lower_bound": float(split.proven_lower_bound),
+            "residual": str(Fraction(split.detail.get("residual", 1))),
+            **{key: split.detail[key] for key in ("steps", "atoms", "trials")
+               if key in split.detail},
         })
     return Report(
         schema="attack",
@@ -465,9 +489,10 @@ def run_attack(config: ExperimentConfig) -> Report:
                  "half_width", "conditional"),
         rows=rows,
         summary={"labels": label_summary,
+                 "trial_route": "paths" if statistic is None else "climbs",
                  "table": table.chosen_bits,
                  "min_conditional_exceedance": worst / config.trials,
-                 "gap_threshold": float(gap)},
+                 "gap_threshold": float(table.gap)},
         plot=plot,
         stat=Fraction(worst, config.trials),
         stat_direction="ge",

@@ -13,11 +13,11 @@ Two labelings turn the chain into the processes under attack:
   bits ``L_s`` likewise get chosen adversarially, but which keeps the state
   readable off the observation.
 
-The module samples the chain from state 0 up to a first visit
-(:func:`sample_until`) and the square-root autoregression on which the
-linear baseline is fitted (:func:`sample_sqrt_ar`).  The chain's stationary
-law, its filtering and the decoding of observations are test oracles; they
-live in ``tests/oracles.py``.
+The module samples the chain from state 0 up to a first visit, as its
+failed climbs (:func:`climb_heights`) or its states (:func:`sample_until`),
+and the square-root autoregression of the linear baseline
+(:func:`sample_sqrt_ar`).  The chain's stationary law, its filtering and
+the decoding of observations are test oracles, in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -31,17 +31,29 @@ from .errors import FrontierError
 HALF = Fraction(1, 2)
 
 
+def climb_heights(level: int, rng) -> list:
+    """Heights 2 .. level-1 of the failed climbs of a path from state 0 to
+    the first visit of `level`: states 0 and 1 climb, and every later step
+    reads one ``rng.getrandbits(1)`` (1 climbs, 0 resets to state 0)."""
+    if level < 0:
+        raise ValueError("states are nonnegative")
+    bit = rng.getrandbits
+    heights, height = [], 2
+    while height < level:
+        if bit(1):
+            height += 1
+        else:
+            heights.append(height)
+            height = 2
+    return heights
+
+
 def sample_until(level: int, rng) -> list:
     """Path from state 0 up to (and including) the first visit of `level`:
-    0 and 1 climb, and from state 2 on each step reads one
-    ``rng.getrandbits(1)`` (1 climbs, 0 resets to state 0)."""
-    bit = rng.getrandbits
-    state = 0
-    path = [0]
-    while state != level:
-        state = state + 1 if state < 2 or bit(1) else 0
-        path.append(state)
-    return path
+    its climbs ``0 .. h``, the failed ones of :func:`climb_heights` and the
+    successful one to `level`."""
+    return [state for height in climb_heights(level, rng) + [level]
+            for state in range(height + 1)]
 
 
 class OddLabelTable:

@@ -14,7 +14,7 @@ from ergolab.adversary import (AttackMethod, EventSplit, confound_binary,
                                mc_split, walk_split)
 from ergolab.errors import CapExceeded
 from ergolab.predictors import (ConstantPredictor, CountPredictor,
-                                make_predictor)
+                                make_predictor, pair_counts)
 
 import oracles
 
@@ -127,6 +127,12 @@ class TestEventSplits:
         mc = mc_split(pred, table, 4, 4000, random.Random(0))
         assert exact.minus_wins == mc.minus_wins
 
+    def test_mc_split_refuses_a_negative_level(self):
+        # anchored sampling from state 0 never visits a negative level
+        with pytest.raises(ValueError, match="states are nonnegative"):
+            mc_split(CountPredictor(1), markov.OddLabelTable(), -2, 3,
+                     random.Random(0))
+
 
 def _low_side_bounds(split):
     """[lo, hi] for P(low side | anchor) from an exact split."""
@@ -229,6 +235,47 @@ class TestExcursionWalk:
             assert split.uncertainty == 3 * (p * (1 - p) / 72) ** 0.5 * 0.25
             assert abs(float(split.p_plus) - float(split.p_minus)) \
                 < 2 * split.uncertainty
+
+
+@st.composite
+def labeled_climbs(draw):
+    """A binary or injective table labeled up to a top level, and the
+    heights 2 .. top-1 of the failed climbs of a path to the top."""
+    top = draw(st.integers(2, 10))
+    bits = st.integers(0, 1)
+    if draw(st.booleans()):
+        table = markov.OddLabelTable(
+            {k: draw(bits) for k in range(1, top // 2 + 1)})
+    else:
+        table = markov.ShiftLabelTable(
+            {s: draw(bits) for s in range(3, top + 1)})
+    heights = draw(st.lists(st.integers(2, top - 1), max_size=12)) \
+        if top > 2 else []
+    return table, top, heights
+
+
+class TestClimbCounts:
+    @settings(max_examples=200, deadline=None)
+    @given(case=labeled_climbs())
+    def test_climb_sums_are_the_prefix_pair_counts(self, case):
+        # at each level L the pair counts of the path's prefix up to the
+        # first visit of L are the successful climb's plus those of the
+        # failed climbs before the first climb of height >= L
+        table, top, heights = case
+        path = [s for h in heights + [top] for s in range(h + 1)]
+        for level in range(2, top + 1):
+            counts = adversary.climb_counts(pair_counts, table, level)
+            # heights 0 and 1 are never climbed
+            assert len(counts) == level + 1 and counts[:2] == [(0, 0)] * 2
+            num, den = counts[level]
+            for h in heights:
+                if h >= level:
+                    break
+                num += counts[h][0]
+                den += counts[h][1]
+            prefix = path[:path.index(level) + 1]
+            assert (num, den) == pair_counts(table.observe(prefix),
+                                             table.label(level))
 
 
 def _split(p_plus, p_minus, method, **detail):

@@ -10,6 +10,7 @@ import random
 import subprocess
 import sys
 import textwrap
+import types
 from fractions import Fraction
 from pathlib import Path
 
@@ -370,6 +371,29 @@ class TestRunners:
         assert report.summary["min_conditional_exceedance"] == 1.0
         assert report.summary["gap_threshold"] == 0.25
 
+    def test_attack_labels_carry_their_certificates(self):
+        def labels(**fields):
+            report = run(ExperimentConfig(experiment="thm1", trials=20,
+                                          seed=1, kmax=2, **fields))
+            return report.summary["trial_route"], report.summary["labels"]
+
+        for fields, route, method, count in (
+                ({}, "climbs", "walk:", "steps"),
+                ({"predictor": "constant:0"}, "paths", "exact:", "atoms"),
+                ({"method": "mc:500"}, "climbs", "mc:", "trials")):
+            trial_route, entries = labels(**fields)
+            assert trial_route == route
+            for entry in entries:
+                assert entry["method"].startswith(method)
+                assert isinstance(entry[count], int) and entry[count] >= 0
+                residual = Fraction(entry["residual"])
+                assert str(residual) == entry["residual"]
+                if method == "mc:":
+                    # no mass is proven by sampling
+                    assert residual == 1 and entry[count] in (500, 5000)
+                else:
+                    assert float(residual / 4) == entry["uncertainty"]
+
 
 class TestProvenLowerBound:
     def test_fallback_keeps_the_best_exact_partial_mass(self, monkeypatch):
@@ -388,6 +412,74 @@ class TestProvenLowerBound:
         side = "p_minus" if split.minus_wins else "p_plus"
         assert split.proven_lower_bound \
             == max(getattr(exact, side), getattr(walk, side))
+
+
+def per_path_attack(config):
+    """The attack rows, plot and worst conditional exceedance by the path
+    route, and its trial generator after the trials: each trial's path by
+    `sample_until`, its observation by `observe`, one nested prefix per
+    checkpoint and their forecasts by `evaluate_many`, an exceedance being
+    ``|forecast - label(level + 1) / 2| >= gap``."""
+    predictor = config.target_predictor()
+    seed = harness.derived_seed(config.seed, 0)
+    if config.experiment == "thm1":
+        table, build = adversary.confound_binary(
+            predictor, config.kmax, config.attack_method(), seed)
+    else:
+        table, build = adversary.confound_injective(
+            predictor, config.smax, config.attack_method(), seed)
+    levels = [entry["level"] for entry in build]
+    exceed = [0] * len(levels)
+    rng = random.Random(harness.derived_seed(config.seed, 1))
+    for _ in range(config.trials):
+        path = markov.sample_until(levels[-1], rng)
+        obs = table.observe(path)
+        values = predictors.evaluate_many(
+            predictor, [obs[:path.index(level) + 1] for level in levels])
+        for i, (level, value) in enumerate(zip(levels, values)):
+            truth = Fraction(table.label(level + 1), 2)
+            exceed[i] += abs(value - truth) >= table.gap
+    rows, plot = [], []
+    for entry, count in zip(build, exceed):
+        p_hat = count / config.trials
+        width = 3 * math.sqrt(p_hat * (1 - p_hat) / config.trials)
+        rows.append((entry["checkpoint"], config.trials, count, p_hat, width,
+                     True))
+        rows.append((entry["checkpoint"], config.trials, count, p_hat / 4,
+                     width / 4, False))
+        plot.append((entry["checkpoint"], p_hat))
+    return rows, plot, min(exceed) / config.trials, rng
+
+
+ATTACK_ORACLE_CASES = [(experiment, size, seed)
+                       for experiment, sizes in (("thm1", range(1, 6)),
+                                                 ("thm2", range(2, 9)))
+                       for size in sizes for seed in (30, 31)]
+
+
+class TestAttackOracle:
+    @pytest.mark.parametrize("experiment, size, seed", ATTACK_ORACLE_CASES)
+    def test_climb_route_matches_path_route(self, monkeypatch, experiment,
+                                            size, seed):
+        made = []
+
+        class Recorded(random.Random):
+            def __init__(self, seed):
+                super().__init__(seed)
+                made.append(self)
+
+        monkeypatch.setattr(harness, "random",
+                            types.SimpleNamespace(Random=Recorded))
+        key = "kmax" if experiment == "thm1" else "smax"
+        cfg = ExperimentConfig(experiment=experiment, seed=seed, trials=300,
+                               predictor="dynamic-count:1", **{key: size})
+        report = run(cfg)
+        assert report.summary["trial_route"] == "climbs"
+        rows, plot, worst, rng = per_path_attack(cfg)
+        assert report.rows == rows
+        assert report.plot == plot
+        assert report.summary["min_conditional_exceedance"] == worst
+        assert [r.getstate() for r in made] == [rng.getstate()]
 
 
 def assert_cover_check_fails_first(trials):

@@ -97,7 +97,9 @@ class TestSampling:
         assert tv <= 0.02
 
     def test_sample_until_matches_the_stepwise_stream(self):
-        # same path and same generator state as stepping the oracle
+        # same path and same generator state as stepping the oracle, also
+        # for the failed-climb heights expanded into climbs 0 .. h, the
+        # successful one last
         for level in range(13):
             for seed in range(200):
                 rng, oracle = random.Random(seed), random.Random(seed)
@@ -108,6 +110,27 @@ class TestSampling:
                     want.append(state)
                 assert path == want, (level, seed)
                 assert rng.getstate() == oracle.getstate(), (level, seed)
+                climbs = random.Random(seed)
+                heights = markov.climb_heights(level, climbs)
+                assert all(2 <= h < level for h in heights), (level, seed)
+                assert [s for h in heights + [level] for s in range(h + 1)] \
+                    == want, (level, seed)
+                assert climbs.getstate() == oracle.getstate(), (level, seed)
+
+    def test_low_levels_draw_nothing(self):
+        for level in (0, 1, 2):
+            rng = random.Random(7)
+            before = rng.getstate()
+            assert markov.climb_heights(level, rng) == []
+            assert markov.sample_until(level, rng) == list(range(level + 1))
+            assert rng.getstate() == before
+
+    @pytest.mark.parametrize("sample", [markov.climb_heights,
+                                        markov.sample_until])
+    def test_negative_levels_are_refused(self, sample):
+        # the chain only climbs from 0, so a negative level is never visited
+        with pytest.raises(ValueError, match="states are nonnegative"):
+            sample(-1, random.Random(0))
 
 
 class TestLabelings:
