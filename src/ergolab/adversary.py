@@ -31,9 +31,11 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
 from .errors import CapExceeded
-from .markov import OddLabelTable, ShiftLabelTable, sample_until
+from .markov import (OddLabelTable, ShiftLabelTable, climb_heights,
+                     sample_until)
 from .predictors import evaluate_many
 
 ANCHOR_MASS = Fraction(1, 4)  # stationary probability of state 0
@@ -311,15 +313,52 @@ def walk_split(predictor, table, level: int, mass_tol,
     )
 
 
+def count_passes(predictor, table, levels, tests, trials: int, rng) -> list:
+    """Per level of the increasing `levels`, how many of `trials` anchored
+    paths to the last level pass ``tests[i]`` at the forecast on their
+    first visit of ``levels[i]``.  A ``pair_statistic`` predictor takes the
+    climbs (:func:`climb_heights`): the forecast at level L is the ratio
+    (0/0 = 0) of the pair counts (:func:`climb_counts`) of the successful
+    climb and the failed ones before the first climb of height >= L, each
+    sum tested once.  Any other predictor takes the paths
+    (:func:`sample_until`, one prefix per level by :func:`evaluate_many`).
+    Both make the same ``getrandbits(1)`` calls."""
+    passed = [0] * len(levels)
+    statistic = getattr(predictor, "pair_statistic", None)
+    if statistic is None:
+        for _ in range(trials):
+            path = sample_until(levels[-1], rng)
+            obs = table.observe(path)
+            values = evaluate_many(predictor, [obs[:path.index(level) + 1]
+                                               for level in levels])
+            for i, (value, test) in enumerate(zip(values, tests)):
+                passed[i] += test(value)
+        return passed
+    # `seen` counts failed climbs by height; `climbs` ends with the success
+    routes = [(level, *zip(*climb_counts(statistic, table, level)), test, {})
+              for level, test in zip(levels, tests)]
+    for _ in range(trials):
+        climbs = iter(climb_heights(levels[-1], rng))
+        height = next(climbs, levels[-1])
+        seen = [0] * levels[-1]
+        for i, (level, nums, dens, test, decided) in enumerate(routes):
+            while height < level:
+                seen[height] += 1
+                height = next(climbs, levels[-1])
+            key = (nums[level] + sum(map(mul, seen, nums)),
+                   dens[level] + sum(map(mul, seen, dens)))
+            if key not in decided:
+                decided[key] = test(Fraction(*key) if key[1] else 0)
+            passed[i] += decided[key]
+    return passed
+
+
 def mc_split(predictor, table, level: int, trials: int, rng) -> EventSplit:
     """Monte Carlo split from anchored sampling; 3-sigma half width."""
     if trials < 1:
         raise ValueError("need at least one trial")
-    plus = 0
-    for _ in range(trials):
-        path = sample_until(level, rng)
-        if predictor(table.observe(path)) >= THRESHOLD:
-            plus += 1
+    plus, = count_passes(predictor, table, [level],
+                         [lambda value: value >= THRESHOLD], trials, rng)
     p_hat = Fraction(plus, trials)
     sigma = (float(p_hat) * (1 - float(p_hat)) / trials) ** 0.5
     return EventSplit(

@@ -24,11 +24,10 @@ from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
-from operator import add, mul
+from operator import add
 from pathlib import Path
 from typing import Callable
 
@@ -38,7 +37,7 @@ from .errors import (CapExceeded, ConfigError, ErgolabError, ExceptionalPoint,
                      InvariantViolation)
 from .intervals import IntervalSet
 from .partitions import (READ_BITS, PartitionSchedule, PartitionSweep,
-                         regularity, split_grid_partition)
+                         regularity)
 from .surd import QuadraticReal, sign, to_float
 
 
@@ -415,46 +414,15 @@ def run_attack(config: ExperimentConfig) -> Report:
             predictor, config.smax, method, seed=derived_seed(config.seed, 0))
     checkpoints = [entry["checkpoint"] for entry in build_report]
     levels = [entry["level"] for entry in build_report]
-    top_level = levels[-1]
     truths = [markov.HALF * table.label(level + 1) for level in levels]
 
-    # exceedance |forecast - E[next | past]| >= gap: the forecast lies on
-    # or past a cut truth -/+ gap.  Registry predictors return an int or a
-    # Fraction, so each comparison is exact
-    cuts = [(truth - table.gap, truth + table.gap) for truth in truths]
-    exceed = [0] * len(levels)
-    rng = random.Random(derived_seed(config.seed, 1))
-    statistic = getattr(predictor, "pair_statistic", None)
-    if statistic is None:
-        for _ in range(config.trials):
-            path = markov.sample_until(top_level, rng)
-            obs = table.observe(path)
-            prefixes = [obs[:path.index(level) + 1] for level in levels]
-            values = predictors.evaluate_many(predictor, prefixes)
-            for i, (value, (lo, hi)) in enumerate(zip(values, cuts)):
-                exceed[i] += value <= lo or value >= hi
-    else:
-        # the forecast at level L is num/den (0/0 = 0) of the pair counts of
-        # the successful climb and of the failed climbs before the first one
-        # of height >= L, which `seen` counts by height; `climbs` ends with
-        # the successful one.  Each checkpoint decides a (num, den) once
-        routes = [(level, *zip(*adversary.climb_counts(statistic, table,
-                                                       level)), cut, {})
-                  for level, cut in zip(levels, cuts)]
-        for _ in range(config.trials):
-            climbs = iter(markov.climb_heights(top_level, rng))
-            height = next(climbs, top_level)
-            seen = [0] * top_level
-            for i, (level, nums, dens, (lo, hi), decided) in enumerate(routes):
-                while height < level:
-                    seen[height] += 1
-                    height = next(climbs, top_level)
-                key = (nums[level] + sum(map(mul, seen, nums)),
-                       dens[level] + sum(map(mul, seen, dens)))
-                if key not in decided:
-                    value = Fraction(*key) if key[1] else 0
-                    decided[key] = value <= lo or value >= hi
-                exceed[i] += decided[key]
+    # exceedance |forecast - E[next | past]| >= gap: the forecast lies on or
+    # past truth -/+ gap, compared exactly (registry forecasts are exact)
+    exceed = adversary.count_passes(
+        predictor, table, levels,
+        [lambda value, lo=truth - table.gap, hi=truth + table.gap:
+         value <= lo or value >= hi for truth in truths],
+        config.trials, random.Random(derived_seed(config.seed, 1)))
 
     rows, plot = [], []
     worst = min(exceed)
@@ -489,7 +457,8 @@ def run_attack(config: ExperimentConfig) -> Report:
                  "half_width", "conditional"),
         rows=rows,
         summary={"labels": label_summary,
-                 "trial_route": "paths" if statistic is None else "climbs",
+                 "trial_route": "paths" if getattr(
+                     predictor, "pair_statistic", None) is None else "climbs",
                  "table": table.chosen_bits,
                  "min_conditional_exceedance": worst / config.trials,
                  "gap_threshold": float(table.gap)},
@@ -610,22 +579,11 @@ def run_starvation(config: ExperimentConfig) -> Report:
 
 
 def run_rotation_l1(config: ExperimentConfig) -> Report:
-    """The ``thm4`` experiment: each trial draws ``omega = N / 2**64`` and
-    reads its orbit (:class:`~ergolab.rotation.DyadicOrbit`): ``x_k`` reads
-    ``N + s_k``, less ``2**64`` where the orbit wraps.  A point's cell, and
-    omega's membership in B (a one-cell partition over B), come from its
-    read through a breakpoint table
-    (:meth:`~ergolab.partitions.Partition.read_label`), and change only
-    where some read meets a table key: at the cuts ``N = (key - s_k) mod
-    2**64``.  So a trial is labelled by one bisection of the cuts.  All
-    that depends only on the interval between two cuts -- every label,
-    B-membership, wrap and each cell's members -- is built once, from the
-    first trial that falls in it, point by point; a read on a cut is built
-    the same way on its own, and a point read on a key takes the exact
-    locate.  A trial's L1 error is the sum of F(0) plus one
-    :meth:`~ergolab.rotation.CellError.excess` per non-empty cell, integers
-    ``(A, B)`` over one ``scale`` per run, and its event and floor check
-    are integer signs.
+    """The ``thm4`` experiment: each trial draws ``omega = N / 2**64``, and
+    :meth:`~ergolab.rotation.StarvingL1.trial` gives its exact L1 error as
+    integers ``(A, B)`` over one ``scale`` per run, through the pattern of
+    the interval between cuts that N falls in; the event and the floor
+    check are integer signs.
 
     On B every predictor ``T^-j omega``, ``j < n``, lies in C, so every
     outside cell is empty and predicts 0, and L1 is at least ``floor``, the
@@ -635,139 +593,38 @@ def run_rotation_l1(config: ExperimentConfig) -> Report:
     n = config.nlist[0]
     schedule = config.schedule()
     rotation = config.rotation()
-    d = rotation.d
-    tower = rot.build_tower(rotation, 4 * n, Fraction(1, 2))
-    b_set, c_set = tower.starving_pair(n)
-    partition = split_grid_partition(n, schedule, c_set)
-    b_part = split_grid_partition(n, PartitionSchedule.constant(1), b_set)
-    h = schedule.h(n)
-
-    # F(c) = integral of |c - m| over a cell, in closed form; empty cells
-    # predict zero, so l1 = sum of all F(0) + sum over non-empty cells of
-    # F(c) - F(0)
-    cell_errors = {label: rot.CellError(cell, rotation)
-                   for label, cell in partition}
-    zero = QuadraticReal.rational(0, d)
-    all_zero = sum((error.at_zero for error in cell_errors.values()), zero)
-    floor = sum((error.at_zero for (_, inside), error in cell_errors.items()
-                 if not inside), zero)
-
-    # x_k = T^k omega for k = 1 - n .. 1: the predictors x_k, k < 0, the
-    # responses x_k, 1 - n < k <= 0, the query x_0 = omega and the next
-    # value x_1, all over one denominator
-    orbit = rot.DyadicOrbit(rotation, 1 - n, 1)
-    den, counts = orbit.den, math.lcm(*range(1, n))
-    unit = math.lcm(all_zero.Q, floor.Q,
-                    *(error.unit for error in cell_errors.values()))
-    for error in cell_errors.values():
-        error.fix_scale(den, counts, unit)
-    scale = unit * (den * counts) ** 2
-    base, floor_at = all_zero.over(scale), floor.over(scale)
-
-    # the cuts: the reads N at which some labelled point's read is a table
-    # key, omega's is a key of B's table, or the next value wraps (a
-    # labelled point wraps where its read is key 0, a grid bound), and 0,
-    # so that every read lies on or after a cut
-    top = 1 << READ_BITS
-    shifts = [s for s, _, _ in orbit.offsets]
-    cuts = sorted({(key - s) % top for s in shifts[:-1]
-                   for key in partition.keys}
-                  | {(key - shifts[-2]) % top for key in b_part.keys}
-                  | {(top - shifts[-1]) % top, 0})
-    q = orbit.alpha_q
-
-    def label(part, point):
-        r, a, b = point
-        return part.read_label(r) or part.locate(orbit.point(a, b))
-
-    # one (CellError, count, A0, B0, S0) per cell, its responses and their
-    # wraps, shared by every interval with that cell: on an interval the
-    # cell's numerators sum to (count*N*q + A0, B0) and its reads to
-    # count*N + S0
-    sums = {}
-
-    def pattern(read):
-        """What a trial at `read` shares with its interval: its non-empty
-        cells' sums, the query cell's, omega's membership in B, whether
-        every predictor lies inside C, and the next value's numerators less
-        ``N*q``, from the points labelled one by one."""
-        points = orbit.points(read)
-        labels = [label(partition, point) for point in points[:-1]]
-        members = {}
-        for i, cell in enumerate(labels[:-1], 1):
-            members.setdefault(cell, []).append(i)
-        nq = read * q
-        cells = {}
-        for cell, indices in members.items():
-            key = (cell, tuple(indices),
-                   tuple(i for i in indices if read + shifts[i] >= top))
-            shared = sums.get(key)
-            if shared is None:
-                count = len(indices)
-                shared = sums[key] = (
-                    cell_errors[cell], count,
-                    sum(points[i][1] for i in indices) - count * nq,
-                    sum(points[i][2] for i in indices),
-                    sum(points[i][0] for i in indices) - count * read)
-            cells[cell] = shared
-        _, truth_a, truth_b = points[-1]
-        return (tuple(cells.values()), cells.get(labels[-1]),
-                label(b_part, points[-2])[1],
-                all(inside for _, inside in labels[:-1]),
-                truth_a - nq, truth_b)
-
-    patterns = {}
-    sixteenth = Fraction(1, 16)
+    l1 = rot.StarvingL1(rotation, n, schedule)
+    d, scale, floor = rotation.d, l1.scale, l1.floor
     rng = random.Random(derived_seed(config.seed, 0))
 
     def trial_body(trial, rows):
-        read = rng.getrandbits(READ_BITS)
-        at = bisect_right(cuts, read) - 1
-        if cuts[at] == read:
-            built = pattern(read)
-        else:
-            built = patterns.get(at)
-            if built is None:
-                built = patterns[at] = pattern(read)
-        cells, query, in_b, inside_c, truth_a, truth_b = built
-        nq = read * q
-        l1_a, l1_b = base
-        for error, count, a0, b0, s0 in cells:
-            part_a, part_b = error.excess(count * nq + a0, b0, count,
-                                          count * read + s0)
-            l1_a += part_a
-            l1_b += part_b
+        in_b, inside_c, l1_a, l1_b, est, truth = l1.trial(
+            rng.getrandbits(READ_BITS))
         if in_b:
-            # a label (j, inside) reads membership in C from cell j's piece
             if not inside_c:
                 raise InvariantViolation(
                     f"trial {trial}: recent data must sit inside the cover "
                     f"set, and outside-cells be exactly empty, on the "
                     f"starving event")
-            if sign(l1_a - floor_at[0], l1_b - floor_at[1], d) < 0:
+            if sign(l1_a - l1.floor_at[0], l1_b - l1.floor_at[1], d) < 0:
                 raise InvariantViolation(
                     f"trial {trial}: L1 error ({l1_a} + {l1_b}*sqrt({d}))/"
                     f"{scale} below the outside cells' floor {floor} on the "
                     f"starving event")
-        if query is None:
-            est_f = 0.0
-        else:
-            _, count, a0, b0, _ = query
-            est_f = to_float(count * nq + a0, b0, den * count, d)
-        truth = to_float(nq + truth_a, truth_b, den, d)
-        rows.append((n, trial, in_b, est_f, truth,
-                     abs(est_f - truth), to_float(l1_a, l1_b, scale, d)))
+        rows.append((n, trial, in_b, est, truth, abs(est - truth),
+                     to_float(l1_a, l1_b, scale, d)))
         return (n,) if sign(16 * l1_a - scale, 16 * l1_b, d) >= 0 else (), in_b
 
-    mu_b = tower.rotation.scalar(b_set.measure())
-    proven = mu_b if floor.compare(sixteenth) >= 0 else zero
+    mu_b = rotation.scalar(l1.b_set.measure())
+    proven = mu_b if floor.compare(Fraction(1, 16)) >= 0 \
+        else rotation.scalar(0)
     mu_b_f = float(mu_b)
     return _static_report(config, (n,), "l1_event_frequency", trial_body, {
-        "tower_height": tower.height,
-        "tower_coverage": float(tower.coverage),
+        "tower_height": l1.tower.height,
+        "tower_coverage": float(l1.tower.coverage),
         "mu_B": mu_b_f,
         "mu_B_at_least_eighth": bool(mu_b.compare(Fraction(1, 8)) >= 0),
-        "cell_width": str(h),
+        "cell_width": str(schedule.h(n)),
         "mc_floor": mu_b_f - _half_width(mu_b_f, config.trials),
         "l1_floor_on_B": float(floor),
         "l1_floor_on_B_exact": str(floor),

@@ -157,12 +157,12 @@ class ShiftLabelTable:
         return out
 
     def observe(self, path) -> tuple:
+        """The labels of `path`, re-read through :meth:`label` on a miss."""
         labels = self._labels
         try:
             return tuple([labels[s] for s in path])
-        except KeyError as exc:
-            raise FrontierError(
-                f"shift bit for state {exc.args[0]} not chosen yet") from None
+        except KeyError:
+            return tuple([self.label(s) for s in path])
 
 def sample_sqrt_ar(x0: float, length: int, noise=(-0.25, 0.25), seed=None):
     """The nonlinear autoregression ``X_n = sqrt(|X_{n-1}|) + eps_n``, as a

@@ -9,19 +9,21 @@ with return times ``q_{m+1}`` and ``q_{m+1} + q_m``, giving a skyscraper with
 two columns.  Slicing the columns into blocks of ``N`` consecutive levels and
 discarding the remainders yields the tower base; every claimed property
 (tiling, disjointness, coverage) is verified exactly rather than assumed.
+:class:`StarvingL1` is the ``thm4`` set-up on such a tower, with the exact
+L1 error of the partitioning estimate at a dyadic omega.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
 from .errors import HeightError, NotIrrational, PrecisionError
 from .intervals import IntervalSet
-from .partitions import READ_BITS
+from .partitions import READ_BITS, PartitionSchedule, split_grid_partition
 from .surd import (QuadraticReal, cf_convergents, floor_raw, scaled_floor,
-                   sqrt2_minus_1, triple, triple_compare)
+                   sqrt2_minus_1, to_float, triple, triple_compare)
 
 
 class Rotation:
@@ -319,3 +321,105 @@ class CellError:
         a, b = a * f, b * f
         return (k2 * (a * a + d * b * b) + k1a * a + d * k1b * b + k0a,
                 2 * k2 * a * b + k1a * b + k1b * a + k0b)
+
+
+class StarvingL1:
+    """The ``thm4`` set-up at one n, built once, and the exact L1 error of
+    the partitioning estimate at ``omega = N / 2**READ_BITS``.
+
+    It holds the tower of height 4n, B and the cover set C, C's split grid
+    and a one-cell partition over B, one :class:`CellError` per cell at one
+    ``scale``, ``base`` (every cell's ``F(0)`` at the scale), ``floor`` (the
+    outside cells', ``floor_at`` at the scale) and the sorted ``cuts``: the
+    reads N at which a labelled point's read ``N + s_k`` (see
+    :class:`DyadicOrbit`) is a key of C's table, omega's a key of B's, or
+    the next value wraps, and 0.  Between two cuts every label, membership
+    and wrap is fixed (a labelled point wraps where its read is key 0).
+    """
+
+    def __init__(self, rotation: Rotation, n: int, schedule):
+        self.d = rotation.d
+        self.tower = build_tower(rotation, 4 * n, Fraction(1, 2))
+        self.b_set, c_set = self.tower.starving_pair(n)
+        self.partition = split_grid_partition(n, schedule, c_set)
+        self.b_part = split_grid_partition(
+            n, PartitionSchedule.constant(1), self.b_set)
+        # empty cells predict 0: l1 = all F(0) + non-empty cells' F(c) - F(0)
+        self.errors = {label: CellError(cell, rotation)
+                       for label, cell in self.partition}
+        zero = QuadraticReal.rational(0, self.d)
+        all_zero = sum((e.at_zero for e in self.errors.values()), zero)
+        self.floor = sum((e.at_zero for (_, inside), e in self.errors.items()
+                          if not inside), zero)
+        self.orbit = orbit = DyadicOrbit(rotation, 1 - n, 1)
+        counts = math.lcm(*range(1, n))  # a cell holds at most n - 1
+        unit = math.lcm(all_zero.Q, self.floor.Q,
+                        *(e.unit for e in self.errors.values()))
+        for error in self.errors.values():
+            error.fix_scale(orbit.den, counts, unit)
+        self.scale = unit * (orbit.den * counts) ** 2
+        self.base = all_zero.over(self.scale)
+        self.floor_at = self.floor.over(self.scale)
+        top = 1 << READ_BITS
+        shifts = [s for s, _, _ in orbit.offsets]
+        self.cuts = sorted({(key - s) % top for s in shifts[:-1]
+                            for key in self.partition.keys}
+                           | {(key - shifts[-2]) % top
+                              for key in self.b_part.keys}
+                           | {(top - shifts[-1]) % top, 0})
+        self._patterns = {}
+
+    def _label(self, part, r, a, b):
+        return part.read_label(r) or part.locate(self.orbit.point(a, b))
+
+    def pattern(self, read: int) -> tuple:
+        """What `read` shares with its interval between cuts, built from its
+        points labelled one by one and cached per interval (a read on a cut
+        is built on its own): per non-empty cell ``(CellError, count, A0,
+        B0, S0)``, its responses' numerators summing to ``(count*N*Q_alpha
+        + A0, B0)`` and reads to ``count*N + S0``; the query cell's, or None;
+        omega in B; every predictor in C; the next value less ``N*Q_alpha``."""
+        cuts = self.cuts
+        at = bisect_right(cuts, read) - 1
+        on_cut = cuts[at] == read
+        built = None if on_cut else self._patterns.get(at)
+        if built is not None:
+            return built
+        points = self.orbit.points(read)
+        labels = [self._label(self.partition, *p) for p in points[:-1]]
+        sums = {}  # per cell: count, and its responses' a, b and reads
+        for cell, (r, a, b) in zip(labels[:-1], points[1:]):
+            k, sum_a, sum_b, sum_r = sums.get(cell, (0, 0, 0, 0))
+            sums[cell] = (k + 1, sum_a + a, sum_b + b, sum_r + r)
+        nq = read * self.orbit.alpha_q
+        cells = {cell: (self.errors[cell], k, a - k * nq, b, r - k * read)
+                 for cell, (k, a, b, r) in sums.items()}
+        # a label (j, inside) reads membership in C from cell j's piece
+        built = (tuple(cells.values()), cells.get(labels[-1]),
+                 self._label(self.b_part, *points[-2])[1],
+                 all(inside for _, inside in labels[:-1]),
+                 points[-1][1] - nq, points[-1][2])
+        if not on_cut:
+            self._patterns[at] = built
+        return built
+
+    def trial(self, read: int) -> tuple:
+        """``(in_B, inside_C, L1_A, L1_B, estimate, truth)`` at `read`: L1 is
+        ``(L1_A + L1_B*sqrt(d)) / scale``, ``base`` plus one
+        :meth:`CellError.excess` per non-empty cell, and no field element
+        is built; the estimate at omega and the next value are floats."""
+        cells, query, in_b, inside_c, truth_a, truth_b = self.pattern(read)
+        nq, den, d = read * self.orbit.alpha_q, self.orbit.den, self.d
+        l1_a, l1_b = self.base
+        for error, count, a0, b0, s0 in cells:
+            part_a, part_b = error.excess(count * nq + a0, b0, count,
+                                          count * read + s0)
+            l1_a += part_a
+            l1_b += part_b
+        if query is None:
+            estimate = 0.0
+        else:
+            _, count, a0, b0, _ = query
+            estimate = to_float(count * nq + a0, b0, den * count, d)
+        return (in_b, inside_c, l1_a, l1_b, estimate,
+                to_float(nq + truth_a, truth_b, den, d))

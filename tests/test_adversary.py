@@ -133,6 +133,13 @@ class TestEventSplits:
             mc_split(CountPredictor(1), markov.OddLabelTable(), -2, 3,
                      random.Random(0))
 
+    def test_mc_split_refuses_a_negative_level_on_the_shift_table(self):
+        # the climb route reads the level's label first: a negative state
+        # is refused as on the path route, not reported as unchosen
+        with pytest.raises(ValueError, match="states are nonnegative"):
+            mc_split(CountPredictor(1), markov.ShiftLabelTable(), -2, 3,
+                     random.Random(0))
+
 
 def _low_side_bounds(split):
     """[lo, hi] for P(low side | anchor) from an exact split."""
@@ -276,6 +283,56 @@ class TestClimbCounts:
             prefix = path[:path.index(level) + 1]
             assert (num, den) == pair_counts(table.observe(prefix),
                                              table.label(level))
+
+
+def per_path_plus(predictor, table, level, trials, rng):
+    """`mc_split`'s high-side count by the path route: each trial's path by
+    `sample_until`, and the forecast on its whole observation."""
+    return sum(predictor(table.observe(markov.sample_until(level, rng)))
+               >= Fraction(1, 4) for _ in range(trials))
+
+
+def random_tables(seed):
+    """An odd-label table with random odd bits and a shift table with
+    random bits, both defined past level 8."""
+    draw = random.Random(seed)
+    return [markov.OddLabelTable({k: draw.getrandbits(1)
+                                  for k in range(1, 5)}),
+            markov.ShiftLabelTable({s: draw.getrandbits(1)
+                                    for s in range(3, 10)})]
+
+
+class TestMcSplitRoutes:
+    @pytest.mark.parametrize("seed", [50, 51, 52])
+    def test_climb_route_matches_path_route(self, seed):
+        # a pair-statistic predictor is counted from climbs: the same high
+        # side count and the same draws as forecasting each sampled path
+        predictor = make_predictor("dynamic-count:1")
+        for table in random_tables(seed):
+            for level in range(2, 9):
+                rng, oracle_rng = random.Random(seed), random.Random(seed)
+                split = mc_split(predictor, table, level, 300, rng)
+                assert split.detail["plus"] == per_path_plus(
+                    predictor, table, level, 300, oracle_rng)
+                assert rng.getstate() == oracle_rng.getstate()
+
+    @pytest.mark.parametrize("name, paths", [("constant:0", 40),
+                                             ("dynamic-count:1", 0)])
+    def test_only_a_black_box_samples_paths(self, monkeypatch, name, paths):
+        sampled = []
+        sample_until = markov.sample_until
+
+        def counted(level, rng):
+            sampled.append(level)
+            return sample_until(level, rng)
+
+        monkeypatch.setattr(adversary, "sample_until", counted)
+        predictor = make_predictor(name)
+        table = random_tables(50)[0]
+        split = mc_split(predictor, table, 6, 40, random.Random(0))
+        assert sampled == [6] * paths
+        assert split.detail["plus"] == per_path_plus(
+            predictor, table, 6, 40, random.Random(0))
 
 
 def _split(p_plus, p_minus, method, **detail):

@@ -666,6 +666,17 @@ class TestRotationOracle:
         assert typed(report.rows) == typed(rows)
         assert report.summary == summary
 
+    @pytest.mark.parametrize("fields", ORACLE_FIELDS + [
+        dict(trials=1, seed=40, nlist=(1,)),
+        dict(trials=1, seed=40, nlist=(2,))])
+    def test_cuts_match_their_definition(self, fields):
+        # the cut list of the set-up object, at the oracle configs and at
+        # n = 1 and 2, where the predictors are none or one
+        cfg = ExperimentConfig(experiment="thm4", **fields).validate()
+        l1 = rot.StarvingL1(cfg.rotation(), cfg.nlist[0], cfg.schedule())
+        assert l1.cuts == sorted(set().union(*rotation_cuts(cfg).values())
+                                 | {0})
+
     def test_points_are_labelled_once_per_interval(self, monkeypatch):
         # at the pinned thm4 run with the rotation workload's 6000 trials,
         # a trial's n points and omega's membership in B are labelled

@@ -161,6 +161,18 @@ class TestLabelings:
             assert str(got.value) == str(want.value) \
                 == f"odd label for state {unchosen} not chosen yet"
 
+    def test_shift_observe_past_the_frontier(self):
+        # an unchosen state is reported as `label` reports it, and a
+        # negative one is refused, as by the odd-label table
+        table = markov.ShiftLabelTable({3: 1})
+        for path, unchosen in (([0, 1, 2, 3, 4], 4), ([5, 0], 5)):
+            with pytest.raises(FrontierError) as got:
+                table.observe(path)
+            assert str(got.value) \
+                == f"shift bit for state {unchosen} not chosen yet"
+        with pytest.raises(ValueError, match="states are nonnegative"):
+            table.observe([0, -1])
+
     def test_fixed_states_take_no_choice(self):
         # f(1) = 0 and f(0) = 0 are fixed: a choice for them, or for a
         # negative key, is refused by either constructor
