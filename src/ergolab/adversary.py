@@ -313,14 +313,17 @@ def walk_split(predictor, table, level: int, mass_tol,
     )
 
 
-def count_passes(predictor, table, levels, tests, trials: int, rng) -> list:
-    """Per level of the increasing `levels`, how many of `trials` anchored
-    paths to the last level pass ``tests[i]`` at the forecast on their
-    first visit of ``levels[i]``.  A ``pair_statistic`` predictor takes the
-    climbs (:func:`climb_heights`): the forecast at level L is the ratio
-    (0/0 = 0) of the pair counts (:func:`climb_counts`) of the successful
-    climb and the failed ones before the first climb of height >= L, each
-    sum tested once.  Any other predictor takes the paths
+def count_passes(predictor, table, levels, tests, trials: int,
+                 rng) -> tuple:
+    """``(route, passed)``: the route that drew the trials, ``"climbs"`` or
+    ``"paths"``, and per level of the increasing `levels` how many of
+    `trials` anchored paths to the last level pass ``tests[i]`` at the
+    forecast on their first visit of ``levels[i]``.  A ``pair_statistic``
+    predictor takes the climbs (:func:`climb_heights`): the forecast at
+    level L is the ratio (0/0 = 0) of the pair counts
+    (:func:`climb_counts`) of the successful climb and the failed ones
+    before the first climb of height >= L, each sum tested once.  Any
+    other predictor takes the paths
     (:func:`sample_until`, one prefix per level by :func:`evaluate_many`).
     Both make the same ``getrandbits(1)`` calls."""
     passed = [0] * len(levels)
@@ -333,7 +336,7 @@ def count_passes(predictor, table, levels, tests, trials: int, rng) -> list:
                                                for level in levels])
             for i, (value, test) in enumerate(zip(values, tests)):
                 passed[i] += test(value)
-        return passed
+        return "paths", passed
     # `seen` counts failed climbs by height; `climbs` ends with the success
     routes = [(level, *zip(*climb_counts(statistic, table, level)), test, {})
               for level, test in zip(levels, tests)]
@@ -350,15 +353,15 @@ def count_passes(predictor, table, levels, tests, trials: int, rng) -> list:
             if key not in decided:
                 decided[key] = test(Fraction(*key) if key[1] else 0)
             passed[i] += decided[key]
-    return passed
+    return "climbs", passed
 
 
 def mc_split(predictor, table, level: int, trials: int, rng) -> EventSplit:
     """Monte Carlo split from anchored sampling; 3-sigma half width."""
     if trials < 1:
         raise ValueError("need at least one trial")
-    plus, = count_passes(predictor, table, [level],
-                         [lambda value: value >= THRESHOLD], trials, rng)
+    _, (plus,) = count_passes(predictor, table, [level],
+                              [lambda value: value >= THRESHOLD], trials, rng)
     p_hat = Fraction(plus, trials)
     sigma = (float(p_hat) * (1 - float(p_hat)) / trials) ** 0.5
     return EventSplit(

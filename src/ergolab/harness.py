@@ -418,7 +418,7 @@ def run_attack(config: ExperimentConfig) -> Report:
 
     # exceedance |forecast - E[next | past]| >= gap: the forecast lies on or
     # past truth -/+ gap, compared exactly (registry forecasts are exact)
-    exceed = adversary.count_passes(
+    trial_route, exceed = adversary.count_passes(
         predictor, table, levels,
         [lambda value, lo=truth - table.gap, hi=truth + table.gap:
          value <= lo or value >= hi for truth in truths],
@@ -457,8 +457,7 @@ def run_attack(config: ExperimentConfig) -> Report:
                  "half_width", "conditional"),
         rows=rows,
         summary={"labels": label_summary,
-                 "trial_route": "paths" if getattr(
-                     predictor, "pair_statistic", None) is None else "climbs",
+                 "trial_route": trial_route,
                  "table": table.chosen_bits,
                  "min_conditional_exceedance": worst / config.trials,
                  "gap_threshold": float(table.gap)},
@@ -582,8 +581,10 @@ def run_rotation_l1(config: ExperimentConfig) -> Report:
     """The ``thm4`` experiment: each trial draws ``omega = N / 2**64``, and
     :meth:`~ergolab.rotation.StarvingL1.trial` gives its exact L1 error as
     integers ``(A, B)`` over one ``scale`` per run, through the pattern of
-    the interval between cuts that N falls in; the event and the floor
-    check are integer signs.
+    the interval between cuts that N falls in and the piece of it, a
+    quadratic in N, that holds N; the event and the floor check are
+    integer signs.  ``l1_route`` in the summary counts those intervals and
+    pieces, and the trials read on a piece or cell by cell.
 
     On B every predictor ``T^-j omega``, ``j < n``, lies in C, so every
     outside cell is empty and predicts 0, and L1 is at least ``floor``, the
@@ -619,7 +620,7 @@ def run_rotation_l1(config: ExperimentConfig) -> Report:
     proven = mu_b if floor.compare(Fraction(1, 16)) >= 0 \
         else rotation.scalar(0)
     mu_b_f = float(mu_b)
-    return _static_report(config, (n,), "l1_event_frequency", trial_body, {
+    report = _static_report(config, (n,), "l1_event_frequency", trial_body, {
         "tower_height": l1.tower.height,
         "tower_coverage": float(l1.tower.coverage),
         "mu_B": mu_b_f,
@@ -632,6 +633,8 @@ def run_rotation_l1(config: ExperimentConfig) -> Report:
         "proven_event_lower_bound_exact": str(proven),
         "estimator_regular": regularity(schedule, (n,)),
     })
+    report.summary["l1_route"] = l1.route()
+    return report
 
 
 # -- the two positive baselines

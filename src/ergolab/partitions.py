@@ -29,7 +29,7 @@ from fractions import Fraction
 from .dyadic import BinaryPoint
 from .errors import CoverageError
 from .intervals import IntervalSet
-from .surd import scaled_floor
+from .surd import compare, scaled_floor
 
 # the bits of a point's read: its breakpoint-table key, and the response
 # bits a cell mean sums
@@ -147,12 +147,12 @@ class Partition:
 
     def __init__(self, q: int, bounds, split_set: IntervalSet):
         self.q, self.bounds = q, bounds
-        outside = split_set.complement()
+        inside = _grid_pieces(bounds, split_set)
+        outside = _grid_pieces(bounds, split_set.complement())
         self.cells = []
         for j in range(1, q + 1):
-            grid_cell = IntervalSet([(bounds[j - 1], bounds[j])])
-            self.cells.append(((j, True), grid_cell.intersection(split_set)))
-            self.cells.append(((j, False), grid_cell.intersection(outside)))
+            self.cells.append(((j, True), IntervalSet(inside[j - 1])))
+            self.cells.append(((j, False), IntervalSet(outside[j - 1])))
         self.inside_cells = [inside for _, inside in self.cells[::2]]
         breaks = bounds + [end for iv in split_set for end in (iv.lo, iv.hi)]
         top = 1 << READ_BITS
@@ -220,6 +220,29 @@ class Partition:
 
     def __iter__(self):
         return iter(self.cells)
+
+
+def _grid_pieces(bounds, split_set: IntervalSet) -> list:
+    """Per grid cell ``[bounds[j - 1], bounds[j])``, the pairs of its pieces
+    of `split_set`, in one merge pass over the sorted bounds and the set's
+    intervals.  Where a set end ties with a grid bound the piece takes the
+    bound, as :meth:`~ergolab.intervals.IntervalSet.intersection` of the
+    grid cell with the set does."""
+    pieces = [[] for _ in bounds[1:]]
+    j = 1
+    for iv in split_set:
+        lo, hi = iv.lo, iv.hi
+        while compare(bounds[j], lo) <= 0:
+            j += 1
+        while True:
+            low, high = bounds[j - 1], bounds[j]
+            past = compare(hi, high)
+            pieces[j - 1].append((low if compare(low, lo) >= 0 else lo,
+                                  high if past >= 0 else hi))
+            if past <= 0:
+                break
+            j += 1
+    return pieces
 
 
 class PartitionSweep:

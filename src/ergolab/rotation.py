@@ -357,6 +357,7 @@ class StarvingL1:
                         *(e.unit for e in self.errors.values()))
         for error in self.errors.values():
             error.fix_scale(orbit.den, counts, unit)
+        self.counts = counts
         self.scale = unit * (orbit.den * counts) ** 2
         self.base = all_zero.over(self.scale)
         self.floor_at = self.floor.over(self.scale)
@@ -368,6 +369,7 @@ class StarvingL1:
                               for key in self.b_part.keys}
                            | {(top - shifts[-1]) % top, 0})
         self._patterns = {}
+        self.piece_trials = self.cell_trials = 0
 
     def _label(self, part, r, a, b):
         return part.read_label(r) or part.locate(self.orbit.point(a, b))
@@ -378,7 +380,9 @@ class StarvingL1:
         is built on its own): per non-empty cell ``(CellError, count, A0,
         B0, S0)``, its responses' numerators summing to ``(count*N*Q_alpha
         + A0, B0)`` and reads to ``count*N + S0``; the query cell's, or None;
-        omega in B; every predictor in C; the next value less ``N*Q_alpha``."""
+        omega in B; every predictor in C; the next value less ``N*Q_alpha``;
+        and the list of the interval's pieces built so far (:meth:`trial`).
+        """
         cuts = self.cuts
         at = bisect_right(cuts, read) - 1
         on_cut = cuts[at] == read
@@ -398,24 +402,36 @@ class StarvingL1:
         built = (tuple(cells.values()), cells.get(labels[-1]),
                  self._label(self.b_part, *points[-2])[1],
                  all(inside for _, inside in labels[:-1]),
-                 points[-1][1] - nq, points[-1][2])
+                 points[-1][1] - nq, points[-1][2], [])
         if not on_cut:
             self._patterns[at] = built
         return built
 
     def trial(self, read: int) -> tuple:
         """``(in_B, inside_C, L1_A, L1_B, estimate, truth)`` at `read`: L1 is
-        ``(L1_A + L1_B*sqrt(d)) / scale``, ``base`` plus one
-        :meth:`CellError.excess` per non-empty cell, and no field element
-        is built; the estimate at omega and the next value are floats."""
-        cells, query, in_b, inside_c, truth_a, truth_b = self.pattern(read)
+        ``(L1_A + L1_B*sqrt(d)) / scale``, and no field element is built;
+        the estimate at omega and the next value are floats.
+
+        L1 is read from the piece of `read`'s interval that holds it, a
+        stretch of reads on which every non-empty cell's
+        :class:`CellError` segment is fixed by the reads alone; there
+        ``L1_A = (A2*N + A1)*N + A0`` and ``L1_B = B1*N + B0``
+        (:meth:`_piece`).  A read no piece holds builds its piece, except
+        a read on a cut or next to a breakpoint read, which sums ``base``
+        and one :meth:`CellError.excess` per non-empty cell."""
+        cuts = self.cuts
+        at = bisect_right(cuts, read) - 1
+        built = None if cuts[at] == read else self._patterns.get(at)
+        cells, query, in_b, inside_c, truth_a, truth_b, pieces = \
+            built or self.pattern(read)
+        for lo, hi, a2, a1, a0, b1, b0 in pieces:
+            if lo <= read <= hi:
+                self.piece_trials += 1
+                l1_a, l1_b = (a2 * read + a1) * read + a0, b1 * read + b0
+                break
+        else:
+            l1_a, l1_b = self._off_pieces(read, at, cells, pieces)
         nq, den, d = read * self.orbit.alpha_q, self.orbit.den, self.d
-        l1_a, l1_b = self.base
-        for error, count, a0, b0, s0 in cells:
-            part_a, part_b = error.excess(count * nq + a0, b0, count,
-                                          count * read + s0)
-            l1_a += part_a
-            l1_b += part_b
         if query is None:
             estimate = 0.0
         else:
@@ -423,3 +439,78 @@ class StarvingL1:
             estimate = to_float(count * nq + a0, b0, den * count, d)
         return (in_b, inside_c, l1_a, l1_b, estimate,
                 to_float(nq + truth_a, truth_b, den, d))
+
+    def _off_pieces(self, read, at, cells, pieces) -> tuple:
+        """``(L1_A, L1_B)`` at a read that no piece in `pieces` holds: from
+        its piece, built and kept there, or per cell where it has none."""
+        if self.cuts[at] != read:
+            piece = self._piece(read, at, cells)
+            if piece is not None:
+                pieces.append(piece)
+                self.piece_trials += 1
+                _, _, a2, a1, a0, b1, b0 = piece
+                return (a2 * read + a1) * read + a0, b1 * read + b0
+        self.cell_trials += 1
+        nq = read * self.orbit.alpha_q
+        l1_a, l1_b = self.base
+        for error, count, a0, b0, s0 in cells:
+            part_a, part_b = error.excess(count * nq + a0, b0, count,
+                                          count * read + s0)
+            l1_a += part_a
+            l1_b += part_b
+        return l1_a, l1_b
+
+    def _piece(self, read, at, cells):
+        """The piece of interval `at` that holds `read` (not a cut), as
+        ``(lo, hi, A2, A1, A0, B1, B0)``, or None if a breakpoint read lies
+        next to some cell's mean.
+
+        A cell's reads sum to ``count*N + S0``, so its mean read is ``m = N
+        + t``, ``t = S0 // count``, and :meth:`CellError.excess` takes the
+        segment ``i = bisect_left(reads, m)`` with no exact comparison
+        while no breakpoint read is in ``[m, m + 1]``: for ``reads[i-1] + 1
+        - t <= N <= reads[i] - 2 - t``.  Its numerator sum is ``a = U*N +
+        v`` for ``U = counts*Q_alpha`` at the scale, and ``b = w``, so its
+        excess is quadratic in N with the segment's coefficients.  The
+        piece is the interval cut down to every cell's bounds."""
+        cuts, counts, d = self.cuts, self.counts, self.d
+        lo = cuts[at] + 1
+        hi = (cuts[at + 1] if at + 1 < len(cuts) else 1 << READ_BITS) - 1
+        a2 = a1 = a0 = b1 = b0 = 0
+        for error, count, v, w, s0 in cells:
+            t = s0 // count
+            m = read + t
+            reads = error.reads
+            i = bisect_left(reads, m)
+            if i < len(reads):
+                if reads[i] <= m + 1:
+                    return None
+                if reads[i] - 2 - t < hi:
+                    hi = reads[i] - 2 - t
+            if i and reads[i - 1] + 1 - t > lo:
+                lo = reads[i - 1] + 1 - t
+            # with the sums at `counts`, a = U*N + v and b = w, the excess
+            # is k2*(a*a + d*w*w) + k1a*a + d*k1b*w + k0a
+            # + (2*k2*a*w + k1a*w + k1b*a + k0b)*sqrt(d)
+            k2, k1a, k1b, k0a, k0b = error.scaled[i]
+            f = counts // count
+            v, w = v * f, w * f
+            kv, kw = k2 * v, k2 * w
+            g, h = kv + kv + k1a, kw + k1b
+            a2 += k2
+            a1 += g
+            a0 += v * (kv + k1a) + d * w * h + k0a
+            b1 += kw + h
+            b0 += g * w + k1b * v + k0b
+        u = counts * self.orbit.alpha_q
+        return (lo, hi, a2 * u * u, a1 * u, a0 + self.base[0], b1 * u,
+                b0 + self.base[1])
+
+    def route(self) -> dict:
+        """How the trials so far read L1: intervals patterned, pieces
+        built, trials on a piece and trials on the per-cell route."""
+        return {"intervals_patterned": len(self._patterns),
+                "pieces_built": sum(len(built[-1])
+                                    for built in self._patterns.values()),
+                "piece_trials": self.piece_trials,
+                "cell_trials": self.cell_trials}

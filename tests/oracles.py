@@ -9,7 +9,8 @@ No experiment or demo runs these, so they live beside the tests:
 * the lagged pairs of a series, the partitioning estimate at a point and
   the diameter of a cell;
 * the exact L1 error of a piecewise-constant estimate by integration over
-  its pieces, and a second rotation angle, the golden mean's conjugate.
+  its pieces, and a second rotation angle, the golden mean's conjugate;
+* the cells of a split grid, each by two whole-set intersections.
 
 The three error classes are raised by these oracles alone.
 """
@@ -17,6 +18,7 @@ The three error classes are raised by these oracles alone.
 from fractions import Fraction
 
 from ergolab.errors import ErgolabError, FrontierError
+from ergolab.intervals import IntervalSet
 from ergolab.markov import HALF, OddLabelTable, ShiftLabelTable
 from ergolab.rotation import Rotation, integral_abs_error_on_interval
 from ergolab.surd import QuadraticReal
@@ -225,3 +227,16 @@ def l1_error_exact(pieces, target: str, rotation: Rotation | None = None):
 def golden_conjugate() -> QuadraticReal:
     """(sqrt(5) - 1) / 2, whose quotients are all 1."""
     return QuadraticReal(Fraction(-1, 2), Fraction(1, 2), 5)
+
+
+def split_grid_cells(bounds, split_set):
+    """The labelled cells of the grid `bounds` cut by `split_set`: per grid
+    cell ``j``, ``(j, True)`` its intersection with the set and ``(j,
+    False)`` with the set's complement, as whole-set intersections."""
+    outside = split_set.complement()
+    cells = []
+    for j in range(1, len(bounds)):
+        grid_cell = IntervalSet([(bounds[j - 1], bounds[j])])
+        cells.append(((j, True), grid_cell.intersection(split_set)))
+        cells.append(((j, False), grid_cell.intersection(outside)))
+    return cells

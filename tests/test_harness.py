@@ -222,17 +222,24 @@ class TestRunners:
 
     def test_thm4_trial_error_names_its_trial(self, monkeypatch):
         # a cap hit inside a thm4 trial is tagged with the trial, as in thm3
-        def excess(error, a, b, k, read_sum):
+        def trial(l1, read):
             raise CapExceeded("boom")
-        monkeypatch.setattr(rot.CellError, "excess", excess)
+        monkeypatch.setattr(rot.StarvingL1, "trial", trial)
         cfg = ExperimentConfig(experiment="thm4", trials=5, seed=0)
         with pytest.raises(CapExceeded, match="trial 0: boom"):
             run(cfg)
 
     def test_thm4_floor_invariant_is_checked(self, monkeypatch):
-        # a cell error below the one it must be breaks a B-trial's L1 floor
-        monkeypatch.setattr(rot.CellError, "excess",
-                            lambda error, *args: (-error.scale, 0))
+        # a cell error below the one it must be breaks a B-trial's L1 floor:
+        # every non-empty cell's F(c) - F(0) read as -1
+        trial = rot.StarvingL1.trial
+
+        def low_trial(l1, read):
+            in_b, inside_c, _, _, est, truth = trial(l1, read)
+            cells = l1.pattern(read)[0]
+            return (in_b, inside_c, l1.base[0] - len(cells) * l1.scale,
+                    l1.base[1], est, truth)
+        monkeypatch.setattr(rot.StarvingL1, "trial", low_trial)
         cfg = ExperimentConfig(experiment="thm4", trials=50,
                                seed=0).validate()
         # each non-empty cell then takes 1 off the L1 error of the zero
@@ -579,6 +586,18 @@ def typed(rows):
     return [[(type(v), v) for v in row] for row in rows]
 
 
+def assert_per_point_rotation(report, config):
+    """`report` has the rows and summary of the per-point route: every
+    key that route computes, and beside them only ``l1_route``, whose
+    trials on a piece and cell by cell add up to the trials."""
+    rows, summary = per_point_rotation(config)
+    assert typed(report.rows) == typed(rows)
+    assert {key: report.summary[key] for key in summary} == summary
+    assert set(report.summary) - set(summary) == {"l1_route"}
+    route = report.summary["l1_route"]
+    assert route["piece_trials"] + route["cell_trials"] == config.trials
+
+
 def rotation_cuts(config) -> dict:
     """The cuts of `config`'s thm4 run by their definition, as sets: per
     labelled offset k, ``1 - n <= k <= 0``, the reads N for which ``N +
@@ -631,10 +650,7 @@ class TestRotationOracle:
         # every row and the whole summary, at the three pinned angles, at
         # n = 16 and where a cell's image pieces merge
         cfg = ExperimentConfig(experiment="thm4", **fields).validate()
-        report = run(cfg)
-        rows, summary = per_point_rotation(cfg)
-        assert typed(report.rows) == typed(rows)
-        assert report.summary == summary
+        assert_per_point_rotation(run(cfg), cfg)
 
     # the oracle configs, and four cells at n = 8, wide enough that the
     # query cell often holds a predictor, so the query's label shows in
@@ -661,10 +677,35 @@ class TestRotationOracle:
                             lambda seed: ScriptedReads(reads))
         cfg = ExperimentConfig(experiment="thm4",
                                **{**fields, "trials": len(reads)}).validate()
+        assert_per_point_rotation(run(cfg), cfg)
+
+    @pytest.mark.parametrize("fields", ORACLE_FIELDS)
+    def test_reads_at_piece_ends_match_per_point_route(self, monkeypatch,
+                                                       fields):
+        # the pieces that the run's first 40 draws build, and reads on, one
+        # below and one above each end of each: a read past a piece's end
+        # is on a cut, next to a breakpoint read of a cell's mean, or in
+        # the next piece
+        cfg = ExperimentConfig(experiment="thm4", **fields).validate()
+        l1 = rot.StarvingL1(cfg.rotation(), cfg.nlist[0], cfg.schedule())
+        rng = random.Random(harness.derived_seed(cfg.seed, 0))
+        draws = [rng.getrandbits(64) for _ in range(40)]
+        for read in draws:
+            l1.trial(read)
+        top = 1 << 64
+        ends = sorted({end for read in draws
+                       for piece in l1.pattern(read)[-1] for end in piece[:2]})
+        reads = [(end + step) % top for end in ends for step in (-1, 0, 1)]
+        monkeypatch.setattr(random, "Random",
+                            lambda seed: ScriptedReads(reads))
+        cfg = ExperimentConfig(experiment="thm4",
+                               **{**fields, "trials": len(reads)}).validate()
         report = run(cfg)
-        rows, summary = per_point_rotation(cfg)
-        assert typed(report.rows) == typed(rows)
-        assert report.summary == summary
+        assert_per_point_rotation(report, cfg)
+        # both routes ran, and the per-cell one also off the cuts
+        route, cuts = report.summary["l1_route"], set(l1.cuts)
+        assert route["piece_trials"]
+        assert route["cell_trials"] > sum(read in cuts for read in reads)
 
     @pytest.mark.parametrize("fields", ORACLE_FIELDS + [
         dict(trials=1, seed=40, nlist=(1,)),
@@ -714,6 +755,25 @@ class TestRotationOracle:
         run(cfg)
         assert 0 < calls[0] <= (n + 1) * (len(visited) + on_cut)
         assert 10 * calls[0] < (n + 1) * cfg.trials
+
+    def test_route_counts_add_up(self):
+        # at the pinned thm4 run with the rotation workload's 6000 trials:
+        # one pattern per interval between cuts that a read off the cuts
+        # visits, here with at least as many pieces, and every trial on a
+        # piece or cell by cell, as every read on a cut is
+        cfg = ExperimentConfig(**{**PINNED_OUTPUTS["thm4"][0],
+                                  "trials": 6000}).validate()
+        cuts = sorted(set().union(*rotation_cuts(cfg).values()) | {0})
+        rng = random.Random(harness.derived_seed(cfg.seed, 0))
+        reads = [rng.getrandbits(64) for _ in range(cfg.trials)]
+        visited = {bisect.bisect_right(cuts, read) for read in reads
+                   if read not in cuts}
+        route = run(cfg).summary["l1_route"]
+        assert route["intervals_patterned"] == len(visited)
+        assert route["pieces_built"] >= len(visited)
+        assert route["piece_trials"] + route["cell_trials"] == cfg.trials
+        assert route["cell_trials"] >= sum(read in cuts for read in reads)
+        assert route["piece_trials"] > 0.9 * cfg.trials
 
     @pytest.mark.parametrize("name", ["thm4", "thm4-golden", "thm4-sqrt3"])
     def test_no_field_element_per_trial(self, monkeypatch, tmp_path, name):

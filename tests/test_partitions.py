@@ -1,9 +1,9 @@
-"""The split grid's table, its one exact locate and the tallies of a sweep
-over n, against a bisection of the grid bounds with exact comparisons and a
-point-by-point scan: binary points by comparisons, field elements and
-rationals by their floor, and every point with a 64-bit read by the
-breakpoint table, on split sets with rational and with field-element
-endpoints."""
+"""The split grid's cells, its table, its one exact locate and the tallies
+of a sweep over n, against whole-set intersections per grid cell, a
+bisection of the grid bounds with exact comparisons and a point-by-point
+scan: binary points by comparisons, field elements and rationals by their
+floor, and every point with a 64-bit read by the breakpoint table, on split
+sets with rational and with field-element endpoints."""
 
 import functools
 from fractions import Fraction
@@ -21,7 +21,7 @@ from ergolab.partitions import (READ_BITS, PartitionSchedule, PartitionSweep,
 from ergolab.rotation import Rotation, build_tower, default_rotation
 from ergolab.surd import QuadraticReal, compare, floor_raw
 
-from oracles import golden_conjugate
+from oracles import golden_conjugate, split_grid_cells
 
 NON_DYADIC = IntervalSet([(Fraction(1, 3), Fraction(2, 5)),
                           (Fraction(1, 2), Fraction(5, 7)),
@@ -505,3 +505,38 @@ class TestFloorLocator:
             == (3, False)
         with pytest.raises(TypeError):
             part.locate(BinaryPoint.from_dyadic(Fraction(3, 8)))
+
+
+def assert_cells_intersected(part, split_set):
+    """`part`'s cells are the intersections of each grid cell with
+    `split_set` and with its complement, as exact sets with the same
+    endpoint types: a set end that ties with a grid bound gives way to the
+    bound in both."""
+    want = split_grid_cells(part.bounds, split_set)
+    assert [label for label, _ in part] == [label for label, _ in want]
+    for (_, got), (_, cell) in zip(part, want):
+        assert got == cell
+        assert [(type(iv.lo), type(iv.hi)) for iv in got] \
+            == [(type(iv.lo), type(iv.hi)) for iv in cell]
+
+
+class TestMergedCells:
+    def test_thm3_partitions(self):
+        schedule = PartitionSchedule.sqrt(1)
+        for n in range(3, 65):
+            assert_cells_intersected(odometer.starving_partition(n, schedule),
+                                     odometer.starving_set(n))
+
+    @pytest.mark.parametrize("n", [8, 64, 512])
+    @pytest.mark.parametrize("angle", [QuadraticReal(-1, 1, 2),
+                                       golden_conjugate(),
+                                       QuadraticReal(-1, 1, 3)])
+    def test_thm4_partitions(self, angle, n):
+        # C's grid at the default schedule and B's one cell
+        tower = build_tower(Rotation(angle), 4 * n, Fraction(1, 2))
+        b_set, c_set = tower.starving_pair(n)
+        assert_cells_intersected(
+            split_grid_partition(n, PartitionSchedule.sqrt(72), c_set), c_set)
+        assert_cells_intersected(
+            split_grid_partition(n, PartitionSchedule.constant(1), b_set),
+            b_set)

@@ -1,5 +1,6 @@
 """Rotation dynamics, tower construction, exact L1 integration."""
 
+import functools
 import math
 import random
 from fractions import Fraction
@@ -14,7 +15,7 @@ from ergolab.intervals import IntervalSet
 from ergolab.partitions import (READ_BITS, PartitionSchedule,
                                 split_grid_partition)
 from ergolab.rotation import (CellError, DyadicOrbit, RohlinTower, Rotation,
-                              build_tower, default_rotation,
+                              StarvingL1, build_tower, default_rotation,
                               integral_abs_error_on_interval)
 from ergolab.surd import QuadraticReal, floor_raw, sqrt2_minus_1
 from ergolab.surd import triple as field_triple
@@ -476,6 +477,43 @@ class TestCellError:
         error = CellError(IntervalSet(), rotation)
         assert error.breaks == [] and error.at_zero == 0
         assert excess(error, Fraction(1, 3)) == 0
+
+
+@functools.cache
+def starving_l1(angle: int, n: int) -> StarvingL1:
+    """The thm4 set-up at n for ``ANGLES[angle]``, at the default schedule,
+    shared by the examples so their pieces pile up as a run's do."""
+    return StarvingL1(Rotation(ANGLES[angle]), n, PartitionSchedule.sqrt(72))
+
+
+def per_cell_l1(l1: StarvingL1, read: int) -> tuple:
+    """``(L1_A, L1_B)`` at `read`: ``base`` plus one :meth:`CellError.excess`
+    per non-empty cell of `read`'s pattern."""
+    nq = read * l1.orbit.alpha_q
+    l1_a, l1_b = l1.base
+    for error, count, a0, b0, s0 in l1.pattern(read)[0]:
+        part_a, part_b = error.excess(count * nq + a0, b0, count,
+                                      count * read + s0)
+        l1_a, l1_b = l1_a + part_a, l1_b + part_b
+    return l1_a, l1_b
+
+
+class TestPieces:
+    @settings(max_examples=300, deadline=None)
+    @given(angle=st.integers(0, len(ANGLES) - 1), n=st.sampled_from((8, 64)),
+           seed=st.integers(0, 2 ** 32),
+           end=st.sampled_from((None, 0, 1)), shift=st.integers(-3, 3))
+    def test_trial_equals_per_cell_excess(self, angle, n, seed, end, shift):
+        # a trial at a random read, then one on or next to an end of a
+        # piece of its interval: on that piece, on the next one, next to a
+        # breakpoint read or on a cut
+        l1 = starving_l1(angle, n)
+        first = random.Random(seed).getrandbits(READ_BITS)
+        assert l1.trial(first)[2:4] == per_cell_l1(l1, first)
+        pieces = l1.pattern(first)[-1]
+        if end is not None and pieces:
+            read = (pieces[-1][end] + shift) % TOP
+            assert l1.trial(read)[2:4] == per_cell_l1(l1, read)
 
 
 class TestRemarkPairs:
