@@ -124,6 +124,9 @@ def parse_nlist(text: str) -> tuple:
 
 
 def format_nlist(ns) -> str:
+    """The text form of the n in `ns`; a text form is returned as it is."""
+    if isinstance(ns, str):
+        return ns
     ns = list(ns)
     if not ns:
         return ""
@@ -583,8 +586,10 @@ def run_rotation_l1(config: ExperimentConfig) -> Report:
     integers ``(A, B)`` over one ``scale`` per run, through the pattern of
     the interval between cuts that N falls in and the piece of it, a
     quadratic in N, that holds N; the event and the floor check are
-    integer signs.  ``l1_route`` in the summary counts those intervals and
-    pieces, and the trials read on a piece or cell by cell.
+    integer signs.  A read on a cut, or with a breakpoint read next to
+    some cell mean's, has the one-read piece ``[N, N]``.
+    ``l1_route`` in the summary counts the intervals patterned and the
+    pieces built.
 
     On B every predictor ``T^-j omega``, ``j < n``, lies in C, so every
     outside cell is empty and predicts 0, and L1 is at least ``floor``, the

@@ -256,31 +256,30 @@ class CellError:
     between pieces.  ``at_zero`` is ``F(0)``, ``coeffs`` holds per segment
     ``(k2, k1, k0 - F(0))`` (denominators dividing ``unit``), and ``reads``
     the read ``floor(2**READ_BITS * e)`` of each breakpoint triple ``e`` of
-    ``breaks``.  :meth:`excess` gives ``F(c) - F(0)`` at the scale
-    :meth:`fix_scale` fixed, with no reduction.
+    ``breaks``.  ``scaled`` holds the coefficients as integers at the
+    scale :meth:`fix_scale` fixed.
     """
 
-    __slots__ = ("breaks", "reads", "coeffs", "at_zero", "d", "unit", "den",
-                 "counts", "scale", "scaled")
+    __slots__ = ("breaks", "reads", "coeffs", "at_zero", "d", "unit",
+                 "scaled")
 
     def __init__(self, cell: IntervalSet, rotation: Rotation):
         zero = rotation.scalar(0)
         pieces = [(iv.lo, iv.hi) for iv in cell.translate_mod1(rotation.alpha)]
         breaks = [end for piece in pieces for end in piece]
-        # with c past the first p pieces: those give c*len - sq, the rest
-        # sq - c*len, where len = b - a and sq = (b*b - a*a)/2
-        lens = [b - a for a, b in pieces]
-        sqs = [(b * b - a * a) / 2 for a, b in pieces]
+        # a piece (a, b) gives (b*b - a*a)/2 - c*(b - a) while c is below
+        # it, ((c - a)**2 + (b - c)**2)/2 = that + (c - a)**2 inside it and
+        # that + 2*c*(b - a) - (b*b - a*a) above it: running sums over the
+        # pieces c has passed
+        squares = [(a * a, b * b) for a, b in pieces]
+        k1 = sum((a - b for a, b in pieces), zero)
+        k0 = sum((bb - aa for aa, bb in squares), zero) / 2
         coeffs = []
-        for p in range(len(pieces) + 1):
-            k1 = sum(lens[:p], zero) - sum(lens[p:], zero)
-            k0 = sum(sqs[p:], zero) - sum(sqs[:p], zero)
+        for (a, b), (aa, bb) in zip(pieces, squares):
             coeffs.append((0, k1, k0))
-            if p < len(pieces):
-                # inside piece p: ((c - a)**2 + (b - c)**2)/2 replaces its term
-                a, b = pieces[p]
-                coeffs.append((1, k1 + lens[p] - a - b,
-                               k0 - sqs[p] + (a * a + b * b) / 2))
+            coeffs.append((1, k1 - 2 * a, k0 + aa))
+            k1, k0 = k1 + 2 * (b - a), k0 + aa - bb
+        coeffs.append((0, k1, k0))
         self.d = d = rotation.d
         self.breaks = [triple(end, d) for end in breaks]
         self.reads = [scaled_floor(end, 1 << READ_BITS) for end in breaks]
@@ -290,37 +289,15 @@ class CellError:
                                for x in (k1, k0)))
 
     def fix_scale(self, den: int, counts: int, unit: int):
-        """Fix :meth:`excess` to means ``c = (a + b*sqrt(d)) / (den*k)``, k
+        """Fix ``scaled`` to means ``c = (a + b*sqrt(d)) / (den*k)``, k
         dividing `counts`, and to ``scale = unit * (den*counts)**2``
         (`unit` a multiple of this cell's).  With ``U = c * den*counts``,
         ``scale * (F(c) - F(0)) = k2*unit*U**2 + K1*U + K0`` for the
-        integer pairs ``K1 = k1*unit*den*counts`` and ``K0 = k0*scale``."""
-        self.den, self.counts = den, counts
-        self.scale = unit * (den * counts) ** 2
+        integer pairs ``K1 = k1*unit*den*counts`` and ``K0 = k0*scale``,
+        stored per segment as ``(k2*unit, *K1, *K0)``."""
+        scale = unit * (den * counts) ** 2
         self.scaled = [(k2 * unit, *k1.over(unit * den * counts),
-                        *k0.over(self.scale)) for k2, k1, k0 in self.coeffs]
-
-    def excess(self, a: int, b: int, k: int, read_sum: int) -> tuple:
-        """``(F(c) - F(0)) * scale`` as the integers ``(A, B)`` of ``A +
-        B*sqrt(d)``, for the mean ``c = (a + b*sqrt(d)) / (den*k)`` of `k`
-        responses whose reads sum to `read_sum`.  Each response ``x`` has
-        ``read <= 2**READ_BITS * x < read + 1``, so ``2**READ_BITS * c`` is
-        in ``[m, m + 2)`` for ``m = read_sum // k``: only a breakpoint read
-        ``m`` or ``m + 1`` is compared with c exactly
-        (:func:`~ergolab.surd.triple_compare`); the reads place the rest.
-        """
-        m = read_sum // k
-        lo = bisect_left(self.reads, m)
-        hi = bisect_left(self.reads, m + 2, lo)
-        if lo < hi:
-            c = (a, b, self.den * k)
-            while lo < hi and triple_compare(self.breaks[lo], c, self.d) <= 0:
-                lo += 1
-        k2, k1a, k1b, k0a, k0b = self.scaled[lo]
-        d, f = self.d, self.counts // k
-        a, b = a * f, b * f
-        return (k2 * (a * a + d * b * b) + k1a * a + d * k1b * b + k0a,
-                2 * k2 * a * b + k1a * b + k1b * a + k0b)
+                        *k0.over(scale)) for k2, k1, k0 in self.coeffs]
 
 
 class StarvingL1:
@@ -369,7 +346,6 @@ class StarvingL1:
                               for key in self.b_part.keys}
                            | {(top - shifts[-1]) % top, 0})
         self._patterns = {}
-        self.piece_trials = self.cell_trials = 0
 
     def _label(self, part, r, a, b):
         return part.read_label(r) or part.locate(self.orbit.point(a, b))
@@ -412,25 +388,18 @@ class StarvingL1:
         ``(L1_A + L1_B*sqrt(d)) / scale``, and no field element is built;
         the estimate at omega and the next value are floats.
 
-        L1 is read from the piece of `read`'s interval that holds it, a
-        stretch of reads on which every non-empty cell's
-        :class:`CellError` segment is fixed by the reads alone; there
-        ``L1_A = (A2*N + A1)*N + A0`` and ``L1_B = B1*N + B0``
-        (:meth:`_piece`).  A read no piece holds builds its piece, except
-        a read on a cut or next to a breakpoint read, which sums ``base``
-        and one :meth:`CellError.excess` per non-empty cell."""
-        cuts = self.cuts
-        at = bisect_right(cuts, read) - 1
-        built = None if cuts[at] == read else self._patterns.get(at)
+        L1 is read from the piece of `read`'s pattern that holds it, where
+        ``L1_A = (A2*N + A1)*N + A0`` and ``L1_B = B1*N + B0``; a read no
+        piece holds builds its piece (:meth:`_piece`)."""
         cells, query, in_b, inside_c, truth_a, truth_b, pieces = \
-            built or self.pattern(read)
+            self.pattern(read)
         for lo, hi, a2, a1, a0, b1, b0 in pieces:
             if lo <= read <= hi:
-                self.piece_trials += 1
-                l1_a, l1_b = (a2 * read + a1) * read + a0, b1 * read + b0
                 break
         else:
-            l1_a, l1_b = self._off_pieces(read, at, cells, pieces)
+            lo, hi, a2, a1, a0, b1, b0 = piece = self._piece(read, cells)
+            pieces.append(piece)
+        l1_a, l1_b = (a2 * read + a1) * read + a0, b1 * read + b0
         nq, den, d = read * self.orbit.alpha_q, self.orbit.den, self.d
         if query is None:
             estimate = 0.0
@@ -440,55 +409,50 @@ class StarvingL1:
         return (in_b, inside_c, l1_a, l1_b, estimate,
                 to_float(nq + truth_a, truth_b, den, d))
 
-    def _off_pieces(self, read, at, cells, pieces) -> tuple:
-        """``(L1_A, L1_B)`` at a read that no piece in `pieces` holds: from
-        its piece, built and kept there, or per cell where it has none."""
-        if self.cuts[at] != read:
-            piece = self._piece(read, at, cells)
-            if piece is not None:
-                pieces.append(piece)
-                self.piece_trials += 1
-                _, _, a2, a1, a0, b1, b0 = piece
-                return (a2 * read + a1) * read + a0, b1 * read + b0
-        self.cell_trials += 1
-        nq = read * self.orbit.alpha_q
-        l1_a, l1_b = self.base
-        for error, count, a0, b0, s0 in cells:
-            part_a, part_b = error.excess(count * nq + a0, b0, count,
-                                          count * read + s0)
-            l1_a += part_a
-            l1_b += part_b
-        return l1_a, l1_b
-
-    def _piece(self, read, at, cells):
-        """The piece of interval `at` that holds `read` (not a cut), as
-        ``(lo, hi, A2, A1, A0, B1, B0)``, or None if a breakpoint read lies
-        next to some cell's mean.
+    def _piece(self, read, cells):
+        """The piece that holds `read`, as ``(lo, hi, A2, A1, A0, B1, B0)``:
+        a stretch of reads between two cuts on which every non-empty cell's
+        :class:`CellError` segment is fixed, with L1 there quadratic in N.
 
         A cell's reads sum to ``count*N + S0``, so its mean read is ``m = N
-        + t``, ``t = S0 // count``, and :meth:`CellError.excess` takes the
-        segment ``i = bisect_left(reads, m)`` with no exact comparison
-        while no breakpoint read is in ``[m, m + 1]``: for ``reads[i-1] + 1
-        - t <= N <= reads[i] - 2 - t``.  Its numerator sum is ``a = U*N +
-        v`` for ``U = counts*Q_alpha`` at the scale, and ``b = w``, so its
-        excess is quadratic in N with the segment's coefficients.  The
-        piece is the interval cut down to every cell's bounds."""
+        + t``, ``t = S0 // count``.  Each response ``x`` has ``read <=
+        2**READ_BITS * x < read + 1``, so ``2**READ_BITS`` times the mean
+        is in ``[m, m + 2)``, and the mean is past the breakpoints ``i =
+        bisect_left(reads, m)`` while no breakpoint read is in ``[m, m +
+        1]``: for ``reads[i-1] + 1 - t <= N <= reads[i] - 2 - t``.  Where
+        one is, the mean is compared exactly with each breakpoint whose
+        read is ``m`` or ``m + 1`` (:func:`~ergolab.surd.triple_compare`),
+        and the piece is ``[read, read]``, as it is on a cut.  The
+        numerator sum of the mean is ``a = U*N + v`` for ``U =
+        counts*Q_alpha`` at the scale, and ``b = w``, so ``F(c) - F(0)`` is
+        quadratic in N with the segment's coefficients.  The piece is the interval between
+        cuts cut down to every cell's bounds."""
         cuts, counts, d = self.cuts, self.counts, self.d
-        lo = cuts[at] + 1
-        hi = (cuts[at + 1] if at + 1 < len(cuts) else 1 << READ_BITS) - 1
+        at = bisect_right(cuts, read) - 1
+        if cuts[at] == read:
+            lo = hi = read
+        else:
+            lo = cuts[at] + 1
+            hi = (cuts[at + 1] if at + 1 < len(cuts) else 1 << READ_BITS) - 1
+        nq, den = read * self.orbit.alpha_q, self.orbit.den
         a2 = a1 = a0 = b1 = b0 = 0
         for error, count, v, w, s0 in cells:
             t = s0 // count
             m = read + t
             reads = error.reads
             i = bisect_left(reads, m)
-            if i < len(reads):
-                if reads[i] <= m + 1:
-                    return None
-                if reads[i] - 2 - t < hi:
+            if i < len(reads) and reads[i] <= m + 1:
+                # every other cell's bounds hold read: [read, read] stays
+                lo = hi = read
+                c = (count * nq + v, w, den * count)
+                end = bisect_left(reads, m + 2, i)
+                while i < end and triple_compare(error.breaks[i], c, d) <= 0:
+                    i += 1
+            else:
+                if i < len(reads) and reads[i] - 2 - t < hi:
                     hi = reads[i] - 2 - t
-            if i and reads[i - 1] + 1 - t > lo:
-                lo = reads[i - 1] + 1 - t
+                if i and reads[i - 1] + 1 - t > lo:
+                    lo = reads[i - 1] + 1 - t
             # with the sums at `counts`, a = U*N + v and b = w, the excess
             # is k2*(a*a + d*w*w) + k1a*a + d*k1b*w + k0a
             # + (2*k2*a*w + k1a*w + k1b*a + k0b)*sqrt(d)
@@ -507,10 +471,8 @@ class StarvingL1:
                 b0 + self.base[1])
 
     def route(self) -> dict:
-        """How the trials so far read L1: intervals patterned, pieces
-        built, trials on a piece and trials on the per-cell route."""
+        """How the trials so far read L1: intervals patterned and pieces
+        built."""
         return {"intervals_patterned": len(self._patterns),
                 "pieces_built": sum(len(built[-1])
-                                    for built in self._patterns.values()),
-                "piece_trials": self.piece_trials,
-                "cell_trials": self.cell_trials}
+                                    for built in self._patterns.values())}

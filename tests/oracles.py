@@ -9,19 +9,21 @@ No experiment or demo runs these, so they live beside the tests:
 * the lagged pairs of a series, the partitioning estimate at a point and
   the diameter of a cell;
 * the exact L1 error of a piecewise-constant estimate by integration over
-  its pieces, and a second rotation angle, the golden mean's conjugate;
+  its pieces, one cell's part of it cell by cell at a run's scale, and a
+  second rotation angle, the golden mean's conjugate;
 * the cells of a split grid, each by two whole-set intersections.
 
 The three error classes are raised by these oracles alone.
 """
 
+from bisect import bisect_left
 from fractions import Fraction
 
 from ergolab.errors import ErgolabError, FrontierError
 from ergolab.intervals import IntervalSet
 from ergolab.markov import HALF, OddLabelTable, ShiftLabelTable
 from ergolab.rotation import Rotation, integral_abs_error_on_interval
-from ergolab.surd import QuadraticReal
+from ergolab.surd import QuadraticReal, triple_compare
 
 
 class InconsistentObservation(ErgolabError):
@@ -222,6 +224,31 @@ def l1_error_exact(pieces, target: str, rotation: Rotation | None = None):
     if total is None:
         raise ValueError("estimate covers nothing")
     return total
+
+
+def excess(error, den: int, counts: int, a: int, b: int, k: int,
+           read_sum: int) -> tuple:
+    """``(F(c) - F(0)) * scale`` of a ``CellError`` whose ``fix_scale``
+    took `den` and `counts`, as the integers ``(A, B)`` of ``A +
+    B*sqrt(d)``, for the mean ``c = (a + b*sqrt(d)) / (den*k)`` of `k`
+    responses whose reads sum to `read_sum`.  Each response ``x`` has
+    ``read <= 2**READ_BITS * x < read + 1``, so ``2**READ_BITS * c`` is
+    in ``[m, m + 2)`` for ``m = read_sum // k``: only a breakpoint read
+    ``m`` or ``m + 1`` is compared with c exactly; the reads place the
+    rest.
+    """
+    m = read_sum // k
+    lo = bisect_left(error.reads, m)
+    hi = bisect_left(error.reads, m + 2, lo)
+    if lo < hi:
+        c = (a, b, den * k)
+        while lo < hi and triple_compare(error.breaks[lo], c, error.d) <= 0:
+            lo += 1
+    k2, k1a, k1b, k0a, k0b = error.scaled[lo]
+    d, f = error.d, counts // k
+    a, b = a * f, b * f
+    return (k2 * (a * a + d * b * b) + k1a * a + d * k1b * b + k0a,
+            2 * k2 * a * b + k1a * b + k1b * a + k0b)
 
 
 def golden_conjugate() -> QuadraticReal:

@@ -20,6 +20,7 @@ from ergolab.rotation import (CellError, DyadicOrbit, RohlinTower, Rotation,
 from ergolab.surd import QuadraticReal, floor_raw, sqrt2_minus_1
 from ergolab.surd import triple as field_triple
 
+import oracles
 from oracles import diameter, golden_conjugate, l1_error_exact
 
 
@@ -407,14 +408,14 @@ class TestExactL1:
 
 
 def excess(error, c):
-    """``F(c) - F(0)`` of a CellError at a scalar `c`, by
-    :meth:`CellError.excess` at the scale of c's own denominator, with c
-    as the one response, reduced."""
+    """``F(c) - F(0)`` of a CellError at a scalar `c`, by the
+    :func:`oracles.excess` of its scaled coefficients at the scale of c's
+    own denominator, with c as the one response, reduced."""
     a, b, q = field_triple(c, error.d)
     error.fix_scale(q, 1, error.unit)
     read = floor_raw(a << READ_BITS, b << READ_BITS, q, error.d)
-    return QuadraticReal._make(*error.excess(a, b, 1, read), error.scale,
-                               error.d)
+    return QuadraticReal._make(*oracles.excess(error, q, 1, a, b, 1, read),
+                               error.unit * q * q, error.d)
 
 
 class TestCellError:
@@ -465,8 +466,9 @@ class TestCellError:
                     read_sum = sum(read_of(x) for x in xs)
                     assert read_sum // 3 in (read - 1, read)
                     error.fix_scale(den, 6, error.unit)
-                    got = QuadraticReal._make(*error.excess(a, b, 3, read_sum),
-                                              error.scale, d)
+                    got = QuadraticReal._make(
+                        *oracles.excess(error, den, 6, a, b, 3, read_sum),
+                        error.unit * (den * 6) ** 2, d)
                     assert got + error.at_zero \
                         == summed_integrals(cell, c, rotation)
                     checked += 1
@@ -487,13 +489,14 @@ def starving_l1(angle: int, n: int) -> StarvingL1:
 
 
 def per_cell_l1(l1: StarvingL1, read: int) -> tuple:
-    """``(L1_A, L1_B)`` at `read`: ``base`` plus one :meth:`CellError.excess`
+    """``(L1_A, L1_B)`` at `read`: ``base`` plus one :func:`oracles.excess`
     per non-empty cell of `read`'s pattern."""
     nq = read * l1.orbit.alpha_q
     l1_a, l1_b = l1.base
     for error, count, a0, b0, s0 in l1.pattern(read)[0]:
-        part_a, part_b = error.excess(count * nq + a0, b0, count,
-                                      count * read + s0)
+        part_a, part_b = oracles.excess(error, l1.orbit.den, l1.counts,
+                                        count * nq + a0, b0, count,
+                                        count * read + s0)
         l1_a, l1_b = l1_a + part_a, l1_b + part_b
     return l1_a, l1_b
 
